@@ -3,8 +3,10 @@
 Subcommands expose every library operation; ``--json`` switches the
 human-readable tables to machine output.  Domain errors are rendered as
 one-line JSON objects {"error": code, "detail": ...} and exit 2; usage
-errors exit 1.  The environment variable QUADLAT_CAP overrides the
-brute-force caps.
+errors exit 1.  Input files and standard input pass through one decoding
+boundary, ``_decode_input``, so unreadable or malformed input is a
+BadParameter error too.  The environment variable QUADLAT_CAP overrides
+the brute-force caps.
 """
 
 from __future__ import annotations
@@ -50,6 +52,27 @@ def _parse_signature(text: str) -> Signature:
     if plus < 0 or minus < 0:
         raise BadParameter("signature counts must be non-negative")
     return Signature(plus, minus)
+
+
+def _decode_input(path: str | None, convert):
+    """Read JSON from the file at ``path`` (standard input when None) and
+    convert it into library objects.
+
+    This is the one place the CLI decodes input.  An OSError, ValueError
+    (JSONDecodeError included), TypeError or LookupError raised while
+    reading or converting becomes BadParameter; domain errors pass
+    through unchanged.
+    """
+    source = "standard input" if path is None else repr(path)
+    try:
+        if path is None:
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        return convert(data)
+    except (OSError, ValueError, TypeError, LookupError) as exc:
+        raise BadParameter(f"bad input in {source}: {exc}") from exc
 
 
 def _embedding_to_json(E: embeddings.SublatticeEmbedding) -> dict:
@@ -155,11 +178,7 @@ def _cmd_iota2d(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_complement(args) -> tuple[dict, list[str]]:
-    try:
-        data = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise BadParameter(f"standard input is not valid JSON: {exc}")
-    E = _embedding_from_json(data)
+    E = _decode_input(None, _embedding_from_json)
     comp = embeddings.orthogonal_complement(E)
     out = _embedding_to_json(comp)
     lines = [f"complement rank: {comp.rank}", f"basis: {comp.basis.tolist()}"]
@@ -197,9 +216,7 @@ def _cmd_binary_enum(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_period_split(args) -> tuple[dict, list[str]]:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    omega = periods.period_from_json(data)
+    omega = _decode_input(args.file, periods.period_from_json)
     periods.validate_period(omega)
     split = periods.transcendental(omega)
     minimal = periods.minimal_hodge_sublattice(omega)
@@ -229,9 +246,7 @@ def _cmd_minkowski(args) -> tuple[dict, list[str]]:
     return {"n": args.n, "bound": bound}, [str(bound)]
 
 
-def _cmd_fixed_mod_ell(args) -> tuple[dict, list[str]]:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _group_from_json(data) -> brauer.FiniteMatrixGroupModL:
     if not isinstance(data, dict) or "ell" not in data or "generators" not in data:
         raise BadParameter("input JSON needs 'ell' and 'generators' keys")
     gens = data["generators"]
@@ -240,7 +255,11 @@ def _cmd_fixed_mod_ell(args) -> tuple[dict, list[str]]:
         if not gens:
             raise BadParameter("empty generator list needs an explicit 'dim'")
         dim = len(gens[0])
-    S = brauer.FiniteMatrixGroupModL(int(data["ell"]), int(dim), tuple(gens))
+    return brauer.FiniteMatrixGroupModL(int(data["ell"]), int(dim), tuple(gens))
+
+
+def _cmd_fixed_mod_ell(args) -> tuple[dict, list[str]]:
+    S = _decode_input(args.file, _group_from_json)
     dimension, basis = brauer.fixed_subspace_mod_ell(S)
     out = {"ell": S.ell, "dim": S.dim, "fixed_dimension": dimension, "basis": basis.tolist()}
     return out, [f"fixed dimension: {dimension}", f"basis: {basis.tolist()}"]

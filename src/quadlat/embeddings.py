@@ -17,6 +17,7 @@ from math import gcd, isqrt, prod
 from .errors import (
     BadParameter,
     DimensionMismatch,
+    InvariantViolation,
     NotAnIsometry,
     NotDefinite,
     NotInTildeO,
@@ -38,12 +39,10 @@ from .lattice import (
 from .linalg import (
     IntMatrix,
     RatMatrix,
-    block_diag,
     det_exact,
-    hermite_normal_form,
     kernel_basis,
     smith_normal_form,
-    solve_rational,
+    solve_integral,
 )
 
 
@@ -130,18 +129,16 @@ def nikulin_check(L: Lattice, target: Signature) -> NikulinVerdict:
 def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
     """Saturation: the intersection of the rational span with the ambient lattice.
 
-    From U·B·V = S in Smith form, the first rank(B) rows of V^{-1} are a
-    ℤ-basis of the saturation; they are HNF-normalized for determinism.
+    Taken as a double kernel under the plain dot product of ℤⁿ: K =
+    kernel_basis(Bᵀ) spans the integer vectors orthogonal to the rows of
+    B, and kernel_basis(Kᵀ) is every integer vector orthogonal to K,
+    which is ℚB ∩ ℤⁿ.  ``kernel_basis`` returns HNF rows, and the HNF of a
+    lattice is unique, so the basis is deterministic.
     """
-    k = E.basis.nrows
-    n = E.ambient.rank
-    if k == 0:
+    if E.basis.nrows == 0:
         return E
-    _, _, V = smith_normal_form(E.basis)
-    vinv = solve_rational(V, IntMatrix.identity(n)).to_int()
-    rows = [vinv[i] for i in range(k)]
-    H, _ = hermite_normal_form(IntMatrix(rows, ncols=n))
-    return SublatticeEmbedding(E.ambient, H)
+    perp = kernel_basis(E.basis.transpose())
+    return SublatticeEmbedding(E.ambient, kernel_basis(perp.transpose()))
 
 
 def saturation_index(E: SublatticeEmbedding) -> int:
@@ -304,17 +301,22 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     rows.append([0] * 16 + list(v) + [0] * 4)  # third E8(-1): coordinates 16..23
     emb = SublatticeEmbedding(sharp, IntMatrix(rows, ncols=28))
     # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly
-    assert induced_gram(emb) == standard("Lambda2d", d).gram
+    induced, expected = induced_gram(emb), standard("Lambda2d", d).gram
+    if induced != expected:
+        raise InvariantViolation(
+            "iota2d does not induce the Lambda2d Gram", d=d, induced=induced, expected=expected
+        )
     return emb
 
 
 def is_isometry(L: Lattice, g: IntMatrix) -> bool:
-    """True when g preserves the form (and hence has determinant ±1)."""
+    """True when g preserves the form.
+
+    Then det(g)²·det G = det G with det G ≠ 0, so det g = ±1 follows.
+    """
     if g.nrows != g.ncols or g.nrows != L.rank:
         raise DimensionMismatch("matrix size does not match lattice rank")
-    if g @ L.gram @ g.transpose() != L.gram:
-        return False
-    return det_exact(g) in (1, -1)  # implied by form preservation; checked anyway
+    return g @ L.gram @ g.transpose() == L.gram
 
 
 def in_tilde_O(L: Lattice, g: IntMatrix) -> bool:
@@ -348,11 +350,14 @@ def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
         raise NotSpecialOrthogonal("extension requires determinant +1")
     comp = orthogonal_complement(E)
     m = E.basis.stack(comp.basis)  # square: the restriction is non-degenerate
-    block = block_diag(g, IntMatrix.identity(comp.rank))
-    # rows of m are the sub/complement basis vectors: want m·R = block·m
-    r = solve_rational(m, block @ m)
-    if not r.is_integral():
+    # rows of m are the sub/complement basis vectors: want m·R = (g ⊕ 1)·m,
+    # whose right side is g·basis stacked on the complement basis
+    num, den = solve_integral(m, (g @ E.basis).stack(comp.basis))
+    if any(x % den for row in num for x in row):
         raise NotInTildeO("extension is not integral on the ambient lattice")
-    result = r.to_int()
-    assert result @ E.ambient.gram @ result.transpose() == E.ambient.gram
+    result = IntMatrix([[x // den for x in row] for row in num], ncols=num.ncols)
+    if result @ E.ambient.gram @ result.transpose() != E.ambient.gram:
+        raise InvariantViolation(
+            "extension does not preserve the ambient form", extension=result, g=g
+        )
     return result

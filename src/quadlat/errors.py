@@ -112,6 +112,22 @@ class HodgeClosureMismatch(QuadLatError):
         self.complement_closure = complement_closure
 
 
+class InvariantViolation(QuadLatError):
+    """A computed result contradicts what is proved about it.
+
+    Should be unreachable; raised by the explicit self-checks (which,
+    unlike ``assert``, also run under ``python -O``) and carries the
+    offending data as keyword attributes in ``data`` so the case can be
+    inspected.
+    """
+
+    code = "InvariantViolation"
+
+    def __init__(self, message, **data):
+        super().__init__(message)
+        self.data = data
+
+
 # cohomology quotients and finite groups mod ell
 
 class NotSaturated(QuadLatError):

@@ -21,7 +21,7 @@ from .lattice import (
     discriminant_form,
     make_lattice,
 )
-from .linalg import RatMatrix, hermite_normal_form
+from .linalg import IntMatrix, RatMatrix, hermite_normal_form
 
 #: Default ceiling on |det| for the binary-form enumeration.
 BINARY_DET_CAP = 10_000
@@ -161,16 +161,21 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     """
     base = G.base
     n = base.rank
-    stacked = RatMatrix.identity(n).stack(G.generators)
-    den = stacked.common_denominator()
-    scaled = stacked.scale(den).to_int()
+    # the lattice is (1/den)·(row span of den·identity and den·lifts)
+    den = G.generators.common_denominator()
+    scaled = IntMatrix.identity(n).scale(den).stack(
+        IntMatrix(
+            [[x.numerator * (den // x.denominator) for x in row] for row in G.generators],
+            ncols=n,
+        )
+    )
     H, _ = hermite_normal_form(scaled)
-    rows = [H[i] for i in range(n)]  # full rank: contains den·identity
-    basis = RatMatrix(rows, ncols=n).scale(Fraction(1, den))
-    gram = basis @ base.gram @ basis.transpose()
-    if not gram.is_integral():
+    basis = IntMatrix(H[:n], ncols=n)  # full rank: contains den·identity
+    num = basis @ base.gram @ basis.transpose()  # den² times the Gram
+    den2 = den * den
+    if any(x % den2 for row in num for x in row):
         raise NotIsotropic("glue subgroup is not isotropic: non-integral pairing")
-    gram_int = gram.to_int()
+    gram_int = IntMatrix([[x // den2 for x in row] for row in num], ncols=n)
     if any(gram_int[i][i] % 2 for i in range(n)):
         raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
     return make_lattice(gram_int)

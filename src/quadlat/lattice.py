@@ -29,7 +29,6 @@ from .linalg import (
     det_exact,
     invert_rational,
     smith_normal_form,
-    solve_rational,
 )
 
 #: Default ceiling on |A| for the exhaustive finite-group searches
@@ -99,6 +98,16 @@ class Lattice:
         return self.gram.nrows
 
 
+def _derived_lattice(gram: IntMatrix, det: int, label: str | None) -> Lattice:
+    # A lattice whose Gram is symmetric with determinant det ≠ 0 by
+    # construction from validated lattices, so no elimination is rerun.
+    L = object.__new__(Lattice)
+    object.__setattr__(L, "gram", gram)
+    object.__setattr__(L, "label", label)
+    object.__setattr__(L, "det", det)
+    return L
+
+
 def pair(gram: IntMatrix, x: Sequence, y: Sequence):
     """Evaluate the bilinear form x·gram·yᵀ on row vectors (int or Fraction)."""
     n = gram.nrows
@@ -126,10 +135,15 @@ def rescale(L: Lattice, n: int) -> Lattice:
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    """Orthogonal direct sum (block-diagonal Gram)."""
+    """Orthogonal direct sum (block-diagonal Gram).
+
+    The determinant is the product of the block determinants, each
+    nonzero, so the sum is non-degenerate without a new elimination.
+    """
     if not lattices:
         raise BadParameter("direct sum of nothing")
-    return Lattice(block_diag(*(L.gram for L in lattices)))
+    gram = block_diag(*(L.gram for L in lattices))
+    return _derived_lattice(gram, prod(L.det for L in lattices), None)
 
 
 def standard(name: str, *params: int) -> Lattice:
@@ -179,50 +193,61 @@ def standard(name: str, *params: int) -> Lattice:
         e8m = standard("E8", -1)
         u = standard("U")
         L = direct_sum(e8m, e8m, u, u, standard("gen", -2 * d))
-        return Lattice(L.gram, f"Lambda2d({d})")
+        return _derived_lattice(L.gram, L.det, f"Lambda2d({d})")
     if name == "LambdaSharp":
         if params:
             raise BadParameter("LambdaSharp takes no parameters")
         e8m = standard("E8", -1)
         u = standard("U")
-        return Lattice(direct_sum(e8m, e8m, e8m, u, u).gram, "LambdaSharp")
+        L = direct_sum(e8m, e8m, e8m, u, u)
+        return _derived_lattice(L.gram, L.det, "LambdaSharp")
     if name == "LambdaK3":
         if params:
             raise BadParameter("LambdaK3 takes no parameters")
         e8m = standard("E8", -1)
         u = standard("U")
-        return Lattice(direct_sum(e8m, e8m, u, u, u).gram, "LambdaK3")
+        L = direct_sum(e8m, e8m, u, u, u)
+        return _derived_lattice(L.gram, L.det, "LambdaK3")
     raise UnknownAtom(f"unknown lattice name {name!r}")
 
 
 def signature(L: Lattice) -> Signature:
-    """Exact inertia by symmetric congruence reduction over ℚ.
+    """Exact inertia by fraction-free symmetric congruence reduction.
 
-    Diagonal pivots are used when available; when every remaining
-    diagonal entry vanishes, a nonzero off-diagonal entry spans a
-    hyperbolic 2x2 block contributing (1, 1).
+    After a principal block P of the Gram G has been eliminated, the
+    working matrix holds det(G_P) times the Schur complement of G_P; its
+    entries are minors of G, so every division below is exact (Sylvester's
+    identity, as in Bareiss elimination) and ``prev`` = det(G_P).  Diagonal
+    pivots p are used when available: the true pivot p/prev counts toward
+    plus or minus by its sign.  When every remaining diagonal entry
+    vanishes, a nonzero off-diagonal entry b spans a hyperbolic 2x2 block
+    contributing (1, 1), and det(G_P) picks up the factor -b²/prev².
     """
     n = L.rank
-    a = [[Fraction(x) for x in row] for row in L.gram]
+    a = [list(row) for row in L.gram]
     active = list(range(n))
     plus = minus = 0
+    prev = 1
     while active:
         piv = next((i for i in active if a[i][i]), None)
         if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
+            p = a[piv][piv]
+            if (p > 0) == (prev > 0):
                 plus += 1
             else:
                 minus += 1
             rest = [j for j in active if j != piv]
+            row_p = a[piv]
             for s in rest:
-                c = a[s][piv] / d
+                row_s = a[s]
+                c = row_s[piv]
                 if c:
-                    row_p = a[piv]
-                    row_s = a[s]
                     for t in rest:
-                        if row_p[t]:
-                            row_s[t] -= c * row_p[t]
+                        row_s[t] = (p * row_s[t] - c * row_p[t]) // prev
+                elif p != prev:  # a row orthogonal to the pivot only rescales
+                    for t in rest:
+                        row_s[t] = p * row_s[t] // prev
+            prev = p
             active = rest
             continue
         blk = next(
@@ -236,13 +261,19 @@ def signature(L: Lattice) -> Signature:
         plus += 1
         minus += 1
         rest = [k for k in active if k not in (i0, j0)]
+        row_i, row_j = a[i0], a[j0]
+        prev2 = prev * prev
+        new_prev = -b * b // prev
         for s in rest:
-            alpha = a[s][j0] / b
-            beta = a[s][i0] / b
-            if alpha or beta:
-                row_i, row_j, row_s = a[i0], a[j0], a[s]
+            row_s = a[s]
+            ci, cj = row_s[i0], row_s[j0]
+            if ci or cj:
                 for t in rest:
-                    row_s[t] -= alpha * row_i[t] + beta * row_j[t]
+                    row_s[t] = -b * (b * row_s[t] - ci * row_j[t] - cj * row_i[t]) // prev2
+            elif new_prev != prev:
+                for t in rest:
+                    row_s[t] = row_s[t] * new_prev // prev
+        prev = new_prev
         active = rest
     return Signature(plus, minus)
 
@@ -322,27 +353,23 @@ class DiscriminantForm:
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
     """Invariant factors and generator lifts of (dual)/(lattice).
 
-    Writing U·G·V = S in Smith form, the rows w_i of V^{-1} with
-    invariant factor d_i > 1 generate ℤⁿ/ℤⁿG ≅ ⊕ ℤ/d_i; pulling back
-    along x ↦ x·G turns w_i into the dual vector w_i·G^{-1} of order d_i.
+    Write U·G·V = S in Smith form.  The rows w_i of V^{-1} with invariant
+    factor d_i > 1 generate ℤⁿ/ℤⁿG ≅ ⊕ ℤ/d_i, and pulling back along
+    x ↦ x·G turns w_i into the dual vector w_i·G^{-1} of order d_i.  Since
+    G^{-1} = V·S^{-1}·U, that lift is w_i·V·S^{-1}·U = e_i·S^{-1}·U =
+    U_i/d_i: row i of U over d_i, read off the Smith transform with no
+    rational solve.
     """
-    g = L.gram
     n = L.rank
-    _, S, V = smith_normal_form(g)
-    vinv = solve_rational(V, IntMatrix.identity(n)).to_int()
+    U, S, _ = smith_normal_form(L.gram)
     factors = []
-    kept_rows = []
+    lifts = []
     for i in range(n):
         d = S[i][i]
         if d > 1:
             factors.append(d)
-            kept_rows.append(vinv[i])
-    if not kept_rows:
-        return DiscriminantGroup((), RatMatrix([], ncols=n))
-    w = IntMatrix(kept_rows, ncols=n)
-    # lift_i = w_i · G^{-1}; G symmetric so solve G·xᵀ = w_iᵀ and transpose
-    lifts = solve_rational(g, w.transpose()).transpose()
-    return DiscriminantGroup(tuple(factors), lifts)
+            lifts.append([Fraction(x, d) for x in U[i]])
+    return DiscriminantGroup(tuple(factors), RatMatrix(lifts, ncols=n))
 
 
 def discriminant_form(L: Lattice) -> DiscriminantForm:

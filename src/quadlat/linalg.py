@@ -1,7 +1,10 @@
 """Exact integer and rational matrix kernels.
 
-All arithmetic runs over Python's arbitrary-precision ints and
-``fractions.Fraction``; there is no floating point and no overflow.
+All arithmetic runs over Python's arbitrary-precision ints; there is no
+floating point and no overflow.  ``Fraction``s appear only at the API
+boundary: ``RatMatrix`` values passed in or returned.  Internally a
+rational system is solved fraction-free, as integer numerators over one
+common denominator, and the ``Fraction``s are built once, at the return.
 Matrices are immutable values, so every routine here is a pure function.
 
 The normal forms use the naive pivot-reduction algorithms (good to rank
@@ -43,6 +46,14 @@ class IntMatrix:
         self._ncols = ncols
 
     @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        # rows this module built itself: tuples of ints, all of length ncols
+        m = object.__new__(cls)
+        m._data = data
+        m._ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
@@ -71,19 +82,28 @@ class IntMatrix:
         return [list(r) for r in self._data]
 
     def transpose(self) -> "IntMatrix":
-        n, m = self.nrows, self._ncols
-        return IntMatrix([[self._data[i][j] for i in range(n)] for j in range(m)], ncols=n)
+        cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
+        return IntMatrix._trusted(cols, self.nrows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data],
-            ncols=other.ncols,
-        )
+        # Row i of the product accumulates a_ik·(row k of other) over the
+        # nonzero a_ik, touching only the nonzero entries of that row:
+        # every standard Gram and embedding basis is block-sparse.
+        width = other._ncols
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
+        out = []
+        for row in self._data:
+            acc = [0] * width
+            for a, nonzero in zip(row, sparse_rows):
+                if a:
+                    for j, b in nonzero:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix._trusted(tuple(out), width)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows or self._ncols != other.ncols:
@@ -106,7 +126,7 @@ class IntMatrix:
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self._ncols != other.ncols:
             raise ValueError("shape mismatch in vertical stack")
-        return IntMatrix(list(self._data) + list(other._data), ncols=self._ncols)
+        return IntMatrix._trusted(self._data + other._data, self._ncols)
 
     def is_symmetric(self) -> bool:
         if self.nrows != self._ncols:
@@ -252,7 +272,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
             out[r0 + i][c0 : c0 + b.ncols] = list(b[i])
         r0 += b.nrows
         c0 += b.ncols
-    return IntMatrix(out, ncols=ncols)
+    return _frozen(out, ncols)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -270,15 +290,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _frozen(rows: list[list[int]], ncols: int) -> IntMatrix:
+    # wrap the int rows an algorithm here produced, skipping re-validation
+    return IntMatrix._trusted(tuple(map(tuple, rows)), ncols)
+
+
 def _ident_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _addmul_row(rows: list[list[int]], dst: int, src: int, k: int) -> None:
     if k:
-        rdst, rsrc = rows[dst], rows[src]
-        for j in range(len(rdst)):
-            rdst[j] += k * rsrc[j]
+        rdst = rows[dst]
+        for j, v in enumerate(rows[src]):
+            if v:
+                rdst[j] += k * v
 
 
 def _gcd_row_op(mat: list[list[int]], trans: list[list[int]], pr: int, i: int, col: int) -> None:
@@ -318,7 +344,8 @@ def _gcd_col_op(mat: list[list[int]], trans: list[list[int]], pc: int, j: int, r
         q = b // a
         for m in (mat, trans):
             for r in m:
-                r[j] -= q * r[pc]
+                if r[pc]:
+                    r[j] -= q * r[pc]
         return
     g, x, y = _xgcd(a, b)
     af, bf = a // g, b // g
@@ -342,7 +369,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     V = _ident_rows(c)
     t = 0
     while t < min(r, c):
-        # pivot: nonzero entry of smallest magnitude in the working block
+        # pivot: first nonzero entry of smallest magnitude in the working
+        # block, scanned row by row; nothing beats magnitude 1
         piv = None
         best = None
         for i in range(t, r):
@@ -351,6 +379,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if v and (best is None or abs(v) < best):
                     best = abs(v)
                     piv = (i, j)
+            if best == 1:
+                break
         if piv is None:
             break
         pi, pj = piv
@@ -369,6 +399,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if any(S[i][t] for i in range(t + 1, r)):
                 continue  # column ops re-dirtied the pivot column
             p = S[t][t]
+            if p in (1, -1):
+                break  # a unit divides everything left
             bad = None
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
@@ -385,7 +417,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             S[t] = [-x for x in S[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return IntMatrix(U, ncols=r), IntMatrix(S, ncols=c), IntMatrix(V, ncols=c)
+    return _frozen(U, r), _frozen(S, c), _frozen(V, c)
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -427,7 +459,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _addmul_row(H, i, prow, -q)
             _addmul_row(T, i, prow, -q)
         prow += 1
-    return IntMatrix(H, ncols=c), IntMatrix(T, ncols=r)
+    return _frozen(H, c), _frozen(T, r)
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -448,21 +480,20 @@ def det_exact(m: IntMatrix) -> int:
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            row_k = a[k]
             lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
+            if lead:
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+                row_i[k] = 0
+            elif pivot != prev:  # a zero lead only rescales the row
+                for j in range(k + 1, n):
+                    if row_i[j]:
+                        row_i[j] = row_i[j] * pivot // prev
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def rank_int(m: IntMatrix) -> int:
-    """Rank over the rationals (= number of nonzero HNF rows)."""
-    H, _ = hermite_normal_form(m)
-    return sum(1 for row in H if any(row))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -478,37 +509,67 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     ker = [T[i] for i in range(rank, r)]
     if not ker:
         return IntMatrix([], ncols=r)
-    Hk, _ = hermite_normal_form(IntMatrix(ker, ncols=r))
+    Hk, _ = hermite_normal_form(IntMatrix._trusted(tuple(ker), r))
     return Hk
 
 
-def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
-    """Exact solution x of m·x = b for square non-singular m."""
+def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
+    """Fraction-free solve of m·x = b for square non-singular m.
+
+    Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
+    so the solution is X/den; it is integral exactly when den divides
+    every entry of X.  Gauss–Jordan elimination in Bareiss's
+    fraction-free form: after pivot k every entry of the augmented matrix
+    is a (k+1)-minor of it, so each division by the previous pivot is
+    exact, and at the end the left block is det·I.
+    """
     if m.nrows != m.ncols:
         raise NonSquare(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
-    if isinstance(b, IntMatrix):
-        b = b.to_rat()
     n = m.nrows
     if b.nrows != n:
         raise ValueError("right-hand side has wrong number of rows")
-    k = b.ncols
-    aug = [[Fraction(m[i][j]) for j in range(n)] + list(b[i]) for i in range(n)]
+    aug = [list(m[i]) + list(b[i]) for i in range(n)]
+    prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
             raise SingularMatrix("matrix is singular")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
+        row_c = aug[col]
+        p = row_c[col]
         for i in range(n):
             if i == col:
                 continue
-            f = aug[i][col] / pval
-            if f:
-                row_i, row_c = aug[i], aug[col]
-                for j in range(col, n + k):
-                    row_i[j] -= f * row_c[j]
-    return RatMatrix([[aug[i][n + j] / aug[i][i] for j in range(k)] for i in range(n)], ncols=k)
+            row_i = aug[i]
+            lead = row_i[col]
+            if lead:
+                aug[i] = [(x * p - lead * y) // prev for x, y in zip(row_i, row_c)]
+            elif p != prev:
+                aug[i] = [x * p // prev if x else 0 for x in row_i]
+        prev = p
+    sign = -1 if prev < 0 else 1
+    x = tuple(tuple(sign * v for v in row[n:]) for row in aug)
+    return IntMatrix._trusted(x, b.ncols), sign * prev
+
+
+def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
+    """Exact solution x of m·x = b for square non-singular m.
+
+    The right side is scaled to integers by its common denominator and
+    solved by ``solve_integral``; ``Fraction``s are built only here.
+    """
+    if isinstance(b, RatMatrix):
+        den_b = b.common_denominator()
+        b = IntMatrix._trusted(
+            tuple(tuple(x.numerator * (den_b // x.denominator) for x in row) for row in b),
+            b.ncols,
+        )
+    else:
+        den_b = 1
+    x, den = solve_integral(m, b)
+    den *= den_b
+    return RatMatrix([[Fraction(v, den) for v in row] for row in x], ncols=x.ncols)
 
 
 def invert_rational(m: IntMatrix) -> RatMatrix:

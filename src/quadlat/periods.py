@@ -18,6 +18,7 @@ from .errors import (
     BadParameter,
     DegenerateRestriction,
     HodgeClosureMismatch,
+    InvariantViolation,
     NotIsotropic,
     NotPositive,
     WrongSignature,
@@ -128,8 +129,9 @@ def validate_period(omega: PeriodVector) -> PeriodVector:
     if not self_pairing.is_zero():
         raise NotIsotropic("period is not isotropic: ψ(ω, ω) != 0")
     conj = period_pairing(omega, omega.re, tuple(-x for x in omega.im))
-    # conjugation-symmetry forces ψ(ω, ω̄) into ℚ; assert exactly
-    assert conj.is_rational()
+    # conjugation-symmetry forces ψ(ω, ω̄) into ℚ; check exactly
+    if not conj.is_rational():
+        raise InvariantViolation("ψ(ω, ω̄) is not rational", value=conj)
     if conj.a <= 0:
         raise NotPositive("ψ(ω, ω̄) must be positive")
     return omega
@@ -174,7 +176,13 @@ def transcendental(omega: PeriodVector) -> HodgeSplit:
         raise DegenerateRestriction("form restricted to the algebraic part is degenerate")
     trans = orthogonal_complement(ns)
     # ω must have coordinates inside the rational span of the complement
-    assert _in_row_span(trans.basis, omega.re) and _in_row_span(trans.basis, omega.im)
+    for part in (omega.re, omega.im):
+        if not _in_row_span(trans.basis, part):
+            raise InvariantViolation(
+                "period is outside the span of the transcendental part",
+                basis=trans.basis,
+                vector=part,
+            )
     return HodgeSplit(ns, trans)
 
 
@@ -203,7 +211,10 @@ def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
     n = omega.lattice.rank
     plane = _scaled_int_rows([omega.re, omega.im], n)
     span_closure = saturate(SublatticeEmbedding(omega.lattice, plane))
-    assert span_closure.rank == 2
+    if span_closure.rank != 2:
+        raise InvariantViolation(
+            "span closure of a quadratic period is not a plane", span_closure=span_closure
+        )
     ns = neron_severi(omega)
     if det_exact(induced_gram(ns)) != 0:
         complement_closure = transcendental(omega).trans

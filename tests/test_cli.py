@@ -188,6 +188,32 @@ class TestFixedModEll:
         assert data["basis"] == [[1, 1]]
 
 
+class TestBadInput:
+    """Unreadable or malformed input is one JSON error line, never a traceback."""
+
+    def test_period_split_missing_file(self, capsys, tmp_path):
+        code, out = invoke(capsys, "--json", "period-split", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+    def test_fixed_mod_ell_malformed_json(self, capsys, tmp_path):
+        f = tmp_path / "malformed.json"
+        f.write_text('{"ell": 5, "generators": [[[1, 0], [0, 1]]')
+        code, out = invoke(capsys, "--json", "fixed-mod-ell", str(f))
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+    def test_complement_string_entry_in_basis(self, capsys, monkeypatch):
+        uu = {
+            "ambient": {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
+            "basis": [["x", 0, 0, 0]],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(uu)))
+        code, out = invoke(capsys, "--json", "complement")
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+
 class TestExitCodesAndJsonDiscipline:
     def test_usage_errors_exit_one(self, capsys):
         for argv in (["nonsense"], [], ["minkowski"], ["points", "symplectic", "2"]):

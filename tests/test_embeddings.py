@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from quadlat import embeddings
 from quadlat.errors import (
     BadParameter,
+    InvariantViolation,
     NotDefinite,
     NotInTildeO,
     NotRepresented,
@@ -202,6 +204,16 @@ class TestIota2d:
     def test_bad_parameter(self):
         with pytest.raises(BadParameter):
             build_iota2d(0)
+
+    def test_self_check_raises_with_data(self, monkeypatch):
+        # the Gram self-check is an explicit check, not an assert, so it also
+        # runs under python -O and reports what it compared
+        wrong = IntMatrix.zero(21, 21)
+        monkeypatch.setattr(embeddings, "induced_gram", lambda E: wrong)
+        with pytest.raises(InvariantViolation) as info:
+            build_iota2d(3)
+        assert info.value.data["d"] == 3 and info.value.data["induced"] == wrong
+        assert info.value.data["expected"] == standard("Lambda2d", 3).gram
 
 
 def _u_swap_in_lambda2d():

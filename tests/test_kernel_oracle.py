@@ -1,0 +1,245 @@
+"""Differential tests of the integer-only kernels against independent oracles.
+
+sympy (test-only) checks ``solve_rational`` and ``IntMatrix.__matmul__``
+on dense and block-sparse matrices up to rank 28 with large entries.  The
+remaining kernels are checked against the formulas they replaced: the
+discriminant-group lifts against V^{-1}·G^{-1}, ``signature`` against
+the ``Fraction`` congruence reduction kept below, and ``saturate``
+against the first rows of V^{-1} from the Smith form.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+pytest.importorskip("sympy")
+
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy import QQ, ZZ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from quadlat.embeddings import SublatticeEmbedding, saturate  # noqa: E402
+from quadlat.lattice import (  # noqa: E402
+    Signature,
+    discriminant_group,
+    make_lattice,
+    signature,
+    standard,
+)
+from quadlat.linalg import (  # noqa: E402
+    IntMatrix,
+    RatMatrix,
+    block_diag,
+    det_exact,
+    hermite_normal_form,
+    invert_rational,
+    smith_normal_form,
+    solve_rational,
+)
+
+ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+BIG = 10**12
+
+
+def _square_block(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def dense_or_block_sparse(draw, max_rank=28, entries=st.integers(-BIG, BIG)):
+    """A square integer matrix: dense, or block-diagonal with dense blocks."""
+    n = draw(st.integers(1, max_rank))
+    if draw(st.booleans()):
+        return IntMatrix(draw(_square_block(n, entries)))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(4, n - sum(sizes)))))
+    return block_diag(*(IntMatrix(draw(_square_block(k, entries))) for k in sizes))
+
+
+def _sympy_fraction(x) -> Fraction:
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _to_domain(m, domain) -> DomainMatrix:
+    def convert(x):
+        return domain(x.numerator, x.denominator) if domain is QQ else domain(x)
+
+    return DomainMatrix([[convert(x) for x in row] for row in m], (m.nrows, m.ncols), domain)
+
+
+class TestAgainstSympy:
+    @ORACLE
+    @given(dense_or_block_sparse(), st.data())
+    def test_solve_rational(self, m, data):
+        A = _to_domain(m, QQ)
+        assume(A.det() != 0)
+        k = data.draw(st.integers(1, 3))
+        b = RatMatrix(
+            [[Fraction(data.draw(st.integers(-BIG, BIG)), data.draw(st.integers(1, 10**6)))
+              for _ in range(k)] for _ in range(m.nrows)]
+        )
+        x = solve_rational(m, b)
+        expected = A.lu_solve(_to_domain(b, QQ)).to_list()
+        assert x.tolist() == [[_sympy_fraction(v) for v in row] for row in expected]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rank_28_dense_and_block_sparse(self, seed):
+        rng = random.Random(seed)
+        dense = IntMatrix([[rng.randint(-BIG, BIG) for _ in range(28)] for _ in range(28)])
+        b = IntMatrix([[rng.randint(-BIG, BIG) for _ in range(2)] for _ in range(28)])
+        for m in (dense, standard("LambdaSharp").gram):
+            expected = _to_domain(m, QQ).lu_solve(_to_domain(b, QQ)).to_list()
+            x = solve_rational(m, b)
+            assert x.tolist() == [[_sympy_fraction(v) for v in row] for row in expected]
+            expected = _to_domain(m, ZZ).matmul(_to_domain(dense, ZZ)).to_list()
+            assert (m @ dense).tolist() == [[int(v) for v in row] for row in expected]
+
+    @ORACLE
+    @given(dense_or_block_sparse())
+    def test_invert_rational(self, m):
+        A = _to_domain(m, QQ)
+        assume(A.det() != 0)
+        expected = A.inv().to_list()
+        assert invert_rational(m).tolist() == [[_sympy_fraction(v) for v in row] for row in expected]
+
+    @ORACLE
+    @given(st.data())
+    def test_matmul(self, data):
+        r, k, c = (data.draw(st.integers(0, 28)) for _ in range(3))
+        sparse = data.draw(st.booleans())
+        entry = st.integers(-BIG, BIG)
+        if sparse:
+            entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+
+        def draw_matrix(rows, cols):
+            return IntMatrix(
+                [[data.draw(entry) for _ in range(cols)] for _ in range(rows)], ncols=cols
+            )
+
+        a, b = draw_matrix(r, k), draw_matrix(k, c)
+        product = a @ b
+        assert (product.nrows, product.ncols) == (r, c)
+        if r and k and c:
+            expected = _to_domain(a, ZZ).matmul(_to_domain(b, ZZ)).to_list()
+            assert product.tolist() == [[int(v) for v in row] for row in expected]
+        else:
+            assert all(x == 0 for row in product for x in row)
+
+    @ORACLE
+    @given(dense_or_block_sparse(max_rank=12, entries=st.integers(-50, 50)))
+    def test_det_exact(self, m):
+        assert det_exact(m) == int(_to_domain(m, ZZ).det())
+
+
+# ---------------------------------------------------------------------------
+# the formulas the integer-only kernels replaced
+# ---------------------------------------------------------------------------
+
+def _old_generator_lifts(gram: IntMatrix) -> RatMatrix:
+    # rows w_i of V^{-1} with d_i > 1, pulled back to the dual: w_i·G^{-1}
+    _, S, V = smith_normal_form(gram)
+    vinv = invert_rational(V).to_int()
+    rows = [vinv[i] for i in range(gram.nrows) if S[i][i] > 1]
+    return RatMatrix(rows, ncols=gram.nrows) @ invert_rational(gram)
+
+
+def _fraction_signature(gram: IntMatrix) -> Signature:
+    # symmetric congruence reduction over ℚ, with hyperbolic 2x2 blocks
+    # when every remaining diagonal entry vanishes
+    a = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(gram.nrows))
+    plus = minus = 0
+    while active:
+        piv = next((i for i in active if a[i][i]), None)
+        if piv is not None:
+            d = a[piv][piv]
+            plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
+            rest = [j for j in active if j != piv]
+            for s in rest:
+                c = a[s][piv] / d
+                for t in rest:
+                    a[s][t] -= c * a[piv][t]
+            active = rest
+            continue
+        i0, j0 = next((i, j) for i in active for j in active if j > i and a[i][j])
+        b = a[i0][j0]
+        plus, minus = plus + 1, minus + 1
+        rest = [k for k in active if k not in (i0, j0)]
+        for s in rest:
+            alpha, beta = a[s][j0] / b, a[s][i0] / b
+            for t in rest:
+                a[s][t] -= alpha * a[i0][t] + beta * a[j0][t]
+        active = rest
+    return Signature(plus, minus)
+
+
+def _old_saturate(basis: IntMatrix) -> IntMatrix:
+    # the first rank(B) rows of V^{-1} from U·B·V = S, HNF-normalized
+    _, _, V = smith_normal_form(basis)
+    vinv = invert_rational(V).to_int()
+    H, _ = hermite_normal_form(IntMatrix([vinv[i] for i in range(basis.nrows)], ncols=basis.ncols))
+    return H
+
+
+@st.composite
+def symmetric_grams(draw, max_rank=10, entries=st.integers(-30, 30), even=False, zero_diagonal=False):
+    """Non-degenerate symmetric Grams; zero diagonals force hyperbolic pivots."""
+    n = draw(st.integers(1, max_rank))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = draw(entries)
+            if i == j:
+                if zero_diagonal and draw(st.booleans()):
+                    v = 0
+                elif even:
+                    v *= 2
+            a[i][j] = a[j][i] = v
+    gram = IntMatrix(a)
+    assume(det_exact(gram) != 0)
+    return gram
+
+
+class TestAgainstReplacedFormulas:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 60, 199, 1000])
+    def test_lambda2d_lifts(self, d):
+        L = standard("Lambda2d", d)
+        assert discriminant_group(L).generator_lifts == _old_generator_lifts(L.gram)
+
+    @ORACLE
+    @given(symmetric_grams(even=True, zero_diagonal=True))
+    def test_even_gram_lifts(self, gram):
+        dg = discriminant_group(make_lattice(gram))
+        assert dg.generator_lifts == _old_generator_lifts(gram)
+        assert len(dg.invariant_factors) == dg.generator_lifts.nrows
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_grams(zero_diagonal=True))
+    def test_signature(self, gram):
+        assert signature(make_lattice(gram)) == _fraction_signature(gram)
+
+    @ORACLE
+    @given(symmetric_grams(max_rank=14, entries=st.integers(-BIG, BIG), zero_diagonal=True))
+    def test_signature_large_entries(self, gram):
+        assert signature(make_lattice(gram)) == _fraction_signature(gram)
+
+    @pytest.mark.parametrize("name", ["LambdaSharp", "LambdaK3"])
+    def test_signature_of_standard_lattices(self, name):
+        L = standard(name)
+        assert signature(L) == _fraction_signature(L.gram)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_saturate(self, data):
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, n))
+        rows = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(k)]
+        basis = IntMatrix(rows, ncols=n)
+        _, S, _ = smith_normal_form(basis)
+        assume(all(S[i][i] for i in range(k)))
+        E = SublatticeEmbedding(make_lattice(IntMatrix.identity(n)), basis)
+        assert saturate(E).basis == _old_saturate(basis)
