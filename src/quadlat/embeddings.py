@@ -65,10 +65,9 @@ class SublatticeEmbedding:
             b = self.basis
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
-        if b.nrows:
-            _, S, _ = smith_normal_form(b)
-            if any(S[i][i] == 0 for i in range(b.nrows)):
-                raise BadParameter("basis rows are linearly dependent")
+        # B·Bᵀ is singular exactly when the rows are dependent (Cauchy–Binet)
+        if b.nrows and det_exact(b @ b.transpose()) == 0:
+            raise BadParameter("basis rows are linearly dependent")
 
     @property
     def rank(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadParameter, ParseError, UnknownAtom
-from .lattice import Lattice, direct_sum, standard
+from .lattice import Lattice, _check_rank, _derived_lattice, direct_sum, standard
 
 _ATOMS = ("U", "E8", "An", "gen", "Lambda2d", "LambdaSharp", "LambdaK3")
 
@@ -51,6 +51,7 @@ class Power:
         if self.count < 1:
             raise BadParameter("direct-sum power must be >= 1")
         part = self.base.evaluate()
+        _check_rank(part.rank * self.count)
         return direct_sum(*([part] * self.count))
 
 
@@ -186,4 +187,4 @@ def evaluate_expr(text: str) -> Lattice:
     """Parse and evaluate, labelling the result with its canonical text."""
     ast = parse_lattice_expr(text)
     lat = ast.evaluate()
-    return Lattice(lat.gram, ast.to_text())
+    return _derived_lattice(lat.gram, lat.det, ast.to_text())

@@ -4,12 +4,13 @@ An even overlattice of L sits between L and its dual and corresponds to
 a subgroup of the discriminant group on which the quadratic form
 vanishes.  Enumeration here is exhaustive at desk scale; results are
 ordered lexicographically on their element sets so output is
-deterministic.
+deterministic.  Subgroups are spanned by ``lattice._span``, and glue
+generators enter integer arithmetic once, as numerators over their
+common denominator (``_generator_numerators``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .lattice import (
     BRUTE_FORCE_CAP,
     DiscriminantForm,
     Lattice,
+    _span,
     discriminant_form,
     make_lattice,
 )
@@ -45,36 +47,24 @@ class GlueSubgroup:
             gens = self.generators
         if gens.ncols != self.base.rank:
             raise BadParameter("generator width does not match base rank")
-        for i in range(gens.nrows):
-            moved = (RatMatrix([gens[i]]) @ self.base.gram)[0]
-            if any(x.denominator != 1 for x in moved):
-                raise BadParameter("generator does not lie in the dual lattice")
+        num, den = _generator_numerators(self)
+        if any(x % den for row in num @ self.base.gram for x in row):
+            raise BadParameter("generator does not lie in the dual lattice")
 
 
-def _zero(factors) -> tuple[int, ...]:
-    return (0,) * len(factors)
-
-
-def _add(x, y, factors):
-    return tuple((a + b) % d for a, b, d in zip(x, y, factors))
-
-
-def _span(gens, factors) -> frozenset:
-    elems = {_zero(factors)}
-    frontier = [_zero(factors)]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            s = _add(e, g, factors)
-            if s not in elems:
-                elems.add(s)
-                frontier.append(s)
-    return frozenset(elems)
+def _generator_numerators(G: GlueSubgroup) -> tuple[IntMatrix, int]:
+    """The generator rows as integer numerators over their common denominator."""
+    den = G.generators.common_denominator()
+    num = IntMatrix(
+        [[x.numerator * (den // x.denominator) for x in row] for row in G.generators],
+        ncols=G.base.rank,
+    )
+    return num, den
 
 
 def _greedy_generators(elements: frozenset, factors) -> list[tuple[int, ...]]:
     gens: list[tuple[int, ...]] = []
-    span = frozenset([_zero(factors)])
+    span = _span([], factors)
     for e in sorted(elements):
         if e not in span:
             gens.append(e)
@@ -94,12 +84,9 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     factors = F.group.invariant_factors
     if F.order > cap:
         raise TooLarge(f"|A| = {F.order} exceeds the brute-force cap {cap}")
-    iso_elems = [
-        e
-        for e in itertools.product(*(range(d) for d in factors))
-        if F.q_of(e) == 0
-    ]
-    trivial = frozenset([_zero(factors)])
+    iso_elems = [e for e in F.elements() if F._q_num(e) == 0]
+    isotropic = set(iso_elems)
+    trivial = _span([], factors)
     found = {trivial}
     worklist = [trivial]
     while worklist:
@@ -110,42 +97,22 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
             K = _span(list(H) + [e], factors)
             if K in found:
                 continue
-            if all(F.q_of(x) == 0 for x in K):
+            if K <= isotropic:
                 found.add(K)
                 worklist.append(K)
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    lifts_of = F.group.generator_lifts
-    n = F.lattice.rank
-    result = []
-    for elements in ordered:
-        gens = _greedy_generators(elements, factors)
-        rows = []
-        for g in gens:
-            row = [Fraction(0)] * n
-            for i, c in enumerate(g):
-                if c:
-                    for j in range(n):
-                        row[j] += c * lifts_of[i][j]
-            rows.append(row)
-        result.append(GlueSubgroup(F.lattice, RatMatrix(rows, ncols=n)))
-    return result
+    lifts = F.group.generator_lifts
+    return [
+        GlueSubgroup(F.lattice, RatMatrix(_greedy_generators(K, factors), ncols=len(factors)) @ lifts)
+        for K in ordered
+    ]
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
     """Elements of the glue subgroup as dual vectors reduced mod the base lattice."""
-    n = G.base.rank
-    zero = tuple(Fraction(0) for _ in range(n))
-    elems = {zero}
-    frontier = [zero]
-    gens = [tuple(G.generators[i]) for i in range(G.generators.nrows)]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            s = tuple((a + b) % 1 for a, b in zip(e, g))
-            if s not in elems:
-                elems.add(s)
-                frontier.append(s)
-    return frozenset(elems)
+    num, den = _generator_numerators(G)
+    span = _span(num, (den,) * G.base.rank)
+    return frozenset(tuple(Fraction(x, den) for x in e) for e in span)
 
 
 def glue_order(G: GlueSubgroup) -> int:
@@ -162,13 +129,8 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     base = G.base
     n = base.rank
     # the lattice is (1/den)·(row span of den·identity and den·lifts)
-    den = G.generators.common_denominator()
-    scaled = IntMatrix.identity(n).scale(den).stack(
-        IntMatrix(
-            [[x.numerator * (den // x.denominator) for x in row] for row in G.generators],
-            ncols=n,
-        )
-    )
+    gens, den = _generator_numerators(G)
+    scaled = IntMatrix.identity(n).scale(den).stack(gens)
     H, _ = hermite_normal_form(scaled)
     basis = IntMatrix(H[:n], ncols=n)  # full rank: contains den·identity
     num = basis @ base.gram @ basis.transpose()  # den² times the Gram

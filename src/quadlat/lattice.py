@@ -4,6 +4,12 @@ A lattice here is a free ℤ-module of finite rank together with a
 non-degenerate symmetric integer Gram matrix.  Vectors are row vectors
 in the basis implicit in the Gram matrix, and the pairing of x with y is
 x·G·yᵀ.
+
+Finite abelian groups ⊕ ℤ/dᵢ are handled as coefficient tuples, and
+``_span`` is the one subgroup closure for them.  A discriminant form
+keeps its values as integer numerators over N, the exponent of the group
+(its last invariant factor): q·N mod 2N and b·N mod N.  Every q value
+lies in (1/N)ℤ because N·x lies in the lattice for each dual vector x.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add, mod
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -34,6 +41,10 @@ from .linalg import (
 #: Default ceiling on |A| for the exhaustive finite-group searches
 #: (discriminant-form isomorphism, glue enumeration).
 BRUTE_FORCE_CAP = 10_000
+
+#: Ceiling on the rank of a constructed lattice, checked before its Gram
+#: matrix is allocated.
+RANK_CAP = 1_000
 
 # Gram matrix of the rank-8 even unimodular positive-definite lattice in
 # its simple-root basis, Bourbaki numbering.  This basis choice is part
@@ -108,6 +119,12 @@ def _derived_lattice(gram: IntMatrix, det: int, label: str | None) -> Lattice:
     return L
 
 
+def _check_rank(rank: int) -> None:
+    """Refuse a lattice of rank above RANK_CAP before anything is built."""
+    if rank > RANK_CAP:
+        raise TooLarge(f"rank {rank} exceeds the rank cap {RANK_CAP}")
+
+
 def pair(gram: IntMatrix, x: Sequence, y: Sequence):
     """Evaluate the bilinear form x·gram·yᵀ on row vectors (int or Fraction)."""
     n = gram.nrows
@@ -142,6 +159,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     """
     if not lattices:
         raise BadParameter("direct sum of nothing")
+    _check_rank(sum(L.rank for L in lattices))
     gram = block_diag(*(L.gram for L in lattices))
     return _derived_lattice(gram, prod(L.det for L in lattices), None)
 
@@ -175,6 +193,7 @@ def standard(name: str, *params: int) -> Lattice:
         n = params[0]
         if n < 1:
             raise BadParameter("An needs rank >= 1")
+        _check_rank(n)
         rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
         return scaled(rows, params[1:], f"An({n})")
     if name == "gen":
@@ -311,13 +330,25 @@ class DiscriminantForm:
 
     q values live in [0, 2), b values in [0, 1); both are exact
     rationals.  ``lattice`` records the source so glue constructions can
-    refer back to its coordinates.
+    refer back to its coordinates.  The values are evaluated on integer
+    numerators over the exponent N of the group: q·N mod 2N and b·N mod N.
     """
 
     group: DiscriminantGroup
     q_values: tuple[Fraction, ...]
     b_values: RatMatrix
     lattice: Lattice = field(compare=False)
+
+    def __post_init__(self):
+        factors = self.group.invariant_factors
+        N = factors[-1] if factors else 1
+        q = [Fraction(x) * N for x in self.q_values]
+        b = [[x * N for x in row] for row in self.b_values]
+        if any(x.denominator != 1 for x in itertools.chain(q, *b)):
+            raise BadParameter(f"discriminant values must lie in (1/{N})ℤ")
+        object.__setattr__(self, "_exponent", N)
+        object.__setattr__(self, "_q_gen", tuple(x.numerator % (2 * N) for x in q))
+        object.__setattr__(self, "_b_gen", tuple(tuple(x.numerator % N for x in row) for row in b))
 
     @property
     def order(self) -> int:
@@ -327,27 +358,34 @@ class DiscriminantForm:
         """All group elements as coefficient tuples over the generators."""
         return itertools.product(*(range(d) for d in self.group.invariant_factors))
 
-    def q_of(self, element: Sequence[int]) -> Fraction:
-        """Quadratic value of a coefficient tuple, reduced into [0, 2)."""
-        total = Fraction(0)
-        qs = self.q_values
-        bs = self.b_values
+    def _q_num(self, element: Sequence[int]) -> int:
+        # q(element)·N mod 2N
+        qs, bs = self._q_gen, self._b_gen
+        total = 0
         for i, c in enumerate(element):
             if c:
                 total += c * c * qs[i]
                 for j in range(i + 1, len(element)):
                     if element[j]:
                         total += 2 * c * element[j] * bs[i][j]
-        return total % 2
+        return total % (2 * self._exponent)
 
-    def b_of(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        """Bilinear value of two coefficient tuples, reduced into [0, 1)."""
-        total = Fraction(0)
-        bs = self.b_values
+    def _b_num(self, x: Sequence[int], y: Sequence[int]) -> int:
+        # b(x, y)·N mod N
+        bs = self._b_gen
+        total = 0
         for i, c in enumerate(x):
             if c:
                 total += c * sum(bs[i][j] * y[j] for j in range(len(y)) if y[j])
-        return total % 1
+        return total % self._exponent
+
+    def q_of(self, element: Sequence[int]) -> Fraction:
+        """Quadratic value of a coefficient tuple, reduced into [0, 2)."""
+        return Fraction(self._q_num(element), self._exponent)
+
+    def b_of(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
+        """Bilinear value of two coefficient tuples, reduced into [0, 1)."""
+        return Fraction(self._b_num(x, y), self._exponent)
 
 
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
@@ -399,8 +437,22 @@ def _element_order(element: Sequence[int], factors: Sequence[int]) -> int:
     return o
 
 
-def _add_elements(x, y, factors):
-    return tuple((a + b) % d for a, b, d in zip(x, y, factors))
+def _span(gens: Sequence[Sequence[int]], factors: Sequence[int]) -> frozenset:
+    """Subgroup of ⊕ ℤ/dᵢ generated by integer coefficient tuples.
+
+    Adjoining g to a subgroup H adds the cosets H + k·g for k = 1, 2, ...
+    up to the first multiple of g that lies in H, so each element is
+    produced once.
+    """
+    span = {(0,) * len(factors)}
+    for g in gens:
+        multiples = []
+        m = tuple(map(mod, g, factors))
+        while m not in span:
+            multiples.append(m)
+            m = tuple(map(mod, map(add, m, g), factors))
+        span.update([tuple(map(mod, map(add, h, k), factors)) for h in span for k in multiples])
+    return frozenset(span)
 
 
 def disc_form_isomorphic(
@@ -424,47 +476,25 @@ def disc_form_isomorphic(
     s = len(factors)
     if s == 0:
         return True
-    all_elements = list(itertools.product(*(range(d) for d in factors)))
+    N = factors[-1]
+    orders = [(y, _element_order(y, factors)) for y in F2.elements()]
     # per-generator candidate images: same order, matching quadratic value
     candidates = []
     for i in range(s):
-        want_q = (sign * F1.q_values[i]) % 2
-        cand = [
-            y
-            for y in all_elements
-            if _element_order(y, factors) == factors[i] and F2.q_of(y) == want_q
-        ]
+        want_q = (sign * F1._q_gen[i]) % (2 * N)
+        cand = [y for y, order in orders if order == factors[i] and F2._q_num(y) == want_q]
         if not cand:
             return False
         candidates.append(cand)
 
     chosen: list[tuple[int, ...]] = []
 
-    def _generates_all() -> bool:
-        zero = (0,) * s
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            e = frontier.pop()
-            for g in chosen:
-                nxt = _add_elements(e, g, factors)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == F1.order
-
     def search(i: int) -> bool:
         if i == s:
-            return _generates_all()
-        gi = tuple(1 if k == i else 0 for k in range(s))
+            return len(_span(chosen, factors)) == F1.order
+        want_b = [(sign * F1._b_gen[i][j]) % N for j in range(i)]
         for y in candidates[i]:
-            ok = True
-            for j, yj in enumerate(chosen):
-                gj = tuple(1 if k == j else 0 for k in range(s))
-                if F2.b_of(y, yj) != (sign * F1.b_of(gi, gj)) % 1:
-                    ok = False
-                    break
-            if ok:
+            if all(F2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
                 chosen.append(y)
                 if search(i + 1):
                     return True

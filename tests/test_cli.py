@@ -1,5 +1,8 @@
 import io
 import json
+import time
+
+import pytest
 
 from quadlat.cli import run
 from quadlat.lattice import standard, lattice_to_json
@@ -212,6 +215,20 @@ class TestBadInput:
         code, out = invoke(capsys, "--json", "complement")
         assert code == 2
         assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+
+class TestRankCap:
+    """Oversized expressions are refused before any Gram matrix is built."""
+
+    @pytest.mark.parametrize("expr", ["U^100000", "An(1000000)", "(U^1000)^1000"])
+    def test_refused_quickly_with_one_json_line(self, capsys, expr):
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "info", expr)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.count("\n") == 1
+        data = json.loads(out)
+        assert data["error"] == "TooLarge" and "rank" in data["detail"]
 
 
 class TestExitCodesAndJsonDiscipline:

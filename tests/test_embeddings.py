@@ -107,6 +107,16 @@ class TestSaturation:
             assert saturate(S).basis == S.basis
 
 
+class TestSublatticeEmbedding:
+    def test_proportional_rows_rejected(self):
+        with pytest.raises(BadParameter):
+            SublatticeEmbedding(UU, IntMatrix([[1, 2, 0, -1], [-2, -4, 0, 2]]))
+
+    def test_three_rows_in_rank_two_rejected(self):
+        with pytest.raises(BadParameter):
+            SublatticeEmbedding(Z2, IntMatrix([[1, 0], [0, 1], [1, 1]]))
+
+
 class TestOrthogonalComplement:
     def test_diagonal_plane_in_double_hyperbolic(self):
         E = SublatticeEmbedding(UU, IntMatrix([[1, 1, 0, 0], [0, 0, 1, 1]]))

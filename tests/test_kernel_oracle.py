@@ -5,9 +5,13 @@ on dense and block-sparse matrices up to rank 28 with large entries.  The
 remaining kernels are checked against the formulas they replaced: the
 discriminant-group lifts against V^{-1}·G^{-1}, ``signature`` against
 the ``Fraction`` congruence reduction kept below, and ``saturate``
-against the first rows of V^{-1} from the Smith form.
+against the first rows of V^{-1} from the Smith form.  The finite
+quadratic module core (integer q/b numerators, ``_span``, form
+isomorphism, glue element sets) is checked against pairings of dual
+vectors and exhaustive scans.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,10 +26,18 @@ from sympy import QQ, ZZ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from quadlat.embeddings import SublatticeEmbedding, saturate  # noqa: E402
+from quadlat.errors import BadParameter  # noqa: E402
+from quadlat.glue import GlueSubgroup, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
+    DiscriminantForm,
     Signature,
+    _span,
+    direct_sum,
+    disc_form_isomorphic,
+    discriminant_form,
     discriminant_group,
     make_lattice,
+    pair,
     signature,
     standard,
 )
@@ -243,3 +255,165 @@ class TestAgainstReplacedFormulas:
         assume(all(S[i][i] for i in range(k)))
         E = SublatticeEmbedding(make_lattice(IntMatrix.identity(n)), basis)
         assert saturate(E).basis == _old_saturate(basis)
+
+
+# ---------------------------------------------------------------------------
+# the finite quadratic module core against independent scans
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_even_lattices(draw, max_order=64):
+    """Even lattices of rank ≤ 4 whose discriminant group has at most max_order elements."""
+    gram = draw(symmetric_grams(max_rank=4, entries=st.integers(-3, 3), even=True))
+    assume(abs(det_exact(gram)) <= max_order)
+    return make_lattice(gram)
+
+
+def _lift(F, element):
+    # the dual vector Σ c_i·lift_i in lattice coordinates
+    lifts = F.group.generator_lifts
+    return [sum(c * lifts[i][j] for i, c in enumerate(element)) for j in range(lifts.ncols)]
+
+
+def _pairing_q(F):
+    gram = F.lattice.gram
+    vectors = {e: _lift(F, e) for e in F.elements()}
+    return {e: pair(gram, v, v) % 2 for e, v in vectors.items()}
+
+
+def _brute_isomorphic(F1, F2, negate):
+    # every tuple of generator images of the right orders; keep one that
+    # preserves q on all elements and is onto
+    factors = F1.group.invariant_factors
+    if factors != F2.group.invariant_factors:
+        return False
+    sign = -1 if negate else 1
+    q1, q2 = _pairing_q(F1), _pairing_q(F2)
+
+    def order(y):
+        k, m = 1, y
+        while any(m):
+            k, m = k + 1, tuple((a + b) % d for a, b, d in zip(m, y, factors))
+        return k
+
+    images = [[y for y in q2 if order(y) == d] for d in factors]
+    for gens in itertools.product(*images):
+        def image(x):
+            return tuple(sum(c * g[k] for c, g in zip(x, gens)) % d for k, d in enumerate(factors))
+
+        if all(q2[image(x)] == (sign * q1[x]) % 2 for x in q1) and len({image(x) for x in q1}) == len(q2):
+            return True
+    return False
+
+
+def _pool_forms():
+    gens = [standard("gen", k) for k in (2, -2, 4, -4, 6, -6, 8, -8, 12, -12)]
+    u2 = standard("U", 2)
+    lattices = gens + [
+        u2,
+        standard("U", 4),
+        standard("An", 3),
+        standard("An", 3, -1),
+        make_lattice([[2, 1, 0, 1], [1, 2, 1, 1], [0, 1, 2, 1], [1, 1, 1, 2]]),  # D4-like, (ℤ/2)²
+        direct_sum(gens[0], gens[0]),
+        direct_sum(gens[0], gens[1]),
+        direct_sum(gens[1], gens[1]),
+        direct_sum(gens[2], gens[2]),
+        direct_sum(gens[2], gens[3]),
+        direct_sum(gens[0], gens[4]),
+        direct_sum(gens[1], gens[4]),
+        direct_sum(gens[1], gens[5]),
+        direct_sum(u2, gens[0]),
+        direct_sum(u2, gens[1]),
+        direct_sum(gens[0], gens[0], gens[0]),
+    ]
+    return [discriminant_form(L) for L in lattices]
+
+
+_POOL = _pool_forms()
+_POOL_PAIRS = [
+    (F1, F2)
+    for F1 in _POOL
+    for F2 in _POOL
+    if F1.group.invariant_factors == F2.group.invariant_factors
+]
+
+
+def _fraction_closure(G):
+    # subgroup_elements before the integer span: closure of the generator
+    # rows under addition, reduced mod 1 in Fractions
+    zero = tuple(Fraction(0) for _ in range(G.base.rank))
+    elems = {zero}
+    frontier = [zero]
+    gens = [tuple(row) for row in G.generators]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            s = tuple((a + b) % 1 for a, b in zip(e, g))
+            if s not in elems:
+                elems.add(s)
+                frontier.append(s)
+    return frozenset(elems)
+
+
+def _bfs_closure(gens, factors):
+    zero = (0,) * len(factors)
+    elems = {zero}
+    frontier = [zero]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            s = tuple((a + b) % d for a, b, d in zip(e, g, factors))
+            if s not in elems:
+                elems.add(s)
+                frontier.append(s)
+    return frozenset(elems)
+
+
+class TestFiniteModuleCore:
+    @ORACLE
+    @given(small_even_lattices())
+    def test_q_and_b_against_pairings(self, L):
+        F = discriminant_form(L)
+        vectors = {e: _lift(F, e) for e in F.elements()}
+        for x, vx in vectors.items():
+            assert F.q_of(x) == pair(L.gram, vx, vx) % 2
+            for y, vy in vectors.items():
+                assert F.b_of(x, y) == pair(L.gram, vx, vy) % 1
+
+    def test_values_off_the_exponent_grid_rejected(self):
+        F = discriminant_form(standard("gen", 6))
+        with pytest.raises(BadParameter):
+            DiscriminantForm(F.group, (Fraction(1, 7),), F.b_values, F.lattice)
+
+    def test_pool_has_both_verdicts(self):
+        for negate in (False, True):
+            verdicts = {disc_form_isomorphic(F1, F2, negate) for F1, F2 in _POOL_PAIRS}
+            assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_POOL_PAIRS), st.booleans())
+    def test_isomorphism_against_scan(self, forms, negate):
+        F1, F2 = forms
+        assert disc_form_isomorphic(F1, F2, negate) == _brute_isomorphic(F1, F2, negate)
+
+    @ORACLE
+    @given(small_even_lattices(), st.data())
+    def test_subgroup_elements_against_fraction_closure(self, L, data):
+        F = discriminant_form(L)
+        small = st.integers(-2, 2)
+        rows = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            v = _lift(F, [data.draw(st.integers(-3, 3)) for _ in F.group.invariant_factors])
+            rows.append([x + data.draw(small) for x in v])
+        G = GlueSubgroup(L, RatMatrix(rows, ncols=L.rank))
+        assert subgroup_elements(G) == _fraction_closure(G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_span_against_bfs(self, data):
+        factors = data.draw(st.lists(st.integers(1, 6), min_size=0, max_size=4))
+        entry = st.integers(-12, 12)
+        gens = data.draw(st.lists(st.tuples(*(entry for _ in factors)), max_size=4))
+        reduced = [tuple(a % d for a, d in zip(g, factors)) for g in gens]
+        assert _span(gens, factors) == _bfs_closure(reduced, factors)
