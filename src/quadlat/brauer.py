@@ -10,6 +10,7 @@ algebraic groups over a prime field.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
@@ -22,8 +23,19 @@ POINTS_SCAN_CAP = 10**8
 
 
 def _check_prime(ell: int) -> None:
-    if ell < 2 or any(ell % p == 0 for p in range(2, int(ell**0.5) + 1)):
+    if ell < 2 or any(ell % p == 0 for p in range(2, math.isqrt(ell) + 1)):
         raise BadParameter(f"{ell} is not prime")
+
+
+def _power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base**exp > cap, for base ≥ 2, without building the power:
+    the product passes cap after at most log₂(cap) + 1 factors."""
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > cap:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,13 @@ def brute_force_points(
     Deliberately naive: this is the oracle the sandwich bounds are tested
     against.
     """
-    _check_prime(ell)
+    if ell < 2:
+        raise BadParameter(f"{ell} is not prime")
     if n < 1:
         raise BadParameter("matrix size must be >= 1")
-    if ell ** (n * n) > cap:
+    if _power_exceeds(ell, n * n, cap):
         raise TooLarge(f"{ell}^{n*n} exceeds the scan cap {cap}")
+    _check_prime(ell)
     if group == "special_linear":
         form = None
     elif group == "symplectic":

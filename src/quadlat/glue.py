@@ -2,11 +2,13 @@
 
 An even overlattice of L sits between L and its dual and corresponds to
 a subgroup of the discriminant group on which the quadratic form
-vanishes.  Enumeration here is exhaustive at desk scale; results are
-ordered lexicographically on their element sets so output is
-deterministic.  Subgroups are spanned by ``lattice._span``, and glue
-generators enter integer arithmetic once, as numerators over their
-common denominator (``_generator_numerators``).
+vanishes (Nikulin 1979, §1.4).  ``isotropic_subgroups`` generates each
+such subgroup exactly once, by canonical augmentation (McKay 1998), and
+grows each subgroup's span from its parent's with ``lattice._span``.
+Results are ordered by size and then lexicographically on their element
+sets, so output is deterministic.  Glue generators enter integer
+arithmetic once, as numerators over their common denominator
+(``_generator_numerators``).
 """
 
 from __future__ import annotations
@@ -62,50 +64,39 @@ def _generator_numerators(G: GlueSubgroup) -> tuple[IntMatrix, int]:
     return num, den
 
 
-def _greedy_generators(elements: frozenset, factors) -> list[tuple[int, ...]]:
-    gens: list[tuple[int, ...]] = []
-    span = _span([], factors)
-    for e in sorted(elements):
-        if e not in span:
-            gens.append(e)
-            span = _span(gens, factors)
-            if span == elements:
-                break
-    return gens
-
-
 def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list[GlueSubgroup]:
     """Every subgroup of the discriminant group on which q vanishes mod 2ℤ.
 
     (The bilinear form then vanishes mod ℤ automatically, since
     2·b(x, y) = q(x+y) - q(x) - q(y).)  Includes the trivial subgroup;
     ordered by size then lexicographically on sorted element tuples.
+
+    Each subgroup K is reached once, along its canonical generators
+    g₁ < g₂ < ... (lex order), where gᵢ is the least element of K outside
+    span(g₁, ..., gᵢ₋₁); they are the rows of its ``GlueSubgroup``.  A
+    child of H = span(g₁, ..., gₖ) adjoins a candidate e > gₖ and is kept
+    only when e is the least element of span(H, e) outside H.
     """
     factors = F.group.invariant_factors
     if F.order > cap:
         raise TooLarge(f"|A| = {F.order} exceeds the brute-force cap {cap}")
-    iso_elems = [e for e in F.elements() if F._q_num(e) == 0]
-    isotropic = set(iso_elems)
+    found = []
+
+    def grow(H, gens, candidates):
+        # candidates: isotropic, beyond gens[-1], outside H, b-orthogonal to H;
+        # so span(H, e) is isotropic, as q(h + e) = q(h) + q(e) + 2·b(h, e)
+        found.append((H, gens))
+        for i, e in enumerate(candidates):
+            K = _span([e], factors, H)
+            if min(K - H) == e:
+                later = [c for c in candidates[i + 1 :] if c not in K and F._b_num(c, e) == 0]
+                grow(K, gens + [e], later)
+
     trivial = _span([], factors)
-    found = {trivial}
-    worklist = [trivial]
-    while worklist:
-        H = worklist.pop()
-        for e in iso_elems:
-            if e in H:
-                continue
-            K = _span(list(H) + [e], factors)
-            if K in found:
-                continue
-            if K <= isotropic:
-                found.add(K)
-                worklist.append(K)
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
+    grow(trivial, [], [e for e in F.elements() if e not in trivial and F._q_num(e) == 0])
+    found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     lifts = F.group.generator_lifts
-    return [
-        GlueSubgroup(F.lattice, RatMatrix(_greedy_generators(K, factors), ncols=len(factors)) @ lifts)
-        for K in ordered
-    ]
+    return [GlueSubgroup(F.lattice, RatMatrix(gens, ncols=len(factors)) @ lifts) for _, gens in found]
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:

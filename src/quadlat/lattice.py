@@ -437,14 +437,17 @@ def _element_order(element: Sequence[int], factors: Sequence[int]) -> int:
     return o
 
 
-def _span(gens: Sequence[Sequence[int]], factors: Sequence[int]) -> frozenset:
-    """Subgroup of ⊕ ℤ/dᵢ generated by integer coefficient tuples.
+def _span(
+    gens: Sequence[Sequence[int]], factors: Sequence[int], start: frozenset | None = None
+) -> frozenset:
+    """Subgroup of ⊕ ℤ/dᵢ generated by integer coefficient tuples and by
+    the subgroup ``start`` (the trivial one when None).
 
     Adjoining g to a subgroup H adds the cosets H + k·g for k = 1, 2, ...
     up to the first multiple of g that lies in H, so each element is
     produced once.
     """
-    span = {(0,) * len(factors)}
+    span = {(0,) * len(factors)} if start is None else set(start)
     for g in gens:
         multiples = []
         m = tuple(map(mod, g, factors))

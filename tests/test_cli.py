@@ -231,6 +231,30 @@ class TestRankCap:
         assert data["error"] == "TooLarge" and "rank" in data["detail"]
 
 
+class TestPointsCapAndHugePrimes:
+    """The scan cap is decided without building ell^(n²), and before any
+    trial division; primality tests use integer square roots only."""
+
+    HUGE = 10**400 + 1  # 353 divides it; its square root overflows a float
+
+    @pytest.mark.parametrize("n, ell", [("3000", "3"), ("1", str(HUGE))], ids=["n3000", "ell-huge"])
+    def test_refused_quickly_with_one_json_line(self, capsys, n, ell):
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "points", "special_linear", n, ell)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "TooLarge"
+
+    def test_fixed_mod_ell_huge_composite(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"ell": self.HUGE, "generators": [[[1]]]}))
+        code, out = invoke(capsys, "--json", "fixed-mod-ell", str(path))
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "BadParameter"
+
+
 class TestExitCodesAndJsonDiscipline:
     def test_usage_errors_exit_one(self, capsys):
         for argv in (["nonsense"], [], ["minkowski"], ["points", "symplectic", "2"]):

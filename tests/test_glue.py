@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from quadlat.errors import BadParameter, NotIsotropic, TooLarge
+from quadlat.expr import evaluate_expr
 from quadlat.lattice import (
     direct_sum,
     discriminant_form,
@@ -143,6 +146,47 @@ class TestIsotropicSubgroups:
     def test_dual_membership_validated(self):
         with pytest.raises(BadParameter):
             GlueSubgroup(standard("U"), RatMatrix([[Fraction(1, 3), 0]]))
+
+
+def gaussian_binomial(n, k, p):
+    return prod(p ** (n - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
+
+
+def hyperbolic_isotropic_count(n, p):
+    """Totally isotropic subspaces of the hyperbolic quadratic space of
+    dimension 2n over F_p: Σₖ [n choose k]_p · ∏_{i<k} (p^(n-1-i) + 1)."""
+    return sum(
+        gaussian_binomial(n, k, p) * prod(p ** (n - 1 - i) + 1 for i in range(k)) for k in range(n + 1)
+    )
+
+
+class TestIsotropicCountsByFormula:
+    """U(p)^n has discriminant form the hyperbolic space of dimension 2n
+    over F_p (q = 2xy/p), so its isotropic subgroups are counted in closed
+    form; each must be returned exactly once."""
+
+    @staticmethod
+    def element_sets(expr):
+        subs = isotropic_subgroups(discriminant_form(evaluate_expr(expr)))
+        sets = [subgroup_elements(G) for G in subs]
+        assert len(set(sets)) == len(sets)
+        return sets
+
+    @pytest.mark.parametrize("p, count", [(2, 16), (3, 25), (5, 49), (7, 81)])
+    def test_hyperbolic_plane_squares(self, p, count):
+        assert hyperbolic_isotropic_count(2, p) == count
+        assert len(self.element_sets(f"U({p})^2")) == count
+
+    def test_u2_cubed(self):
+        assert hyperbolic_isotropic_count(3, 2) == 171
+        assert len(self.element_sets("U(2)^3")) == 171
+
+    def test_u6_squared_splits_over_primes(self):
+        # the 2-part and the 3-part are orthogonal, so the counts multiply
+        start = time.perf_counter()
+        sets = self.element_sets("U(6)^2")
+        assert time.perf_counter() - start < 3
+        assert len(sets) == 400 == hyperbolic_isotropic_count(2, 2) * hyperbolic_isotropic_count(2, 3)
 
 
 class TestOverlatticeFromGlue:

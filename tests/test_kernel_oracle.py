@@ -416,4 +416,8 @@ class TestFiniteModuleCore:
         entry = st.integers(-12, 12)
         gens = data.draw(st.lists(st.tuples(*(entry for _ in factors)), max_size=4))
         reduced = [tuple(a % d for a, d in zip(g, factors)) for g in gens]
-        assert _span(gens, factors) == _bfs_closure(reduced, factors)
+        # the start subgroup: None, or the closure of more drawn generators
+        coefficients = st.tuples(*(st.integers(0, d - 1) for d in factors))
+        start_gens = data.draw(st.none() | st.lists(coefficients, max_size=2))
+        start = None if start_gens is None else _bfs_closure(start_gens, factors)
+        assert _span(gens, factors, start) == _bfs_closure((start_gens or []) + reduced, factors)
