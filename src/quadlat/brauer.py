@@ -15,16 +15,44 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
-from .lattice import Lattice
+from .lattice import Lattice, _check_rank
 from .linalg import IntMatrix, smith_normal_form
 
 #: Exhaustive-scan guard for brute_force_points: ell**(n*n) must not exceed this.
 POINTS_SCAN_CAP = 10**8
 
+#: ψ₁₃, the least strong pseudoprime to every prime base up to 41
+#: (Sorenson and Webster 2015): Miller–Rabin with those bases decides
+#: primality exactly below it, and larger ell are refused.
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_MR_BASES = _SMALL_PRIMES[:13]  # 2, 3, 5, ..., 41
+
 
 def _check_prime(ell: int) -> None:
-    if ell < 2 or any(ell % p == 0 for p in range(2, math.isqrt(ell) + 1)):
+    """Raise BadParameter unless ell is prime: trial division by the
+    primes below 1000, then deterministic Miller–Rabin.  An ell with no
+    factor below 1000 is refused with TooLarge from PRIME_TEST_BOUND on."""
+    if ell < 2 or any(ell % p == 0 for p in _SMALL_PRIMES if p < ell):
         raise BadParameter(f"{ell} is not prime")
+    if ell < 1000**2:
+        return
+    if ell >= PRIME_TEST_BOUND:
+        raise TooLarge(f"ell is not below the primality-test bound {PRIME_TEST_BOUND}")
+    odd, twos = ell - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, ell)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == ell - 1:
+                break
+            x = x * x % ell
+        else:
+            raise BadParameter(f"{ell} is not prime")
 
 
 def _power_exceeds(base: int, exp: int, cap: int) -> bool:
@@ -179,13 +207,15 @@ def minkowski_bound(n: int) -> int:
     Classical product formula (not stated in the source material for the
     finiteness it effectivizes):
         M(n) = prod_p p^(sum_{k>=0} floor(n / (p^k (p-1)))).
-    Only primes p <= n + 1 contribute.
+    Only primes p <= n + 1 contribute.  n is a rank, so n above RANK_CAP
+    is refused.
     """
     if n < 1:
         raise BadParameter("n must be >= 1")
+    _check_rank(n)
     result = 1
     for p in range(2, n + 2):
-        if any(p % q == 0 for q in range(2, p)):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             continue
         exp = 0
         pk = 1

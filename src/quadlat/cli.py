@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import brauer, embeddings, glue, lattice, periods
-from .errors import BadParameter, QuadLatError, UsageError
+from .errors import BadParameter, QuadLatError, TooLarge, UsageError
 from .expr import evaluate_expr
 from .lattice import Signature, lattice_from_json, lattice_to_json
 from .linalg import IntMatrix
@@ -339,18 +339,23 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (see --help)")
-        out, lines = args.handler(args)
+        try:
+            out, lines = args.handler(args)
+            text = json.dumps(out) if args.json else "\n".join(lines)
+        except ValueError as exc:
+            # Python will not write an int of more than
+            # sys.get_int_max_str_digits() digits as text
+            if "integer string conversion" not in str(exc):
+                raise
+            limit = sys.get_int_max_str_digits()
+            raise TooLarge(f"an integer in the answer has more than {limit} digits") from None
     except UsageError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 1
     except QuadLatError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 2
-    if args.json:
-        print(json.dumps(out))
-    else:
-        for line in lines:
-            print(line)
+    print(text)
     return 0
 
 

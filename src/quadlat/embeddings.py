@@ -38,7 +38,6 @@ from .lattice import (
 )
 from .linalg import (
     IntMatrix,
-    RatMatrix,
     det_exact,
     kernel_basis,
     smith_normal_form,
@@ -322,13 +321,10 @@ def in_tilde_O(L: Lattice, g: IntMatrix) -> bool:
     """True when g is an isometry acting trivially on the discriminant group."""
     if not is_isometry(L, g):
         return False
-    lifts = discriminant_group(L).generator_lifts
-    for i in range(lifts.nrows):
-        row = lifts[i]
-        moved = (RatMatrix([row]) @ g)[0]
-        if any((a - b).denominator != 1 for a, b in zip(moved, row)):
-            return False
-    return True
+    # each lift num_i/den must move by a lattice vector: num·(g − I) ≡ 0 (mod den)
+    group = discriminant_group(L)
+    moved = group._lift_num @ (g - IntMatrix.identity(L.rank))
+    return all(x % group._lift_den == 0 for row in moved for x in row)
 
 
 def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:

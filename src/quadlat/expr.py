@@ -94,7 +94,11 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
             i += 1
             while i < n and text[i].isdigit():
                 i += 1
-            tokens.append(("int", int(text[start:i]), start))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("integer literal is too long", start) from None
+            tokens.append(("int", value, start))
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))

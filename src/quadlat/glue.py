@@ -7,8 +7,8 @@ such subgroup exactly once, by canonical augmentation (McKay 1998), and
 grows each subgroup's span from its parent's with ``lattice._span``.
 Results are ordered by size and then lexicographically on their element
 sets, so output is deterministic.  Glue generators enter integer
-arithmetic once, as numerators over their common denominator
-(``_generator_numerators``).
+arithmetic once, as numerators over their common denominator, kept by
+``GlueSubgroup`` from its dual-lattice check.
 """
 
 from __future__ import annotations
@@ -49,19 +49,11 @@ class GlueSubgroup:
             gens = self.generators
         if gens.ncols != self.base.rank:
             raise BadParameter("generator width does not match base rank")
-        num, den = _generator_numerators(self)
+        num, den = gens._numerators()
         if any(x % den for row in num @ self.base.gram for x in row):
             raise BadParameter("generator does not lie in the dual lattice")
-
-
-def _generator_numerators(G: GlueSubgroup) -> tuple[IntMatrix, int]:
-    """The generator rows as integer numerators over their common denominator."""
-    den = G.generators.common_denominator()
-    num = IntMatrix(
-        [[x.numerator * (den // x.denominator) for x in row] for row in G.generators],
-        ncols=G.base.rank,
-    )
-    return num, den
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
 
 def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list[GlueSubgroup]:
@@ -95,15 +87,17 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     trivial = _span([], factors)
     grow(trivial, [], [e for e in F.elements() if e not in trivial and F._q_num(e) == 0])
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
-    lifts = F.group.generator_lifts
-    return [GlueSubgroup(F.lattice, RatMatrix(gens, ncols=len(factors)) @ lifts) for _, gens in found]
+    lift_num, den = F.group._lift_num, F.group._lift_den
+    return [
+        GlueSubgroup(F.lattice, RatMatrix._over(IntMatrix(gens, ncols=len(factors)) @ lift_num, den))
+        for _, gens in found
+    ]
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
     """Elements of the glue subgroup as dual vectors reduced mod the base lattice."""
-    num, den = _generator_numerators(G)
-    span = _span(num, (den,) * G.base.rank)
-    return frozenset(tuple(Fraction(x, den) for x in e) for e in span)
+    span = _span(G._num, (G._den,) * G.base.rank)
+    return frozenset(tuple(Fraction(x, G._den) for x in e) for e in span)
 
 
 def glue_order(G: GlueSubgroup) -> int:
@@ -120,8 +114,8 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     base = G.base
     n = base.rank
     # the lattice is (1/den)·(row span of den·identity and den·lifts)
-    gens, den = _generator_numerators(G)
-    scaled = IntMatrix.identity(n).scale(den).stack(gens)
+    den = G._den
+    scaled = IntMatrix.identity(n).scale(den).stack(G._num)
     H, _ = hermite_normal_form(scaled)
     basis = IntMatrix(H[:n], ncols=n)  # full rank: contains den·identity
     num = basis @ base.gram @ basis.transpose()  # den² times the Gram

@@ -313,11 +313,17 @@ class DiscriminantGroup:
 
     ``invariant_factors`` are the cyclic orders d1 | d2 | ... (each > 1);
     row i of ``generator_lifts`` is a dual vector generating the i-th
-    cyclic summand.
+    cyclic summand.  The lifts enter integer arithmetic once, as
+    numerators over their common denominator.
     """
 
     invariant_factors: tuple[int, ...]
     generator_lifts: RatMatrix
+
+    def __post_init__(self):
+        num, den = self.generator_lifts._numerators()
+        object.__setattr__(self, "_lift_num", num)
+        object.__setattr__(self, "_lift_den", den)
 
     @property
     def order(self) -> int:
@@ -400,28 +406,26 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     """
     n = L.rank
     U, S, _ = smith_normal_form(L.gram)
-    factors = []
-    lifts = []
-    for i in range(n):
-        d = S[i][i]
-        if d > 1:
-            factors.append(d)
-            lifts.append([Fraction(x, d) for x in U[i]])
-    return DiscriminantGroup(tuple(factors), RatMatrix(lifts, ncols=n))
+    rows = [i for i in range(n) if S[i][i] > 1]
+    N = S[rows[-1]][rows[-1]] if rows else 1  # every d_i divides N
+    num = IntMatrix._trusted(tuple(tuple(x * (N // S[i][i]) for x in U[i]) for i in rows), n)
+    return DiscriminantGroup(tuple(S[i][i] for i in rows), RatMatrix._over(num, N))
 
 
 def discriminant_form(L: Lattice) -> DiscriminantForm:
-    """Quadratic/bilinear discriminant data; defined for even lattices only."""
+    """Quadratic/bilinear discriminant data; defined for even lattices only.
+
+    Every value is read off one integer product num·G·numᵀ over den²,
+    where num/den are the generator lifts.
+    """
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
     group = discriminant_group(L)
-    lifts = group.generator_lifts
-    s = lifts.nrows
-    q = tuple(pair(L.gram, lifts[i], lifts[i]) % 2 for i in range(s))
-    b = RatMatrix(
-        [[pair(L.gram, lifts[i], lifts[j]) % 1 for j in range(s)] for i in range(s)],
-        ncols=s,
-    )
+    num, den = group._lift_num, group._lift_den
+    pairings = num @ L.gram @ num.transpose()
+    den2 = den * den
+    q = tuple(Fraction(pairings[i][i], den2) % 2 for i in range(pairings.nrows))
+    b = RatMatrix([[Fraction(x, den2) % 1 for x in row] for row in pairings], ncols=len(q))
     return DiscriminantForm(group, q, b, L)
 
 
@@ -494,6 +498,9 @@ def disc_form_isomorphic(
 
     def search(i: int) -> bool:
         if i == s:
+            # redundant when F1's b is nondegenerate, as from
+            # discriminant_form; a hand-built degenerate F1 can match q and
+            # b on images that do not generate
             return len(_span(chosen, factors)) == F1.order
         want_b = [(sign * F1._b_gen[i][j]) % N for j in range(i)]
         for y in candidates[i]:

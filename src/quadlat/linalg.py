@@ -15,26 +15,26 @@ LLL-accelerated variants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import index as _as_index
 from typing import Iterable, Sequence
 
 from .errors import NonSquare, SingularMatrix
 
 
-class IntMatrix:
-    """Immutable matrix with arbitrary-precision integer entries.
-
-    Rows are exposed as tuples: ``m[i][j]`` is the entry in row i,
-    column j.  An explicit ``ncols`` is required when there are no rows.
+class _Matrix:
+    """Immutable matrix; rows are exposed as tuples: ``m[i][j]`` is the
+    entry in row i, column j.  An explicit ``ncols`` is required when
+    there are no rows.  A subclass names the conversion of its entries.
     """
 
     __slots__ = ("_data", "_ncols")
 
-    def __init__(self, rows: Iterable[Sequence[int]], *, ncols: int | None = None):
+    def __init__(self, rows: Iterable[Sequence], *, ncols: int | None = None):
+        entry = self._entry
         data = []
         for row in rows:
-            t = tuple(_as_index(x) for x in row)
+            t = tuple(entry(x) for x in row)
             if ncols is None:
                 ncols = len(t)
             elif len(t) != ncols:
@@ -46,20 +46,16 @@ class IntMatrix:
         self._ncols = ncols
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
-        # rows this module built itself: tuples of ints, all of length ncols
+    def _trusted(cls, data: tuple[tuple, ...], ncols: int):
+        # rows this module built itself: tuples of entries, all of length ncols
         m = object.__new__(cls)
         m._data = data
         m._ncols = ncols
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @property
     def nrows(self) -> int:
@@ -69,7 +65,7 @@ class IntMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i: int) -> tuple:
         return self._data[i]
 
     def __iter__(self):
@@ -78,12 +74,37 @@ class IntMatrix:
     def __len__(self) -> int:
         return len(self._data)
 
-    def tolist(self) -> list[list[int]]:
+    def tolist(self) -> list[list]:
         return [list(r) for r in self._data]
 
-    def transpose(self) -> "IntMatrix":
+    def transpose(self):
         cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
-        return IntMatrix._trusted(cols, self.nrows)
+        return self._trusted(cols, self.nrows)
+
+    def scale(self, k):
+        k = self._entry(k)
+        return self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self._ncols == other._ncols
+            and self._data == other._data
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._ncols, self._data))
+
+
+class IntMatrix(_Matrix):
+    """Immutable matrix with arbitrary-precision integer entries."""
+
+    __slots__ = ()
+    _entry = staticmethod(_as_index)
+
+    @classmethod
+    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
+        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -119,10 +140,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
-    def scale(self, k: int) -> "IntMatrix":
-        k = _as_index(k)
-        return IntMatrix([[k * x for x in row] for row in self._data], ncols=self._ncols)
-
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self._ncols != other.ncols:
             raise ValueError("shape mismatch in vertical stack")
@@ -140,70 +157,19 @@ class IntMatrix:
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self._data, ncols=self._ncols)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self._ncols == other._ncols
-            and self._data == other._data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._ncols, self._data))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.tolist()!r})"
 
 
-class RatMatrix:
+class RatMatrix(_Matrix):
     """Immutable matrix of exact rationals.
 
     ``Fraction`` keeps every entry in lowest terms with a positive
     denominator, so the canonical-form invariants hold by construction.
     """
 
-    __slots__ = ("_data", "_ncols")
-
-    def __init__(self, rows: Iterable[Sequence], *, ncols: int | None = None):
-        data = []
-        for row in rows:
-            t = tuple(Fraction(x) for x in row)
-            if ncols is None:
-                ncols = len(t)
-            elif len(t) != ncols:
-                raise ValueError("ragged rows")
-            data.append(t)
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit ncols")
-        self._data = tuple(data)
-        self._ncols = ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    @property
-    def nrows(self) -> int:
-        return len(self._data)
-
-    @property
-    def ncols(self) -> int:
-        return self._ncols
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i]
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def tolist(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
-
-    def transpose(self) -> "RatMatrix":
-        n, m = self.nrows, self._ncols
-        return RatMatrix([[self._data[i][j] for i in range(n)] for j in range(m)], ncols=n)
+    __slots__ = ()
+    _entry = Fraction
 
     def __matmul__(self, other) -> "RatMatrix":
         if isinstance(other, IntMatrix):
@@ -228,10 +194,6 @@ class RatMatrix:
             raise ValueError("shape mismatch in vertical stack")
         return RatMatrix(list(self._data) + list(other._data), ncols=self._ncols)
 
-    def scale(self, k) -> "RatMatrix":
-        k = Fraction(k)
-        return RatMatrix([[k * x for x in row] for row in self._data], ncols=self._ncols)
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self._data for x in row)
 
@@ -241,21 +203,19 @@ class RatMatrix:
         return IntMatrix([[x.numerator for x in row] for row in self._data], ncols=self._ncols)
 
     def common_denominator(self) -> int:
-        d = 1
-        for row in self._data:
-            for x in row:
-                d = d * x.denominator // gcd(d, x.denominator)
-        return d
+        return lcm(*(x.denominator for row in self._data for x in row))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self._ncols == other._ncols
-            and self._data == other._data
-        )
+    def _numerators(self) -> tuple[IntMatrix, int]:
+        # The one way a rational matrix enters integer arithmetic: integer
+        # numerators over the least common denominator of all entries.
+        den = self.common_denominator()
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self._data)
+        return IntMatrix._trusted(num, self._ncols), den
 
-    def __hash__(self) -> int:
-        return hash((self._ncols, self._data))
+    @classmethod
+    def _over(cls, num: IntMatrix, den: int) -> "RatMatrix":
+        # The way back: num/den, one Fraction per entry.
+        return cls._trusted(tuple(tuple(Fraction(x, den) for x in row) for row in num), num.ncols)
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[str(x) for x in row] for row in self._data]!r})"
@@ -559,17 +519,11 @@ def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
     The right side is scaled to integers by its common denominator and
     solved by ``solve_integral``; ``Fraction``s are built only here.
     """
+    den_b = 1
     if isinstance(b, RatMatrix):
-        den_b = b.common_denominator()
-        b = IntMatrix._trusted(
-            tuple(tuple(x.numerator * (den_b // x.denominator) for x in row) for row in b),
-            b.ncols,
-        )
-    else:
-        den_b = 1
+        b, den_b = b._numerators()
     x, den = solve_integral(m, b)
-    den *= den_b
-    return RatMatrix([[Fraction(v, den) for v in row] for row in x], ncols=x.ncols)
+    return RatMatrix._over(x, den * den_b)
 
 
 def invert_rational(m: IntMatrix) -> RatMatrix:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     BadParameter,
@@ -24,7 +23,7 @@ from .errors import (
     WrongSignature,
 )
 from .lattice import Lattice, lattice_from_json, lattice_to_json, pair, signature
-from .linalg import IntMatrix, det_exact, kernel_basis
+from .linalg import IntMatrix, RatMatrix, det_exact, kernel_basis
 from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
 
 
@@ -87,7 +86,12 @@ class QuadScalar:
 
 @dataclass(frozen=True)
 class PeriodVector:
-    """ω = re + √d·im with rational coordinate rows over a fixed lattice."""
+    """ω = re + √d·im with rational coordinate rows over a fixed lattice.
+
+    re and im enter integer arithmetic once, as the rows of one integer
+    matrix over their common denominator.  Scaling both by that positive
+    constant keeps their span, the kernels below and every sign.
+    """
 
     lattice: Lattice
     d: int
@@ -103,6 +107,15 @@ class PeriodVector:
             raise BadParameter("coordinate length does not match lattice rank")
         if all(x == 0 for x in self.im):
             raise BadParameter("period must be genuinely non-real (im != 0)")
+        rows, den = RatMatrix([self.re, self.im])._numerators()
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_den", den)
+
+
+def _pairings(omega: PeriodVector) -> IntMatrix:
+    # den²·ψ on the rows (re, im): ψ(ω, ω)·den² = p₀₀ + d·p₁₁ + 2√d·p₀₁
+    # and ψ(ω, ω̄)·den² = p₀₀ − d·p₁₁
+    return omega._rows @ omega.lattice.gram @ omega._rows.transpose()
 
 
 @dataclass(frozen=True)
@@ -125,14 +138,10 @@ def validate_period(omega: PeriodVector) -> PeriodVector:
     """Check period-domain membership: plus-part 2, ψ(ω,ω) = 0, ψ(ω,ω̄) > 0."""
     if signature(omega.lattice).plus != 2:
         raise WrongSignature("period domain needs a lattice with exactly two positive squares")
-    self_pairing = period_pairing(omega, omega.re, omega.im)
-    if not self_pairing.is_zero():
+    p = _pairings(omega)
+    if p[0][0] + omega.d * p[1][1] or p[0][1]:
         raise NotIsotropic("period is not isotropic: ψ(ω, ω) != 0")
-    conj = period_pairing(omega, omega.re, tuple(-x for x in omega.im))
-    # conjugation-symmetry forces ψ(ω, ω̄) into ℚ; check exactly
-    if not conj.is_rational():
-        raise InvariantViolation("ψ(ω, ω̄) is not rational", value=conj)
-    if conj.a <= 0:
+    if p[0][0] - omega.d * p[1][1] <= 0:
         raise NotPositive("ψ(ω, ω̄) must be positive")
     return omega
 
@@ -140,17 +149,8 @@ def validate_period(omega: PeriodVector) -> PeriodVector:
 def pairing_with_conjugate(omega: PeriodVector) -> Fraction:
     """ψ(ω, ω̄), an exact positive rational for valid periods."""
     validate_period(omega)
-    conj = period_pairing(omega, omega.re, tuple(-x for x in omega.im))
-    return conj.a
-
-
-def _scaled_int_rows(rows: list[tuple[Fraction, ...]], n: int) -> IntMatrix:
-    # per-row scaling preserves the span, which is all that matters here
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * den) for x in row])
-    return IntMatrix(out, ncols=n)
+    p = _pairings(omega)
+    return Fraction(p[0][0] - omega.d * p[1][1], omega._den**2)
 
 
 def neron_severi(omega: PeriodVector) -> SublatticeEmbedding:
@@ -159,9 +159,7 @@ def neron_severi(omega: PeriodVector) -> SublatticeEmbedding:
     Saturated by construction, hence primitive.
     """
     validate_period(omega)
-    n = omega.lattice.rank
-    cols = _scaled_int_rows([omega.re, omega.im], n)
-    m = omega.lattice.gram @ cols.transpose()  # x is algebraic iff x·m = 0
+    m = omega.lattice.gram @ omega._rows.transpose()  # x is algebraic iff x·m = 0
     return SublatticeEmbedding(omega.lattice, kernel_basis(m))
 
 
@@ -175,27 +173,14 @@ def transcendental(omega: PeriodVector) -> HodgeSplit:
     if det_exact(induced_gram(ns)) == 0:
         raise DegenerateRestriction("form restricted to the algebraic part is degenerate")
     trans = orthogonal_complement(ns)
-    # ω must have coordinates inside the rational span of the complement
-    for part in (omega.re, omega.im):
-        if not _in_row_span(trans.basis, part):
-            raise InvariantViolation(
-                "period is outside the span of the transcendental part",
-                basis=trans.basis,
-                vector=part,
-            )
+    # ω lies in the rational span of the complement: re and im are
+    # dot-orthogonal to every integer vector dot-orthogonal to its basis
+    perp = kernel_basis(trans.basis.transpose())
+    if any(x for row in omega._rows @ perp.transpose() for x in row):
+        raise InvariantViolation(
+            "period is outside the span of the transcendental part", basis=trans.basis, period=omega
+        )
     return HodgeSplit(ns, trans)
-
-
-def _in_row_span(basis: IntMatrix, vec: tuple[Fraction, ...]) -> bool:
-    if all(x == 0 for x in vec):
-        return True
-    if basis.nrows == 0:
-        return False
-    n = basis.ncols
-    ker = kernel_basis(basis.transpose())  # rows span the plain-dot complement
-    return all(
-        sum(ker[i][j] * vec[j] for j in range(n)) == 0 for i in range(ker.nrows)
-    )
 
 
 def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
@@ -208,9 +193,7 @@ def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
     accepted.
     """
     validate_period(omega)
-    n = omega.lattice.rank
-    plane = _scaled_int_rows([omega.re, omega.im], n)
-    span_closure = saturate(SublatticeEmbedding(omega.lattice, plane))
+    span_closure = saturate(SublatticeEmbedding(omega.lattice, omega._rows))
     if span_closure.rank != 2:
         raise InvariantViolation(
             "span closure of a quadratic period is not a plane", span_closure=span_closure

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from quadlat.lattice import make_lattice, standard
 from quadlat.linalg import IntMatrix, smith_normal_form
 from quadlat.embeddings import SublatticeEmbedding
 from quadlat.brauer import (
+    PRIME_TEST_BOUND,
     CohomologyPair,
     FiniteMatrixGroupModL,
     brauer_torsion_order,
@@ -15,6 +18,7 @@ from quadlat.brauer import (
     minkowski_bound,
     nori_sandwich_check,
     quotient_structure,
+    _check_prime,
 )
 
 H2 = make_lattice([[0, 1], [1, 0]])
@@ -129,6 +133,59 @@ class TestMinkowskiBound:
     def test_bad_input(self):
         with pytest.raises(BadParameter):
             minkowski_bound(0)
+
+    def test_rank_cap(self):
+        assert minkowski_bound(1000) % minkowski_bound(999) == 0
+        with pytest.raises(TooLarge, match="1001"):
+            minkowski_bound(1001)
+
+
+# ψ_k: the least strong pseudoprime to all of the first k prime bases
+PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071250001, 3825123056546413051, 318665857834031151167461)
+
+
+def _is_prime(ell):
+    try:
+        _check_prime(ell)
+    except BadParameter:
+        return False
+    return True
+
+
+class TestPrimalityTest:
+    """Trial division by the primes below 1000, then Miller–Rabin with the
+    prime bases up to 41, exact below PRIME_TEST_BOUND = ψ₁₃."""
+
+    def test_eighteen_digit_prime_is_quick(self):
+        start = time.perf_counter()
+        assert _is_prime(10**18 + 3)
+        assert time.perf_counter() - start < 0.5
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # ψ₁₂ passes every base up to 37 and fails 41
+        for n in PSEUDOPRIMES:
+            assert not _is_prime(n), n
+
+    def test_bound_is_refused(self):
+        with pytest.raises(TooLarge, match=str(PRIME_TEST_BOUND)):
+            _check_prime(PRIME_TEST_BOUND)  # ψ₁₃: passes every base up to 41
+        with pytest.raises(TooLarge):
+            nori_sandwich_check(1, 0, 10**30 + 57)
+
+    def test_small_factor_found_before_the_bound(self):
+        with pytest.raises(BadParameter):
+            _check_prime(10**400 + 1)  # 353 divides it
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(24)
+        numbers = list(range(-2, 3000)) + list(PSEUDOPRIMES)
+        numbers += [rng.randrange(2, 10 ** rng.randint(2, 24)) for _ in range(3000)]
+        numbers += [sympy.randprime(10**6, 10**24) for _ in range(200)]
+        numbers += [sympy.randprime(1000, 10**12) * sympy.randprime(1000, 10**12) for _ in range(200)]
+        for n in numbers:
+            assert _is_prime(n) == sympy.isprime(n), n
 
 
 class TestNoriSandwich:

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -253,6 +254,51 @@ class TestPointsCapAndHugePrimes:
         assert code == 2
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "BadParameter"
+
+
+class TestIntegerTextLimit:
+    """Python refuses int/str conversions of more than
+    sys.get_int_max_str_digits() digits; such requests give one JSON line."""
+
+    @pytest.fixture
+    def limit(self):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no int/str digit limit")
+        return limit
+
+    def _refused(self, capsys, argv, error):
+        code, out = invoke(capsys, "--json", *argv)
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == error
+
+    @pytest.mark.parametrize("n", ["1001", "1332", "20000"])
+    def test_minkowski_above_rank_cap(self, capsys, n):
+        start = time.perf_counter()
+        self._refused(capsys, ["minkowski", n], "TooLarge")
+        assert time.perf_counter() - start < 0.5
+
+    def test_minkowski_at_rank_cap(self, capsys):
+        code, data = invoke_json(capsys, "minkowski", "1000")
+        assert code == 0 and data["bound"] > 0
+
+    def test_literal_too_long_to_parse(self, capsys, limit):
+        self._refused(capsys, ["info", f"gen({'7' * (limit + 1)})"], "ParseError")
+
+    def test_det_too_long_to_print(self, capsys, limit):
+        k = limit // 2  # 10^k prints, its cube does not
+        self._refused(capsys, ["info", f"gen({10**k})^3"], "TooLarge")
+
+
+class TestFixedModEllLargePrime:
+    def test_eighteen_digit_prime_is_quick(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"ell": 10**18 + 3, "generators": [[[1, 1], [0, 1]]]}))
+        start = time.perf_counter()
+        code, data = invoke_json(capsys, "fixed-mod-ell", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and data["fixed_dimension"] == 1
 
 
 class TestExitCodesAndJsonDiscipline:

@@ -8,7 +8,9 @@ the ``Fraction`` congruence reduction kept below, and ``saturate``
 against the first rows of V^{-1} from the Smith form.  The finite
 quadratic module core (integer q/b numerators, ``_span``, form
 isomorphism, glue element sets) is checked against pairings of dual
-vectors and exhaustive scans.
+vectors and exhaustive scans.  The integer paths for dual vectors
+(numerators over one denominator) are checked against the ``Fraction``
+products they replaced.
 """
 
 import itertools
@@ -25,9 +27,9 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy import QQ, ZZ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from quadlat.embeddings import SublatticeEmbedding, saturate  # noqa: E402
+from quadlat.embeddings import SublatticeEmbedding, in_tilde_O, is_isometry, saturate  # noqa: E402
 from quadlat.errors import BadParameter  # noqa: E402
-from quadlat.glue import GlueSubgroup, subgroup_elements  # noqa: E402
+from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
     Signature,
@@ -421,3 +423,79 @@ class TestFiniteModuleCore:
         start_gens = data.draw(st.none() | st.lists(coefficients, max_size=2))
         start = None if start_gens is None else _bfs_closure(start_gens, factors)
         assert _span(gens, factors, start) == _bfs_closure((start_gens or []) + reduced, factors)
+
+
+# ---------------------------------------------------------------------------
+# integer paths for dual vectors against the Fraction products they replaced
+# ---------------------------------------------------------------------------
+
+def _old_in_tilde_O(L, g):
+    # each generator lift, moved by g, must differ from itself by a lattice vector
+    if not is_isometry(L, g):
+        return False
+    lifts = discriminant_group(L).generator_lifts
+    for row in lifts:
+        moved = (RatMatrix([row]) @ g)[0]
+        if any((a - b).denominator != 1 for a, b in zip(moved, row)):
+            return False
+    return True
+
+
+def _signed_permutation(perm, signs):
+    n = len(perm)
+    return IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+
+
+_U2_U2_U3 = direct_sum(standard("U", 2), standard("U", 2), standard("U", 3))
+# isometries of U(2)² ⊕ U(3) that permute coordinates up to sign: swap
+# e and f in one plane, negate one plane, swap the two U(2) planes
+_BLOCK_MOVES = (
+    [_signed_permutation(perm, [1] * 6) for perm in ([1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4])]
+    + [_signed_permutation(range(6), [-1 if i // 2 == k else 1 for i in range(6)]) for k in range(3)]
+    + [_signed_permutation([2, 3, 0, 1, 4, 5], [1] * 6)]
+)
+
+
+class TestDualVectorIntegerPaths:
+    @ORACLE
+    @given(st.data())
+    def test_numerators_round_trip(self, data):
+        r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        entry = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 10**6)
+        m = RatMatrix([[data.draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
+        num, den = m._numerators()
+        assert den == m.common_denominator()
+        assert all(num[i][j] == m[i][j] * den for i in range(r) for j in range(c))
+        assert RatMatrix._over(num, den) == m
+
+    @ORACLE
+    @given(small_even_lattices())
+    def test_isotropic_rows_against_fraction_product(self, L):
+        F = discriminant_form(L)
+        factors = F.group.invariant_factors
+        lifts = F.group.generator_lifts
+        # the lifts are independent, so each coefficient tuple has its own row
+        by_row = {(RatMatrix([e], ncols=len(factors)) @ lifts)[0]: e for e in F.elements()}
+        for G in isotropic_subgroups(F):
+            gens = [by_row[row] for row in G.generators]
+            assert RatMatrix(gens, ncols=len(factors)) @ lifts == G.generators
+            # and they are the canonical generators of the subgroup they span
+            K = _bfs_closure(gens, factors)
+            for i, g in enumerate(gens):
+                assert g == min(K - _bfs_closure(gens[:i], factors))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_tilde_O_against_fraction_product(self, seed):
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(300):
+            if rng.random() < 0.5:
+                g = _signed_permutation(rng.sample(range(6), 6), [rng.choice((1, -1)) for _ in range(6)])
+            else:
+                g = IntMatrix.identity(6)
+                for _ in range(rng.randint(0, 8)):
+                    g = g @ rng.choice(_BLOCK_MOVES)
+            verdict = in_tilde_O(_U2_U2_U3, g)
+            assert verdict == _old_in_tilde_O(_U2_U2_U3, g)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}

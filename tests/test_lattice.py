@@ -6,6 +6,7 @@ import pytest
 
 from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge
 from quadlat.lattice import (
+    DiscriminantForm,
     Lattice,
     Signature,
     direct_sum,
@@ -299,6 +300,16 @@ class TestDiscFormIsomorphic:
         F2 = discriminant_form(standard("An", 2, -1))
         assert disc_form_isomorphic(F1, F2, negate=True)
         assert not disc_form_isomorphic(F1, F2, negate=False)
+
+    def test_leaf_span_refuses_images_that_do_not_generate(self):
+        # a hand-built form on (ℤ/2)² with q = 0 and b = 0: mapping both
+        # generators to (1, 0) of q(U(2)) matches every q and b value, and
+        # only the span test at the leaf sees that the images do not generate
+        F2 = discriminant_form(standard("U", 2))
+        F1 = DiscriminantForm(F2.group, (0, 0), RatMatrix([[0, 0], [0, 0]]), F2.lattice)
+        for negate in (False, True):
+            assert not disc_form_isomorphic(F1, F2, negate)
+        assert disc_form_isomorphic(F2, F2)
 
 
 class TestJson:
