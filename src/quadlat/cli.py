@@ -42,12 +42,9 @@ def _caps() -> dict:
 
 
 def _parse_signature(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise BadParameter("signature must look like '2,26'")
     try:
-        plus, minus = (int(p) for p in parts)
-    except ValueError:
+        plus, minus = (int(p) for p in text.split(","))
+    except ValueError:  # not an int, or not two of them
         raise BadParameter("signature must look like '2,26'")
     if plus < 0 or minus < 0:
         raise BadParameter("signature counts must be non-negative")
@@ -133,8 +130,7 @@ def _cmd_discform(args) -> tuple[dict, list[str]]:
         "b": [[str(x) for x in row] for row in F.b_values],
     }
     lines = [f"expr:  {L.label}", f"group: {_group_text(F.group.invariant_factors)}"]
-    for i, q in enumerate(F.q_values):
-        lines.append(f"q(g{i + 1}) = {q} (mod 2)")
+    lines.extend(f"q(g{i + 1}) = {q} (mod 2)" for i, q in enumerate(F.q_values))
     return out, lines
 
 
@@ -154,8 +150,6 @@ def _cmd_nikulin(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_iota2d(args) -> tuple[dict, list[str]]:
-    if args.d < 1:
-        raise BadParameter("d must be a positive integer")
     E = embeddings.build_iota2d(args.d)
     comp = embeddings.orthogonal_complement(E)
     comp_lat = embeddings.as_lattice(comp)
@@ -180,9 +174,7 @@ def _cmd_iota2d(args) -> tuple[dict, list[str]]:
 def _cmd_complement(args) -> tuple[dict, list[str]]:
     E = _decode_input(None, _embedding_from_json)
     comp = embeddings.orthogonal_complement(E)
-    out = _embedding_to_json(comp)
-    lines = [f"complement rank: {comp.rank}", f"basis: {comp.basis.tolist()}"]
-    return out, lines
+    return _embedding_to_json(comp), [f"complement rank: {comp.rank}", f"basis: {comp.basis.tolist()}"]
 
 
 def _cmd_overlattices(args) -> tuple[dict, list[str]]:
@@ -195,20 +187,13 @@ def _cmd_overlattices(args) -> tuple[dict, list[str]]:
     ]
     out = {"expr": L.label, "count": len(entries), "overlattices": entries}
     lines = [f"{len(entries)} even overlattice(s) of {L.label}"]
-    for e in entries:
-        lines.append(f"  glue order {e['glue_order']}: {e['gram']}")
+    lines.extend(f"  glue order {e['glue_order']}: {e['gram']}" for e in entries)
     return out, lines
 
 
 def _cmd_binary_enum(args) -> tuple[dict, list[str]]:
-    if args.sign in ("pos", "+1"):
-        sign = 1
-    elif args.sign in ("neg", "-1"):
-        sign = -1
-    else:
-        raise UsageError("SIGN must be pos, neg, +1 or -1")
-    kwargs = _caps()
-    forms = glue.enumerate_even_binary(args.det, sign, **kwargs)
+    sign = 1 if args.sign in ("pos", "+1") else -1
+    forms = glue.enumerate_even_binary(args.det, sign, **_caps())
     out = {"det": args.det, "sign": sign, "count": len(forms), "forms": [f.gram.tolist() for f in forms]}
     lines = [f"{len(forms)} reduced even definite binary form(s) with det {args.det}"]
     lines.extend(f"  {f.gram.tolist()}" for f in forms)
@@ -217,9 +202,8 @@ def _cmd_binary_enum(args) -> tuple[dict, list[str]]:
 
 def _cmd_period_split(args) -> tuple[dict, list[str]]:
     omega = _decode_input(args.file, periods.period_from_json)
-    periods.validate_period(omega)
     split = periods.transcendental(omega)
-    minimal = periods.minimal_hodge_sublattice(omega)
+    minimal = periods._minimal_hodge(omega, split)
     out = {
         "psi_omega_conj": str(periods.pairing_with_conjugate(omega)),
         "ns": {
@@ -271,8 +255,7 @@ def _cmd_points(args) -> tuple[dict, list[str]]:
         if args.of is None:
             raise UsageError("points orthogonal needs --of EXPR")
         of = evaluate_expr(args.of)
-    kwargs = _caps()
-    count = brauer.brute_force_points(args.group, args.n, args.ell, of=of, **kwargs)
+    count = brauer.brute_force_points(args.group, args.n, args.ell, of=of, **_caps())
     return {"group": args.group, "n": args.n, "ell": args.ell, "count": count}, [str(count)]
 
 

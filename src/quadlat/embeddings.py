@@ -58,10 +58,9 @@ class SublatticeEmbedding:
     basis: IntMatrix
 
     def __post_init__(self):
+        if not isinstance(self.basis, IntMatrix):
+            object.__setattr__(self, "basis", IntMatrix(self.basis, ncols=self.ambient.rank))
         b = self.basis
-        if not isinstance(b, IntMatrix):
-            object.__setattr__(self, "basis", IntMatrix(b, ncols=self.ambient.rank))
-            b = self.basis
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
         # B·Bᵀ is singular exactly when the rows are dependent (Cauchy–Binet)
@@ -237,13 +236,14 @@ def _norm_vectors(gram_pos: IntMatrix, target: int):
     yield from descend(0, goal)
 
 
-def _definite_data(L: Lattice) -> tuple[IntMatrix, int]:
+def _definite_data(L: Lattice, norm: int) -> tuple[IntMatrix, int]:
+    # the positive-definite Gram ±G of a definite L, and the norm it must represent
     sig = signature(L)
-    if sig.minus == 0:
-        return L.gram, 1
-    if sig.plus == 0:
-        return L.gram.scale(-1), -1
-    raise NotDefinite(f"lattice has indefinite signature {(sig.plus, sig.minus)}")
+    if sig.plus and sig.minus:
+        raise NotDefinite(f"lattice has indefinite signature {(sig.plus, sig.minus)}")
+    if is_even(L) and norm % 2 != 0:
+        raise ParityViolation(f"norm {norm} is odd but the lattice is even")
+    return (L.gram, norm) if sig.minus == 0 else (L.gram.scale(-1), -norm)
 
 
 def find_primitive_vector(L: Lattice, norm: int) -> tuple[int, ...]:
@@ -252,10 +252,7 @@ def find_primitive_vector(L: Lattice, norm: int) -> tuple[int, ...]:
     Depth-first branch-and-bound over the exact square-completed form;
     deterministic because coordinates are scanned in increasing order.
     """
-    g, sgn = _definite_data(L)
-    if is_even(L) and norm % 2 != 0:
-        raise ParityViolation(f"norm {norm} is odd but the lattice is even")
-    target = norm * sgn
+    g, target = _definite_data(L, norm)
     if target <= 0:
         raise NotRepresented(f"definite lattice cannot represent {norm}")
     for vec in _norm_vectors(g, target):
@@ -266,10 +263,7 @@ def find_primitive_vector(L: Lattice, norm: int) -> tuple[int, ...]:
 
 def count_norm_vectors(L: Lattice, norm: int) -> int:
     """Full count of lattice vectors with the given self-pairing."""
-    g, sgn = _definite_data(L)
-    if is_even(L) and norm % 2 != 0:
-        raise ParityViolation(f"norm {norm} is odd but the lattice is even")
-    target = norm * sgn
+    g, target = _definite_data(L, norm)
     if target < 0:
         return 0
     return sum(1 for _ in _norm_vectors(g, target))

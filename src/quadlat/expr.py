@@ -191,4 +191,4 @@ def evaluate_expr(text: str) -> Lattice:
     """Parse and evaluate, labelling the result with its canonical text."""
     ast = parse_lattice_expr(text)
     lat = ast.evaluate()
-    return _derived_lattice(lat.gram, lat.det, ast.to_text())
+    return _derived_lattice(lat.gram, lat.det, lat._signature, ast.to_text())

@@ -43,10 +43,9 @@ class GlueSubgroup:
     generators: RatMatrix
 
     def __post_init__(self):
+        if not isinstance(self.generators, RatMatrix):
+            object.__setattr__(self, "generators", RatMatrix(self.generators, ncols=self.base.rank))
         gens = self.generators
-        if not isinstance(gens, RatMatrix):
-            object.__setattr__(self, "generators", RatMatrix(gens, ncols=self.base.rank))
-            gens = self.generators
         if gens.ncols != self.base.rank:
             raise BadParameter("generator width does not match base rank")
         num, den = gens._numerators()

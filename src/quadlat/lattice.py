@@ -3,7 +3,8 @@
 A lattice here is a free ℤ-module of finite rank together with a
 non-degenerate symmetric integer Gram matrix.  Vectors are row vectors
 in the basis implicit in the Gram matrix, and the pairing of x with y is
-x·G·yᵀ.
+x·G·yᵀ.  A Lattice carries its det and signature from the one elimination
+that validates its Gram; direct sums and relabels compose them with none.
 
 Finite abelian groups ⊕ ℤ/dᵢ are handled as coefficient tuples, and
 ``_span`` is the one subgroup closure for them.  A discriminant form
@@ -32,8 +33,8 @@ from .errors import (
 from .linalg import (
     IntMatrix,
     RatMatrix,
+    _det_and_inertia,
     block_diag,
-    det_exact,
     invert_rational,
     smith_normal_form,
 )
@@ -93,29 +94,30 @@ class Lattice:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.gram, IntMatrix):
+            object.__setattr__(self, "gram", IntMatrix(self.gram))
         g = self.gram
-        if not isinstance(g, IntMatrix):
-            object.__setattr__(self, "gram", IntMatrix(g))
-            g = self.gram
         if g.nrows != g.ncols or not g.is_symmetric():
             raise NotSymmetric("Gram matrix must be square and symmetric")
-        d = det_exact(g)
+        d, plus, minus = _det_and_inertia(g)
         if d == 0:
             raise Degenerate("Gram matrix is singular")
         object.__setattr__(self, "det", d)
+        object.__setattr__(self, "_signature", Signature(plus, minus))
 
     @property
     def rank(self) -> int:
         return self.gram.nrows
 
 
-def _derived_lattice(gram: IntMatrix, det: int, label: str | None) -> Lattice:
-    # A lattice whose Gram is symmetric with determinant det ≠ 0 by
+def _derived_lattice(gram: IntMatrix, det: int, sig: Signature, label: str | None) -> Lattice:
+    # A lattice whose symmetric Gram has det ≠ 0 and signature sig by
     # construction from validated lattices, so no elimination is rerun.
     L = object.__new__(Lattice)
     object.__setattr__(L, "gram", gram)
     object.__setattr__(L, "label", label)
     object.__setattr__(L, "det", det)
+    object.__setattr__(L, "_signature", sig)
     return L
 
 
@@ -139,8 +141,6 @@ def pair(gram: IntMatrix, x: Sequence, y: Sequence):
 
 def make_lattice(gram, label: str | None = None) -> Lattice:
     """Validate a Gram matrix and wrap it as a Lattice."""
-    if not isinstance(gram, IntMatrix):
-        gram = IntMatrix(gram)
     return Lattice(gram, label)
 
 
@@ -155,13 +155,15 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     """Orthogonal direct sum (block-diagonal Gram).
 
     The determinant is the product of the block determinants, each
-    nonzero, so the sum is non-degenerate without a new elimination.
+    nonzero, so the sum is non-degenerate without a new elimination; its
+    signature is the sum of the blocks' signatures.
     """
     if not lattices:
         raise BadParameter("direct sum of nothing")
     _check_rank(sum(L.rank for L in lattices))
     gram = block_diag(*(L.gram for L in lattices))
-    return _derived_lattice(gram, prod(L.det for L in lattices), None)
+    sig = Signature(sum(L._signature.plus for L in lattices), sum(L._signature.minus for L in lattices))
+    return _derived_lattice(gram, prod(L.det for L in lattices), sig, None)
 
 
 def standard(name: str, *params: int) -> Lattice:
@@ -209,92 +211,21 @@ def standard(name: str, *params: int) -> Lattice:
         d = params[0]
         if d < 1:
             raise BadParameter("Lambda2d needs d >= 1")
-        e8m = standard("E8", -1)
-        u = standard("U")
-        L = direct_sum(e8m, e8m, u, u, standard("gen", -2 * d))
-        return _derived_lattice(L.gram, L.det, f"Lambda2d({d})")
-    if name == "LambdaSharp":
+        L = direct_sum(*[standard("E8", -1)] * 2, *[standard("U")] * 2, standard("gen", -2 * d))
+        return _derived_lattice(L.gram, L.det, L._signature, f"Lambda2d({d})")
+    if name in ("LambdaSharp", "LambdaK3"):
         if params:
-            raise BadParameter("LambdaSharp takes no parameters")
-        e8m = standard("E8", -1)
-        u = standard("U")
-        L = direct_sum(e8m, e8m, e8m, u, u)
-        return _derived_lattice(L.gram, L.det, "LambdaSharp")
-    if name == "LambdaK3":
-        if params:
-            raise BadParameter("LambdaK3 takes no parameters")
-        e8m = standard("E8", -1)
-        u = standard("U")
-        L = direct_sum(e8m, e8m, u, u, u)
-        return _derived_lattice(L.gram, L.det, "LambdaK3")
+            raise BadParameter(f"{name} takes no parameters")
+        e8_count, u_count = (3, 2) if name == "LambdaSharp" else (2, 3)
+        L = direct_sum(*[standard("E8", -1)] * e8_count, *[standard("U")] * u_count)
+        return _derived_lattice(L.gram, L.det, L._signature, name)
     raise UnknownAtom(f"unknown lattice name {name!r}")
 
 
 def signature(L: Lattice) -> Signature:
-    """Exact inertia by fraction-free symmetric congruence reduction.
-
-    After a principal block P of the Gram G has been eliminated, the
-    working matrix holds det(G_P) times the Schur complement of G_P; its
-    entries are minors of G, so every division below is exact (Sylvester's
-    identity, as in Bareiss elimination) and ``prev`` = det(G_P).  Diagonal
-    pivots p are used when available: the true pivot p/prev counts toward
-    plus or minus by its sign.  When every remaining diagonal entry
-    vanishes, a nonzero off-diagonal entry b spans a hyperbolic 2x2 block
-    contributing (1, 1), and det(G_P) picks up the factor -b²/prev².
-    """
-    n = L.rank
-    a = [list(row) for row in L.gram]
-    active = list(range(n))
-    plus = minus = 0
-    prev = 1
-    while active:
-        piv = next((i for i in active if a[i][i]), None)
-        if piv is not None:
-            p = a[piv][piv]
-            if (p > 0) == (prev > 0):
-                plus += 1
-            else:
-                minus += 1
-            rest = [j for j in active if j != piv]
-            row_p = a[piv]
-            for s in rest:
-                row_s = a[s]
-                c = row_s[piv]
-                if c:
-                    for t in rest:
-                        row_s[t] = (p * row_s[t] - c * row_p[t]) // prev
-                elif p != prev:  # a row orthogonal to the pivot only rescales
-                    for t in rest:
-                        row_s[t] = p * row_s[t] // prev
-            prev = p
-            active = rest
-            continue
-        blk = next(
-            ((i, j) for i in active for j in active if j > i and a[i][j]),
-            None,
-        )
-        if blk is None:
-            break  # remaining block is identically zero (degenerate input)
-        i0, j0 = blk
-        b = a[i0][j0]
-        plus += 1
-        minus += 1
-        rest = [k for k in active if k not in (i0, j0)]
-        row_i, row_j = a[i0], a[j0]
-        prev2 = prev * prev
-        new_prev = -b * b // prev
-        for s in rest:
-            row_s = a[s]
-            ci, cj = row_s[i0], row_s[j0]
-            if ci or cj:
-                for t in rest:
-                    row_s[t] = -b * (b * row_s[t] - ci * row_j[t] - cj * row_i[t]) // prev2
-            elif new_prev != prev:
-                for t in rest:
-                    row_s[t] = row_s[t] * new_prev // prev
-        prev = new_prev
-        active = rest
-    return Signature(plus, minus)
+    """Exact inertia (positive, negative counts) of the form, found by the
+    elimination that validated L's Gram or composed from L's parts."""
+    return L._signature
 
 
 def is_even(L: Lattice) -> bool:

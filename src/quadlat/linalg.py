@@ -456,6 +456,74 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _swap_symmetric(a: list[list[int]], k: int, i: int, j: int) -> None:
+    # the congruence by the transposition of i and j, on the block a[k:, k:]
+    a[i], a[j] = a[j], a[i]
+    for row in a[k:]:
+        row[i], row[j] = row[j], row[i]
+
+
+def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
+    """(det, plus, minus) of a symmetric integer matrix by one fraction-free
+    symmetric elimination.  With a principal block P eliminated, the block
+    a[k:, k:] holds ``prev`` = det(m_P) times the Schur complement of m_P,
+    whose entries are minors of m, so each division is exact (Sylvester's
+    identity, as in Bareiss elimination).  A diagonal pivot p counts by the
+    sign of p/prev; on a zero diagonal an entry b spans a hyperbolic 2x2
+    block, counted (1, 1), and det(m_P) gains the factor -b²/prev².  So the
+    last ``prev`` is det(m); a zero row in the block means det(m) = 0."""
+    n = m.nrows
+    a = m.tolist()
+    minus = 0
+    prev = 1
+    k = 0
+    while k < n:
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if piv is not None:
+                _swap_symmetric(a, k, k, piv)
+            else:
+                col = next((t for t in range(k + 1, n) if a[k][t]), None)
+                if col is None:  # a zero row
+                    return 0, k - minus, minus
+                _swap_symmetric(a, k, k + 1, col)
+                row_i, row_j = a[k], a[k + 1]
+                b = row_i[k + 1]
+                prev2 = prev * prev
+                new_prev = -b * b // prev
+                for s in range(k + 2, n):
+                    row_s = a[s]
+                    ci, cj = row_s[k], row_s[k + 1]
+                    if ci or cj:
+                        for t in range(k + 2, n):
+                            row_s[t] = -b * (b * row_s[t] - ci * row_j[t] - cj * row_i[t]) // prev2
+                    elif new_prev != prev:
+                        for t in range(k + 2, n):
+                            if row_s[t]:
+                                row_s[t] = row_s[t] * new_prev // prev
+                minus += 1  # and one plus
+                prev = new_prev
+                k += 2
+                continue
+        row_k = a[k]
+        p = row_k[k]
+        if (p > 0) != (prev > 0):
+            minus += 1
+        for s in range(k + 1, n):
+            row_s = a[s]
+            c = row_s[k]
+            if c:
+                for t in range(k + 1, n):
+                    row_s[t] = (p * row_s[t] - c * row_k[t]) // prev
+            elif p != prev:  # a row orthogonal to the pivot only rescales
+                for t in range(k + 1, n):
+                    if row_s[t]:
+                        row_s[t] = p * row_s[t] // prev
+        prev = p
+        k += 1
+    return prev, n - minus, minus
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Saturated basis of the left kernel {x ∈ ℤ^r : x·m = 0}.
 

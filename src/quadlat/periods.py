@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     BadParameter,
@@ -20,6 +21,7 @@ from .errors import (
     InvariantViolation,
     NotIsotropic,
     NotPositive,
+    TooLarge,
     WrongSignature,
 )
 from .lattice import Lattice, lattice_from_json, lattice_to_json, pair, signature
@@ -27,15 +29,27 @@ from .linalg import IntMatrix, RatMatrix, det_exact, kernel_basis
 from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
 
 
+#: Largest |D| accepted for a field discriminant (about 10⁵ trial divisions).
+DISCRIMINANT_BOUND = 10**15
+
+
 def _check_field_discriminant(d: int) -> None:
+    # Trial division by every k with k³ ≤ m leaves a cofactor m with at
+    # most two prime factors, squarefree exactly when not a square > 1.
     if d >= 0:
         raise BadParameter("field discriminant must be negative")
     m = -d
+    if m > DISCRIMINANT_BOUND:
+        raise TooLarge(f"|D| is above the squarefree-test bound {DISCRIMINANT_BOUND}")
     k = 2
-    while k * k <= m:
-        if m % (k * k) == 0:
-            raise BadParameter(f"{d} is not squarefree")
+    while k * k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                raise BadParameter(f"{d} is not squarefree")
         k += 1
+    if m > 1 and isqrt(m) ** 2 == m:
+        raise BadParameter(f"{d} is not squarefree")
 
 
 @dataclass(frozen=True)
@@ -51,27 +65,33 @@ class QuadScalar:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
+    def _in_field(self, a: Fraction, b: Fraction) -> "QuadScalar":
+        # a + b·√d in this scalar's field, which was checked already
+        x = object.__new__(QuadScalar)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "d", self.d)
+        return x
+
     def __add__(self, other: "QuadScalar") -> "QuadScalar":
         self._same_field(other)
-        return QuadScalar(self.a + other.a, self.b + other.b, self.d)
+        return self._in_field(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "QuadScalar") -> "QuadScalar":
-        self._same_field(other)
-        return QuadScalar(self.a - other.a, self.b - other.b, self.d)
+        return self + -other
 
     def __mul__(self, other: "QuadScalar") -> "QuadScalar":
         self._same_field(other)
-        return QuadScalar(
+        return self._in_field(
             self.a * other.a + self.d * self.b * other.b,
             self.a * other.b + self.b * other.a,
-            self.d,
         )
 
     def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.a, -self.b, self.d)
+        return self._in_field(-self.a, -self.b)
 
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.d)
+        return self._in_field(self.a, -self.b)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -192,21 +212,24 @@ def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
     disagreement raises a structured report rather than being silently
     accepted.
     """
-    validate_period(omega)
+    try:
+        split = transcendental(omega)
+    except DegenerateRestriction:
+        split = None
+    return _minimal_hodge(omega, split)
+
+
+def _minimal_hodge(omega: PeriodVector, split: HodgeSplit | None) -> SublatticeEmbedding:
+    # span closure of a validated ω, checked against its split (None if degenerate)
     span_closure = saturate(SublatticeEmbedding(omega.lattice, omega._rows))
     if span_closure.rank != 2:
         raise InvariantViolation(
             "span closure of a quadratic period is not a plane", span_closure=span_closure
         )
-    ns = neron_severi(omega)
-    if det_exact(induced_gram(ns)) != 0:
-        complement_closure = transcendental(omega).trans
-        if span_closure.basis != complement_closure.basis:
-            raise HodgeClosureMismatch(
-                "span-closure and complement-closure disagree",
-                span_closure,
-                complement_closure,
-            )
+    if split is not None and span_closure.basis != split.trans.basis:
+        raise HodgeClosureMismatch(
+            "span-closure and complement-closure disagree", span_closure, split.trans
+        )
     return span_closure
 
 

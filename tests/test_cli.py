@@ -2,9 +2,11 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 
 import pytest
 
+from quadlat import periods
 from quadlat.cli import run
 from quadlat.lattice import standard, lattice_to_json
 
@@ -151,16 +153,18 @@ class TestOverlatticesAndBinary:
         assert code == 0 and data["forms"] == [[[-2, 0], [0, -2]]]
 
 
+UU_PERIOD = {
+    "lattice": {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
+    "D": -1,
+    "re": ["1", "1", "0", "0"],
+    "im": ["0", "0", "1", "1"],
+}
+
+
 class TestPeriodSplit:
     def test_example_file(self, capsys, tmp_path):
-        payload = {
-            "lattice": {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
-            "D": -1,
-            "re": ["1", "1", "0", "0"],
-            "im": ["0", "0", "1", "1"],
-        }
         f = tmp_path / "period.json"
-        f.write_text(json.dumps(payload))
+        f.write_text(json.dumps(UU_PERIOD))
         code, data = invoke_json(capsys, "period-split", str(f))
         assert code == 0
         assert data["psi_omega_conj"] == "4"
@@ -179,6 +183,41 @@ class TestPeriodSplit:
         f.write_text(json.dumps(payload))
         code, data = invoke_json(capsys, "period-split", str(f))
         assert code == 2 and data["error"] == "NotIsotropic"
+
+    def test_one_hodge_split_per_request(self, capsys, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("neron_severi", "transcendental"):
+            def counted(omega, _original=getattr(periods, name), _name=name):
+                calls[_name] += 1
+                return _original(omega)
+
+            monkeypatch.setattr(periods, name, counted)
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps(UU_PERIOD))
+        assert invoke(capsys, "--json", "period-split", str(f)) == (
+            0,
+            '{"psi_omega_conj": "4", "ns": {"basis": [[1, -1, 0, 0], [0, 0, 1, -1]], '
+            '"gram": [[-2, 0], [0, -2]]}, "trans": {"basis": [[1, 1, 0, 0], [0, 0, 1, 1]], '
+            '"gram": [[2, 0], [0, 2]]}, "minimal_hodge_equals_trans": true}\n',
+        )
+        assert calls == {"neron_severi": 1, "transcendental": 1}
+        calls.clear()
+        assert invoke(capsys, "period-split", str(f)) == (
+            0,
+            "psi(omega, conj) = 4\nNS rank 2, gram [[-2, 0], [0, -2]]\n"
+            "T  rank 2, gram [[2, 0], [0, 2]]\nminimal Hodge sublattice equals T: True\n",
+        )
+        assert calls == {"neron_severi": 1, "transcendental": 1}
+
+    def test_discriminant_above_bound_refused_quickly(self, capsys, tmp_path):
+        f = tmp_path / "period.json"
+        for d in (-(10**18) - 3, -periods.DISCRIMINANT_BOUND - 1):
+            f.write_text(json.dumps(UU_PERIOD | {"D": d}))
+            start = time.perf_counter()
+            code, out = invoke(capsys, "--json", "period-split", str(f))
+            assert time.perf_counter() - start < 0.5
+            assert code == 2
+            assert out.count("\n") == 1 and json.loads(out)["error"] == "TooLarge"
 
 
 class TestFixedModEll:
@@ -299,6 +338,22 @@ class TestFixedModEllLargePrime:
         code, data = invoke_json(capsys, "fixed-mod-ell", str(path))
         assert time.perf_counter() - start < 0.5
         assert code == 0 and data["fixed_dimension"] == 1
+
+
+class TestRepeatedRequests:
+    """No state leaks from one request to the next in one process."""
+
+    REQUESTS = (
+        ["binary-enum", "12", "sideways"],
+        ["info", "gen(0)"],
+        ["info", "Lambda2d(3)"],
+        ["--json", "nikulin", "Lambda2d(5)", "2,19"],
+    )
+
+    def test_second_pass_is_identical(self, capsys):
+        first = [invoke(capsys, *argv) for argv in self.REQUESTS]
+        assert [code for code, _ in first] == [1, 2, 0, 0]
+        assert [invoke(capsys, *argv) for argv in self.REQUESTS] == first
 
 
 class TestExitCodesAndJsonDiscipline:

@@ -1,11 +1,13 @@
 """Differential tests of the integer-only kernels against independent oracles.
 
 sympy (test-only) checks ``solve_rational`` and ``IntMatrix.__matmul__``
-on dense and block-sparse matrices up to rank 28 with large entries.  The
-remaining kernels are checked against the formulas they replaced: the
-discriminant-group lifts against V^{-1}·G^{-1}, ``signature`` against
-the ``Fraction`` congruence reduction kept below, and ``saturate``
-against the first rows of V^{-1} from the Smith form.  The finite
+on dense and block-sparse matrices up to rank 28 with large entries, and
+the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
+ones included.  The remaining kernels are checked against the formulas
+they replaced: the discriminant-group lifts against V^{-1}·G^{-1}, the
+det and signature a Lattice carries against ``det_exact`` and the
+``Fraction`` congruence reduction kept below, and ``saturate`` against
+the first rows of V^{-1} from the Smith form.  The finite
 quadratic module core (integer q/b numerators, ``_span``, form
 isomorphism, glue element sets) is checked against pairings of dual
 vectors and exhaustive scans.  The integer paths for dual vectors
@@ -24,11 +26,16 @@ pytest.importorskip("sympy")
 
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from sympy import QQ, ZZ  # noqa: E402
+from sympy import QQ, ZZ, Matrix  # noqa: E402
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
+from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import quadlat.lattice  # noqa: E402
+
 from quadlat.embeddings import SublatticeEmbedding, in_tilde_O, is_isometry, saturate  # noqa: E402
-from quadlat.errors import BadParameter  # noqa: E402
+from quadlat.errors import BadParameter, Degenerate  # noqa: E402
+from quadlat.expr import evaluate_expr  # noqa: E402
 from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
@@ -83,6 +90,20 @@ def _to_domain(m, domain) -> DomainMatrix:
         return domain(x.numerator, x.denominator) if domain is QQ else domain(x)
 
     return DomainMatrix([[convert(x) for x in row] for row in m], (m.nrows, m.ncols), domain)
+
+
+@st.composite
+def small_or_rank_deficient(draw, max_dim=8):
+    """An r×c integer matrix, r, c ≤ max_dim: dense, or a product through an
+    inner dimension k ≤ min(r, c), so of rank at most k."""
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        return IntMatrix([[draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
+    k = draw(st.integers(0, min(r, c)))
+    a = IntMatrix([[draw(entry) for _ in range(k)] for _ in range(r)], ncols=k)
+    b = IntMatrix([[draw(entry) for _ in range(c)] for _ in range(k)], ncols=c)
+    return a @ b
 
 
 class TestAgainstSympy:
@@ -148,6 +169,28 @@ class TestAgainstSympy:
     def test_det_exact(self, m):
         assert det_exact(m) == int(_to_domain(m, ZZ).det())
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_or_rank_deficient())
+    def test_smith_normal_form(self, m):
+        U, S, V = smith_normal_form(m)
+        assert U @ m @ V == S
+        assert abs(det_exact(U)) == 1 and abs(det_exact(V)) == 1
+        expected, _, _ = smith_normal_decomp(Matrix(m.tolist()), domain=ZZ)
+        k = min(m.nrows, m.ncols)
+        assert [S[i][i] for i in range(k)] == [int(expected[i, i]) for i in range(k)]
+        assert all(S[i][j] == 0 for i in range(m.nrows) for j in range(m.ncols) if i != j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_or_rank_deficient())
+    def test_hermite_normal_form(self, m):
+        H, T = hermite_normal_form(m)
+        assert T @ m == H
+        assert abs(det_exact(T)) == 1
+        # sympy's form is column-style and unique for the module the
+        # columns span, so equal forms of the transposes mean equal row
+        # lattices; zero rows of H span nothing
+        assert sympy_hnf(Matrix(H.tolist()).T) == sympy_hnf(Matrix(m.tolist()).T)
+
 
 # ---------------------------------------------------------------------------
 # the formulas the integer-only kernels replaced
@@ -200,8 +243,8 @@ def _old_saturate(basis: IntMatrix) -> IntMatrix:
 
 
 @st.composite
-def symmetric_grams(draw, max_rank=10, entries=st.integers(-30, 30), even=False, zero_diagonal=False):
-    """Non-degenerate symmetric Grams; zero diagonals force hyperbolic pivots."""
+def symmetric_matrices(draw, max_rank=10, entries=st.integers(-30, 30), even=False, zero_diagonal=False):
+    """Symmetric integer matrices; zero diagonals force hyperbolic pivots."""
     n = draw(st.integers(1, max_rank))
     a = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -213,7 +256,13 @@ def symmetric_grams(draw, max_rank=10, entries=st.integers(-30, 30), even=False,
                 elif even:
                     v *= 2
             a[i][j] = a[j][i] = v
-    gram = IntMatrix(a)
+    return IntMatrix(a)
+
+
+@st.composite
+def symmetric_grams(draw, **kwargs):
+    """Non-degenerate symmetric Grams."""
+    gram = draw(symmetric_matrices(**kwargs))
     assume(det_exact(gram) != 0)
     return gram
 
@@ -234,12 +283,14 @@ class TestAgainstReplacedFormulas:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_grams(zero_diagonal=True))
     def test_signature(self, gram):
-        assert signature(make_lattice(gram)) == _fraction_signature(gram)
+        L = make_lattice(gram)
+        assert (L.det, signature(L)) == (det_exact(gram), _fraction_signature(gram))
 
     @ORACLE
     @given(symmetric_grams(max_rank=14, entries=st.integers(-BIG, BIG), zero_diagonal=True))
     def test_signature_large_entries(self, gram):
-        assert signature(make_lattice(gram)) == _fraction_signature(gram)
+        L = make_lattice(gram)
+        assert (L.det, signature(L)) == (det_exact(gram), _fraction_signature(gram))
 
     @pytest.mark.parametrize("name", ["LambdaSharp", "LambdaK3"])
     def test_signature_of_standard_lattices(self, name):
@@ -257,6 +308,102 @@ class TestAgainstReplacedFormulas:
         assume(all(S[i][i] for i in range(k)))
         E = SublatticeEmbedding(make_lattice(IntMatrix.identity(n)), basis)
         assert saturate(E).basis == _old_saturate(basis)
+
+
+# ---------------------------------------------------------------------------
+# one elimination per Gram: the det and signature a Lattice carries
+# ---------------------------------------------------------------------------
+
+@st.composite
+def possibly_singular(draw):
+    """Small symmetric matrices, half of them with a repeated row and column."""
+    gram = draw(symmetric_matrices(max_rank=6, entries=st.integers(-2, 2), zero_diagonal=True))
+    n = gram.nrows
+    if n > 1 and draw(st.booleans()):
+        a = gram.tolist()
+        for i in range(n):
+            a[i][n - 1] = a[i][0]
+        a[n - 1] = list(a[0])
+        a[n - 1][n - 1] = a[0][0]
+        gram = IntMatrix(a)
+    return gram
+
+
+_EXPR_ATOMS = ("U", "U(-2)", "U(3)", "E8(-1)", "An(3)", "An(2,-1)", "gen(-4)", "gen(6)", "Lambda2d(2)")
+
+
+@st.composite
+def lattice_exprs(draw, depth=1):
+    """Expression texts over a few atoms: sums, powers and parentheses."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            term = f"({draw(lattice_exprs(depth=depth - 1))})"
+        else:
+            term = draw(st.sampled_from(_EXPR_ATOMS))
+        if draw(st.booleans()):
+            term += f"^{draw(st.integers(1, 2))}"
+        terms.append(term)
+    return " + ".join(terms)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Count the eliminations Lattice runs on its Grams."""
+    calls = []
+    kernel = quadlat.lattice._det_and_inertia
+
+    def counted(m):
+        calls.append(m.nrows)
+        return kernel(m)
+
+    monkeypatch.setattr(quadlat.lattice, "_det_and_inertia", counted)
+    return calls
+
+
+class TestOneElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(possibly_singular())
+    def test_degenerate_exactly_when_det_is_zero(self, gram):
+        if det_exact(gram) == 0:
+            with pytest.raises(Degenerate):
+                make_lattice(gram)
+        else:
+            assert make_lattice(gram).det == det_exact(gram)
+
+    @ORACLE
+    @given(st.lists(symmetric_grams(max_rank=5, zero_diagonal=True), min_size=1, max_size=4))
+    def test_direct_sum(self, grams):
+        L = direct_sum(*(make_lattice(g) for g in grams))
+        assert L.gram == block_diag(*grams)
+        assert L.det == det_exact(L.gram)
+        assert signature(L) == _fraction_signature(L.gram)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much]
+    )
+    @given(lattice_exprs())
+    def test_expressions(self, text):
+        L = evaluate_expr(text)
+        assume(L.rank <= 40)
+        assert L.det == det_exact(L.gram)
+        assert signature(L) == _fraction_signature(L.gram)
+
+    def test_signature_direct_sum_and_expressions_run_no_elimination(self, eliminations):
+        gram = standard("Lambda2d", 5).gram
+        assert sorted(eliminations) == [1, 2, 8]  # one per atom; the sum and relabel run none
+        eliminations.clear()
+        L = make_lattice(gram)
+        assert eliminations == [21]
+        assert signature(L) == Signature(2, 19)
+        assert eliminations == [21]
+        M = direct_sum(L, L, standard("U"))
+        assert eliminations == [21, 2]  # the U atom only
+        assert signature(M) == Signature(5, 39)
+        eliminations.clear()
+        E = evaluate_expr("E8(-1)^2 + U^2 + gen(-10)")
+        assert (E.det, signature(E)) == (L.det, signature(L))
+        assert sorted(eliminations) == [1, 2, 8]  # one per atom
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from quadlat import periods
 from quadlat.errors import (
     BadParameter,
     NotIsotropic,
     NotPositive,
+    TooLarge,
     WrongSignature,
 )
 from quadlat.lattice import direct_sum, disc_form_isomorphic, discriminant_form, standard
@@ -81,6 +84,56 @@ class TestQuadScalar:
             QuadScalar(Fraction(1), Fraction(1), -4)  # not squarefree
         with pytest.raises(BadParameter):
             QuadScalar(Fraction(1), Fraction(1), -3) + QuadScalar(Fraction(1), Fraction(1), -7)
+
+    def test_arithmetic_does_not_retest_the_field(self, monkeypatch):
+        x = QuadScalar(Fraction(1), Fraction(2), -3)
+        y = QuadScalar(Fraction(2), Fraction(-1), -3)
+        tests = []
+        monkeypatch.setattr(periods, "_check_field_discriminant", tests.append)
+        results = [x + y, x - y, x * y, -x, x.conjugate()]
+        assert tests == []
+        assert results[2] == QuadScalar(Fraction(8), Fraction(3), -3)
+        assert tests == [-3]  # the explicit construction only
+
+
+class TestSquarefreeDiscriminant:
+    """Trial division up to the cube root, then one square test."""
+
+    def _squarefree(self, m):
+        try:
+            periods._check_field_discriminant(-m)
+        except BadParameter:
+            return False
+        return True
+
+    def test_verdicts_match_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        bound = periods.DISCRIMINANT_BOUND
+        rng = random.Random(6)
+        big_prime = lambda lo, hi: sympy.nextprime(rng.randint(lo, hi))  # noqa: E731
+        values = [rng.randint(1, bound) for _ in range(300)]
+        values += [rng.randint(1, 10**6) for _ in range(300)]
+        for _ in range(60):
+            p = big_prime(10**4, 10**5)  # near the cube root of the bound
+            values.append(p * p * rng.randint(1, bound // (p * p)))
+            q, r = big_prime(10**7, 3 * 10**7), big_prime(10**7, 3 * 10**7)
+            values += [q * r, q * q, p * q]  # cofactors with two prime factors
+        values += [1, 2, 4, 8, 12, bound, sympy.prevprime(bound)]
+        for m in values:
+            assert m <= bound
+            expected = all(e == 1 for e in sympy.factorint(m).values())
+            assert self._squarefree(m) == expected, m
+
+    def test_worst_case_is_quick(self):
+        start = time.perf_counter()
+        assert self._squarefree(999999999999989)  # a prime just below the bound
+        assert time.perf_counter() - start < 0.5
+
+    def test_above_bound_is_too_large(self):
+        with pytest.raises(TooLarge):
+            periods._check_field_discriminant(-periods.DISCRIMINANT_BOUND - 1)
+        with pytest.raises(BadParameter):
+            periods._check_field_discriminant(periods.DISCRIMINANT_BOUND + 1)  # positive comes first
 
 
 class TestValidatePeriod:
