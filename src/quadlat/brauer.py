@@ -5,6 +5,10 @@ the torsion orders coming from the Kummer sequence, fixed subspaces of
 matrix groups mod a prime, the universal order bound for finite groups
 of integer matrices, and the point-count sandwich for connected
 algebraic groups over a prime field.
+
+One mod-ell elimination, ``_echelon_mod``, serves both the invertibility
+check of generators and the fixed subspace; the point scans run on the
+integer kernels of ``linalg`` (``det_exact`` and the matrix product).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
 from .lattice import Lattice, _check_rank
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, det_exact, smith_normal_form
 
 #: Exhaustive-scan guard for brute_force_points: ell**(n*n) must not exceed this.
 POINTS_SCAN_CAP = 10**8
@@ -114,6 +118,28 @@ def brauer_torsion_order(P: CohomologyPair, ell: int, n: int) -> int:
     return ell ** (n * (P.b2 - P.rho))
 
 
+def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form mod p by forward elimination, each pivot scaled to
+    1: the nonzero echelon rows and their pivot columns."""
+    a = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        tail = a[r][col:]  # rows below r are zero left of col
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i][col:] = [(x - f * y) % p for x, y in zip(a[i][col:], tail)]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
 @dataclass(frozen=True)
 class FiniteMatrixGroupModL:
     """Generating matrices of a subgroup of GL(dim) over the field with ell elements."""
@@ -124,81 +150,42 @@ class FiniteMatrixGroupModL:
 
     def __post_init__(self):
         _check_prime(self.ell)
-        gens = tuple(
-            g if isinstance(g, IntMatrix) else IntMatrix(g, ncols=self.dim)
-            for g in self.generators
-        )
+        if self.dim < 0:
+            raise BadParameter("dim must be >= 0")
+        _check_rank(self.dim)
         reduced = []
-        for g in gens:
+        for g in self.generators:
+            if not isinstance(g, IntMatrix):
+                g = IntMatrix(g, ncols=self.dim)
             if g.nrows != self.dim or g.ncols != self.dim:
                 raise BadParameter("generator size does not match dim")
-            rg = IntMatrix([[x % self.ell for x in row] for row in g], ncols=self.dim)
-            if _det_mod(rg, self.ell) == 0:
+            rows = tuple(tuple(x % self.ell for x in row) for row in g)
+            if len(_echelon_mod(rows, self.ell, self.dim)[1]) < self.dim:
                 raise NotInvertible("generator is singular mod ell")
-            reduced.append(rg)
+            reduced.append(IntMatrix._trusted(rows, self.dim))
         object.__setattr__(self, "generators", tuple(reduced))
-
-
-def _det_mod(m: IntMatrix, p: int) -> int:
-    n = m.nrows
-    a = [[x % p for x in row] for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        inv = pow(a[col][col], p - 2, p)
-        det = det * a[col][col] % p
-        for i in range(col + 1, n):
-            f = a[i][col] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return det % p
 
 
 def fixed_subspace_mod_ell(S: FiniteMatrixGroupModL) -> tuple[int, IntMatrix]:
     """Dimension and row basis of the simultaneous fixed space mod ell.
 
     Solves x·(g - id) = 0 over the prime field for every generator at
-    once.
+    once: one basis vector per free column of the echelon form of the
+    stacked columns of the g - id, by back substitution.
     """
     p, n = S.ell, S.dim
     if not S.generators:
         return n, IntMatrix.identity(n)
-    # columns of all (g - id), stacked horizontally
-    cols: list[list[int]] = []
-    for g in S.generators:
-        for j in range(n):
-            cols.append([(g[i][j] - (1 if i == j else 0)) % p for i in range(n)])
-    # row-reduce the transpose: solutions of x·W = 0
-    mat = [list(c) for c in cols]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [x * inv % p for x in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
+    cols = [[g[i][j] - (1 if i == j else 0) for i in range(n)] for g in S.generators for j in range(n)]
+    echelon, pivots = _echelon_mod(cols, p, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-mat[r][fc]) % p
+        for row, pc in zip(reversed(echelon), reversed(pivots)):
+            vec[pc] = -sum(x * y for x, y in zip(row[pc + 1 :], vec[pc + 1 :])) % p
         basis.append(vec)
-    return len(free), IntMatrix(basis, ncols=n)
+    return len(basis), IntMatrix(basis, ncols=n)
 
 
 def minkowski_bound(n: int) -> int:
@@ -214,9 +201,7 @@ def minkowski_bound(n: int) -> int:
         raise BadParameter("n must be >= 1")
     _check_rank(n)
     result = 1
-    for p in range(2, n + 2):
-        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            continue
+    for p in (q for q in _SMALL_PRIMES if q <= n + 1):  # n + 1 <= 1001, which is composite
         exp = 0
         pk = 1
         while True:
@@ -236,13 +221,6 @@ def nori_sandwich_check(count: int, dim: int, ell: int) -> bool:
     if dim < 0:
         raise BadParameter("dim must be >= 0")
     return (ell - 1) ** dim <= count <= (ell + 1) ** dim
-
-
-def _mat_mul_mod(a, b, n, p):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
 
 
 def brute_force_points(
@@ -273,30 +251,24 @@ def brute_force_points(
         if n % 2:
             raise BadParameter("symplectic groups need even size")
         h = n // 2
-        form = tuple(
-            tuple(
-                (1 if (i < h and j == i + h) else -1 if (i >= h and j == i - h) else 0) % ell
-                for j in range(n)
-            )
-            for i in range(n)
+        form = IntMatrix(
+            [[(1 if j == i + h else 0) if i < h else (-1 if j == i - h else 0) for j in range(n)] for i in range(n)]
         )
     elif group == "orthogonal":
         if of is None:
             raise BadParameter("orthogonal counting needs a lattice")
         if of.rank != n:
             raise BadParameter("lattice rank does not match matrix size")
-        form = tuple(tuple(x % ell for x in row) for row in of.gram)
+        form = of.gram
     else:
         raise BadParameter(f"unknown group kind {group!r}")
 
     count = 0
+    want = None if form is None else [[x % ell for x in row] for row in form]
     for entries in itertools.product(range(ell), repeat=n * n):
-        g = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        g = IntMatrix._trusted(tuple(entries[i * n : (i + 1) * n] for i in range(n)), n)
         if form is None:
-            if _det_mod(IntMatrix(g, ncols=n), ell) == 1:
-                count += 1
+            count += det_exact(g) % ell == 1
         else:
-            gt = tuple(tuple(g[i][j] for i in range(n)) for j in range(n))
-            if _mat_mul_mod(_mat_mul_mod(gt, form, n, ell), g, n, ell) == form:
-                count += 1
+            count += [[x % ell for x in row] for row in g.transpose() @ form @ g] == want
     return count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
@@ -239,7 +240,7 @@ def _group_from_json(data) -> brauer.FiniteMatrixGroupModL:
         if not gens:
             raise BadParameter("empty generator list needs an explicit 'dim'")
         dim = len(gens[0])
-    return brauer.FiniteMatrixGroupModL(int(data["ell"]), int(dim), tuple(gens))
+    return brauer.FiniteMatrixGroupModL(operator.index(data["ell"]), operator.index(dim), tuple(gens))
 
 
 def _cmd_fixed_mod_ell(args) -> tuple[dict, list[str]]:

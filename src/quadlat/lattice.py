@@ -456,4 +456,7 @@ def lattice_to_json(L: Lattice) -> dict:
 def lattice_from_json(data: dict) -> Lattice:
     if not isinstance(data, dict) or "gram" not in data:
         raise BadParameter("lattice JSON needs a 'gram' key")
-    return make_lattice(data["gram"], data.get("label"))
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise BadParameter("lattice label must be a string")
+    return make_lattice(data["gram"], label)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import index
 
 from .errors import (
     BadParameter,
@@ -243,14 +244,21 @@ def period_to_json(omega: PeriodVector) -> dict:
     }
 
 
+def _rationals_from_json(values) -> tuple[Fraction, ...]:
+    # JSON integers or exact strings such as "-2/3"; a float is refused
+    if not isinstance(values, list):
+        raise TypeError("re and im must be lists")
+    return tuple(Fraction(x) if isinstance(x, str) else Fraction(index(x)) for x in values)
+
+
 def period_from_json(data: dict) -> PeriodVector:
     if not isinstance(data, dict):
         raise BadParameter("period JSON must be an object")
     try:
         lattice = lattice_from_json(data["lattice"])
-        d = int(data["D"])
-        re = tuple(Fraction(x) for x in data["re"])
-        im = tuple(Fraction(x) for x in data["im"])
+        d = index(data["D"])
+        re = _rationals_from_json(data["re"])
+        im = _rationals_from_json(data["im"])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadParameter(f"malformed period JSON: {exc}") from exc
     return PeriodVector(lattice, d, re, im)

@@ -5,6 +5,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadlat import periods
 from quadlat.cli import run
@@ -407,3 +409,241 @@ class TestExitCodesAndJsonDiscipline:
             code, out = invoke(capsys, "--json", *argv)
             assert code == 0, argv
             json.loads(out)  # must be a complete JSON document
+
+
+def _one_error_line(code, out, error):
+    assert code == 2
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert set(data) == {"error", "detail"} and data["error"] == error
+
+
+class TestExactJsonNumbers:
+    """Integers must be JSON integers and rationals JSON integers or exact
+    strings: a float, a numeric string or a non-list is refused, never
+    truncated or read another way."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"ell": 5.9, "dim": 2, "generators": []},
+            {"ell": 5, "dim": 2.5, "generators": []},
+            {"ell": "7", "dim": 2, "generators": []},
+            {"ell": 5, "dim": "2", "generators": []},
+            {"ell": 5.0, "generators": [[[1]]]},
+        ],
+        ids=["ell-float", "dim-float", "ell-string", "dim-string", "ell-integral-float"],
+    )
+    def test_fixed_mod_ell(self, capsys, tmp_path, payload):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps(payload))
+        _one_error_line(*invoke(capsys, "--json", "fixed-mod-ell", str(f)), "BadParameter")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"D": -1.7},
+            {"D": -1.0},
+            {"D": "-1"},
+            {"re": "1100"},
+            {"re": [0.1, 1, 0, 0]},
+            {"im": [0, 0, 1.0, 1]},
+            {"lattice": UU_PERIOD["lattice"] | {"label": 5}},
+            {"lattice": UU_PERIOD["lattice"] | {"label": ["x"]}},
+        ],
+        ids=["D-float", "D-integral-float", "D-string", "re-string", "re-float", "im-float",
+             "label-int", "label-list"],
+    )
+    def test_period_split(self, capsys, tmp_path, change):
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps(UU_PERIOD | change))
+        _one_error_line(*invoke(capsys, "--json", "period-split", str(f)), "BadParameter")
+
+    def test_period_split_integers_and_strings_agree(self, capsys, tmp_path):
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps(UU_PERIOD))
+        expected = invoke(capsys, "--json", "period-split", str(f))
+        f.write_text(json.dumps(UU_PERIOD | {"re": [1, 1, 0, 0], "im": [0, 0, "1", "2/2"]}))
+        assert invoke(capsys, "--json", "period-split", str(f)) == expected
+
+    @pytest.mark.parametrize("label", [5, ["x"], {"a": 1}])
+    def test_complement_label(self, capsys, monkeypatch, label):
+        payload = {"ambient": {"label": label, "gram": [[0, 1], [1, 0]]}, "basis": [[1, 0]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        _one_error_line(*invoke(capsys, "--json", "complement"), "BadParameter")
+
+    def test_complement_string_label_is_echoed(self, capsys, monkeypatch):
+        payload = {"ambient": {"label": "U", "gram": [[0, 1], [1, 0]]}, "basis": [[1, 0]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, data = invoke_json(capsys, "complement")
+        assert code == 0 and data["ambient"]["label"] == "U"
+
+
+class TestFixedModEllDimBound:
+    """dim is checked before any generator or identity matrix is built."""
+
+    @pytest.mark.parametrize(
+        "dim, error", [(-3, "BadParameter"), (-1, "BadParameter"), (1001, "TooLarge"), (10**9, "TooLarge")]
+    )
+    def test_refused_quickly(self, capsys, tmp_path, dim, error):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"ell": 5, "dim": dim, "generators": []}))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "fixed-mod-ell", str(f))
+        assert time.perf_counter() - start < 0.5
+        _one_error_line(code, out, error)
+
+    def test_dim_zero_is_valid(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"ell": 5, "dim": 0, "generators": [[]]}))
+        assert invoke(capsys, "--json", "fixed-mod-ell", str(f)) == (
+            0, '{"ell": 5, "dim": 0, "fixed_dimension": 0, "basis": []}\n'
+        )
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every subcommand, exit code 0, 1 or 2, errors one {error, detail} line
+# ---------------------------------------------------------------------------
+
+_ATOMS = st.one_of(
+    st.sampled_from([1, -1, 2, 3, -2]).map(lambda s: ("U" if s == 1 else f"U({s})", 2, s * s)),
+    st.sampled_from([1, -1, 2]).map(lambda s: ("E8" if s == 1 else f"E8({s})", 8, abs(s) ** 8)),
+    st.tuples(st.integers(1, 8), st.sampled_from([1, -1, 2])).map(
+        lambda t: (f"An({t[0]})" if t[1] == 1 else f"An({t[0]},{t[1]})", t[0], (t[0] + 1) * abs(t[1]) ** t[0])
+    ),
+    st.integers(-12, 12).map(lambda k: (f"gen({k})", 1, max(abs(k), 1))),
+)
+
+
+@st.composite
+def lattice_exprs(draw, max_order=10**3):
+    """Expression text of rank at most 8 whose discriminant group has at
+    most max_order elements (gen(0) included: a degenerate lattice)."""
+    terms, rank, order = [], 0, 1
+    for _ in range(draw(st.integers(1, 4))):
+        text, r, o = draw(_ATOMS)
+        power = draw(st.integers(1, 3))
+        if rank + r * power > 8 or order * o**power > max_order:
+            continue
+        terms.append(text if power == 1 else f"{text}^{power}")
+        rank, order = rank + r * power, order * o**power
+    if not terms:
+        return "U"
+    text = draw(st.sampled_from([" + ", "+", "⊕"])).join(terms)
+    return f"({text})" if draw(st.booleans()) else text
+
+
+@st.composite
+def mangled_exprs(draw, max_order=10**3):
+    """A valid expression with one character deleted or inserted."""
+    text = draw(lattice_exprs(max_order))
+    i = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:i] + text[i + 1 :]
+    return text[:i] + draw(st.sampled_from("()^+,-9x ⊕")) + text[i:]
+
+
+_EXPRS = st.one_of(lattice_exprs(), mangled_exprs(), st.sampled_from(["", "Foo", "Lambda2d(3)", "U^0", "gen(0)"]))
+
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.floats() | st.text("0123456789/-.x", max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text("abgl", max_size=2), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+_GRAMS = st.sampled_from(
+    [[[0, 1], [1, 0]], [[2, -1], [-1, 2]], [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [[2]], [[0]]]
+)
+
+
+def _payload(fields, valid):
+    """A valid payload, as it is or with one value replaced by a tree; an
+    object of near-valid values, trees and dropped keys; or a tree."""
+    with_tree = st.sampled_from(valid).flatmap(
+        lambda payload: st.sampled_from(sorted(payload)).flatmap(lambda key: _TREES.map(lambda t: payload | {key: t}))
+    )
+    near_valid = st.fixed_dictionaries({}, optional={key: value | _TREES for key, value in fields.items()})
+    return st.one_of(st.sampled_from(valid), with_tree, near_valid, _TREES)
+
+
+_LATTICE_JSON = _payload({"gram": _GRAMS, "label": st.text(max_size=3)}, [{"gram": [[0, 1], [1, 0]], "label": "U"}])
+_RATIONALS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-3, 3) | st.sampled_from(["1", "-2/3", "0", "1/0", "1.5", "x"]) | st.floats(),
+                       min_size=n, max_size=n)
+)
+_COMPLEMENT_JSON = _payload(
+    {"ambient": _LATTICE_JSON, "basis": st.integers(0, 3).flatmap(lambda r: _int_matrices(r, 4))},
+    [{"ambient": {"gram": UU_PERIOD["lattice"]["gram"]}, "basis": [[1, 0, 0, 0], [0, 0, 1, 2]]}],
+)
+_PERIOD_JSON = _payload(
+    {"lattice": _LATTICE_JSON, "D": st.sampled_from([-1, -2, -3, -4, 0, 3]), "re": _RATIONALS, "im": _RATIONALS},
+    [UU_PERIOD, UU_PERIOD | {"re": [1, 1, 0, 0], "im": [0, 0, 1, 1]}],
+)
+_GENERATORS_JSON = _payload(
+    {
+        "ell": st.sampled_from([2, 3, 5, 4, 1, 0, -3, 10**24 + 7, 10**400 + 1]),
+        "dim": st.integers(-3, 5) | st.sampled_from([1001, 10**9]),
+        "generators": st.integers(0, 4).flatmap(lambda n: st.lists(_int_matrices(n, n), max_size=3)),
+    },
+    [{"ell": 5, "generators": [[[0, 1], [1, 0]]]}, {"ell": 3, "dim": 2, "generators": []}],
+)
+
+
+def _small_scan(nl):
+    # the scan cap refuses ell^(n²) > 10^8 at once; keep the scans it allows small
+    n, ell = nl
+    return n < 1 or ell < 2 or not 2 * 10**4 < ell ** (n * n) <= 10**8
+
+
+_REQUESTS = st.one_of(
+    st.tuples(st.sampled_from(["info", "discform"]), _EXPRS).map(list),
+    st.tuples(st.just("nikulin"), _EXPRS, st.sampled_from(["2,26", "2,19", "1,1", "2", "a,b", "-1,3", "0,0"])).map(list),
+    # glue enumeration on U(2)^4 (|A| = 256) takes seconds: keep |A| <= 128
+    st.tuples(st.just("overlattices"), lattice_exprs(max_order=128) | mangled_exprs(max_order=128)).map(list),
+    st.tuples(st.just("iota2d"), st.integers(-5, 10**6).map(str) | st.just("x")).map(list),
+    st.tuples(st.just("binary-enum"), st.integers(-20, 20000).map(str),
+              st.sampled_from(["pos", "neg", "+1", "-1", "sideways"])).map(list),
+    st.tuples(st.just("minkowski"), st.integers(-5, 1200).map(str) | st.just("x")).map(list),
+    st.tuples(st.just("points"), st.sampled_from(["special_linear", "symplectic", "orthogonal", "unitary"]),
+              st.tuples(st.integers(-1, 6), st.sampled_from([2, 3, 5, 7]) | st.integers(-2, 40)).filter(_small_scan),
+              st.none() | lattice_exprs()).map(
+        lambda t: ["points", t[1], str(t[2][0]), str(t[2][1])] + ([] if t[3] is None else ["--of", t[3]])
+    ),
+    st.tuples(st.just("complement"), _COMPLEMENT_JSON),
+    st.tuples(st.just("period-split"), _PERIOD_JSON),
+    st.tuples(st.just("fixed-mod-ell"), _GENERATORS_JSON),
+    st.lists(st.sampled_from(["info", "points", "--json", "--of", "U", "2", "x"]), max_size=4),
+)
+
+
+class TestFuzzEverySubcommand:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(_REQUESTS, st.booleans())
+    def test_exit_code_and_one_error_line(self, capsys, tmp_path, request_, as_json):
+        argv, stdin = list(request_), ""
+        if argv[:1] == ["complement"]:
+            stdin = json.dumps(argv.pop())
+        elif argv[:1] in (["period-split"], ["fixed-mod-ell"]):
+            path = tmp_path / "payload.json"
+            path.write_text(json.dumps(argv.pop()))
+            argv.append(str(path))
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            code, out = invoke(capsys, *(["--json"] if as_json else []), *argv)
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2)
+        if code:
+            assert out.count("\n") == 1
+            data = json.loads(out)
+            assert set(data) == {"error", "detail"}
+            assert (code == 1) == (data["error"] == "UsageError")
+        elif as_json:
+            assert out.count("\n") == 1
+            json.loads(out)

@@ -12,7 +12,10 @@ quadratic module core (integer q/b numerators, ``_span``, form
 isomorphism, glue element sets) is checked against pairings of dual
 vectors and exhaustive scans.  The integer paths for dual vectors
 (numerators over one denominator) are checked against the ``Fraction``
-products they replaced.
+products they replaced.  The mod-ell elimination of ``brauer`` is checked
+against sympy over GF(p): fixed spaces against the nullspace, invertibility
+against the determinant; the point scans against the closed-form orders
+of SL_n, Sp_2m and O(U) over a prime field.
 """
 
 import itertools
@@ -26,15 +29,17 @@ pytest.importorskip("sympy")
 
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from sympy import QQ, ZZ, Matrix  # noqa: E402
+from sympy import GF, QQ, ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import quadlat.lattice  # noqa: E402
 
+from quadlat.brauer import FiniteMatrixGroupModL, brute_force_points, fixed_subspace_mod_ell  # noqa: E402
+
 from quadlat.embeddings import SublatticeEmbedding, in_tilde_O, is_isometry, saturate  # noqa: E402
-from quadlat.errors import BadParameter, Degenerate  # noqa: E402
+from quadlat.errors import BadParameter, Degenerate, NotInvertible  # noqa: E402
 from quadlat.expr import evaluate_expr  # noqa: E402
 from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
@@ -646,3 +651,89 @@ class TestDualVectorIntegerPaths:
             assert verdict == _old_in_tilde_O(_U2_U2_U3, g)
             verdicts.append(verdict)
         assert set(verdicts) == {True, False}
+
+
+_PRIMES_TO_101 = [p for p in range(2, 102) if all(p % q for q in range(2, p))]
+
+
+def _gf(rows, ncols, p) -> DomainMatrix:
+    F = GF(p)
+    return DomainMatrix([[F(x) for x in row] for row in rows], (len(rows), ncols), F)
+
+
+@st.composite
+def generator_sets(draw, p, dim):
+    """Generators mod p: signed permutations and unipotent matrices, whose
+    fixed spaces are often nontrivial, and dense ones."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("permutation", "unipotent", "dense")))
+        if kind == "permutation":
+            perm = draw(st.permutations(range(dim)))
+            sign = st.sampled_from((1, 1, 1, -1))
+            gens.append([[draw(sign) if perm[i] == j else 0 for j in range(dim)] for i in range(dim)])
+        elif kind == "unipotent":
+            gens.append([[1 if i == j else draw(st.integers(-p, p)) if j > i else 0 for j in range(dim)]
+                         for i in range(dim)])
+        else:
+            gens.append(draw(_square_block(dim, st.integers(-3 * p, 3 * p))))
+    return gens
+
+
+class TestBrauerModEll:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fixed_space_against_nullspace(self, data):
+        p = data.draw(st.sampled_from(_PRIMES_TO_101))
+        dim = data.draw(st.integers(1, 8))
+        gens = data.draw(generator_sets(p, dim))
+        assume(all(_gf(g, dim, p).det() != 0 for g in gens))
+        d, basis = fixed_subspace_mod_ell(FiniteMatrixGroupModL(p, dim, tuple(gens)))
+        # x·(g - id) = 0 for every g: the nullspace of the stacked (g - id)ᵀ
+        stacked = [[g[i][j] - (i == j) for i in range(dim)] for g in gens for j in range(dim)]
+        expected = _gf(stacked, dim, p).nullspace()
+        assert d == basis.nrows == expected.shape[0]
+        assert all(0 <= x < p for row in basis for x in row)
+        assert _gf(basis.tolist(), dim, p).rref()[0] == expected.rref()[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_not_invertible_exactly_when_det_vanishes(self, data):
+        p = data.draw(st.sampled_from(_PRIMES_TO_101))
+        dim = data.draw(st.integers(1, 8))
+        g = data.draw(_square_block(dim, st.integers(-1, 1) if data.draw(st.booleans()) else st.integers(-p, p)))
+        singular = _gf(g, dim, p).det() == 0
+        try:
+            FiniteMatrixGroupModL(p, dim, (g,))
+        except NotInvertible:
+            assert singular
+        else:
+            assert not singular
+
+    # every (n, ell) with ell^(n²) <= 10^5, except that n = 1 stops below
+    # 100: all primes below 10^5 would scan 4.5·10^8 matrices of size one
+    SCANS = [(1, ell) for ell in _PRIMES_TO_101 if ell < 100] + [
+        (n, ell) for n in (2, 3, 4) for ell in _PRIMES_TO_101 if ell ** (n * n) <= 10**5
+    ]
+
+    @pytest.mark.parametrize("n, ell", SCANS)
+    def test_special_linear_order(self, n, ell):
+        order = ell ** (n * (n - 1) // 2)
+        for i in range(2, n + 1):
+            order *= ell**i - 1
+        assert brute_force_points("special_linear", n, ell) == order
+
+    @pytest.mark.parametrize("n, ell", [(n, ell) for n, ell in SCANS if n % 2 == 0])
+    def test_symplectic_order(self, n, ell):
+        m = n // 2
+        order = ell ** (m * m)
+        for i in range(1, m + 1):
+            order *= ell ** (2 * i) - 1
+        assert brute_force_points("symplectic", n, ell) == order
+
+    @pytest.mark.parametrize("ell", [ell for n, ell in SCANS if n == 2])
+    def test_orthogonal_group_of_U(self, ell):
+        # for odd ell, O(U) is the diagonal torus and its swap: 2(ell - 1)
+        # points; mod 2 the form of U is alternating, so O(U) = Sp_2 = SL_2
+        expected = 2 * (ell - 1) if ell > 2 else 6
+        assert brute_force_points("orthogonal", 2, ell, of=standard("U")) == expected
