@@ -97,8 +97,6 @@ def quotient_structure(P: CohomologyPair) -> tuple[int, tuple[int, ...]]:
     saturated.
     """
     free = P.b2 - P.rho
-    if P.rho == 0:
-        return free, ()
     _, S, _ = smith_normal_form(P.ns.basis)
     torsion = tuple(S[i][i] for i in range(P.rho) if S[i][i] > 1)
     return free, torsion
@@ -174,8 +172,6 @@ def fixed_subspace_mod_ell(S: FiniteMatrixGroupModL) -> tuple[int, IntMatrix]:
     stacked columns of the g - id, by back substitution.
     """
     p, n = S.ell, S.dim
-    if not S.generators:
-        return n, IntMatrix.identity(n)
     cols = [[g[i][j] - (1 if i == j else 0) for i in range(n)] for g in S.generators for j in range(n)]
     echelon, pivots = _echelon_mod(cols, p, n)
     basis = []

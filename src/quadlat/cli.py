@@ -333,12 +333,11 @@ def run(argv: list[str]) -> int:
                 raise
             limit = sys.get_int_max_str_digits()
             raise TooLarge(f"an integer in the answer has more than {limit} digits") from None
-    except UsageError as exc:
-        print(json.dumps({"error": exc.code, "detail": str(exc)}))
-        return 1
     except QuadLatError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
+    except SystemExit as exc:  # argparse after -h/--help; its errors raise UsageError
+        return exc.code
     print(text)
     return 0
 

@@ -64,7 +64,7 @@ class SublatticeEmbedding:
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
         # B·Bᵀ is singular exactly when the rows are dependent (Cauchy–Binet)
-        if b.nrows and det_exact(b @ b.transpose()) == 0:
+        if det_exact(b @ b.transpose()) == 0:
             raise BadParameter("basis rows are linearly dependent")
 
     @property
@@ -132,16 +132,12 @@ def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
     which is ℚB ∩ ℤⁿ.  ``kernel_basis`` returns HNF rows, and the HNF of a
     lattice is unique, so the basis is deterministic.
     """
-    if E.basis.nrows == 0:
-        return E
     perp = kernel_basis(E.basis.transpose())
     return SublatticeEmbedding(E.ambient, kernel_basis(perp.transpose()))
 
 
 def saturation_index(E: SublatticeEmbedding) -> int:
     """Index of the sublattice inside its saturation (product of invariant factors)."""
-    if E.basis.nrows == 0:
-        return 1
     _, S, _ = smith_normal_form(E.basis)
     return prod(S[i][i] for i in range(E.basis.nrows))
 
@@ -155,9 +151,6 @@ def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
 
     Primitive by construction (it is a kernel sublattice).
     """
-    n = E.ambient.rank
-    if E.basis.nrows == 0:
-        return SublatticeEmbedding(E.ambient, IntMatrix.identity(n))
     m = E.ambient.gram @ E.basis.transpose()  # n x k; complement = left kernel
     return SublatticeEmbedding(E.ambient, kernel_basis(m))
 
@@ -192,8 +185,6 @@ def _coord_range(d: Fraction, mu: Fraction, budget: Fraction) -> tuple[int, int]
     # Integer solutions of d·(x + mu)² ≤ budget.  With mu = s/t the
     # substitution y = t·x + s turns this into y² ≤ floor(budget·t²/d),
     # solved exactly with isqrt.
-    if budget < 0:
-        return 1, 0
     bound = budget / d
     s, t = mu.numerator, mu.denominator
     m = bound.numerator * t * t // bound.denominator
@@ -207,10 +198,6 @@ def _norm_vectors(gram_pos: IntMatrix, target: int):
     """Yield every x ∈ ℤⁿ with x·G·xᵀ = target, G positive definite, in
     lexicographic order."""
     n = gram_pos.nrows
-    if n == 0:
-        if target == 0:
-            yield ()
-        return
     diag, coef = _udu(gram_pos)
     x = [0] * n
     goal = Fraction(target)
@@ -345,7 +332,7 @@ def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
     if any(x % den for row in num for x in row):
         raise NotInTildeO("extension is not integral on the ambient lattice")
     result = IntMatrix([[x // den for x in row] for row in num], ncols=num.ncols)
-    if result @ E.ambient.gram @ result.transpose() != E.ambient.gram:
+    if not is_isometry(E.ambient, result):
         raise InvariantViolation(
             "extension does not preserve the ambient form", extension=result, g=g
         )

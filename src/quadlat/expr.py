@@ -89,10 +89,10 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
                 i += 1
             tokens.append(("ident", text[start:i], start))
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             start = i
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             try:
                 value = int(text[start:i])

@@ -150,8 +150,6 @@ def enumerate_even_binary(det: int, definite_sign: int, cap: int = BINARY_DET_CA
         raise BadParameter("definite_sign must be +1 or -1")
     if abs(det) > cap:
         raise BadParameter(f"|det| = {abs(det)} exceeds the enumeration cap {cap}")
-    if det <= 0:
-        return []
     out = []
     a = 1
     while 3 * a * a <= det:

@@ -412,9 +412,7 @@ def disc_form_isomorphic(
         raise TooLarge(f"|A| = {F1.order} exceeds the brute-force cap {cap}")
     sign = -1 if negate else 1
     s = len(factors)
-    if s == 0:
-        return True
-    N = factors[-1]
+    N = F1._exponent
     orders = [(y, _element_order(y, factors)) for y in F2.elements()]
     # per-generator candidate images: same order, matching quadratic value
     candidates = []

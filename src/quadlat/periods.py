@@ -5,7 +5,8 @@ weight-zero K3-type Hodge structure puts in bidegree (-1, 1).  Membership
 in the period domain means ψ(ω, ω) = 0 and ψ(ω, ω̄) > 0; the algebraic
 part of the lattice is everything orthogonal to ω and the transcendental
 part is its complement.  Restricting coefficients to a quadratic field
-keeps the whole computation in exact rational arithmetic.
+keeps the whole computation exact: every value of ψ is read off one
+integer product, rows·G·rowsᵀ, of the two arguments' (re, im) numerators.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import (
     TooLarge,
     WrongSignature,
 )
-from .lattice import Lattice, lattice_from_json, lattice_to_json, pair, signature
-from .linalg import IntMatrix, RatMatrix, det_exact, kernel_basis
+from .lattice import Lattice, lattice_from_json, lattice_to_json, signature
+from .linalg import IntMatrix, RatMatrix, det_exact
 from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
 
 
@@ -66,17 +67,18 @@ class QuadScalar:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    def _in_field(self, a: Fraction, b: Fraction) -> "QuadScalar":
-        # a + b·√d in this scalar's field, which was checked already
+    @staticmethod
+    def _in_field(a: Fraction, b: Fraction, d: int) -> "QuadScalar":
+        # a + b·√d in a field whose d was checked already
         x = object.__new__(QuadScalar)
         object.__setattr__(x, "a", a)
         object.__setattr__(x, "b", b)
-        object.__setattr__(x, "d", self.d)
+        object.__setattr__(x, "d", d)
         return x
 
     def __add__(self, other: "QuadScalar") -> "QuadScalar":
         self._same_field(other)
-        return self._in_field(self.a + other.a, self.b + other.b)
+        return self._in_field(self.a + other.a, self.b + other.b, self.d)
 
     def __sub__(self, other: "QuadScalar") -> "QuadScalar":
         return self + -other
@@ -86,13 +88,14 @@ class QuadScalar:
         return self._in_field(
             self.a * other.a + self.d * self.b * other.b,
             self.a * other.b + self.b * other.a,
+            self.d,
         )
 
     def __neg__(self) -> "QuadScalar":
-        return self._in_field(-self.a, -self.b)
+        return self._in_field(-self.a, -self.b, self.d)
 
     def conjugate(self) -> "QuadScalar":
-        return self._in_field(self.a, -self.b)
+        return self._in_field(self.a, -self.b, self.d)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -133,10 +136,11 @@ class PeriodVector:
         object.__setattr__(self, "_den", den)
 
 
-def _pairings(omega: PeriodVector) -> IntMatrix:
-    # den²·ψ on the rows (re, im): ψ(ω, ω)·den² = p₀₀ + d·p₁₁ + 2√d·p₀₁
-    # and ψ(ω, ω̄)·den² = p₀₀ − d·p₁₁
-    return omega._rows @ omega.lattice.gram @ omega._rows.transpose()
+def _pairings(omega: PeriodVector, rows: IntMatrix) -> IntMatrix:
+    # den·den′·ψ between the rows (re, im) of ω and the rows (re′, im′) of
+    # v = re′ + √d·im′ over their denominator den′: ψ(ω, v)·den·den′ is
+    # p₀₀ + d·p₁₁ + √d·(p₀₁ + p₁₀), and ψ(ω, ω̄)·den² is p₀₀ − d·p₁₁
+    return omega._rows @ omega.lattice.gram @ rows.transpose()
 
 
 @dataclass(frozen=True)
@@ -149,29 +153,33 @@ class HodgeSplit:
 
 def period_pairing(omega: PeriodVector, re2, im2) -> QuadScalar:
     """ψ(ω, v) for v = re2 + √d·im2, as an exact quadratic scalar."""
-    g = omega.lattice.gram
-    rational = pair(g, omega.re, re2) + omega.d * pair(g, omega.im, im2)
-    irrational = pair(g, omega.re, im2) + pair(g, omega.im, re2)
-    return QuadScalar(Fraction(rational), Fraction(irrational), omega.d)
+    n = omega.lattice.rank
+    if len(re2) != n or len(im2) != n:
+        raise BadParameter("coordinate length does not match lattice rank")
+    rows, den = RatMatrix([re2, im2])._numerators()
+    p = _pairings(omega, rows)
+    den *= omega._den
+    rational, irrational = p[0][0] + omega.d * p[1][1], p[0][1] + p[1][0]
+    return QuadScalar._in_field(Fraction(rational, den), Fraction(irrational, den), omega.d)
 
 
 def validate_period(omega: PeriodVector) -> PeriodVector:
     """Check period-domain membership: plus-part 2, ψ(ω,ω) = 0, ψ(ω,ω̄) > 0."""
-    if signature(omega.lattice).plus != 2:
-        raise WrongSignature("period domain needs a lattice with exactly two positive squares")
-    p = _pairings(omega)
-    if p[0][0] + omega.d * p[1][1] or p[0][1]:
-        raise NotIsotropic("period is not isotropic: ψ(ω, ω) != 0")
-    if p[0][0] - omega.d * p[1][1] <= 0:
-        raise NotPositive("ψ(ω, ω̄) must be positive")
+    pairing_with_conjugate(omega)
     return omega
 
 
 def pairing_with_conjugate(omega: PeriodVector) -> Fraction:
-    """ψ(ω, ω̄), an exact positive rational for valid periods."""
-    validate_period(omega)
-    p = _pairings(omega)
-    return Fraction(p[0][0] - omega.d * p[1][1], omega._den**2)
+    """ψ(ω, ω̄), an exact positive rational; raises unless ω is a valid period."""
+    if signature(omega.lattice).plus != 2:
+        raise WrongSignature("period domain needs a lattice with exactly two positive squares")
+    p = _pairings(omega, omega._rows)
+    if p[0][0] + omega.d * p[1][1] or p[0][1]:
+        raise NotIsotropic("period is not isotropic: ψ(ω, ω) != 0")
+    conj = p[0][0] - omega.d * p[1][1]  # ψ(ω, ω̄)·den²
+    if conj <= 0:
+        raise NotPositive("ψ(ω, ω̄) must be positive")
+    return Fraction(conj, omega._den**2)
 
 
 def neron_severi(omega: PeriodVector) -> SublatticeEmbedding:
@@ -180,8 +188,7 @@ def neron_severi(omega: PeriodVector) -> SublatticeEmbedding:
     Saturated by construction, hence primitive.
     """
     validate_period(omega)
-    m = omega.lattice.gram @ omega._rows.transpose()  # x is algebraic iff x·m = 0
-    return SublatticeEmbedding(omega.lattice, kernel_basis(m))
+    return orthogonal_complement(SublatticeEmbedding(omega.lattice, omega._rows))
 
 
 def transcendental(omega: PeriodVector) -> HodgeSplit:
@@ -194,10 +201,10 @@ def transcendental(omega: PeriodVector) -> HodgeSplit:
     if det_exact(induced_gram(ns)) == 0:
         raise DegenerateRestriction("form restricted to the algebraic part is degenerate")
     trans = orthogonal_complement(ns)
-    # ω lies in the rational span of the complement: re and im are
-    # dot-orthogonal to every integer vector dot-orthogonal to its basis
-    perp = kernel_basis(trans.basis.transpose())
-    if any(x for row in omega._rows @ perp.transpose() for x in row):
+    # ω lies in the rational span of the complement: the form is
+    # non-degenerate, so exactly when ω pairs to zero with its complement
+    perp = orthogonal_complement(trans)
+    if any(x for row in _pairings(omega, perp.basis) for x in row):
         raise InvariantViolation(
             "period is outside the span of the transcendental part", basis=trans.basis, period=omega
         )

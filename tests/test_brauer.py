@@ -44,6 +44,11 @@ class TestQuotientStructure:
     def test_full_sublattice(self):
         assert quotient_structure(span_rows(H2, [[1, 0], [0, 1]])) == (0, ())
 
+    def test_no_algebraic_classes(self):
+        for H in (H2, standard("LambdaK3")):
+            P = CohomologyPair(H, SublatticeEmbedding(H, IntMatrix([], ncols=H.rank)))
+            assert quotient_structure(P) == (H.rank, ())
+
 
 class TestBrauerTorsionOrder:
     def test_paper_shape_rank_two(self):
@@ -84,6 +89,11 @@ class TestBrauerTorsionOrder:
 
 
 class TestFixedSubspace:
+    def test_no_generators_fix_everything(self):
+        for dim in (0, 1, 4):
+            S = FiniteMatrixGroupModL(7, dim, ())
+            assert fixed_subspace_mod_ell(S) == (dim, IntMatrix.identity(dim))
+
     def test_identity_fixes_everything(self):
         S = FiniteMatrixGroupModL(3, 2, (IntMatrix.identity(2),))
         dim, basis = fixed_subspace_mod_ell(S)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quadlat import periods
-from quadlat.cli import run
+from quadlat.cli import _build_parser, run
 from quadlat.lattice import standard, lattice_to_json
 
 
@@ -364,6 +364,16 @@ class TestExitCodesAndJsonDiscipline:
             code, out = invoke(capsys, *argv)
             assert code == 1, argv
             assert json.loads(out)["error"] == "UsageError"
+
+    def test_help_returns_zero(self, capsys):
+        top = _build_parser().format_help()
+        for argv in (["-h"], ["--help"], ["--json", "-h"]):
+            assert invoke(capsys, *argv) == (0, top), argv
+        for command, argv in [("info", ["info", "-h"]), ("info", ["--json", "info", "--help"]),
+                              ("minkowski", ["minkowski", "-h"])]:
+            code, out = invoke(capsys, *argv)
+            assert code == 0, argv
+            assert out.startswith(f"usage: quadlat {command} [-h]") and "positional arguments" in out
 
     def test_domain_errors_exit_two(self, capsys):
         cases = [

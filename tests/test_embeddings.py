@@ -140,6 +140,15 @@ class TestOrthogonalComplement:
         E = SublatticeEmbedding(UU, IntMatrix.identity(4))
         assert orthogonal_complement(E).rank == 0
 
+    def test_empty_basis(self):
+        # the complement of nothing is everything; the empty basis is saturated
+        for L in (standard("gen", 3), UU, standard("E8", -1), standard("LambdaK3")):
+            n = L.rank
+            E = SublatticeEmbedding(L, IntMatrix([], ncols=n))
+            assert orthogonal_complement(E).basis == IntMatrix.identity(n)
+            assert saturate(E).basis == IntMatrix([], ncols=n)
+            assert saturation_index(E) == 1 and is_primitive(E)
+
     def test_double_complement_equals_saturation(self):
         # the ambient form is non-degenerate, so the double complement is
         # exactly the saturation, degenerate restrictions included
@@ -191,6 +200,14 @@ class TestVectorEnumeration:
         e8 = standard("E8")
         assert count_norm_vectors(e8, 2) == 240
         assert count_norm_vectors(e8, 4) == 2160
+
+    def test_rank_zero(self):
+        # ℤ⁰ holds one vector, (), and its norm is 0
+        g = IntMatrix([], ncols=0)
+        assert list(embeddings._norm_vectors(g, 0)) == [()]
+        assert list(embeddings._norm_vectors(g, 2)) == []
+        assert count_norm_vectors(make_lattice(g), 0) == 1
+        assert count_norm_vectors(make_lattice(g), 2) == 0
 
 
 class TestIota2d:

@@ -49,6 +49,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_lattice_expr("U^2^3")
 
+    def test_superscript_digits_are_not_integers(self):
+        # str.isdigit accepts '²', which int() cannot read; decimal digits
+        # of any script are read
+        with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+            parse_lattice_expr("U^²")
+        assert exc.value.position == 2
+        assert parse_lattice_expr("U(٣)") == parse_lattice_expr("U(3)")
+
     def test_missing_close_paren(self):
         with pytest.raises(ParseError):
             parse_lattice_expr("gen(3")

@@ -286,6 +286,12 @@ class TestEnumerateEvenBinary:
         assert enumerate_even_binary(-1, 1) == []
         assert enumerate_even_binary(-1, -1) == []
 
+    def test_no_form_below_det_three(self):
+        # det = 4ac - b² ≥ 3a² ≥ 3 for every reduced definite form
+        for det in range(-60, 3):
+            for sign in (1, -1):
+                assert enumerate_even_binary(det, sign) == []
+
     def test_negative_definite_negation(self):
         neg = enumerate_even_binary(3, -1)
         assert [f.gram.tolist() for f in neg] == [[[-2, -1], [-1, -2]]]

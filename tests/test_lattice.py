@@ -283,6 +283,13 @@ class TestDiscFormIsomorphic:
         assert disc_form_isomorphic(F1, F2, negate=True)
         assert not disc_form_isomorphic(F1, F2, negate=False)
 
+    def test_trivial_forms(self):
+        trivial = [discriminant_form(standard(*a)) for a in (("U",), ("E8",), ("E8", -1), ("LambdaK3",))]
+        for F1 in trivial:
+            for F2 in trivial:
+                assert disc_form_isomorphic(F1, F2) and disc_form_isomorphic(F1, F2, negate=True)
+            assert not disc_form_isomorphic(F1, discriminant_form(standard("gen", 2)))
+
     def test_mismatched_groups(self):
         F1 = discriminant_form(standard("gen", 4))
         F2 = discriminant_form(standard("gen", 6))

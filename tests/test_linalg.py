@@ -160,7 +160,16 @@ class TestDeterminant:
 
 class TestKernelBasis:
     def test_trivial_kernel(self):
-        assert kernel_basis(IntMatrix.identity(4)).nrows == 0
+        # full row rank: the empty basis of ℤ^r, also for r = 0
+        assert kernel_basis(IntMatrix.identity(4)) == IntMatrix([], ncols=4)
+        assert kernel_basis(IntMatrix([[2, 3, 5], [1, 1, 1]])) == IntMatrix([], ncols=2)
+        assert kernel_basis(IntMatrix([], ncols=3)) == IntMatrix([], ncols=0)
+
+    def test_hnf_with_a_pivot_in_every_row(self):
+        # every row holds a pivot before the last column is reached
+        H, T = hermite_normal_form(IntMatrix([[2, 3, 5], [1, 1, 1]]))
+        assert H.tolist() == [[1, 0, -2], [0, 1, 3]] and T.tolist() == [[-1, 3], [1, -2]]
+        assert hermite_normal_form(IntMatrix([], ncols=3)) == (IntMatrix([], ncols=3), IntMatrix([], ncols=0))
 
     def test_symmetric_line(self):
         assert kernel_basis(IntMatrix([[1], [1]])).tolist() == [[1, -1]]

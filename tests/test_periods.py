@@ -13,7 +13,7 @@ from quadlat.errors import (
     TooLarge,
     WrongSignature,
 )
-from quadlat.lattice import direct_sum, disc_form_isomorphic, discriminant_form, standard
+from quadlat.lattice import direct_sum, disc_form_isomorphic, discriminant_form, pair, standard
 from quadlat.linalg import IntMatrix, det_exact
 from quadlat.embeddings import (
     SublatticeEmbedding,
@@ -178,6 +178,51 @@ class TestValidatePeriod:
             validate_period(om)
             val = period_pairing(om, om.re, tuple(-x for x in om.im))
             assert val.is_rational() and val.a == -4 * d
+
+
+def pairing_reference(omega, re2, im2):
+    """ψ(ω, v) as four ``pair`` sums over Fractions, the rational and √d parts."""
+    g = omega.lattice.gram
+    rational = pair(g, omega.re, re2) + omega.d * pair(g, omega.im, im2)
+    irrational = pair(g, omega.re, im2) + pair(g, omega.im, re2)
+    return Fraction(rational), Fraction(irrational)
+
+
+class TestPeriodPairing:
+    """ψ(ω, v) is one integer product over the two denominators."""
+
+    def test_agrees_with_fraction_reference(self):
+        rng = random.Random(808)
+        omegas = [OMEGA] + [transformed_period(rng, OMEGA) for _ in range(5)]
+        omegas += [PeriodVector(UU, d, (1, -d, 0, 0), (0, 0, 1, 1)) for d in (-2, -3, -7)]
+        coord = lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 12))  # noqa: E731
+        checked = 0
+        for om in omegas:
+            n = om.lattice.rank
+            for _ in range(40):
+                re2 = tuple(coord() for _ in range(n))
+                im2 = tuple(coord() if rng.random() < 0.8 else 0 for _ in range(n))
+                val = period_pairing(om, re2, im2)
+                assert (val.a, val.b, val.d) == (*pairing_reference(om, re2, im2), om.d)
+                checked += 1
+        assert checked >= 300
+        # integer coordinates give the same answer as their Fractions
+        assert period_pairing(OMEGA, (1, 2, 3, 4), (0, 1, 0, 1)) == period_pairing(
+            OMEGA, tuple(map(Fraction, (1, 2, 3, 4))), tuple(map(Fraction, (0, 1, 0, 1)))
+        )
+
+    def test_wrong_length_refused(self):
+        for re2, im2 in [((1, 0, 0), (0, 0, 1)), ((1, 0, 0, 0, 7), (0, 0, 1, 0, 0)),
+                         ((1, 0, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1, 0))]:
+            with pytest.raises(BadParameter):
+                period_pairing(OMEGA, re2, im2)
+
+    def test_field_is_not_retested(self, monkeypatch):
+        tests = []
+        monkeypatch.setattr(periods, "_check_field_discriminant", tests.append)
+        val = period_pairing(OMEGA, OMEGA.re, tuple(-x for x in OMEGA.im))
+        assert tests == []
+        assert val == QuadScalar(Fraction(4), Fraction(0), -1)
 
 
 class TestNeronSeveri:
