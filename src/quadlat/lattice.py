@@ -11,6 +11,8 @@ Finite abelian groups ⊕ ℤ/dᵢ are handled as coefficient tuples, and
 keeps its values as integer numerators over N, the exponent of the group
 (its last invariant factor): q·N mod 2N and b·N mod N.  Every q value
 lies in (1/N)ℤ because N·x lies in the lattice for each dual vector x.
+Two forms are compared one p-primary part at a time, each part with the
+same integer tables over its own exponent.
 """
 
 from __future__ import annotations
@@ -261,42 +263,16 @@ class DiscriminantGroup:
         return prod(self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class DiscriminantForm:
-    """Discriminant group with its ℚ/2ℤ quadratic and ℚ/ℤ bilinear data.
+class _FormTables:
+    """q and b of a finite quadratic module on ⊕ ℤ/dᵢ as integer numerators
+    over a modulus M, on the generators: ``_q_gen[i]`` = q(gᵢ)·M mod 2M and
+    ``_b_gen[i][j]`` = b(gᵢ, gⱼ)·M mod M.  Values on other elements follow
+    from q(x + y) = q(x) + q(y) + 2b(x, y)."""
 
-    q values live in [0, 2), b values in [0, 1); both are exact
-    rationals.  ``lattice`` records the source so glue constructions can
-    refer back to its coordinates.  The values are evaluated on integer
-    numerators over the exponent N of the group: q·N mod 2N and b·N mod N.
-    """
-
-    group: DiscriminantGroup
-    q_values: tuple[Fraction, ...]
-    b_values: RatMatrix
-    lattice: Lattice = field(compare=False)
-
-    def __post_init__(self):
-        factors = self.group.invariant_factors
-        N = factors[-1] if factors else 1
-        q = [Fraction(x) * N for x in self.q_values]
-        b = [[x * N for x in row] for row in self.b_values]
-        if any(x.denominator != 1 for x in itertools.chain(q, *b)):
-            raise BadParameter(f"discriminant values must lie in (1/{N})ℤ")
-        object.__setattr__(self, "_exponent", N)
-        object.__setattr__(self, "_q_gen", tuple(x.numerator % (2 * N) for x in q))
-        object.__setattr__(self, "_b_gen", tuple(tuple(x.numerator % N for x in row) for row in b))
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        """All group elements as coefficient tuples over the generators."""
-        return itertools.product(*(range(d) for d in self.group.invariant_factors))
+    __slots__ = ()
 
     def _q_num(self, element: Sequence[int]) -> int:
-        # q(element)·N mod 2N
+        # q(element)·M mod 2M
         qs, bs = self._q_gen, self._b_gen
         total = 0
         for i, c in enumerate(element):
@@ -308,13 +284,67 @@ class DiscriminantForm:
         return total % (2 * self._exponent)
 
     def _b_num(self, x: Sequence[int], y: Sequence[int]) -> int:
-        # b(x, y)·N mod N
+        # b(x, y)·M mod M
         bs = self._b_gen
         total = 0
         for i, c in enumerate(x):
             if c:
                 total += c * sum(bs[i][j] * y[j] for j in range(len(y)) if y[j])
         return total % self._exponent
+
+
+@dataclass(frozen=True)
+class DiscriminantForm(_FormTables):
+    """Discriminant group with its ℚ/2ℤ quadratic and ℚ/ℤ bilinear data.
+
+    q values live in [0, 2), b values in [0, 1); both are exact
+    rationals.  ``lattice`` records the source so glue constructions can
+    refer back to its coordinates.  The values are evaluated on integer
+    numerators over the exponent N of the group: q·N mod 2N and b·N mod N.
+
+    The values must define a quadratic form on the group: b symmetric,
+    dᵢ·b(gᵢ, gⱼ) ∈ ℤ, q(gᵢ) ≡ b(gᵢ, gᵢ) mod 1 and dᵢ²·q(gᵢ) ∈ 2ℤ.  Then
+    q and b are well defined on ⊕ ℤ/dᵢ and q(x) ≡ b(x, x) mod 1 for every
+    x; anything else is refused with BadParameter.
+    """
+
+    group: DiscriminantGroup
+    q_values: tuple[Fraction, ...]
+    b_values: RatMatrix
+    lattice: Lattice = field(compare=False)
+
+    def __post_init__(self):
+        factors = self.group.invariant_factors
+        s = len(factors)
+        if len(self.q_values) != s or self.b_values.nrows != s or self.b_values.ncols != s:
+            raise BadParameter(f"a form on {s} generators needs {s} q values and an {s}x{s} b matrix")
+        N = factors[-1] if factors else 1
+        q = [Fraction(x) * N for x in self.q_values]
+        b = [[x * N for x in row] for row in self.b_values]
+        if any(x.denominator != 1 for x in itertools.chain(q, *b)):
+            raise BadParameter(f"discriminant values must lie in (1/{N})ℤ")
+        qs = tuple(x.numerator % (2 * N) for x in q)
+        bs = tuple(tuple(x.numerator % N for x in row) for row in b)
+        for i, d in enumerate(factors):
+            if any(bs[i][j] != bs[j][i] for j in range(i)):
+                raise BadParameter("b must be symmetric")
+            if any(d * x % N for x in bs[i]):
+                raise BadParameter(f"b(g{i}, g) must lie in (1/{d})ℤ for the generator g{i} of order {d}")
+            if (qs[i] - bs[i][i]) % N:
+                raise BadParameter(f"q(g{i}) must equal b(g{i}, g{i}) mod 1")
+            if d * d * qs[i] % (2 * N):
+                raise BadParameter(f"{d}²·q(g{i}) must lie in 2ℤ for the generator g{i} of order {d}")
+        object.__setattr__(self, "_exponent", N)
+        object.__setattr__(self, "_q_gen", qs)
+        object.__setattr__(self, "_b_gen", bs)
+
+    @property
+    def order(self) -> int:
+        return self.group.order
+
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """All group elements as coefficient tuples over the generators."""
+        return itertools.product(*(range(d) for d in self.group.invariant_factors))
 
     def q_of(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a coefficient tuple, reduced into [0, 2)."""
@@ -393,6 +423,105 @@ def _span(
     return frozenset(span)
 
 
+class _PrimaryPart(_FormTables):
+    """The p-primary part of a discriminant form with invariant factors dᵢ
+    and exponent N: generators hᵢ = (dᵢ/p^eᵢ)·gᵢ of order p^eᵢ, for the
+    eᵢ = v_p(dᵢ) > 0, with q and b over P = p^max(e)."""
+
+    __slots__ = ("factors", "_exponent", "_q_gen", "_b_gen")
+
+    def __init__(self, F: DiscriminantForm, p: int):
+        index, factors, cofactors = [], [], []
+        for i, d in enumerate(F.group.invariant_factors):
+            pe = 1
+            while d % (pe * p) == 0:
+                pe *= p
+            if pe > 1:
+                index.append(i)
+                factors.append(pe)
+                cofactors.append(d // pe)
+        P = factors[-1]
+        # q(hᵢ)·N and b(hᵢ, hⱼ)·N are multiples of N/P, since hᵢ has order p^eᵢ
+        shift = F._exponent // P
+        self.factors = tuple(factors)
+        self._exponent = P
+        self._q_gen = tuple(m * m * F._q_gen[i] // shift % (2 * P) for i, m in zip(index, cofactors))
+        self._b_gen = tuple(
+            tuple(m * n * F._b_gen[i][j] // shift % P for j, n in zip(index, cofactors))
+            for i, m in zip(index, cofactors)
+        )
+
+
+def _prime_divisors(n: int) -> list[int]:
+    # by trial division: n is at most the order of a group within the cap
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _jordan_symbols(T: _PrimaryPart, p: int, sign: int) -> list[int] | None:
+    """For an odd p-part of sign·T, the Legendre symbol of det(p^k·b(hᵢ, hⱼ)
+    mod p) over the hᵢ of order p^k, per scale p^k; None when one of those
+    dets is 0 mod p, which is exactly when b is degenerate on the part.
+
+    With the hᵢ ordered by scale, b pairs the socle element p^(eᵢ-1)·hᵢ with
+    no hⱼ of smaller scale, so the socle pairing is block triangular with
+    these blocks on its diagonal.  A change of generators acts on each
+    block mod p by a congruence, so each symbol is an invariant; for odd p a
+    non-degenerate form is determined by its Jordan ranks and these symbols
+    (Miranda–Morrison, 2009).
+    """
+    symbols = []
+    for pk in sorted(set(T.factors)):
+        block = [i for i, d in enumerate(T.factors) if d == pk]
+        shift = T._exponent // pk
+        rows = tuple(tuple(T._b_gen[i][j] // shift % p for j in block) for i in block)
+        det = _det_and_inertia(IntMatrix._trusted(rows, len(block)))[0] * sign ** len(block) % p
+        if det == 0:
+            return None
+        symbols.append(pow(det, (p - 1) // 2, p))
+    return symbols
+
+
+def _search_isomorphism(T1: _PrimaryPart, T2: _PrimaryPart, sign: int) -> bool:
+    """Decide T1 ≅ sign·T2 for two forms on one group ⊕ ℤ/dᵢ by search over
+    generator images, pruned by element order and by the q and b values."""
+    factors = T1.factors
+    M = T1._exponent
+    wanted = set(factors)
+    by_order_and_q: dict[tuple[int, int], list] = {}
+    for y in itertools.product(*(range(d) for d in factors)):
+        order = _element_order(y, factors)
+        if order in wanted:
+            by_order_and_q.setdefault((order, T2._q_num(y)), []).append(y)
+    candidates = [by_order_and_q.get((d, sign * q % (2 * M))) for d, q in zip(factors, T1._q_gen)]
+    if not all(candidates):
+        return False
+    chosen: list[tuple[int, ...]] = []
+
+    def search(i: int) -> bool:
+        if i == len(factors):
+            # redundant when T1's b is nondegenerate; a degenerate T1 can
+            # match q and b on images that do not generate
+            return len(_span(chosen, factors)) == prod(factors)
+        want_b = [sign * T1._b_gen[i][j] % M for j in range(i)]
+        for y in candidates[i]:
+            if all(T2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
+                chosen.append(y)
+                if search(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return search(0)
+
+
 def disc_form_isomorphic(
     F1: DiscriminantForm,
     F2: DiscriminantForm,
@@ -401,46 +530,35 @@ def disc_form_isomorphic(
 ) -> bool:
     """Decide whether F1 ≅ F2 (or F1 ≅ -F2 when ``negate``) as finite quadratic forms.
 
-    Exhaustive search over generator images, pruned by element order and
-    by the quadratic/bilinear compatibility conditions.  Groups larger
-    than ``cap`` are rejected.
+    A finite quadratic form is the orthogonal sum of its p-primary parts
+    (Nikulin 1979, §1), and an isomorphism maps each part onto the same
+    part, so the forms are compared one prime p | N at a time.  For odd p,
+    the Jordan ranks are fixed by the invariant factors, and q is fixed by
+    b (since dᵢ²·q(gᵢ) ∈ 2ℤ, checked when a form is built); a
+    non-degenerate part is then decided by the Legendre symbols of its
+    Jordan determinants, which ``negate`` multiplies by (-1/p) per
+    generator.  The 2-part and an odd part that is degenerate in both forms
+    are decided by an exhaustive search over generator images on that part
+    alone, so the search costs |A_2| rather than |A|.  Groups larger than
+    ``cap`` are still rejected.
     """
-    factors = F1.group.invariant_factors
-    if factors != F2.group.invariant_factors:
+    if F1.group.invariant_factors != F2.group.invariant_factors:
         return False
     if F1.order > cap:
         raise TooLarge(f"|A| = {F1.order} exceeds the brute-force cap {cap}")
     sign = -1 if negate else 1
-    s = len(factors)
-    N = F1._exponent
-    orders = [(y, _element_order(y, factors)) for y in F2.elements()]
-    # per-generator candidate images: same order, matching quadratic value
-    candidates = []
-    for i in range(s):
-        want_q = (sign * F1._q_gen[i]) % (2 * N)
-        cand = [y for y, order in orders if order == factors[i] and F2._q_num(y) == want_q]
-        if not cand:
+    for p in _prime_divisors(F1._exponent):
+        T1, T2 = _PrimaryPart(F1, p), _PrimaryPart(F2, p)
+        if p != 2:
+            symbols1, symbols2 = _jordan_symbols(T1, p, 1), _jordan_symbols(T2, p, sign)
+            # a degenerate part is isomorphic to no non-degenerate one
+            if symbols1 is not None or symbols2 is not None:
+                if symbols1 != symbols2:
+                    return False
+                continue
+        if not _search_isomorphism(T1, T2, sign):
             return False
-        candidates.append(cand)
-
-    chosen: list[tuple[int, ...]] = []
-
-    def search(i: int) -> bool:
-        if i == s:
-            # redundant when F1's b is nondegenerate, as from
-            # discriminant_form; a hand-built degenerate F1 can match q and
-            # b on images that do not generate
-            return len(_span(chosen, factors)) == F1.order
-        want_b = [(sign * F1._b_gen[i][j]) % N for j in range(i)]
-        for y in candidates[i]:
-            if all(F2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
-                chosen.append(y)
-                if search(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return search(0)
+    return True
 
 
 def lattice_to_json(L: Lattice) -> dict:

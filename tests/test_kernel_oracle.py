@@ -10,9 +10,10 @@ det and signature a Lattice carries against ``det_exact`` and the
 the first rows of V^{-1} from the Smith form.  The finite
 quadratic module core (integer q/b numerators, ``_span``, form
 isomorphism, glue element sets) is checked against pairings of dual
-vectors and exhaustive scans.  The integer paths for dual vectors
-(numerators over one denominator) are checked against the ``Fraction``
-products they replaced.  The mod-ell elimination of ``brauer`` is checked
+vectors and exhaustive scans, and the prime-by-prime form isomorphism
+against the whole-group search it replaced.  The integer paths for dual
+vectors (numerators over one denominator) are checked against the
+``Fraction`` products they replaced.  The mod-ell elimination of ``brauer`` is checked
 against sympy over GF(p): fixed spaces against the nullspace, invertibility
 against the determinant; the point scans against the closed-form orders
 of SL_n, Sp_2m and O(U) over a prime field.
@@ -21,6 +22,7 @@ of SL_n, Sp_2m and O(U) over a prime field.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -45,6 +47,7 @@ from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  #
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
     Signature,
+    _element_order,
     _span,
     direct_sum,
     disc_form_isomorphic,
@@ -575,6 +578,191 @@ class TestFiniteModuleCore:
         start_gens = data.draw(st.none() | st.lists(coefficients, max_size=2))
         start = None if start_gens is None else _bfs_closure(start_gens, factors)
         assert _span(gens, factors, start) == _bfs_closure((start_gens or []) + reduced, factors)
+
+
+def _whole_group_isomorphic(F1, F2, negate):
+    # the search disc_form_isomorphic ran on the whole group before the
+    # prime-by-prime split: generator images of the right order and q value,
+    # pruned by b, with the span test at the leaf
+    factors = F1.group.invariant_factors
+    if factors != F2.group.invariant_factors:
+        return False
+    sign = -1 if negate else 1
+    s = len(factors)
+    N = F1._exponent
+    orders = [(y, _element_order(y, factors)) for y in F2.elements()]
+    candidates = []
+    for i in range(s):
+        want_q = (sign * F1._q_gen[i]) % (2 * N)
+        cand = [y for y, order in orders if order == factors[i] and F2._q_num(y) == want_q]
+        if not cand:
+            return False
+        candidates.append(cand)
+
+    chosen = []
+
+    def search(i):
+        if i == s:
+            return len(_span(chosen, factors)) == F1.order
+        want_b = [(sign * F1._b_gen[i][j]) % N for j in range(i)]
+        for y in candidates[i]:
+            if all(F2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
+                chosen.append(y)
+                if search(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return search(0)
+
+
+def _assert_both_searches_agree(F1, F2):
+    for negate in (False, True):
+        assert disc_form_isomorphic(F1, F2, negate) == _whole_group_isomorphic(F1, F2, negate), (
+            F1.group.invariant_factors, F1.q_values, F1.b_values, F2.q_values, F2.b_values, negate
+        )
+
+
+def _squares(plus, minus):
+    # the sums of two copies of a lattice or of its negative
+    return [(plus, plus), (plus, minus), (minus, minus)]
+
+
+# even lattices with small discriminant groups, grouped by invariant
+# factors; a sum of one member per drawn class and a sum of other members
+# of the same classes have equal invariant factors
+_SIBLINGS = [
+    [("gen", 2), ("gen", -2)],
+    [("An", 2), ("An", 2, -1)],
+    [("gen", 4), ("gen", -4), ("An", 3), ("An", 3, -1)],
+    [("An", 4), ("An", 4, -1)],
+    [("gen", 6), ("gen", -6), ("An", 5), ("An", 5, -1)],
+    [("An", 6), ("An", 6, -1)],
+    [("gen", 10), ("gen", -10)],
+    [("gen", 18), ("gen", -18), ("An", 8), ("An", 8, -1)],
+    [("U", 2)] + _squares(("gen", 2), ("gen", -2)),
+    [("U", 3)] + _squares(("An", 2), ("An", 2, -1)),
+    [("U", 4)] + _squares(("gen", 4), ("gen", -4)),
+    [("U", 5)] + _squares(("An", 4), ("An", 4, -1)),
+    [("U", 6)] + _squares(("gen", 6), ("gen", -6)),
+]
+_Z6, _Z10, _U3, _U5, _U6 = (_SIBLINGS[i] for i in (4, 6, 9, 11, 12))
+
+
+def _member(spec):
+    if isinstance(spec[0], tuple):
+        return direct_sum(*(standard(*part) for part in spec))
+    return standard(*spec)
+
+
+@st.composite
+def sibling_sums(draw, max_order=1000):
+    """Two even lattices with equal invariant factors and |A| ≤ max_order:
+    sums of members of the same sibling classes."""
+    classes = draw(st.lists(st.sampled_from(_SIBLINGS), min_size=1, max_size=3))
+    L1 = direct_sum(*(_member(draw(st.sampled_from(c))) for c in classes))
+    L2 = direct_sum(*(_member(draw(st.sampled_from(c))) for c in classes))
+    assume(abs(L1.det) <= max_order)
+    return L1, L2
+
+
+def _hand_built(factors, q_num, b_num):
+    # a form given by its numerators over N = factors[-1]; the lattice only
+    # supplies a group with these invariant factors
+    N = factors[-1]
+    L = direct_sum(*(standard("gen", d) for d in factors))
+    b = RatMatrix([[Fraction(x, N) for x in row] for row in b_num], ncols=len(factors))
+    return DiscriminantForm(discriminant_group(L), tuple(Fraction(x, N) for x in q_num), b, L)
+
+
+_HAND_BUILT_FACTORS = [(3,), (9,), (2, 2), (3, 3), (2, 4), (3, 9), (5, 5), (2, 6), (6, 6), (3, 3, 3), (3, 15), (4, 12)]
+
+
+@st.composite
+def hand_built_forms(draw, factors):
+    """A well-formed q and b on ⊕ ℤ/dᵢ, degenerate ones included: each
+    b(gᵢ, gⱼ) in (1/gcd(dᵢ, dⱼ))ℤ, each q(gᵢ) ≡ b(gᵢ, gᵢ) mod 1 with
+    dᵢ²·q(gᵢ) ∈ 2ℤ."""
+    N, s = factors[-1], len(factors)
+    b = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            g = gcd(factors[i], factors[j])
+            b[i][j] = b[j][i] = draw(st.integers(0, g - 1)) * (N // g)
+    q = []
+    for i, d in enumerate(factors):
+        lifts = [b[i][i] + e * N for e in (0, 1) if d * d * (b[i][i] + e * N) % (2 * N) == 0]
+        q.append(draw(st.sampled_from(lifts)))
+    return _hand_built(factors, q, b)
+
+
+@st.composite
+def relabelled(draw, F):
+    """±F read on another generating set: isomorphic to F, or to -F."""
+    factors = F.group.invariant_factors
+    by_order = {d: [y for y in F.elements() if _element_order(y, factors) == d] for d in set(factors)}
+    images = [draw(st.sampled_from(by_order[d])) for d in factors]
+    assume(len(_span(images, factors)) == F.order)
+    sign = draw(st.sampled_from((1, -1)))
+    N = F._exponent
+    q = [sign * F._q_num(y) % (2 * N) for y in images]
+    b = [[sign * F._b_num(y, z) % N for z in images] for y in images]
+    return _hand_built(factors, q, b)
+
+
+class TestPrimeByPrimeIsomorphism:
+    def test_pool_against_whole_group_search(self):
+        for F1, F2 in _POOL_PAIRS:
+            _assert_both_searches_agree(F1, F2)
+
+    @ORACLE
+    @given(sibling_sums())
+    def test_sibling_sums_against_whole_group_search(self, lattices):
+        _assert_both_searches_agree(*map(discriminant_form, lattices))
+
+    def test_odd_parts_of_rank_two(self):
+        # U(3)², U(5) ⊕ gen(10) and gen(6) ⊕ gen(-6) against sums of
+        # siblings with the same invariant factors
+        families = [
+            [direct_sum(standard("U", 3), _member(b)) for b in _U3],
+            [direct_sum(_member(a), _member(b)) for a in _U5 for b in _Z10],
+            [direct_sum(_member(a), _member(b)) for a in _Z6 for b in _Z6] + [_member(a) for a in _U6],
+        ]
+        verdicts = set()
+        for family in families:
+            forms = [discriminant_form(L) for L in family]
+            for F1 in forms:
+                for F2 in forms:
+                    _assert_both_searches_agree(F1, F2)
+                    verdicts.add(disc_form_isomorphic(F1, F2))
+        assert verdicts == {True, False}
+
+    @ORACLE
+    @given(small_even_lattices(max_order=1000), small_even_lattices(max_order=1000))
+    def test_random_pairs_against_whole_group_search(self, L1, L2):
+        _assert_both_searches_agree(discriminant_form(L1), discriminant_form(L2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_HAND_BUILT_FACTORS).flatmap(lambda f: st.tuples(hand_built_forms(f), hand_built_forms(f))),
+           st.data())
+    def test_hand_built_forms_against_whole_group_search(self, forms, data):
+        F1, F2 = forms
+        _assert_both_searches_agree(F1, F2)
+        _assert_both_searches_agree(F1, data.draw(relabelled(F1)))
+
+    def test_degenerate_hand_built_forms(self):
+        zero33 = _hand_built((3, 3), (0, 0), ((0, 0), (0, 0)))
+        half33 = _hand_built((3, 3), (4, 0), ((1, 0), (0, 0)))  # q(g0) = 4/3, b(g1, ·) = 0
+        u3 = discriminant_form(standard("U", 3))
+        deg9 = _hand_built((9,), (12,), ((3,),))  # b(g, g) = 1/3: the socle 3g is in the radical
+        zero9 = _hand_built((9,), (0,), ((0,),))
+        a8 = discriminant_form(standard("An", 8))
+        for F1, F2 in itertools.product([zero33, half33, u3], repeat=2):
+            _assert_both_searches_agree(F1, F2)
+        for F1, F2 in itertools.product([deg9, zero9, a8], repeat=2):
+            _assert_both_searches_agree(F1, F2)
+        assert disc_form_isomorphic(zero33, zero33) and not disc_form_isomorphic(zero33, u3)
+        assert disc_form_isomorphic(half33, half33) and not disc_form_isomorphic(half33, zero33)
 
 
 # ---------------------------------------------------------------------------

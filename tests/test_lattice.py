@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge
+import quadlat.lattice
+from quadlat.embeddings import as_lattice, build_iota2d, orthogonal_complement
 from quadlat.lattice import (
     DiscriminantForm,
     Lattice,
@@ -308,6 +310,48 @@ class TestDiscFormIsomorphic:
         assert disc_form_isomorphic(F1, F2, negate=True)
         assert not disc_form_isomorphic(F1, F2, negate=False)
 
+    def test_negated_an_follows_minus_one_legendre(self):
+        # A_{p-1} has q(g) = (p-1)/p on ℤ/p; -q has the same Legendre symbol
+        # exactly when (-1/p) = 1: for p = 5 and not for p = 7 (p = 3 above)
+        for n, same in ((4, True), (6, False)):
+            F1 = discriminant_form(standard("An", n))
+            F2 = discriminant_form(standard("An", n, -1))
+            assert disc_form_isomorphic(F1, F2) == same
+            assert disc_form_isomorphic(F1, F2, negate=True)
+
+    @pytest.fixture
+    def part_searches(self, monkeypatch):
+        # the invariant factors of every p-part that goes to the search
+        calls = []
+        search = quadlat.lattice._search_isomorphism
+
+        def recording(T1, T2, sign):
+            calls.append(T1.factors)
+            return search(T1, T2, sign)
+
+        monkeypatch.setattr(quadlat.lattice, "_search_isomorphism", recording)
+        return calls
+
+    def test_search_runs_only_on_the_two_part(self, part_searches):
+        # the iota2d complement has -q(gen(-2d)); 2d = 2·4999 and 2d = 2³·3
+        for d, two_part in ((4999, (2,)), (12, (8,))):
+            F = discriminant_form(as_lattice(orthogonal_complement(build_iota2d(d))))
+            assert F.order == 2 * d
+            part_searches.clear()
+            assert disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * d)), negate=True)
+            assert part_searches == [two_part]
+
+    def test_odd_parts_need_no_search_unless_degenerate(self, part_searches):
+        u3 = discriminant_form(standard("U", 3))
+        u3_a2 = discriminant_form(direct_sum(standard("U", 3), standard("An", 2)))
+        assert disc_form_isomorphic(u3, u3) and not disc_form_isomorphic(u3_a2, u3_a2, negate=True)
+        assert part_searches == []
+        zero = DiscriminantForm(u3.group, (0, 0), RatMatrix([[0, 0], [0, 0]]), u3.lattice)
+        assert not disc_form_isomorphic(zero, u3) and not disc_form_isomorphic(u3, zero, negate=True)
+        assert part_searches == []
+        assert disc_form_isomorphic(zero, zero)
+        assert part_searches == [(3, 3)]
+
     def test_leaf_span_refuses_images_that_do_not_generate(self):
         # a hand-built form on (ℤ/2)² with q = 0 and b = 0: mapping both
         # generators to (1, 0) of q(U(2)) matches every q and b value, and
@@ -317,6 +361,41 @@ class TestDiscFormIsomorphic:
         for negate in (False, True):
             assert not disc_form_isomorphic(F1, F2, negate)
         assert disc_form_isomorphic(F2, F2)
+
+
+class TestDiscriminantFormValidation:
+    # forms on (ℤ/2)², ℤ/2 ⊕ ℤ/4, ℤ/2 and ℤ/3 that fail exactly one condition
+
+    @staticmethod
+    def _form(factors, q, b):
+        L = direct_sum(*(standard("gen", d) for d in factors))
+        return DiscriminantForm(discriminant_group(L), tuple(map(Fraction, q)), RatMatrix(b), L)
+
+    def test_accepts_a_quadratic_form(self):
+        F = self._form((3,), ("4/3",), [["1/3"]])
+        assert F._q_gen == (4,) and F._b_gen == ((1,),)
+
+    def test_b_not_symmetric(self):
+        with pytest.raises(BadParameter, match="symmetric"):
+            self._form((2, 2), (0, 0), [[0, "1/2"], [0, 0]])
+
+    def test_b_not_killed_by_the_order(self):
+        # 2·b(g0, g1) = 1/2 is not an integer, though 4·b(g1, g0) is
+        with pytest.raises(BadParameter, match=r"1/2\)ℤ"):
+            self._form((2, 4), (0, 0), [[0, "1/4"], ["1/4", 0]])
+
+    def test_q_not_refining_b(self):
+        with pytest.raises(BadParameter, match="mod 1"):
+            self._form((2,), (0,), [["1/2"]])
+
+    def test_q_not_killed_by_the_square_of_the_order(self):
+        # q = 1/3 refines b = 1/3, but 9·q = 3 is odd; q = 4/3 is the form
+        with pytest.raises(BadParameter, match="2ℤ"):
+            self._form((3,), ("1/3",), [["1/3"]])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(BadParameter, match="generators"):
+            self._form((2, 2), (0,), [[0, 0], [0, 0]])
 
 
 class TestJson:
