@@ -6,9 +6,10 @@ matrix groups mod a prime, the universal order bound for finite groups
 of integer matrices, and the point-count sandwich for connected
 algebraic groups over a prime field.
 
-One mod-ell elimination, ``_echelon_mod``, serves both the invertibility
-check of generators and the fixed subspace; the point scans run on the
-integer kernels of ``linalg`` (``det_exact`` and the matrix product).
+The package's one mod-p elimination, ``linalg._echelon_mod``, serves both
+the invertibility check of generators and the fixed subspace; the point
+scans run on the integer kernels of ``linalg`` (``det_exact`` and the
+matrix product).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
 from .lattice import Lattice, _check_rank
-from .linalg import IntMatrix, det_exact, smith_normal_form
+from .linalg import IntMatrix, _echelon_mod, det_exact, smith_normal_form
 
 #: Exhaustive-scan guard for brute_force_points: ell**(n*n) must not exceed this.
 POINTS_SCAN_CAP = 10**8
@@ -114,28 +115,6 @@ def brauer_torsion_order(P: CohomologyPair, ell: int, n: int) -> int:
     if not is_primitive(P.ns):
         raise NotSaturated("algebraic part must be saturated (torsion-free quotient)")
     return ell ** (n * (P.b2 - P.rho))
-
-
-def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form mod p by forward elimination, each pivot scaled to
-    1: the nonzero echelon rows and their pivot columns."""
-    a = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        tail = a[r][col:]  # rows below r are zero left of col
-        for i in range(r + 1, len(a)):
-            f = a[i][col]
-            if f:
-                a[i][col:] = [(x - f * y) % p for x, y in zip(a[i][col:], tail)]
-        pivots.append(col)
-    return a[: len(pivots)], pivots
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import sys
 from . import brauer, embeddings, glue, lattice, periods
 from .errors import BadParameter, QuadLatError, TooLarge, UsageError
 from .expr import evaluate_expr
-from .lattice import Signature, lattice_from_json, lattice_to_json
+from .lattice import Signature, _json_numbers, lattice_from_json, lattice_to_json
 from .linalg import IntMatrix
 
 
@@ -85,7 +85,7 @@ def _embedding_from_json(data: dict) -> embeddings.SublatticeEmbedding:
     if not isinstance(data, dict) or "ambient" not in data or "basis" not in data:
         raise BadParameter("embedding JSON needs 'ambient' and 'basis' keys")
     amb = lattice_from_json(data["ambient"])
-    return embeddings.SublatticeEmbedding(amb, IntMatrix(data["basis"], ncols=amb.rank))
+    return embeddings.SublatticeEmbedding(amb, IntMatrix(_json_numbers(data["basis"], "basis"), ncols=amb.rank))
 
 
 def _group_text(factors) -> str:
@@ -234,13 +234,14 @@ def _cmd_minkowski(args) -> tuple[dict, list[str]]:
 def _group_from_json(data) -> brauer.FiniteMatrixGroupModL:
     if not isinstance(data, dict) or "ell" not in data or "generators" not in data:
         raise BadParameter("input JSON needs 'ell' and 'generators' keys")
-    gens = data["generators"]
-    dim = data.get("dim")
+    gens = _json_numbers(data["generators"], "generators")
+    dim = _json_numbers(data.get("dim"), "dim")
     if dim is None:
         if not gens:
             raise BadParameter("empty generator list needs an explicit 'dim'")
         dim = len(gens[0])
-    return brauer.FiniteMatrixGroupModL(operator.index(data["ell"]), operator.index(dim), tuple(gens))
+    ell = operator.index(_json_numbers(data["ell"], "ell"))
+    return brauer.FiniteMatrixGroupModL(ell, operator.index(dim), tuple(gens))
 
 
 def _cmd_fixed_mod_ell(args) -> tuple[dict, list[str]]:

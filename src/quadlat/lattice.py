@@ -18,6 +18,7 @@ same integer tables over its own exponent.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -36,6 +37,7 @@ from .linalg import (
     IntMatrix,
     RatMatrix,
     _det_and_inertia,
+    _echelon_mod,
     block_diag,
     invert_rational,
     smith_normal_form,
@@ -428,7 +430,7 @@ class _PrimaryPart(_FormTables):
     and exponent N: generators hᵢ = (dᵢ/p^eᵢ)·gᵢ of order p^eᵢ, for the
     eᵢ = v_p(dᵢ) > 0, with q and b over P = p^max(e)."""
 
-    __slots__ = ("factors", "_exponent", "_q_gen", "_b_gen")
+    __slots__ = ("p", "factors", "_exponent", "_q_gen", "_b_gen")
 
     def __init__(self, F: DiscriminantForm, p: int):
         index, factors, cofactors = [], [], []
@@ -443,6 +445,7 @@ class _PrimaryPart(_FormTables):
         P = factors[-1]
         # q(hᵢ)·N and b(hᵢ, hⱼ)·N are multiples of N/P, since hᵢ has order p^eᵢ
         shift = F._exponent // P
+        self.p = p
         self.factors = tuple(factors)
         self._exponent = P
         self._q_gen = tuple(m * m * F._q_gen[i] // shift % (2 * P) for i, m in zip(index, cofactors))
@@ -490,31 +493,32 @@ def _jordan_symbols(T: _PrimaryPart, p: int, sign: int) -> list[int] | None:
 
 
 def _search_isomorphism(T1: _PrimaryPart, T2: _PrimaryPart, sign: int) -> bool:
-    """Decide T1 ≅ sign·T2 for two forms on one group ⊕ ℤ/dᵢ by search over
-    generator images, pruned by element order and by the q and b values."""
-    factors = T1.factors
-    M = T1._exponent
-    wanted = set(factors)
+    """Decide T1 ≅ sign·T2 for two forms on one p-group ⊕ ℤ/dᵢ by search over
+    generator images, pruned by element order and by the q and b values.
+    An isometry keeps the count of elements per (order, q), so a part whose
+    counts differ is refused at once.  Images generate A_p exactly when
+    they span A_p/pA_p, its Frattini quotient (Burnside's basis theorem), so
+    an image is kept only while the chosen images stay independent mod p."""
+    factors, p, M = T1.factors, T1.p, T1._exponent
+    counts1: Counter = Counter()
     by_order_and_q: dict[tuple[int, int], list] = {}
     for y in itertools.product(*(range(d) for d in factors)):
         order = _element_order(y, factors)
-        if order in wanted:
-            by_order_and_q.setdefault((order, T2._q_num(y)), []).append(y)
-    candidates = [by_order_and_q.get((d, sign * q % (2 * M))) for d, q in zip(factors, T1._q_gen)]
-    if not all(candidates):
+        counts1[order, sign * T1._q_num(y) % (2 * M)] += 1
+        by_order_and_q.setdefault((order, T2._q_num(y)), []).append(y)
+    if counts1 != {k: len(v) for k, v in by_order_and_q.items()}:
         return False
+    candidates = [by_order_and_q[d, sign * q % (2 * M)] for d, q in zip(factors, T1._q_gen)]
     chosen: list[tuple[int, ...]] = []
 
     def search(i: int) -> bool:
         if i == len(factors):
-            # redundant when T1's b is nondegenerate; a degenerate T1 can
-            # match q and b on images that do not generate
-            return len(_span(chosen, factors)) == prod(factors)
+            return True
         want_b = [sign * T1._b_gen[i][j] % M for j in range(i)]
         for y in candidates[i]:
             if all(T2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
                 chosen.append(y)
-                if search(i + 1):
+                if len(_echelon_mod(chosen, p, len(factors))[1]) == len(chosen) and search(i + 1):
                     return True
                 chosen.pop()
         return False
@@ -538,8 +542,10 @@ def disc_form_isomorphic(
     non-degenerate part is then decided by the Legendre symbols of its
     Jordan determinants, which ``negate`` multiplies by (-1/p) per
     generator.  The 2-part and an odd part that is degenerate in both forms
-    are decided by an exhaustive search over generator images on that part
-    alone, so the search costs |A_2| rather than |A|.  Groups larger than
+    are decided by a search over generator images on that part alone, so
+    it costs |A_2| rather than |A|: a part whose counts of elements per
+    (element order, q) differ is refused at once, and the images are kept
+    only while they stay independent in A_p/pA_p.  Groups larger than
     ``cap`` are still rejected.
     """
     if F1.group.invariant_factors != F2.group.invariant_factors:
@@ -569,10 +575,22 @@ def lattice_to_json(L: Lattice) -> dict:
     return out
 
 
+def _json_numbers(value, name: str):
+    # a JSON number or nested list of them; true and false would read as 1, 0
+    pending = [value]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, bool):
+            raise BadParameter(f"{name} must hold numbers, not true or false")
+        if isinstance(x, list):
+            pending.extend(x)
+    return value
+
+
 def lattice_from_json(data: dict) -> Lattice:
     if not isinstance(data, dict) or "gram" not in data:
         raise BadParameter("lattice JSON needs a 'gram' key")
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise BadParameter("lattice label must be a string")
-    return make_lattice(data["gram"], label)
+    return make_lattice(_json_numbers(data["gram"], "gram"), label)

@@ -6,6 +6,8 @@ boundary: ``RatMatrix`` values passed in or returned.  Internally a
 rational system is solved fraction-free, as integer numerators over one
 common denominator, and the ``Fraction``s are built once, at the return.
 Matrices are immutable values, so every routine here is a pure function.
+The package's one elimination mod a prime, ``_echelon_mod``, is here too,
+for ``brauer`` (mod-ell fixed spaces) and the ``lattice`` isomorphism search.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -422,16 +424,15 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination: the last
+    pivot is the determinant, up to the sign of the row swaps."""
     if m.nrows != m.ncols:
         raise NonSquare(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     n = m.nrows
-    if n == 0:
-        return 1
     a = m.tolist()
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
@@ -452,14 +453,7 @@ def det_exact(m: IntMatrix) -> int:
                     if row_i[j]:
                         row_i[j] = row_i[j] * pivot // prev
         prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _swap_symmetric(a: list[list[int]], k: int, i: int, j: int) -> None:
-    # the congruence by the transposition of i and j, on the block a[k:, k:]
-    a[i], a[j] = a[j], a[i]
-    for row in a[k:]:
-        row[i], row[j] = row[j], row[i]
+    return sign * prev
 
 
 def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
@@ -467,44 +461,30 @@ def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
     symmetric elimination.  With a principal block P eliminated, the block
     a[k:, k:] holds ``prev`` = det(m_P) times the Schur complement of m_P,
     whose entries are minors of m, so each division is exact (Sylvester's
-    identity, as in Bareiss elimination).  A diagonal pivot p counts by the
-    sign of p/prev; on a zero diagonal an entry b spans a hyperbolic 2x2
-    block, counted (1, 1), and det(m_P) gains the factor -b²/prev².  So the
-    last ``prev`` is det(m); a zero row in the block means det(m) = 0."""
+    identity, as in Bareiss elimination).  A pivot p counts by the sign of
+    p/prev, and the last ``prev`` is det(m).  One rule handles a zero pivot:
+    for the first j > k with a[k][j] ≠ 0 (none: a zero row, det(m) = 0), the
+    congruence e_k ← e_k + c·e_j, with c = -1 if 2a[k][j] + a[j][j] = 0 and
+    c = 1 otherwise, makes the pivot 2c·a[k][j] + a[j][j] ≠ 0.  It is
+    unipotent and fixes m_P, so det and inertia stay (Sylvester's law), and
+    the block stays ``prev`` times a Schur complement of an integer matrix,
+    so later divisions stay exact.  For a singular m only det = 0 counts."""
     n = m.nrows
     a = m.tolist()
     minus = 0
     prev = 1
-    k = 0
-    while k < n:
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
-            if piv is not None:
-                _swap_symmetric(a, k, k, piv)
-            else:
-                col = next((t for t in range(k + 1, n) if a[k][t]), None)
-                if col is None:  # a zero row
-                    return 0, k - minus, minus
-                _swap_symmetric(a, k, k + 1, col)
-                row_i, row_j = a[k], a[k + 1]
-                b = row_i[k + 1]
-                prev2 = prev * prev
-                new_prev = -b * b // prev
-                for s in range(k + 2, n):
-                    row_s = a[s]
-                    ci, cj = row_s[k], row_s[k + 1]
-                    if ci or cj:
-                        for t in range(k + 2, n):
-                            row_s[t] = -b * (b * row_s[t] - ci * row_j[t] - cj * row_i[t]) // prev2
-                    elif new_prev != prev:
-                        for t in range(k + 2, n):
-                            if row_s[t]:
-                                row_s[t] = row_s[t] * new_prev // prev
-                minus += 1  # and one plus
-                prev = new_prev
-                k += 2
-                continue
+    for k in range(n):
         row_k = a[k]
+        if not row_k[k]:
+            j = next((t for t in range(k + 1, n) if row_k[t]), None)
+            if j is None:  # a zero row
+                return 0, k - minus, minus
+            row_j = a[j]
+            c = -1 if 2 * row_k[j] + row_j[j] == 0 else 1
+            for t in range(k, n):
+                row_k[t] += c * row_j[t]
+            for s in range(k, n):  # and the column, keeping the block symmetric
+                a[s][k] += c * a[s][j]
         p = row_k[k]
         if (p > 0) != (prev > 0):
             minus += 1
@@ -519,8 +499,29 @@ def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
                     if row_s[t]:
                         row_s[t] = p * row_s[t] // prev
         prev = p
-        k += 1
     return prev, n - minus, minus
+
+
+def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form mod a prime p by forward elimination, each pivot
+    scaled to 1: the nonzero echelon rows and their pivot columns."""
+    a = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        tail = a[r][col:]  # rows below r are zero left of col
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i][col:] = [(x - f * y) % p for x, y in zip(a[i][col:], tail)]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
     WrongSignature,
 )
-from .lattice import Lattice, lattice_from_json, lattice_to_json, signature
+from .lattice import Lattice, _json_numbers, lattice_from_json, lattice_to_json, signature
 from .linalg import IntMatrix, RatMatrix, det_exact
 from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
 
@@ -263,9 +263,9 @@ def period_from_json(data: dict) -> PeriodVector:
         raise BadParameter("period JSON must be an object")
     try:
         lattice = lattice_from_json(data["lattice"])
-        d = index(data["D"])
-        re = _rationals_from_json(data["re"])
-        im = _rationals_from_json(data["im"])
+        d = index(_json_numbers(data["D"], "D"))
+        re = _rationals_from_json(_json_numbers(data["re"], "re"))
+        im = _rationals_from_json(_json_numbers(data["im"], "im"))
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadParameter(f"malformed period JSON: {exc}") from exc
     return PeriodVector(lattice, d, re, im)

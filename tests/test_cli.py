@@ -430,8 +430,8 @@ def _one_error_line(code, out, error):
 
 class TestExactJsonNumbers:
     """Integers must be JSON integers and rationals JSON integers or exact
-    strings: a float, a numeric string or a non-list is refused, never
-    truncated or read another way."""
+    strings: a float, a numeric string, true or false, or a non-list is
+    refused, never truncated or read another way."""
 
     @pytest.mark.parametrize(
         "payload",
@@ -441,8 +441,11 @@ class TestExactJsonNumbers:
             {"ell": "7", "dim": 2, "generators": []},
             {"ell": 5, "dim": "2", "generators": []},
             {"ell": 5.0, "generators": [[[1]]]},
+            {"ell": 5, "dim": True, "generators": []},
+            {"ell": 5, "generators": [[[True]]]},
         ],
-        ids=["ell-float", "dim-float", "ell-string", "dim-string", "ell-integral-float"],
+        ids=["ell-float", "dim-float", "ell-string", "dim-string", "ell-integral-float", "dim-bool",
+             "generator-bool"],
     )
     def test_fixed_mod_ell(self, capsys, tmp_path, payload):
         f = tmp_path / "gens.json"
@@ -460,9 +463,12 @@ class TestExactJsonNumbers:
             {"im": [0, 0, 1.0, 1]},
             {"lattice": UU_PERIOD["lattice"] | {"label": 5}},
             {"lattice": UU_PERIOD["lattice"] | {"label": ["x"]}},
+            {"re": [True, 1, 0, 0]},
+            {"im": [0, 0, 1, True]},
+            {"lattice": {"gram": [[0, True, 0, 0], [True, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}},
         ],
         ids=["D-float", "D-integral-float", "D-string", "re-string", "re-float", "im-float",
-             "label-int", "label-list"],
+             "label-int", "label-list", "re-bool", "im-bool", "gram-bool"],
     )
     def test_period_split(self, capsys, tmp_path, change):
         f = tmp_path / "period.json"
@@ -475,6 +481,18 @@ class TestExactJsonNumbers:
         expected = invoke(capsys, "--json", "period-split", str(f))
         f.write_text(json.dumps(UU_PERIOD | {"re": [1, 1, 0, 0], "im": [0, 0, "1", "2/2"]}))
         assert invoke(capsys, "--json", "period-split", str(f)) == expected
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"ambient": {"gram": [[0, True], [True, 0]]}, "basis": [[1, 0]]},
+            {"ambient": {"gram": [[0, 1], [1, 0]]}, "basis": [[True, 0]]},
+        ],
+        ids=["gram-bool", "basis-bool"],
+    )
+    def test_complement_booleans(self, capsys, monkeypatch, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        _one_error_line(*invoke(capsys, "--json", "complement"), "BadParameter")
 
     @pytest.mark.parametrize("label", [5, ["x"], {"a": 1}])
     def test_complement_label(self, capsys, monkeypatch, label):

@@ -13,10 +13,11 @@ isomorphism, glue element sets) is checked against pairings of dual
 vectors and exhaustive scans, and the prime-by-prime form isomorphism
 against the whole-group search it replaced.  The integer paths for dual
 vectors (numerators over one denominator) are checked against the
-``Fraction`` products they replaced.  The mod-ell elimination of ``brauer`` is checked
-against sympy over GF(p): fixed spaces against the nullspace, invertibility
-against the determinant; the point scans against the closed-form orders
-of SL_n, Sp_2m and O(U) over a prime field.
+``Fraction`` products they replaced.  The mod-ell elimination behind
+``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
+fixed spaces against the nullspace, invertibility against the
+determinant; the point scans against the closed-form orders of SL_n,
+Sp_2m and O(U) over a prime field.
 """
 
 import itertools
@@ -30,7 +31,7 @@ import pytest
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
 
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy import GF, QQ, ZZ, Matrix  # noqa: E402
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
@@ -253,7 +254,7 @@ def _old_saturate(basis: IntMatrix) -> IntMatrix:
 
 @st.composite
 def symmetric_matrices(draw, max_rank=10, entries=st.integers(-30, 30), even=False, zero_diagonal=False):
-    """Symmetric integer matrices; zero diagonals force hyperbolic pivots."""
+    """Symmetric integer matrices; zero diagonals force zero pivots."""
     n = draw(st.integers(1, max_rank))
     a = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -291,7 +292,19 @@ class TestAgainstReplacedFormulas:
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_grams(zero_diagonal=True))
+    # each case of the zero-pivot rule e_k ← e_k + c·e_j: c = 1, c = -1
+    # (2a[k][j] + a[j][j] = 0), a zero row, and c = 1 and c = -1 after an
+    # earlier pivot
+    @example(IntMatrix([[0, 1], [1, 0]]))
+    @example(IntMatrix([[0, 1], [1, -2]]))
+    @example(IntMatrix([[0, 0], [0, 1]]))
+    @example(IntMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    @example(IntMatrix([[2, 2, 0], [2, 2, 1], [0, 1, -2]]))
     def test_signature(self, gram):
+        if det_exact(gram) == 0:
+            with pytest.raises(Degenerate):
+                make_lattice(gram)
+            return
         L = make_lattice(gram)
         assert (L.det, signature(L)) == (det_exact(gram), _fraction_signature(gram))
 
@@ -772,12 +785,29 @@ class TestPrimeByPrimeIsomorphism:
         deg9 = _hand_built((9,), (12,), ((3,),))  # b(g, g) = 1/3: the socle 3g is in the radical
         zero9 = _hand_built((9,), (0,), ((0,),))
         a8 = discriminant_form(standard("An", 8))
+        zero2222 = _hand_built((2,) * 4, (0,) * 4, ((0,) * 4,) * 4)
+        u2_2 = discriminant_form(direct_sum(standard("U", 2), standard("U", 2)))
+        zero333 = _hand_built((3,) * 3, (0,) * 3, ((0,) * 3,) * 3)
+        u3_a2 = discriminant_form(direct_sum(standard("U", 3), standard("An", 2)))
         for F1, F2 in itertools.product([zero33, half33, u3], repeat=2):
             _assert_both_searches_agree(F1, F2)
+        for F1, F2 in itertools.product([zero2222, u2_2], repeat=2):
+            _assert_both_searches_agree(F1, F2)
+        for F1, F2 in itertools.product([zero333, u3_a2], repeat=2):
+            _assert_both_searches_agree(F1, F2)
+        # equal counts per (order, q) but radicals of order 4 and 2: images
+        # matching every q and b value exist, and none of them generate
+        rad4 = _hand_built((2, 2, 2), (1, 2, 3), ((1, 0, 1), (0, 0, 0), (1, 0, 1)))
+        rad2 = _hand_built((2, 2, 2), (2, 3, 3), ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+        for F1, F2 in itertools.product([rad4, rad2], repeat=2):
+            _assert_both_searches_agree(F1, F2)
+        assert not disc_form_isomorphic(rad4, rad2) and not disc_form_isomorphic(rad4, rad2, negate=True)
         for F1, F2 in itertools.product([deg9, zero9, a8], repeat=2):
             _assert_both_searches_agree(F1, F2)
         assert disc_form_isomorphic(zero33, zero33) and not disc_form_isomorphic(zero33, u3)
         assert disc_form_isomorphic(half33, half33) and not disc_form_isomorphic(half33, zero33)
+        assert disc_form_isomorphic(zero2222, zero2222) and not disc_form_isomorphic(zero2222, u2_2)
+        assert disc_form_isomorphic(zero333, zero333) and not disc_form_isomorphic(zero333, u3_a2)
 
 
 # ---------------------------------------------------------------------------

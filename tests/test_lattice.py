@@ -354,13 +354,54 @@ class TestDiscFormIsomorphic:
 
     def test_leaf_span_refuses_images_that_do_not_generate(self):
         # a hand-built form on (ℤ/2)² with q = 0 and b = 0: mapping both
-        # generators to (1, 0) of q(U(2)) matches every q and b value, and
-        # only the span test at the leaf sees that the images do not generate
+        # generators to (1, 0) of q(U(2)) matches every q and b value but
+        # does not generate; the (order, q) counts differ (q(U(2)) takes the
+        # value 1 once), so the pair is refused before any image is chosen
         F2 = discriminant_form(standard("U", 2))
         F1 = DiscriminantForm(F2.group, (0, 0), RatMatrix([[0, 0], [0, 0]]), F2.lattice)
         for negate in (False, True):
             assert not disc_form_isomorphic(F1, F2, negate)
         assert disc_form_isomorphic(F2, F2)
+
+
+class TestIsomorphismSearchWork:
+    # hand-built zero forms (q = 0, b = 0) match every q and b value on any
+    # images, so only the independence of the images mod p prunes the search
+
+    @staticmethod
+    def _zero(factors):
+        L = direct_sum(*(standard("gen", d) for d in factors))
+        s = len(factors)
+        return DiscriminantForm(discriminant_group(L), (0,) * s, RatMatrix([[0] * s] * s), L)
+
+    @pytest.fixture
+    def b_calls(self, monkeypatch):
+        calls = []
+        b_num = quadlat.lattice._FormTables._b_num
+
+        def counted(self, x, y):
+            calls.append(None)
+            return b_num(self, x, y)
+
+        def no_span(*args):
+            raise AssertionError("the search builds no subgroup closure")
+
+        monkeypatch.setattr(quadlat.lattice._FormTables, "_b_num", counted)
+        monkeypatch.setattr(quadlat.lattice, "_span", no_span)
+        return calls
+
+    @pytest.mark.parametrize("factors", [(2,) * 6, (3,) * 4, (3, 9)])
+    def test_zero_forms(self, b_calls, factors):
+        Z = self._zero(factors)
+        u2_cubed, u3_squared = (discriminant_form(direct_sum(*[standard("U", p)] * k)) for p, k in ((2, 3), (3, 2)))
+        for negate in (False, True):
+            b_calls.clear()
+            assert disc_form_isomorphic(Z, Z, negate)
+            assert len(b_calls) < 2000
+            for F in (u2_cubed, u3_squared):
+                b_calls.clear()
+                assert not disc_form_isomorphic(Z, F, negate) and not disc_form_isomorphic(F, Z, negate)
+                assert len(b_calls) < 2000
 
 
 class TestDiscriminantFormValidation:
