@@ -3,24 +3,27 @@
 An even overlattice of L sits between L and its dual and corresponds to
 a subgroup of the discriminant group on which the quadratic form
 vanishes (Nikulin 1979, §1.4).  ``isotropic_subgroups`` generates each
-such subgroup exactly once, by canonical augmentation (McKay 1998), and
-grows each subgroup's span from its parent's with ``lattice._span``.
-Results are ordered by size and then lexicographically on their element
-sets, so output is deterministic.  Glue generators enter integer
-arithmetic once, as numerators over their common denominator, kept by
-``GlueSubgroup`` from its dual-lattice check.
+such subgroup exactly once, by canonical augmentation (McKay 1998), on
+the ints of the form's ``lattice._ElementTable``, and grows each
+subgroup's span from its parent's with ``lattice._span``.  Results are
+ordered by size and then lexicographically on their element sets, so
+output is deterministic.  Glue generators enter integer arithmetic once,
+as numerators over their common denominator, kept by ``GlueSubgroup``
+from its dual-lattice check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import BadParameter, NotIsotropic, TooLarge
 from .lattice import (
     BRUTE_FORCE_CAP,
     DiscriminantForm,
     Lattice,
+    _ElementTable,
     _span,
     discriminant_form,
     make_lattice,
@@ -60,17 +63,19 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
 
     (The bilinear form then vanishes mod ℤ automatically, since
     2·b(x, y) = q(x+y) - q(x) - q(y).)  Includes the trivial subgroup;
-    ordered by size then lexicographically on sorted element tuples.
+    ordered by size, then lexicographically on the sorted coefficient
+    tuples of their elements.
 
     Each subgroup K is reached once, along its canonical generators
-    g₁ < g₂ < ... (lex order), where gᵢ is the least element of K outside
-    span(g₁, ..., gᵢ₋₁); they are the rows of its ``GlueSubgroup``.  A
-    child of H = span(g₁, ..., gₖ) adjoins a candidate e > gₖ and is kept
-    only when e is the least element of span(H, e) outside H.
+    g₁ < g₂ < ... in that order, where gᵢ is the least element of K
+    outside span(g₁, ..., gᵢ₋₁); they are the rows of its
+    ``GlueSubgroup``.  A child of H = span(g₁, ..., gₖ) adjoins a
+    candidate e > gₖ and is kept only when e is the least element of
+    span(H, e) outside H.
     """
-    factors = F.group.invariant_factors
     if F.order > cap:
         raise TooLarge(f"|A| = {F.order} exceeds the brute-force cap {cap}")
+    T = _ElementTable(F.group.invariant_factors, F._exponent, F._q_gen, F._b_gen)
     found = []
 
     def grow(H, gens, candidates):
@@ -78,25 +83,24 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
         # so span(H, e) is isotropic, as q(h + e) = q(h) + q(e) + 2·b(h, e)
         found.append((H, gens))
         for i, e in enumerate(candidates):
-            K = _span([e], factors, H)
+            K = _span([e], T.add, H)
             if min(K - H) == e:
-                later = [c for c in candidates[i + 1 :] if c not in K and F._b_num(c, e) == 0]
+                later = [c for c in candidates[i + 1 :] if c not in K and T.b(c, e) == 0]
                 grow(K, gens + [e], later)
 
-    trivial = _span([], factors)
-    grow(trivial, [], [e for e in F.elements() if e not in trivial and F._q_num(e) == 0])
+    grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     lift_num, den = F.group._lift_num, F.group._lift_den
-    return [
-        GlueSubgroup(F.lattice, RatMatrix._over(IntMatrix(gens, ncols=len(factors)) @ lift_num, den))
-        for _, gens in found
-    ]
+    rows = [IntMatrix._trusted(tuple(map(T.coefficients, gens)), len(T.factors)) for _, gens in found]
+    return [GlueSubgroup(F.lattice, RatMatrix._over(m @ lift_num, den)) for m in rows]
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
     """Elements of the glue subgroup as dual vectors reduced mod the base lattice."""
-    span = _span(G._num, (G._den,) * G.base.rank)
-    return frozenset(tuple(Fraction(x, G._den) for x in e) for e in span)
+    den = G._den
+    rows = [tuple(x % den for x in row) for row in G._num]
+    span = _span(rows, lambda x, y: tuple((a + b) % den for a, b in zip(x, y)), frozenset([(0,) * G.base.rank]))
+    return frozenset(tuple(Fraction(x, den) for x in e) for e in span)
 
 
 def glue_order(G: GlueSubgroup) -> int:
@@ -150,17 +154,10 @@ def enumerate_even_binary(det: int, definite_sign: int, cap: int = BINARY_DET_CA
         raise BadParameter("definite_sign must be +1 or -1")
     if abs(det) > cap:
         raise BadParameter(f"|det| = {abs(det)} exceeds the enumeration cap {cap}")
-    out = []
-    a = 1
-    while 3 * a * a <= det:
-        for b in range(0, a + 1):
-            num = det + b * b
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a:
-                    gram = [[2 * a, b], [b, 2 * c]]
-                    if definite_sign < 0:
-                        gram = [[-x for x in row] for row in gram]
-                    out.append(make_lattice(gram))
-        a += 1
+    s, out = definite_sign, []
+    for a in range(1, isqrt(max(det, 0) // 3) + 1):
+        for b in range(a + 1):
+            c, r = divmod(det + b * b, 4 * a)
+            if r == 0 and c >= a:
+                out.append(make_lattice([[2 * a * s, b * s], [b * s, 2 * c * s]]))
     return out

@@ -6,13 +6,14 @@ in the basis implicit in the Gram matrix, and the pairing of x with y is
 x·G·yᵀ.  A Lattice carries its det and signature from the one elimination
 that validates its Gram; direct sums and relabels compose them with none.
 
-Finite abelian groups ⊕ ℤ/dᵢ are handled as coefficient tuples, and
-``_span`` is the one subgroup closure for them.  A discriminant form
-keeps its values as integer numerators over N, the exponent of the group
-(its last invariant factor): q·N mod 2N and b·N mod N.  Every q value
-lies in (1/N)ℤ because N·x lies in the lattice for each dual vector x.
-Two forms are compared one p-primary part at a time, each part with the
-same integer tables over its own exponent.
+A discriminant form keeps its values as integer numerators over N, the
+exponent of the group (its last invariant factor): q·N mod 2N and
+b·N mod N.  Every q value lies in (1/N)ℤ because N·x lies in the lattice
+for each dual vector x.  The searches walk a form's ``_ElementTable``,
+which numbers the elements of ⊕ ℤ/dᵢ by ints in lexicographic order and
+holds q on each of them; ``_span`` is the one subgroup closure, given an
+addition.  Two forms are compared one p-primary part at a time, and only
+a part that needs a search gets tables, over its own exponent.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, mod
-from typing import Iterator, Sequence
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameter,
@@ -265,38 +266,8 @@ class DiscriminantGroup:
         return prod(self.invariant_factors)
 
 
-class _FormTables:
-    """q and b of a finite quadratic module on ⊕ ℤ/dᵢ as integer numerators
-    over a modulus M, on the generators: ``_q_gen[i]`` = q(gᵢ)·M mod 2M and
-    ``_b_gen[i][j]`` = b(gᵢ, gⱼ)·M mod M.  Values on other elements follow
-    from q(x + y) = q(x) + q(y) + 2b(x, y)."""
-
-    __slots__ = ()
-
-    def _q_num(self, element: Sequence[int]) -> int:
-        # q(element)·M mod 2M
-        qs, bs = self._q_gen, self._b_gen
-        total = 0
-        for i, c in enumerate(element):
-            if c:
-                total += c * c * qs[i]
-                for j in range(i + 1, len(element)):
-                    if element[j]:
-                        total += 2 * c * element[j] * bs[i][j]
-        return total % (2 * self._exponent)
-
-    def _b_num(self, x: Sequence[int], y: Sequence[int]) -> int:
-        # b(x, y)·M mod M
-        bs = self._b_gen
-        total = 0
-        for i, c in enumerate(x):
-            if c:
-                total += c * sum(bs[i][j] * y[j] for j in range(len(y)) if y[j])
-        return total % self._exponent
-
-
 @dataclass(frozen=True)
-class DiscriminantForm(_FormTables):
+class DiscriminantForm:
     """Discriminant group with its ℚ/2ℤ quadratic and ℚ/ℤ bilinear data.
 
     q values live in [0, 2), b values in [0, 1); both are exact
@@ -350,11 +321,15 @@ class DiscriminantForm(_FormTables):
 
     def q_of(self, element: Sequence[int]) -> Fraction:
         """Quadratic value of a coefficient tuple, reduced into [0, 2)."""
-        return Fraction(self._q_num(element), self._exponent)
+        # q(Σ cᵢ·gᵢ) = Σ cᵢ·(cᵢ·q(gᵢ) + 2·Σ_{j>i} cⱼ·b(gᵢ, gⱼ))
+        terms = enumerate(zip(element, self._q_gen, self._b_gen))
+        total = sum(c * (c * q + 2 * sum(map(mul, row[i + 1 :], element[i + 1 :]))) for i, (c, q, row) in terms)
+        return Fraction(total % (2 * self._exponent), self._exponent)
 
     def b_of(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         """Bilinear value of two coefficient tuples, reduced into [0, 1)."""
-        return Fraction(self._b_num(x, y), self._exponent)
+        total = sum(c * sum(map(mul, row, y)) for c, row in zip(x, self._b_gen))
+        return Fraction(total % self._exponent, self._exponent)
 
 
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
@@ -397,62 +372,88 @@ def min_generators(A: DiscriminantGroup) -> int:
     return len(A.invariant_factors)
 
 
-def _element_order(element: Sequence[int], factors: Sequence[int]) -> int:
-    o = 1
-    for c, d in zip(element, factors):
-        o = lcm(o, d // gcd(d, c))
-    return o
-
-
-def _span(
-    gens: Sequence[Sequence[int]], factors: Sequence[int], start: frozenset | None = None
-) -> frozenset:
-    """Subgroup of ⊕ ℤ/dᵢ generated by integer coefficient tuples and by
-    the subgroup ``start`` (the trivial one when None).
+def _span(gens: Iterable, add: Callable, start: frozenset) -> frozenset:
+    """Subgroup of a finite abelian group with addition ``add``, generated
+    by the subgroup ``start`` and the elements ``gens``.
 
     Adjoining g to a subgroup H adds the cosets H + k·g for k = 1, 2, ...
     up to the first multiple of g that lies in H, so each element is
     produced once.
     """
-    span = {(0,) * len(factors)} if start is None else set(start)
+    span = set(start)
     for g in gens:
         multiples = []
-        m = tuple(map(mod, g, factors))
+        m = g
         while m not in span:
             multiples.append(m)
-            m = tuple(map(mod, map(add, m, g), factors))
-        span.update([tuple(map(mod, map(add, h, k), factors)) for h in span for k in multiples])
+            m = add(m, g)
+        span.update([add(h, k) for h in span for k in multiples])
     return frozenset(span)
 
 
-class _PrimaryPart(_FormTables):
-    """The p-primary part of a discriminant form with invariant factors dᵢ
-    and exponent N: generators hᵢ = (dᵢ/p^eᵢ)·gᵢ of order p^eᵢ, for the
-    eᵢ = v_p(dᵢ) > 0, with q and b over P = p^max(e)."""
+class _ElementTable:
+    """Every element of a finite quadratic module on ⊕ ℤ/dᵢ (i < s), given
+    by q(gᵢ)·M mod 2M and b(gᵢ, gⱼ)·M mod M on the generators for a
+    modulus M.
 
-    __slots__ = ("p", "factors", "_exponent", "_q_gen", "_b_gen")
+    The element Σ cᵢ·gᵢ with 0 ≤ cᵢ < dᵢ is the int Σ cᵢ·wᵢ, where
+    wᵢ = dᵢ₊₁⋯dₛ₋₁, so int order is the lexicographic order of coefficient
+    tuples.  ``q[x]`` = q(x)·M mod 2M is filled one generator at a time:
+    for x in the span of g₀, ..., gᵢ₋₁, q(x + c·gᵢ) = q(x) + c·(c·q(gᵢ) +
+    2b(gᵢ, x)), so each value costs O(s), and b is read off q.
+    """
 
-    def __init__(self, F: DiscriminantForm, p: int):
-        index, factors, cofactors = [], [], []
-        for i, d in enumerate(F.group.invariant_factors):
-            pe = 1
-            while d % (pe * p) == 0:
-                pe *= p
-            if pe > 1:
-                index.append(i)
-                factors.append(pe)
-                cofactors.append(d // pe)
-        P = factors[-1]
-        # q(hᵢ)·N and b(hᵢ, hⱼ)·N are multiples of N/P, since hᵢ has order p^eᵢ
-        shift = F._exponent // P
-        self.p = p
-        self.factors = tuple(factors)
-        self._exponent = P
-        self._q_gen = tuple(m * m * F._q_gen[i] // shift % (2 * P) for i, m in zip(index, cofactors))
-        self._b_gen = tuple(
-            tuple(m * n * F._b_gen[i][j] // shift % P for j, n in zip(index, cofactors))
-            for i, m in zip(index, cofactors)
-        )
+    __slots__ = ("factors", "modulus", "generators", "q", "_radices")
+
+    def __init__(self, factors: tuple[int, ...], M: int, q_gen: Sequence[int], b_gen: Sequence[Sequence[int]]):
+        self.factors, self.modulus = factors, M
+        q = [0]
+        for i, d in enumerate(factors):
+            # b(gᵢ, x)·M, not reduced, for the x filled so far: their coefficient tuples, in order
+            b = [sum(map(mul, b_gen[i], c)) for c in itertools.product(*map(range, factors[:i]))]
+            q = [(x + c * (c * q_gen[i] + 2 * y)) % (2 * M) for x, y in zip(q, b) for c in range(d)]
+        w = len(q)
+        self.q, self._radices = q, [(w := w // d, d, w * d) for d in factors]
+        self.generators = [w for w, _, _ in self._radices]
+
+    def add(self, x: int, y: int) -> int:
+        # coefficient by coefficient mod dᵢ: the int sum less dᵢ·wᵢ for each cᵢ that wraps
+        z = x + y
+        for w, d, dw in self._radices:
+            if x // w % d + y // w % d >= d:
+                z -= dw
+        return z
+
+    def b(self, x: int, y: int) -> int:
+        """b(x, y)·M mod M, from 2·b(x, y) = q(x + y) - q(x) - q(y)."""
+        return (self.q[self.add(x, y)] - self.q[x] - self.q[y]) // 2 % self.modulus
+
+    def coefficients(self, x: int) -> tuple[int, ...]:
+        return tuple(x // w % d for w, d, _ in self._radices)
+
+    def orders(self) -> list[int]:
+        """The order of each element, filled one generator at a time like q."""
+        orders = [1]
+        for d in self.factors:
+            orders = [lcm(o, d // gcd(d, c)) for o in orders for c in range(d)]
+        return orders
+
+    def independent(self, elements: Sequence[int], p: int) -> bool:
+        """Whether the coefficient tuples of ``elements`` are independent mod p."""
+        return len(_echelon_mod(list(map(self.coefficients, elements)), p, len(self.factors))[1]) == len(elements)
+
+
+def _primary_part(F: DiscriminantForm, p: int) -> tuple:
+    """The p-primary part of F as the arguments of its _ElementTable: the
+    generators hᵢ = (dᵢ/p^eᵢ)·gᵢ of order p^eᵢ, for the eᵢ = v_p(dᵢ) > 0,
+    with q and b over P = p^max(e)."""
+    N = F._exponent
+    P = gcd(N, p ** N.bit_length())  # the p-part of N
+    shift = N // P  # q(hᵢ)·N and b(hᵢ, hⱼ)·N are multiples of N/P, since hᵢ has order p^eᵢ
+    part = [(i, d // gcd(d, P)) for i, d in enumerate(F.group.invariant_factors) if d % p == 0]
+    factors = tuple([F.group.invariant_factors[i] // m for i, m in part])
+    q = [m * m * F._q_gen[i] // shift % (2 * P) for i, m in part]
+    return factors, P, q, [[m * n * F._b_gen[i][j] // shift % P for j, n in part] for i, m in part]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -468,10 +469,11 @@ def _prime_divisors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _jordan_symbols(T: _PrimaryPart, p: int, sign: int) -> list[int] | None:
-    """For an odd p-part of sign·T, the Legendre symbol of det(p^k·b(hᵢ, hⱼ)
-    mod p) over the hᵢ of order p^k, per scale p^k; None when one of those
-    dets is 0 mod p, which is exactly when b is degenerate on the part.
+def _jordan_symbols(part: tuple, p: int, sign: int) -> list[int] | None:
+    """For an odd p-part of sign·F, given by ``_primary_part``, the Legendre
+    symbol of det(p^k·b(hᵢ, hⱼ) mod p) over the hᵢ of order p^k, per scale
+    p^k; None when one of those dets is 0 mod p, which is exactly when b is
+    degenerate on the part.
 
     With the hᵢ ordered by scale, b pairs the socle element p^(eᵢ-1)·hᵢ with
     no hⱼ of smaller scale, so the socle pairing is block triangular with
@@ -480,11 +482,11 @@ def _jordan_symbols(T: _PrimaryPart, p: int, sign: int) -> list[int] | None:
     non-degenerate form is determined by its Jordan ranks and these symbols
     (Miranda–Morrison, 2009).
     """
+    factors, P, _, b_gen = part
     symbols = []
-    for pk in sorted(set(T.factors)):
-        block = [i for i, d in enumerate(T.factors) if d == pk]
-        shift = T._exponent // pk
-        rows = tuple(tuple(T._b_gen[i][j] // shift % p for j in block) for i in block)
+    for pk in sorted(set(factors)):
+        block = [i for i, d in enumerate(factors) if d == pk]
+        rows = tuple(tuple(b_gen[i][j] // (P // pk) % p for j in block) for i in block)
         det = _det_and_inertia(IntMatrix._trusted(rows, len(block)))[0] * sign ** len(block) % p
         if det == 0:
             return None
@@ -492,33 +494,31 @@ def _jordan_symbols(T: _PrimaryPart, p: int, sign: int) -> list[int] | None:
     return symbols
 
 
-def _search_isomorphism(T1: _PrimaryPart, T2: _PrimaryPart, sign: int) -> bool:
+def _search_isomorphism(T1: _ElementTable, T2: _ElementTable, sign: int) -> bool:
     """Decide T1 ≅ sign·T2 for two forms on one p-group ⊕ ℤ/dᵢ by search over
     generator images, pruned by element order and by the q and b values.
     An isometry keeps the count of elements per (order, q), so a part whose
     counts differ is refused at once.  Images generate A_p exactly when
     they span A_p/pA_p, its Frattini quotient (Burnside's basis theorem), so
     an image is kept only while the chosen images stay independent mod p."""
-    factors, p, M = T1.factors, T1.p, T1._exponent
-    counts1: Counter = Counter()
-    by_order_and_q: dict[tuple[int, int], list] = {}
-    for y in itertools.product(*(range(d) for d in factors)):
-        order = _element_order(y, factors)
-        counts1[order, sign * T1._q_num(y) % (2 * M)] += 1
-        by_order_and_q.setdefault((order, T2._q_num(y)), []).append(y)
-    if counts1 != {k: len(v) for k, v in by_order_and_q.items()}:
+    gens, M = T1.generators, T1.modulus
+    (p,) = _prime_divisors(M)
+    # the (order, q) of each element as one int, order·2M + q(x)·M
+    orders = [o * 2 * M for o in T1.orders()]
+    keys1, keys2 = list(map(add, orders, [sign * q % (2 * M) for q in T1.q])), list(map(add, orders, T2.q))
+    if Counter(keys1) != Counter(keys2):
         return False
-    candidates = [by_order_and_q[d, sign * q % (2 * M)] for d, q in zip(factors, T1._q_gen)]
-    chosen: list[tuple[int, ...]] = []
+    candidates = [[y for y, key in enumerate(keys2) if key == keys1[g]] for g in gens]
+    want_b = [[sign * T1.b(g, h) % M for h in gens[:i]] for i, g in enumerate(gens)]
+    chosen: list[int] = []
 
     def search(i: int) -> bool:
-        if i == len(factors):
+        if i == len(gens):
             return True
-        want_b = [sign * T1._b_gen[i][j] % M for j in range(i)]
         for y in candidates[i]:
-            if all(T2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
+            if all(T2.b(y, z) == want for z, want in zip(chosen, want_b[i])):
                 chosen.append(y)
-                if len(_echelon_mod(chosen, p, len(factors))[1]) == len(chosen) and search(i + 1):
+                if T2.independent(chosen, p) and search(i + 1):
                     return True
                 chosen.pop()
         return False
@@ -542,11 +542,11 @@ def disc_form_isomorphic(
     non-degenerate part is then decided by the Legendre symbols of its
     Jordan determinants, which ``negate`` multiplies by (-1/p) per
     generator.  The 2-part and an odd part that is degenerate in both forms
-    are decided by a search over generator images on that part alone, so
-    it costs |A_2| rather than |A|: a part whose counts of elements per
-    (element order, q) differ is refused at once, and the images are kept
-    only while they stay independent in A_p/pA_p.  Groups larger than
-    ``cap`` are still rejected.
+    are decided by a search over generator images on the element tables
+    of that part alone, so it costs |A_2| rather than |A|: a part whose
+    counts of elements per (element order, q) differ is refused at once,
+    and the images are kept only while they stay independent in A_p/pA_p.
+    Groups larger than ``cap`` are still rejected.
     """
     if F1.group.invariant_factors != F2.group.invariant_factors:
         return False
@@ -554,15 +554,15 @@ def disc_form_isomorphic(
         raise TooLarge(f"|A| = {F1.order} exceeds the brute-force cap {cap}")
     sign = -1 if negate else 1
     for p in _prime_divisors(F1._exponent):
-        T1, T2 = _PrimaryPart(F1, p), _PrimaryPart(F2, p)
+        part1, part2 = _primary_part(F1, p), _primary_part(F2, p)
         if p != 2:
-            symbols1, symbols2 = _jordan_symbols(T1, p, 1), _jordan_symbols(T2, p, sign)
+            symbols1, symbols2 = _jordan_symbols(part1, p, 1), _jordan_symbols(part2, p, sign)
             # a degenerate part is isomorphic to no non-degenerate one
             if symbols1 is not None or symbols2 is not None:
                 if symbols1 != symbols2:
                     return False
                 continue
-        if not _search_isomorphism(T1, T2, sign):
+        if not _search_isomorphism(_ElementTable(*part1), _ElementTable(*part2), sign):
             return False
     return True
 

@@ -1,13 +1,17 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import quadlat
 from quadlat import periods
 from quadlat.cli import _build_parser, run
 from quadlat.lattice import standard, lattice_to_json
@@ -374,6 +378,18 @@ class TestExitCodesAndJsonDiscipline:
             code, out = invoke(capsys, *argv)
             assert code == 0, argv
             assert out.startswith(f"usage: quadlat {command} [-h]") and "positional arguments" in out
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the reader closes the pipe before the answer is written
+        src = str(Path(quadlat.__file__).parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "quadlat", "--json", "info", "Lambda2d(3)"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (1, b"")
 
     def test_domain_errors_exit_two(self, capsys):
         cases = [

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+import quadlat.glue
 from quadlat.errors import BadParameter, NotIsotropic, TooLarge
 from quadlat.expr import evaluate_expr
 from quadlat.lattice import (
@@ -136,6 +137,14 @@ class TestIsotropicSubgroups:
         with pytest.raises(TooLarge):
             isotropic_subgroups(discriminant_form(standard("gen", -2 * 30)), cap=10)
 
+    def test_cap_checked_before_the_element_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a group above the cap gets no element table")
+
+        monkeypatch.setattr(quadlat.glue, "_ElementTable", no_table)
+        with pytest.raises(TooLarge):
+            isotropic_subgroups(discriminant_form(standard("gen", -2 * 30)), cap=10)
+
     def test_generators_live_in_dual(self):
         L = direct_sum(standard("gen", 6), standard("gen", -6))
         for G in isotropic_subgroups(discriminant_form(L)):
@@ -180,6 +189,11 @@ class TestIsotropicCountsByFormula:
     def test_u2_cubed(self):
         assert hyperbolic_isotropic_count(3, 2) == 171
         assert len(self.element_sets("U(2)^3")) == 171
+
+    def test_u2_fourth(self):
+        # the first form with eight generators: 4,006 subgroups
+        assert hyperbolic_isotropic_count(4, 2) == 4006
+        assert len(self.element_sets("U(2)^4")) == 4006
 
     def test_u6_squared_splits_over_primes(self):
         # the 2-part and the 3-part are orthogonal, so the counts multiply

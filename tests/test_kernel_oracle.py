@@ -8,10 +8,11 @@ they replaced: the discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
 ``Fraction`` congruence reduction kept below, and ``saturate`` against
 the first rows of V^{-1} from the Smith form.  The finite
-quadratic module core (integer q/b numerators, ``_span``, form
-isomorphism, glue element sets) is checked against pairings of dual
-vectors and exhaustive scans, and the prime-by-prime form isomorphism
-against the whole-group search it replaced.  The integer paths for dual
+quadratic module core (integer q/b numerators, the element table,
+``_span``, form isomorphism, glue element sets) is checked against
+pairings of dual vectors and exhaustive scans, and the prime-by-prime
+form isomorphism against the whole-group search it replaced, which
+evaluates q and b on its own.  The integer paths for dual
 vectors (numerators over one denominator) are checked against the
 ``Fraction`` products they replaced.  The mod-ell elimination behind
 ``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
@@ -24,7 +25,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -49,7 +50,7 @@ from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  #
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
     Signature,
-    _element_order,
+    _ElementTable,
     _span,
     direct_sum,
     disc_form_isomorphic,
@@ -587,11 +588,34 @@ class TestFiniteModuleCore:
         entry = st.integers(-12, 12)
         gens = data.draw(st.lists(st.tuples(*(entry for _ in factors)), max_size=4))
         reduced = [tuple(a % d for a, d in zip(g, factors)) for g in gens]
-        # the start subgroup: None, or the closure of more drawn generators
+        # the start subgroup: the trivial one, or the closure of more drawn generators
         coefficients = st.tuples(*(st.integers(0, d - 1) for d in factors))
         start_gens = data.draw(st.none() | st.lists(coefficients, max_size=2))
-        start = None if start_gens is None else _bfs_closure(start_gens, factors)
-        assert _span(gens, factors, start) == _bfs_closure((start_gens or []) + reduced, factors)
+        start = _bfs_closure(start_gens or [], factors)
+
+        def add(x, y):
+            return tuple((a + b) % d for a, b, d in zip(x, y, factors))
+
+        assert _span(reduced, add, start) == _bfs_closure((start_gens or []) + reduced, factors)
+
+
+# the O(s²) evaluations on the generator numerators and the element order
+# that the searches below use, so that they read no element table
+
+def _q_num(F, x):
+    # q(x)·N mod 2N
+    pairs = itertools.combinations(range(len(x)), 2)
+    total = sum(c * c * q for c, q in zip(x, F._q_gen)) + 2 * sum(x[i] * x[j] * F._b_gen[i][j] for i, j in pairs)
+    return total % (2 * F._exponent)
+
+
+def _b_num(F, x, y):
+    # b(x, y)·N mod N
+    return sum(a * c * F._b_gen[i][j] for i, a in enumerate(x) for j, c in enumerate(y)) % F._exponent
+
+
+def _element_order(x, factors):
+    return lcm(1, *(d // gcd(d, c) for c, d in zip(x, factors)))
 
 
 def _whole_group_isomorphic(F1, F2, negate):
@@ -612,31 +636,31 @@ def _whole_group_isomorphic(F1, F2, negate):
     candidates = []
     for i in range(s):
         want_q = (sign * F1._q_gen[i]) % (2 * N)
-        cand = [y for y, order in orders if order == factors[i] and F2._q_num(y) == want_q]
+        cand = [y for y, order in orders if order == factors[i] and _q_num(F2, y) == want_q]
         if not cand:
             return False
         candidates.append(cand)
 
     # the q values of F1, times sign, on the complement of g_0..g_{i-1}
     complement1 = list(F1.elements())
-    profiles1 = [Counter(sign * F1._q_num(x) % (2 * N) for x in complement1)]
+    profiles1 = [Counter(sign * _q_num(F1, x) % (2 * N) for x in complement1)]
     for i in range(s):
         g = tuple(int(k == i) for k in range(s))
-        complement1 = [x for x in complement1 if F1._b_num(x, g) == 0]
-        profiles1.append(Counter(sign * F1._q_num(x) % (2 * N) for x in complement1))
+        complement1 = [x for x in complement1 if _b_num(F1, x, g) == 0]
+        profiles1.append(Counter(sign * _q_num(F1, x) % (2 * N) for x in complement1))
 
     chosen = []
 
     def search(i, complement2):
-        if Counter(F2._q_num(x) for x in complement2) != profiles1[i]:
+        if Counter(_q_num(F2, x) for x in complement2) != profiles1[i]:
             return False
         if i == s:
-            return len(_span(chosen, factors)) == F1.order
+            return len(_bfs_closure(chosen, factors)) == F1.order
         want_b = [(sign * F1._b_gen[i][j]) % N for j in range(i)]
         for y in candidates[i]:
-            if all(F2._b_num(y, yj) == want_b[j] for j, yj in enumerate(chosen)):
+            if all(_b_num(F2, y, yj) == want_b[j] for j, yj in enumerate(chosen)):
                 chosen.append(y)
-                if search(i + 1, [x for x in complement2 if F2._b_num(x, y) == 0]):
+                if search(i + 1, [x for x in complement2 if _b_num(F2, x, y) == 0]):
                     return True
                 chosen.pop()
         return False
@@ -730,12 +754,46 @@ def relabelled(draw, F):
     factors = F.group.invariant_factors
     by_order = {d: [y for y in F.elements() if _element_order(y, factors) == d] for d in set(factors)}
     images = [draw(st.sampled_from(by_order[d])) for d in factors]
-    assume(len(_span(images, factors)) == F.order)
+    assume(len(_bfs_closure(images, factors)) == F.order)
     sign = draw(st.sampled_from((1, -1)))
     N = F._exponent
-    q = [sign * F._q_num(y) % (2 * N) for y in images]
-    b = [[sign * F._b_num(y, z) % N for z in images] for y in images]
+    q = [sign * _q_num(F, y) % (2 * N) for y in images]
+    b = [[sign * _b_num(F, y, z) % N for z in images] for y in images]
     return _hand_built(factors, q, b)
+
+
+def _assert_table_matches_form(F):
+    # every element in int order: coefficient tuples in lexicographic order,
+    # q and b as q_of and b_of give them, sums coefficient by coefficient
+    factors, N = F.group.invariant_factors, F._exponent
+    T = _ElementTable(factors, N, F._q_gen, F._b_gen)
+    elements = list(F.elements())
+    assert len(T.q) == F.order and [T.coefficients(x) for x in range(F.order)] == elements == sorted(elements)
+    s = len(factors)
+    assert [T.coefficients(g) for g in T.generators] == [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    assert T.orders() == [_element_order(x, factors) for x in elements]
+    for x, cx in enumerate(elements):
+        assert Fraction(T.q[x], N) == F.q_of(cx)
+        for y, cy in enumerate(elements):
+            assert T.coefficients(T.add(x, y)) == tuple((a + b) % d for a, b, d in zip(cx, cy, factors))
+            assert Fraction(T.b(x, y), N) == F.b_of(cx, cy)
+
+
+class TestElementTable:
+    @ORACLE
+    @given(small_even_lattices())
+    def test_lattice_forms(self, L):
+        _assert_table_matches_form(discriminant_form(L))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_HAND_BUILT_FACTORS).flatmap(hand_built_forms))
+    def test_hand_built_forms(self, F):
+        _assert_table_matches_form(F)
+
+    def test_degenerate_hand_built_forms(self):
+        for F in (_hand_built((3, 3), (0, 0), ((0, 0), (0, 0))), _hand_built((9,), (12,), ((3,),)),
+                  _hand_built((2, 2, 2), (1, 2, 3), ((1, 0, 1), (0, 0, 0), (1, 0, 1)))):
+            _assert_table_matches_form(F)
 
 
 class TestPrimeByPrimeIsomorphism:

@@ -341,6 +341,20 @@ class TestDiscFormIsomorphic:
             assert disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * d)), negate=True)
             assert part_searches == [two_part]
 
+    def test_element_tables_only_for_searched_parts(self, monkeypatch):
+        # the odd part of ℤ/2d (d = 4999), decided by its Jordan symbol, gets no table
+        built = []
+        table = quadlat.lattice._ElementTable
+
+        def recording(factors, *rest):
+            built.append(factors)
+            return table(factors, *rest)
+
+        monkeypatch.setattr(quadlat.lattice, "_ElementTable", recording)
+        F = discriminant_form(as_lattice(orthogonal_complement(build_iota2d(4999))))
+        assert disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * 4999)), negate=True)
+        assert built == [(2,), (2,)]
+
     def test_odd_parts_need_no_search_unless_degenerate(self, part_searches):
         u3 = discriminant_form(standard("U", 3))
         u3_a2 = discriminant_form(direct_sum(standard("U", 3), standard("An", 2)))
@@ -376,17 +390,18 @@ class TestIsomorphismSearchWork:
 
     @pytest.fixture
     def b_calls(self, monkeypatch):
+        # b lookups in the element tables of the searched parts
         calls = []
-        b_num = quadlat.lattice._FormTables._b_num
+        b = quadlat.lattice._ElementTable.b
 
         def counted(self, x, y):
             calls.append(None)
-            return b_num(self, x, y)
+            return b(self, x, y)
 
         def no_span(*args):
             raise AssertionError("the search builds no subgroup closure")
 
-        monkeypatch.setattr(quadlat.lattice._FormTables, "_b_num", counted)
+        monkeypatch.setattr(quadlat.lattice._ElementTable, "b", counted)
         monkeypatch.setattr(quadlat.lattice, "_span", no_span)
         return calls
 

@@ -77,6 +77,13 @@ class TestQuadScalar:
         assert x.conjugate() == QuadScalar(Fraction(1), Fraction(-2), -3)
         assert (x * x.conjugate()).is_rational()
 
+    def test_is_zero(self):
+        # public API: a zero, a nonzero rational and an irrational value
+        x = QuadScalar(Fraction(1, 2), Fraction(2, 3), -3)
+        assert (x - x).is_zero() and QuadScalar(0, 0, -7).is_zero()
+        assert not QuadScalar(Fraction(-5, 4), 0, -7).is_zero()
+        assert not x.is_zero() and not QuadScalar(0, Fraction(1, 9), -3).is_zero()
+
     def test_field_validation(self):
         with pytest.raises(BadParameter):
             QuadScalar(Fraction(1), Fraction(1), 5)
