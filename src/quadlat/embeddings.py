@@ -38,6 +38,7 @@ from .lattice import (
 )
 from .linalg import (
     IntMatrix,
+    _symmetric_elimination,
     det_exact,
     kernel_basis,
     smith_normal_form,
@@ -63,8 +64,9 @@ class SublatticeEmbedding:
         b = self.basis
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
-        # B·Bᵀ is singular exactly when the rows are dependent (Cauchy–Binet)
-        if det_exact(b @ b.transpose()) == 0:
+        # B·Bᵀ is singular exactly when the rows are dependent (Cauchy–Binet);
+        # more rows than columns are dependent, refused before the k×k product
+        if b.nrows > b.ncols or det_exact(b @ b.transpose()) == 0:
             raise BadParameter("basis rows are linearly dependent")
 
     @property
@@ -161,24 +163,18 @@ def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
 
 @lru_cache(maxsize=64)
 def _udu(gram: IntMatrix) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    # G = U·D·Uᵀ with U unit upper-triangular, computed by completing the
-    # square from the last coordinate.  For positive-definite G every
-    # pivot is positive, giving Q(x) = Σ_k d_k (x_k + Σ_{i<k} u_ik x_i)².
+    # G = U·D·Uᵀ, U unit upper-triangular: Q(x) = Σ_k d_k (x_k + Σ_{i<k} u_ik x_i)²,
+    # read off the symmetric elimination of G with its coordinates reversed.
+    # Its row n-1-k gives pivot T_k = det G[k:, k:] (T_n = 1, all > 0 for G
+    # positive definite) and holds T_k·u_ik at column n-1-i; d_k = T_k/T_{k+1}.
     n = gram.nrows
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        d = a[k][k]
-        diag[k] = d
-        for i in range(k):
-            coef[i][k] = a[i][k] / d
-        for i in range(k):
-            ci = coef[i][k]
-            if ci:
-                for j in range(k):
-                    a[i][j] -= ci * coef[j][k] * d
-    return tuple(diag), tuple(tuple(row) for row in coef)
+    rows = _symmetric_elimination(IntMatrix._trusted(tuple(row[::-1] for row in gram)[::-1], n))
+    minors = [row[r] for r, row in enumerate(rows)][::-1] + [1]
+    diag = tuple(Fraction(minors[k], minors[k + 1]) for k in range(n))
+    coef = tuple(
+        tuple(Fraction(rows[n - 1 - k][n - 1 - i] if i < k else 0, minors[k]) for k in range(n)) for i in range(n)
+    )
+    return diag, coef
 
 
 def _coord_range(d: Fraction, mu: Fraction, budget: Fraction) -> tuple[int, int]:

@@ -353,8 +353,8 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
 def discriminant_form(L: Lattice) -> DiscriminantForm:
     """Quadratic/bilinear discriminant data; defined for even lattices only.
 
-    Every value is read off one integer product num·G·numᵀ over den²,
-    where num/den are the generator lifts.
+    Every value is one entry of the integer product num·G·numᵀ, reduced
+    mod 2·den² (q) or den² (b), over den²; num/den are the generator lifts.
     """
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
@@ -362,9 +362,9 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     num, den = group._lift_num, group._lift_den
     pairings = num @ L.gram @ num.transpose()
     den2 = den * den
-    q = tuple(Fraction(pairings[i][i], den2) % 2 for i in range(pairings.nrows))
-    b = RatMatrix([[Fraction(x, den2) % 1 for x in row] for row in pairings], ncols=len(q))
-    return DiscriminantForm(group, q, b, L)
+    q = tuple(Fraction(pairings[i][i] % (2 * den2), den2) for i in range(pairings.nrows))
+    b = IntMatrix._trusted(tuple(tuple(x % den2 for x in row) for row in pairings), pairings.ncols)
+    return DiscriminantForm(group, q, RatMatrix._over(b, den2), L)
 
 
 def min_generators(A: DiscriminantGroup) -> int:

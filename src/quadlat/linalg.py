@@ -2,17 +2,18 @@
 
 All arithmetic runs over Python's arbitrary-precision ints; there is no
 floating point and no overflow.  ``Fraction``s appear only at the API
-boundary: ``RatMatrix`` values passed in or returned.  Internally a
-rational system is solved fraction-free, as integer numerators over one
-common denominator, and the ``Fraction``s are built once, at the return.
-Matrices are immutable values, so every routine here is a pure function.
-The package's one elimination mod a prime, ``_echelon_mod``, is here too,
-for ``brauer`` (mod-ell fixed spaces) and the ``lattice`` isomorphism search.
+boundary: ``RatMatrix`` values passed in or returned.  A rational solve
+or ``RatMatrix`` product runs on integer numerators over one common
+denominator, and the ``Fraction``s are built once, at the return.  Here
+are the package's one symmetric elimination, ``_symmetric_elimination``
+(``Lattice`` det and signature, the norm search's square completion), and
+its one elimination mod a prime, ``_echelon_mod`` (``brauer``, form
+isomorphism).  Matrices are immutable; every routine is a pure function.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
 K3 geometry, slow near the rank cap (``info "gen(2)^1000"``, in effect one
-rank-1000 Smith form, took 65 s with CPython 3.11 on a 2-core host).
+rank-1000 Smith form, takes 35–45 s with CPython 3.11 on a 2-core host).
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ class _Matrix:
         cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
         return self._trusted(cols, self.nrows)
 
+    def stack(self, other):
+        if self._ncols != other.ncols:
+            raise ValueError("shape mismatch in vertical stack")
+        if not isinstance(other, type(self)):  # converted to this type's entries
+            other = type(self)(other, ncols=other.ncols)
+        return self._trusted(self._data + other._data, self._ncols)
+
     def scale(self, k):
         k = self._entry(k)
         return self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)
@@ -143,11 +151,6 @@ class IntMatrix(_Matrix):
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if self._ncols != other.ncols:
-            raise ValueError("shape mismatch in vertical stack")
-        return IntMatrix._trusted(self._data + other._data, self._ncols)
-
     def is_symmetric(self) -> bool:
         if self.nrows != self._ncols:
             return False
@@ -158,7 +161,7 @@ class IntMatrix(_Matrix):
         )
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self._data, ncols=self._ncols)
+        return RatMatrix._over(self, 1)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.tolist()!r})"
@@ -175,27 +178,19 @@ class RatMatrix(_Matrix):
     _entry = Fraction
 
     def __matmul__(self, other) -> "RatMatrix":
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        if not isinstance(other, RatMatrix):
+        # one integer product of the numerators, one Fraction per entry
+        if not isinstance(other, _Matrix):
             return NotImplemented
-        if self._ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose()
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data],
-            ncols=other.ncols,
-        )
+        a, den_a = self._numerators()
+        b, den_b = other._numerators() if isinstance(other, RatMatrix) else (other, 1)
+        return RatMatrix._over(a @ b, den_a * den_b)
 
     def __rmatmul__(self, other) -> "RatMatrix":
-        if isinstance(other, IntMatrix):
-            return other.to_rat() @ self
-        return NotImplemented
-
-    def stack(self, other: "RatMatrix") -> "RatMatrix":
-        if self._ncols != other.ncols:
-            raise ValueError("shape mismatch in vertical stack")
-        return RatMatrix(list(self._data) + list(other._data), ncols=self._ncols)
+        # IntMatrix @ RatMatrix, which IntMatrix.__matmul__ declines
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        b, den_b = self._numerators()
+        return RatMatrix._over(other @ b, den_b)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self._data for x in row)
@@ -456,29 +451,27 @@ def det_exact(m: IntMatrix) -> int:
     return sign * prev
 
 
-def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
-    """(det, plus, minus) of a symmetric integer matrix by one fraction-free
-    symmetric elimination.  With a principal block P eliminated, the block
-    a[k:, k:] holds ``prev`` = det(m_P) times the Schur complement of m_P,
-    whose entries are minors of m, so each division is exact (Sylvester's
-    identity, as in Bareiss elimination).  A pivot p counts by the sign of
-    p/prev, and the last ``prev`` is det(m).  One rule handles a zero pivot:
-    for the first j > k with a[k][j] ≠ 0 (none: a zero row, det(m) = 0), the
-    congruence e_k ← e_k + c·e_j, with c = -1 if 2a[k][j] + a[j][j] = 0 and
-    c = 1 otherwise, makes the pivot 2c·a[k][j] + a[j][j] ≠ 0.  It is
-    unipotent and fixes m_P, so det and inertia stay (Sylvester's law), and
-    the block stays ``prev`` times a Schur complement of an integer matrix,
-    so later divisions stay exact.  For a singular m only det = 0 counts."""
+def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
+    """Fraction-free elimination of a symmetric integer matrix; returns the
+    pivot rows.  Row k is final once it gives pivot k: a[k][k:] is then row k
+    of the block a[k:, k:], which holds ``prev`` (pivot k-1, or 1) times the
+    Schur complement of the eliminated block m_P, whose entries are minors
+    of m, so each division is exact (Sylvester's identity, as in Bareiss
+    elimination).  A zero pivot takes one rule: for the first j > k with
+    a[k][j] ≠ 0, the congruence e_k ← e_k + c·e_j, c = -1 if
+    2a[k][j] + a[j][j] = 0 and c = 1 otherwise, makes the pivot
+    2c·a[k][j] + a[j][j] ≠ 0.  It is unipotent and fixes m_P, so det and
+    inertia stay (Sylvester's law) and later divisions stay exact.  A zero
+    row (no such j) ends it with the k rows before it: then det(m) = 0."""
     n = m.nrows
     a = m.tolist()
-    minus = 0
     prev = 1
     for k in range(n):
         row_k = a[k]
         if not row_k[k]:
             j = next((t for t in range(k + 1, n) if row_k[t]), None)
-            if j is None:  # a zero row
-                return 0, k - minus, minus
+            if j is None:
+                return a[:k]
             row_j = a[j]
             c = -1 if 2 * row_k[j] + row_j[j] == 0 else 1
             for t in range(k, n):
@@ -486,8 +479,6 @@ def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
             for s in range(k, n):  # and the column, keeping the block symmetric
                 a[s][k] += c * a[s][j]
         p = row_k[k]
-        if (p > 0) != (prev > 0):
-            minus += 1
         for s in range(k + 1, n):
             row_s = a[s]
             c = row_s[k]
@@ -499,7 +490,16 @@ def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
                     if row_s[t]:
                         row_s[t] = p * row_s[t] // prev
         prev = p
-    return prev, n - minus, minus
+    return a
+
+
+def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
+    """(det, plus, minus) of a symmetric integer matrix: each pivot of
+    ``_symmetric_elimination`` counts by its sign over the one before, and
+    the last is det(m).  For a singular m only det = 0 counts."""
+    pivots = [1] + [row[k] for k, row in enumerate(_symmetric_elimination(m))]
+    minus = sum((p > 0) != (q > 0) for q, p in zip(pivots, pivots[1:]))
+    return (pivots[-1] if len(pivots) > m.nrows else 0), len(pivots) - 1 - minus, minus
 
 
 def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -252,9 +252,12 @@ def period_to_json(omega: PeriodVector) -> dict:
 
 
 def _rationals_from_json(values) -> tuple[Fraction, ...]:
-    # JSON integers or exact strings such as "-2/3"; a float is refused
+    # JSON integers or exact strings such as "-2/3" or "1.5"; a float is refused, and
+    # so is "1e9", from which Fraction would build the whole power of ten
     if not isinstance(values, list):
         raise TypeError("re and im must be lists")
+    if any(isinstance(x, str) and ("e" in x or "E" in x) for x in values):
+        raise BadParameter("malformed period JSON: a rational string may not use exponent notation")
     return tuple(Fraction(x) if isinstance(x, str) else Fraction(index(x)) for x in values)
 
 

@@ -226,6 +226,17 @@ class TestPeriodSplit:
             assert out.count("\n") == 1 and json.loads(out)["error"] == "TooLarge"
 
 
+    def test_exponent_notation_refused_quickly(self, capsys, tmp_path):
+        # Fraction("1e1000000000") would build the whole power of ten
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps(UU_PERIOD | {"re": ["1e1000000000", 1, 0, 0]}))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "period-split", str(f))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+
 class TestFixedModEll:
     def test_swap_generators(self, capsys, tmp_path):
         payload = {"ell": 5, "generators": [[[0, 1], [1, 0]]]}
@@ -261,6 +272,18 @@ class TestBadInput:
         code, out = invoke(capsys, "--json", "complement")
         assert code == 2
         assert out.count("\n") == 1 and json.loads(out)["error"] == "BadParameter"
+
+
+    def test_complement_more_rows_than_rank_refused_quickly(self, capsys, monkeypatch):
+        # refused before the k×k product B·Bᵀ of 10⁵ rows is formed
+        plane = {"ambient": {"gram": [[0, 1], [1, 0]]}, "basis": [[1, 0]] * 10**5}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(plane)))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "complement")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "BadParameter", "detail": "basis rows are linearly dependent"}
 
 
 class TestRankCap:

@@ -25,7 +25,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -43,7 +43,7 @@ import quadlat.lattice  # noqa: E402
 
 from quadlat.brauer import FiniteMatrixGroupModL, brute_force_points, fixed_subspace_mod_ell  # noqa: E402
 
-from quadlat.embeddings import SublatticeEmbedding, in_tilde_O, is_isometry, saturate  # noqa: E402
+from quadlat.embeddings import SublatticeEmbedding, _norm_vectors, _udu, in_tilde_O, is_isometry, saturate  # noqa: E402
 from quadlat.errors import BadParameter, Degenerate, NotInvertible  # noqa: E402
 from quadlat.expr import evaluate_expr  # noqa: E402
 from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
@@ -942,6 +942,99 @@ class TestDualVectorIntegerPaths:
             assert verdict == _old_in_tilde_O(_U2_U2_U3, g)
             verdicts.append(verdict)
         assert set(verdicts) == {True, False}
+
+
+def _fraction_product(a, b):
+    # the Fraction dot products RatMatrix multiplied with before its integer product
+    k = a.ncols
+    return [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+@st.composite
+def int_or_rat_matrices(draw, rows, cols, rational):
+    if rational:
+        entry = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 10**6)
+        return RatMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], ncols=cols)
+    return IntMatrix([[draw(st.integers(-BIG, BIG)) for _ in range(cols)] for _ in range(rows)], ncols=cols)
+
+
+class TestRatMatrixProducts:
+    """``RatMatrix`` products run on the integer product of numerators; each
+    is checked against Fraction dot products, 0-row and 0-column shapes
+    included."""
+
+    @ORACLE
+    @given(st.data(), st.sampled_from([(True, True), (True, False), (False, True)]))
+    def test_products_against_fraction_dot_products(self, data, kinds):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a = data.draw(int_or_rat_matrices(r, k, kinds[0]))
+        b = data.draw(int_or_rat_matrices(k, c, kinds[1]))
+        product = a @ b
+        assert isinstance(product, RatMatrix) and (product.nrows, product.ncols) == (r, c)
+        assert product.tolist() == _fraction_product(a, b)
+        assert all(type(x) is Fraction for row in product for x in row)
+
+    @ORACLE
+    @given(st.data(), st.booleans())
+    def test_stack(self, data, rational):
+        r1, r2, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        top = data.draw(int_or_rat_matrices(r1, c, True))
+        bottom = data.draw(int_or_rat_matrices(r2, c, rational))
+        stacked = top.stack(bottom)
+        assert isinstance(stacked, RatMatrix) and (stacked.nrows, stacked.ncols) == (r1 + r2, c)
+        assert stacked.tolist() == [[Fraction(x) for x in row] for row in [*top, *bottom]]
+        assert all(type(x) is Fraction for row in stacked for x in row)
+
+    def test_shape_mismatch(self):
+        rat = RatMatrix([[Fraction(1, 2), 1]])
+        for a, b in [(rat, rat), (rat, IntMatrix([[1, 2]])), (IntMatrix([[1, 2]]), rat)]:
+            with pytest.raises(ValueError, match="shape mismatch in matrix product"):
+                a @ b
+        with pytest.raises(ValueError, match="shape mismatch in vertical stack"):
+            rat.stack(RatMatrix([], ncols=3))
+
+
+# ---------------------------------------------------------------------------
+# the square completion behind the norm search, on general definite Grams
+# ---------------------------------------------------------------------------
+
+@st.composite
+def positive_definite_grams(draw, max_rank=6):
+    """B·Bᵀ + D for an integer B and a positive diagonal D: positive definite,
+    with (G⁻¹)ᵢᵢ ≤ 1/Dᵢᵢ, so the scan boxes below stay small."""
+    n = draw(st.integers(0, max_rank))
+    b = IntMatrix([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)], ncols=n)
+    d = [draw(st.integers(1, 4)) for _ in range(n)]
+    bbt = b @ b.transpose()
+    return IntMatrix([[bbt[i][j] + (d[i] if i == j else 0) for j in range(n)] for i in range(n)], ncols=n)
+
+
+class TestSquareCompletion:
+    @ORACLE
+    @given(positive_definite_grams())
+    def test_udu_against_trailing_minors(self, gram):
+        n = gram.nrows
+        diag, coef = _udu(gram)
+        # G = U·D·Uᵀ exactly, U unit upper-triangular with U[i][k] = u_ik
+        u = [[Fraction(1) if i == k else coef[i][k] if i < k else Fraction(0) for k in range(n)] for i in range(n)]
+        assert all(
+            sum(u[i][k] * diag[k] * u[j][k] for k in range(n)) == gram[i][j] for i in range(n) for j in range(n)
+        )
+        # d_k = T_k/T_{k+1}, T_k the trailing principal minor det G[k:, k:]
+        g = Matrix(gram.tolist())
+        minors = [int(g[k:, k:].det()) for k in range(n)] + [1]
+        assert diag == tuple(Fraction(minors[k], minors[k + 1]) for k in range(n))
+
+    @ORACLE
+    @given(positive_definite_grams(), st.integers(0, 10))
+    def test_norm_vectors_against_box_scan(self, gram, t):
+        # |x_i|² ≤ Q(x)·(G⁻¹)_ii (Cauchy–Schwarz), so the box holds every vector of norm t
+        inverse = Matrix(gram.tolist()).inv() if gram.nrows else Matrix([])
+        radii = [isqrt(int(t * inverse[i, i].p) // int(inverse[i, i].q)) for i in range(gram.nrows)]
+        box = itertools.product(*(range(-r, r + 1) for r in radii))
+        expected = [x for x in box if pair(gram, x, x) == t]
+        assert list(_norm_vectors(gram, t)) == expected
 
 
 _PRIMES_TO_101 = [p for p in range(2, 102) if all(p % q for q in range(2, p))]

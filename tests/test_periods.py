@@ -355,3 +355,14 @@ class TestPeriodJson:
     def test_malformed_rejected(self):
         with pytest.raises(BadParameter):
             period_from_json({"lattice": {"gram": [[2]]}, "D": -1, "re": ["x"], "im": ["1"]})
+
+    def test_rational_strings(self):
+        data = {"lattice": {"gram": [[2]]}, "D": -1, "re": ["1"], "im": ["-2/3"]}
+        om = period_from_json(data)
+        assert om.re == (Fraction(1),) and om.im == (Fraction(-2, 3),)
+        assert period_from_json(data | {"re": ["1.5"]}).re == (Fraction(3, 2),)
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "2E3", "1.5e-2"])
+    def test_exponent_notation_rejected(self, text):
+        with pytest.raises(BadParameter, match="exponent notation"):
+            period_from_json({"lattice": {"gram": [[2]]}, "D": -1, "re": [text], "im": ["1"]})
