@@ -25,6 +25,7 @@ from .errors import (
     NotSpecialOrthogonal,
     OddLattice,
     ParityViolation,
+    TooLarge,
 )
 from .lattice import (
     Lattice,
@@ -190,15 +191,23 @@ def _coord_range(d: Fraction, mu: Fraction, budget: Fraction) -> tuple[int, int]
     return lo, hi
 
 
+# nodes (descend calls, leaves included) the norm search may visit; E8 norm 10 takes 99,009
+NORM_SEARCH_CAP = 200_000
+
+
 def _norm_vectors(gram_pos: IntMatrix, target: int):
     """Yield every x ∈ ℤⁿ with x·G·xᵀ = target, G positive definite, in
-    lexicographic order."""
+    lexicographic order; TooLarge past NORM_SEARCH_CAP search nodes."""
     n = gram_pos.nrows
     diag, coef = _udu(gram_pos)
     x = [0] * n
-    goal = Fraction(target)
+    nodes = 0
 
     def descend(level: int, budget: Fraction):
+        nonlocal nodes
+        nodes += 1
+        if nodes > NORM_SEARCH_CAP:
+            raise TooLarge(f"the norm search visited {NORM_SEARCH_CAP} nodes, its cap")
         if level == n:
             if budget == 0:
                 yield tuple(x)
@@ -216,7 +225,7 @@ def _norm_vectors(gram_pos: IntMatrix, target: int):
                 yield from descend(level + 1, rem)
         x[level] = 0
 
-    yield from descend(0, goal)
+    yield from descend(0, Fraction(target))
 
 
 def _definite_data(L: Lattice, norm: int) -> tuple[IntMatrix, int]:

@@ -4,11 +4,13 @@ All arithmetic runs over Python's arbitrary-precision ints; there is no
 floating point and no overflow.  ``Fraction``s appear only at the API
 boundary: ``RatMatrix`` values passed in or returned.  A rational solve
 or ``RatMatrix`` product runs on integer numerators over one common
-denominator, and the ``Fraction``s are built once, at the return.  Here
-are the package's one symmetric elimination, ``_symmetric_elimination``
-(``Lattice`` det and signature, the norm search's square completion), and
-its one elimination mod a prime, ``_echelon_mod`` (``brauer``, form
-isomorphism).  Matrices are immutable; every routine is a pure function.
+denominator, and the ``Fraction``s are built once, at the return.  One
+fraction-free (Bareiss) update, ``_bareiss_step``, runs under two pivot
+rules: ``det_exact``'s row swap, whose forward pass on [m | b] plus a back
+substitution is ``solve_integral``, and ``_symmetric_elimination``'s
+congruence (``Lattice`` det and signature, the norm search's square
+completion).  The one elimination mod a prime is ``_echelon_mod``
+(``brauer``, form isomorphism).  Matrices are immutable; routines are pure.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -418,48 +420,58 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return _frozen(H, c), _frozen(T, r)
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination: the last
-    pivot is the determinant, up to the sign of the row swaps."""
-    if m.nrows != m.ncols:
-        raise NonSquare(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    n = m.nrows
-    a = m.tolist()
-    sign = 1
-    prev = 1
-    for k in range(n):
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> int:
+    """The one fraction-free (Bareiss) update: each row s > k of a becomes
+    (p·row s − a[s][k]·row k) / prev across its full width, p = a[k][k] being
+    the pivot it returns and prev the one before (or 1).  Each division is
+    exact (Sylvester's identity); a row with a zero lead is only rescaled,
+    and column k below row k is left as it was, unread."""
+    row_k = a[k]
+    p = row_k[k]
+    width = range(k + 1, len(row_k))
+    for s in range(k + 1, len(a)):
+        row_s = a[s]
+        c = row_s[k]
+        if c:
+            for t in width:
+                row_s[t] = (p * row_s[t] - c * row_k[t]) // prev
+        elif p != prev:
+            for t in width:
+                if row_s[t]:
+                    row_s[t] = p * row_s[t] // prev
+    return p
+
+
+def _forward_pass(a: list[list[int]]) -> int:
+    """``_bareiss_step`` down n rows of width ≥ n, a zero pivot swapped for the
+    first row below with a nonzero lead; returns the det of the first n
+    columns, now upper-triangular (0, stopping early, if they are singular)."""
+    sign = prev = 1
+    for k in range(len(a)):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead = row_i[k]
-            if lead:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-                row_i[k] = 0
-            elif pivot != prev:  # a zero lead only rescales the row
-                for j in range(k + 1, n):
-                    if row_i[j]:
-                        row_i[j] = row_i[j] * pivot // prev
-        prev = pivot
+        prev = _bareiss_step(a, k, prev)
     return sign * prev
+
+
+def det_exact(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
+    if m.nrows != m.ncols:
+        raise NonSquare(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
+    return _forward_pass(m.tolist())
 
 
 def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
     """Fraction-free elimination of a symmetric integer matrix; returns the
     pivot rows.  Row k is final once it gives pivot k: a[k][k:] is then row k
-    of the block a[k:, k:], which holds ``prev`` (pivot k-1, or 1) times the
-    Schur complement of the eliminated block m_P, whose entries are minors
-    of m, so each division is exact (Sylvester's identity, as in Bareiss
-    elimination).  A zero pivot takes one rule: for the first j > k with
-    a[k][j] ≠ 0, the congruence e_k ← e_k + c·e_j, c = -1 if
-    2a[k][j] + a[j][j] = 0 and c = 1 otherwise, makes the pivot
+    of prev (pivot k-1, or 1) times the Schur complement of the eliminated
+    block m_P, as ``_bareiss_step`` leaves it.  A zero pivot takes one rule:
+    for the first j > k with a[k][j] ≠ 0, the congruence e_k ← e_k + c·e_j,
+    c = -1 if 2a[k][j] + a[j][j] = 0 and c = 1 otherwise, makes the pivot
     2c·a[k][j] + a[j][j] ≠ 0.  It is unipotent and fixes m_P, so det and
     inertia stay (Sylvester's law) and later divisions stay exact.  A zero
     row (no such j) ends it with the k rows before it: then det(m) = 0."""
@@ -478,18 +490,7 @@ def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
                 row_k[t] += c * row_j[t]
             for s in range(k, n):  # and the column, keeping the block symmetric
                 a[s][k] += c * a[s][j]
-        p = row_k[k]
-        for s in range(k + 1, n):
-            row_s = a[s]
-            c = row_s[k]
-            if c:
-                for t in range(k + 1, n):
-                    row_s[t] = (p * row_s[t] - c * row_k[t]) // prev
-            elif p != prev:  # a row orthogonal to the pivot only rescales
-                for t in range(k + 1, n):
-                    if row_s[t]:
-                        row_s[t] = p * row_s[t] // prev
-        prev = p
+        prev = _bareiss_step(a, k, prev)
     return a
 
 
@@ -543,39 +544,29 @@ def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
 
     Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
     so the solution is X/den; it is integral exactly when den divides
-    every entry of X.  Gauss–Jordan elimination in Bareiss's
-    fraction-free form: after pivot k every entry of the augmented matrix
-    is a (k+1)-minor of it, so each division by the previous pivot is
-    exact, and at the end the left block is det·I.
+    every entry of X.  ``det_exact``'s forward pass on the rows [m | b]
+    leaves an upper-triangular A with A·x = Y for the same x; back
+    substitution X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then divides
+    exactly, because X = den·m⁻¹·b is integral (Cramer's rule).
     """
     if m.nrows != m.ncols:
         raise NonSquare(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
     n = m.nrows
     if b.nrows != n:
         raise ValueError("right-hand side has wrong number of rows")
-    aug = [list(m[i]) + list(b[i]) for i in range(n)]
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        row_c = aug[col]
-        p = row_c[col]
-        for i in range(n):
-            if i == col:
-                continue
-            row_i = aug[i]
-            lead = row_i[col]
-            if lead:
-                aug[i] = [(x * p - lead * y) // prev for x, y in zip(row_i, row_c)]
-            elif p != prev:
-                aug[i] = [x * p // prev if x else 0 for x in row_i]
-        prev = p
-    sign = -1 if prev < 0 else 1
-    x = tuple(tuple(sign * v for v in row[n:]) for row in aug)
-    return IntMatrix._trusted(x, b.ncols), sign * prev
+    a = [list(m[i]) + list(b[i]) for i in range(n)]
+    den = abs(_forward_pass(a))
+    if not den:
+        raise SingularMatrix("matrix is singular")
+    x: list = [()] * n
+    for k in reversed(range(n)):
+        row = a[k]
+        acc = [den * y for y in row[n:]]
+        for j in range(k + 1, n):
+            if c := row[j]:
+                acc = [u - c * v for u, v in zip(acc, x[j])]
+        x[k] = tuple(u // row[k] for u in acc)
+    return IntMatrix._trusted(tuple(x), b.ncols), den
 
 
 def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:

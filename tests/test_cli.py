@@ -300,6 +300,17 @@ class TestRankCap:
         assert data["error"] == "TooLarge" and "rank" in data["detail"]
 
 
+class TestNormSearchCap:
+    def test_301_digit_iota2d_refused_with_one_json_line(self, capsys):
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "iota2d", "1" + "0" * 300)
+        assert time.perf_counter() - start < 20  # about 2 s for the 2·10⁵ nodes
+        assert code == 2
+        assert out.count("\n") == 1
+        data = json.loads(out)
+        assert data["error"] == "TooLarge" and "norm search" in data["detail"]
+
+
 class TestPointsCapAndHugePrimes:
     """The scan cap is decided without building ell^(n²), and before any
     trial division; primality tests use integer square roots only."""

@@ -12,6 +12,7 @@ from quadlat.errors import (
     NotSpecialOrthogonal,
     OddLattice,
     ParityViolation,
+    TooLarge,
 )
 from quadlat.lattice import (
     Signature,
@@ -200,6 +201,13 @@ class TestVectorEnumeration:
         e8 = standard("E8")
         assert count_norm_vectors(e8, 2) == 240
         assert count_norm_vectors(e8, 4) == 2160
+
+    def test_search_cap(self):
+        # E8 at norm 10 visits 99,009 nodes, under the cap; gen(1) at norm 10¹²
+        # would visit a leaf for each of 2·10⁶ + 1 values of its one coordinate
+        assert count_norm_vectors(standard("E8"), 10) == 240 * (1 + 5**3)  # 240·σ₃(5)
+        with pytest.raises(TooLarge, match="visited 200000 nodes"):
+            count_norm_vectors(standard("gen", 1), 10**12)
 
     def test_rank_zero(self):
         # ℤ⁰ holds one vector, (), and its norm is 0

@@ -3,8 +3,11 @@
 sympy (test-only) checks ``solve_rational`` and ``IntMatrix.__matmul__``
 on dense and block-sparse matrices up to rank 28 with large entries, and
 the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
-ones included.  The remaining kernels are checked against the formulas
-they replaced: the discriminant-group lifts against V^{-1}·G^{-1}, the
+ones included.  It also checks the kernels built on the one Bareiss step:
+``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
+zero right-hand sides) and the det of the symmetric elimination.  The
+remaining kernels are checked against the formulas they replaced: the
+discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
 ``Fraction`` congruence reduction kept below, and ``saturate`` against
 the first rows of V^{-1} from the Smith form.  The finite
@@ -43,8 +46,17 @@ import quadlat.lattice  # noqa: E402
 
 from quadlat.brauer import FiniteMatrixGroupModL, brute_force_points, fixed_subspace_mod_ell  # noqa: E402
 
-from quadlat.embeddings import SublatticeEmbedding, _norm_vectors, _udu, in_tilde_O, is_isometry, saturate  # noqa: E402
-from quadlat.errors import BadParameter, Degenerate, NotInvertible  # noqa: E402
+from quadlat.embeddings import (  # noqa: E402
+    SublatticeEmbedding,
+    _norm_vectors,
+    _udu,
+    build_iota2d,
+    in_tilde_O,
+    is_isometry,
+    orthogonal_complement,
+    saturate,
+)
+from quadlat.errors import BadParameter, Degenerate, NonSquare, NotInvertible, SingularMatrix  # noqa: E402
 from quadlat.expr import evaluate_expr  # noqa: E402
 from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
@@ -64,11 +76,13 @@ from quadlat.lattice import (  # noqa: E402
 from quadlat.linalg import (  # noqa: E402
     IntMatrix,
     RatMatrix,
+    _det_and_inertia,
     block_diag,
     det_exact,
     hermite_normal_form,
     invert_rational,
     smith_normal_form,
+    solve_integral,
     solve_rational,
 )
 
@@ -1035,6 +1049,72 @@ class TestSquareCompletion:
         box = itertools.product(*(range(-r, r + 1) for r in radii))
         expected = [x for x in box if pair(gram, x, x) == t]
         assert list(_norm_vectors(gram, t)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the one Bareiss step: solve_integral and the symmetric det against sympy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def zero_leading_pivots(draw, max_rank=8):
+    """A square integer matrix whose leading z×z block is zero (1 ≤ z ≤ n/2),
+    so its first z leading minors vanish and every pivot rule must act."""
+    n = draw(st.integers(2, max_rank))
+    z = draw(st.integers(1, n // 2))
+    entry = st.integers(-BIG, BIG) if draw(st.booleans()) else st.integers(-3, 3)
+    return IntMatrix([[0 if i < z and j < z else draw(entry) for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def right_hand_sides(draw, n):
+    """n×k right-hand sides, k ≤ 3, some columns all zero."""
+    k = draw(st.integers(0, 3))
+    zero = [draw(st.booleans()) for _ in range(k)]
+    return IntMatrix([[0 if zero[j] else draw(st.integers(-BIG, BIG)) for j in range(k)] for _ in range(n)], ncols=k)
+
+
+def _assert_solves(m, b):
+    # m·X = den·b and den = |det m|, both from sympy
+    x, den = solve_integral(m, b)
+    assert den == abs(int(_to_domain(m, ZZ).det()))
+    assert (x.nrows, x.ncols) == (b.nrows, b.ncols)
+    if b.ncols:
+        product = _to_domain(m, ZZ).matmul(_to_domain(x, ZZ)).to_list()
+        assert [[int(v) for v in row] for row in product] == [[den * v for v in row] for row in b]
+
+
+class TestBareissKernel:
+    @ORACLE
+    @given(st.one_of(zero_leading_pivots(), dense_or_block_sparse(max_rank=12)), st.data())
+    def test_solve_integral(self, m, data):
+        assume(_to_domain(m, ZZ).det() != 0)
+        _assert_solves(m, data.draw(right_hand_sides(m.nrows)))
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_extension_system(self, d):
+        # extend_isometry's block-sparse 28×28 system, for the swap of the two E8(-1) blocks
+        E = build_iota2d(d)
+        comp = orthogonal_complement(E)
+        swap = [[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)]
+        _assert_solves(E.basis.stack(comp.basis), (IntMatrix(swap) @ E.basis).stack(comp.basis))
+
+    def test_empty_and_zero_right_hand_sides(self):
+        assert solve_integral(IntMatrix([], ncols=0), IntMatrix([], ncols=2)) == (IntMatrix([], ncols=2), 1)
+        m = IntMatrix([[0, 2, 1], [3, 0, 0], [1, 1, 0]])
+        assert solve_integral(m, IntMatrix.zero(3, 2)) == (IntMatrix.zero(3, 2), 3)
+        _assert_solves(m, IntMatrix([[0, 5], [0, -1], [0, 7]]))
+
+    def test_refusals(self):
+        with pytest.raises(SingularMatrix):
+            solve_integral(IntMatrix([[0, 1], [0, 2]]), IntMatrix([[1], [1]]))
+        with pytest.raises(NonSquare):
+            solve_integral(IntMatrix([[1, 2]]), IntMatrix([[1]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(possibly_singular(), symmetric_matrices(entries=st.integers(-BIG, BIG), zero_diagonal=True)))
+    def test_symmetric_det_against_sympy(self, m):
+        # det_exact shares the step, so it is no independent oracle for Lattice.det
+        assert _det_and_inertia(m)[0] == int(_to_domain(m, ZZ).det())
 
 
 _PRIMES_TO_101 = [p for p in range(2, 102) if all(p % q for q in range(2, p))]
