@@ -51,9 +51,15 @@ from .linalg import (
 class SublatticeEmbedding:
     """Sublattice of an ambient lattice, given by basis rows in ambient coordinates.
 
-    Rows must be linearly independent.  The induced form may be
-    degenerate (quotient computations need that); operations requiring a
-    non-degenerate restriction check it themselves.
+    Rows must be linearly independent, and this constructor checks that
+    det(B·Bᵀ) ≠ 0.  The embeddings the package builds itself skip the
+    check through ``_trusted``: ``orthogonal_complement`` and ``saturate``,
+    whose ``kernel_basis`` rows are independent by construction, and
+    ``build_iota2d``, whose exact induced Gram is the non-degenerate
+    Lambda2d Gram.  The induced form may be degenerate (quotient
+    computations need that); operations requiring a non-degenerate
+    restriction check it themselves.  An embedding keeps its orthogonal
+    complement once that is computed.
     """
 
     ambient: Lattice
@@ -69,6 +75,16 @@ class SublatticeEmbedding:
         # more rows than columns are dependent, refused before the k×k product
         if b.nrows > b.ncols or det_exact(b @ b.transpose()) == 0:
             raise BadParameter("basis rows are linearly dependent")
+        object.__setattr__(self, "_complement", None)  # filled by orthogonal_complement
+
+    @classmethod
+    def _trusted(cls, ambient: Lattice, basis: IntMatrix) -> "SublatticeEmbedding":
+        # independent rows of width ambient.rank, built by this module
+        E = object.__new__(cls)
+        object.__setattr__(E, "ambient", ambient)
+        object.__setattr__(E, "basis", basis)
+        object.__setattr__(E, "_complement", None)
+        return E
 
     @property
     def rank(self) -> int:
@@ -136,7 +152,7 @@ def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
     lattice is unique, so the basis is deterministic.
     """
     perp = kernel_basis(E.basis.transpose())
-    return SublatticeEmbedding(E.ambient, kernel_basis(perp.transpose()))
+    return SublatticeEmbedding._trusted(E.ambient, kernel_basis(perp.transpose()))
 
 
 def saturation_index(E: SublatticeEmbedding) -> int:
@@ -152,10 +168,13 @@ def is_primitive(E: SublatticeEmbedding) -> bool:
 def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
     """Vectors of the ambient lattice pairing to zero with the sublattice.
 
-    Primitive by construction (it is a kernel sublattice).
+    Primitive by construction (it is a kernel sublattice).  E keeps it, so
+    it is computed once per embedding.
     """
-    m = E.ambient.gram @ E.basis.transpose()  # n x k; complement = left kernel
-    return SublatticeEmbedding(E.ambient, kernel_basis(m))
+    if E._complement is None:
+        m = E.ambient.gram @ E.basis.transpose()  # n x k; complement = left kernel
+        object.__setattr__(E, "_complement", SublatticeEmbedding._trusted(E.ambient, kernel_basis(m)))
+    return E._complement
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +302,9 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     for i in range(4):  # the U^2 block sits at ambient coordinates 24..27
         rows.append([1 if j == 24 + i else 0 for j in range(28)])
     rows.append([0] * 16 + list(v) + [0] * 4)  # third E8(-1): coordinates 16..23
-    emb = SublatticeEmbedding(sharp, IntMatrix(rows, ncols=28))
-    # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly
+    emb = SublatticeEmbedding._trusted(sharp, IntMatrix(rows, ncols=28))
+    # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly,
+    # which also proves the rows independent, the Lambda2d Gram being non-degenerate
     induced, expected = induced_gram(emb), standard("Lambda2d", d).gram
     if induced != expected:
         raise InvariantViolation(
@@ -329,7 +349,7 @@ def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
         raise NotAnIsometry("matrix does not preserve the sublattice form")
     if det_exact(g) != 1:
         raise NotSpecialOrthogonal("extension requires determinant +1")
-    comp = orthogonal_complement(E)
+    comp = orthogonal_complement(E)  # the one E keeps
     m = E.basis.stack(comp.basis)  # square: the restriction is non-degenerate
     # rows of m are the sub/complement basis vectors: want m·R = (g ⊕ 1)·m,
     # whose right side is g·basis stacked on the complement basis

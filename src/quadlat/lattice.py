@@ -5,6 +5,7 @@ non-degenerate symmetric integer Gram matrix.  Vectors are row vectors
 in the basis implicit in the Gram matrix, and the pairing of x with y is
 x·G·yᵀ.  A Lattice carries its det and signature from the one elimination
 that validates its Gram; direct sums and relabels compose them with none.
+It keeps its discriminant group once that is computed.
 
 A discriminant form keeps its values as integer numerators over N, the
 exponent of the group (its last invariant factor): q·N mod 2N and
@@ -109,6 +110,7 @@ class Lattice:
             raise Degenerate("Gram matrix is singular")
         object.__setattr__(self, "det", d)
         object.__setattr__(self, "_signature", Signature(plus, minus))
+        object.__setattr__(self, "_group", None)  # filled by discriminant_group
 
     @property
     def rank(self) -> int:
@@ -123,6 +125,7 @@ def _derived_lattice(gram: IntMatrix, det: int, sig: Signature, label: str | Non
     object.__setattr__(L, "label", label)
     object.__setattr__(L, "det", det)
     object.__setattr__(L, "_signature", sig)
+    object.__setattr__(L, "_group", None)
     return L
 
 
@@ -171,12 +174,34 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     return _derived_lattice(gram, prod(L.det for L in lattices), sig, None)
 
 
+# The fixed lattices, each built on first use and then shared, since a
+# Lattice is frozen.  These five names are the memo's only keys.
+_ATOM_GRAMS = {"E8": (_E8_GRAM, 1), "E8(-1)": (_E8_GRAM, -1), "U": (_U_GRAM, 1)}
+_ATOM_SUMS = {"LambdaSharp": (3, 2), "LambdaK3": (2, 3)}  # copies of E8(-1) and of U
+_ATOMS: dict[str, Lattice] = {}
+
+
+def _atom(name: str) -> Lattice:
+    L = _ATOMS.get(name)
+    if L is None:
+        if name in _ATOM_SUMS:
+            e8_count, u_count = _ATOM_SUMS[name]
+            S = direct_sum(*[_atom("E8(-1)")] * e8_count, *[_atom("U")] * u_count)
+            L = _derived_lattice(S.gram, S.det, S._signature, name)
+        else:
+            gram, s = _ATOM_GRAMS[name]
+            L = Lattice(IntMatrix(gram).scale(s), name)
+        _ATOMS[name] = L
+    return L
+
+
 def standard(name: str, *params: int) -> Lattice:
     """Construct one of the named lattices.
 
     U, E8 and An accept an optional trailing scale factor; gen(k) is the
     rank-one lattice ⟨k⟩; Lambda2d(d) = E8(-1)^2 + U^2 + gen(-2d);
-    LambdaSharp = E8(-1)^3 + U^2; LambdaK3 = E8(-1)^2 + U^3.
+    LambdaSharp = E8(-1)^3 + U^2; LambdaK3 = E8(-1)^2 + U^3.  E8, E8(-1),
+    U, LambdaSharp and LambdaK3 are built once per process and shared.
     """
     def scaled(gram_rows, scale_params, base_label):
         if len(scale_params) > 1:
@@ -184,11 +209,10 @@ def standard(name: str, *params: int) -> Lattice:
         s = scale_params[0] if scale_params else 1
         if s == 0:
             raise BadParameter("scale factor must be nonzero")
-        g = IntMatrix(gram_rows)
-        if s != 1:
-            g = g.scale(s)
-            base_label = f"{base_label}({s})"
-        return Lattice(g, base_label)
+        label = base_label if s == 1 else f"{base_label}({s})"
+        if label in _ATOM_GRAMS:
+            return _atom(label)
+        return Lattice(IntMatrix(gram_rows).scale(s), label)
 
     if name == "U":
         return scaled(_U_GRAM, params, "U")
@@ -216,14 +240,12 @@ def standard(name: str, *params: int) -> Lattice:
         d = params[0]
         if d < 1:
             raise BadParameter("Lambda2d needs d >= 1")
-        L = direct_sum(*[standard("E8", -1)] * 2, *[standard("U")] * 2, standard("gen", -2 * d))
+        L = direct_sum(*[_atom("E8(-1)")] * 2, *[_atom("U")] * 2, standard("gen", -2 * d))
         return _derived_lattice(L.gram, L.det, L._signature, f"Lambda2d({d})")
-    if name in ("LambdaSharp", "LambdaK3"):
+    if name in _ATOM_SUMS:
         if params:
             raise BadParameter(f"{name} takes no parameters")
-        e8_count, u_count = (3, 2) if name == "LambdaSharp" else (2, 3)
-        L = direct_sum(*[standard("E8", -1)] * e8_count, *[standard("U")] * u_count)
-        return _derived_lattice(L.gram, L.det, L._signature, name)
+        return _atom(name)
     raise UnknownAtom(f"unknown lattice name {name!r}")
 
 
@@ -340,14 +362,16 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     x ↦ x·G turns w_i into the dual vector w_i·G^{-1} of order d_i.  Since
     G^{-1} = V·S^{-1}·U, that lift is w_i·V·S^{-1}·U = e_i·S^{-1}·U =
     U_i/d_i: row i of U over d_i, read off the Smith transform with no
-    rational solve.
+    rational solve.  L keeps the group, so it is computed once per lattice.
     """
-    n = L.rank
-    U, S, _ = smith_normal_form(L.gram)
-    rows = [i for i in range(n) if S[i][i] > 1]
-    N = S[rows[-1]][rows[-1]] if rows else 1  # every d_i divides N
-    num = IntMatrix._trusted(tuple(tuple(x * (N // S[i][i]) for x in U[i]) for i in rows), n)
-    return DiscriminantGroup(tuple(S[i][i] for i in rows), RatMatrix._over(num, N))
+    if L._group is None:
+        n = L.rank
+        U, S, _ = smith_normal_form(L.gram)
+        rows = [i for i in range(n) if S[i][i] > 1]
+        N = S[rows[-1]][rows[-1]] if rows else 1  # every d_i divides N
+        num = IntMatrix._trusted(tuple(tuple(x * (N // S[i][i]) for x in U[i]) for i in rows), n)
+        object.__setattr__(L, "_group", DiscriminantGroup(tuple(S[i][i] for i in rows), RatMatrix._over(num, N)))
+    return L._group
 
 
 def discriminant_form(L: Lattice) -> DiscriminantForm:

@@ -11,6 +11,9 @@ substitution is ``solve_integral``, and ``_symmetric_elimination``'s
 congruence (``Lattice`` det and signature, the norm search's square
 completion).  The one elimination mod a prime is ``_echelon_mod``
 (``brauer``, form isomorphism).  Matrices are immutable; routines are pure.
+The one cache is an ``IntMatrix``'s sparse rows, the nonzero (column,
+entry) pairs of each row, filled the first time the matrix is the right
+operand of a product and kept for its later products.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -32,9 +35,10 @@ class _Matrix:
     """Immutable matrix; rows are exposed as tuples: ``m[i][j]`` is the
     entry in row i, column j.  An explicit ``ncols`` is required when
     there are no rows.  A subclass names the conversion of its entries.
+    ``_sparse`` holds an ``IntMatrix``'s sparse rows once a product needs them.
     """
 
-    __slots__ = ("_data", "_ncols")
+    __slots__ = ("_data", "_ncols", "_sparse")
 
     def __init__(self, rows: Iterable[Sequence], *, ncols: int | None = None):
         entry = self._entry
@@ -50,6 +54,7 @@ class _Matrix:
             raise ValueError("empty matrix needs an explicit ncols")
         self._data = tuple(data)
         self._ncols = ncols
+        self._sparse = None
 
     @classmethod
     def _trusted(cls, data: tuple[tuple, ...], ncols: int):
@@ -57,6 +62,7 @@ class _Matrix:
         m = object.__new__(cls)
         m._data = data
         m._ncols = ncols
+        m._sparse = None
         return m
 
     @classmethod
@@ -126,9 +132,12 @@ class IntMatrix(_Matrix):
             raise ValueError("shape mismatch in matrix product")
         # Row i of the product accumulates a_ik·(row k of other) over the
         # nonzero a_ik, touching only the nonzero entries of that row:
-        # every standard Gram and embedding basis is block-sparse.
+        # every standard Gram and embedding basis is block-sparse.  Those
+        # (column, entry) pairs are built once per matrix, then only read.
         width = other._ncols
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
+        sparse_rows = other._sparse
+        if sparse_rows is None:
+            sparse_rows = other._sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
         out = []
         for row in self._data:
             acc = [0] * width

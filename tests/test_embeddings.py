@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from quadlat import embeddings
 from quadlat.errors import (
@@ -116,6 +118,62 @@ class TestSublatticeEmbedding:
     def test_three_rows_in_rank_two_rejected(self):
         with pytest.raises(BadParameter):
             SublatticeEmbedding(Z2, IntMatrix([[1, 0], [0, 1], [1, 1]]))
+
+
+@st.composite
+def embeddings_in(draw, max_rank=6):
+    """An embedding through the public constructor: independent rows in a non-degenerate ambient."""
+    n = draw(st.integers(1, max_rank))
+    entries = st.integers(-3, 3)
+    upper = [[draw(entries) for _ in range(n - i)] for i in range(n)]
+    gram = [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+    assume(det_exact(IntMatrix(gram)) != 0)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n))
+    basis = IntMatrix(rows, ncols=n)
+    assume(det_exact(basis @ basis.transpose()) != 0)
+    return SublatticeEmbedding(make_lattice(gram), basis)
+
+
+def _independent(E):
+    # the check the public constructor makes, kept here as an oracle
+    return det_exact(E.basis @ E.basis.transpose()) != 0 and E.basis.ncols == E.ambient.rank
+
+
+class TestKernelEmbeddings:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(embeddings_in())
+    def test_complement_and_saturation_rows_are_independent(self, E):
+        C, S = orthogonal_complement(E), saturate(E)
+        assert _independent(C) and C.rank == E.ambient.rank - E.rank
+        assert _independent(S) and S.rank == E.rank
+        assert orthogonal_complement(E) is C  # E keeps its complement
+        assert _independent(orthogonal_complement(C)) and _independent(saturate(C))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(embeddings_in(), st.data())
+    def test_public_constructor_refuses_dependent_rows(self, E, data):
+        assume(E.rank >= 1)
+        coefficients = data.draw(st.lists(st.integers(-3, 3), min_size=E.rank, max_size=E.rank))
+        combination = [sum(c * row[j] for c, row in zip(coefficients, E.basis)) for j in range(E.ambient.rank)]
+        rows = E.basis.tolist()
+        rows.insert(data.draw(st.integers(0, E.rank)), combination)
+        with pytest.raises(BadParameter):
+            SublatticeEmbedding(E.ambient, IntMatrix(rows, ncols=E.ambient.rank))
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_iota2d_rows_are_independent(self, d):
+        assert _independent(build_iota2d(d))
+
+    def test_extension_reuses_the_kept_complement(self, monkeypatch):
+        E = build_iota2d(5)
+        C = orthogonal_complement(E)
+
+        def refuse(m):
+            raise AssertionError("the complement was computed again")
+
+        monkeypatch.setattr(embeddings, "kernel_basis", refuse)
+        r = extend_isometry(E, _e8_block_swap_in_lambda2d())
+        assert C.basis @ r == C.basis
 
 
 class TestOrthogonalComplement:

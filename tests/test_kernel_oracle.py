@@ -426,21 +426,26 @@ class TestOneElimination:
         assert L.det == det_exact(L.gram)
         assert signature(L) == _fraction_signature(L.gram)
 
-    def test_signature_direct_sum_and_expressions_run_no_elimination(self, eliminations):
+    def test_signature_direct_sum_and_expressions_run_no_elimination(self, eliminations, monkeypatch):
+        monkeypatch.setattr(quadlat.lattice, "_ATOMS", {})  # a cold atom memo, whatever ran before
         gram = standard("Lambda2d", 5).gram
         assert sorted(eliminations) == [1, 2, 8]  # one per atom; the sum and relabel run none
+        eliminations.clear()
+        assert standard("LambdaSharp").rank == 28
+        assert standard("Lambda2d", 6).rank == 21
+        assert eliminations == [1]  # E8(-1) and U are built once; gen(-12) is new
         eliminations.clear()
         L = make_lattice(gram)
         assert eliminations == [21]
         assert signature(L) == Signature(2, 19)
         assert eliminations == [21]
         M = direct_sum(L, L, standard("U"))
-        assert eliminations == [21, 2]  # the U atom only
+        assert eliminations == [21]
         assert signature(M) == Signature(5, 39)
         eliminations.clear()
         E = evaluate_expr("E8(-1)^2 + U^2 + gen(-10)")
         assert (E.det, signature(E)) == (L.det, signature(L))
-        assert sorted(eliminations) == [1, 2, 8]  # one per atom
+        assert eliminations == [1]  # the gen(-10) atom only
 
 
 # ---------------------------------------------------------------------------

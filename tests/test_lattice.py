@@ -6,7 +6,7 @@ import pytest
 
 from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge
 import quadlat.lattice
-from quadlat.embeddings import as_lattice, build_iota2d, orthogonal_complement
+from quadlat.embeddings import as_lattice, build_iota2d, in_tilde_O, nikulin_check, orthogonal_complement
 from quadlat.lattice import (
     DiscriminantForm,
     Lattice,
@@ -26,7 +26,19 @@ from quadlat.lattice import (
     signature,
     standard,
 )
-from quadlat.linalg import IntMatrix, RatMatrix, det_exact
+from quadlat.linalg import IntMatrix, RatMatrix, block_diag, det_exact
+
+
+E8_ROWS = [
+    [2, 0, -1, 0, 0, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0, 0, 0],
+    [-1, 0, 2, -1, 0, 0, 0, 0],
+    [0, -1, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, 0],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, 0, 0, -1, 2],
+]
 
 
 def random_nondegenerate(rng, max_rank=5, bound=9):
@@ -85,6 +97,40 @@ class TestStandard:
             standard("Lambda2d", 0)
         with pytest.raises(BadParameter):
             standard("E8", 0)
+
+
+class TestFixedAtoms:
+    @pytest.mark.parametrize(
+        "name, params, label",
+        [("E8", (), "E8"), ("E8", (-1,), "E8(-1)"), ("U", (), "U"), ("LambdaSharp", (), "LambdaSharp"),
+         ("LambdaK3", (), "LambdaK3")],
+    )
+    def test_cached_atom_equals_a_fresh_lattice(self, name, params, label):
+        L = standard(name, *params)
+        fresh = make_lattice(L.gram, L.label)
+        assert (L.det, signature(L), L.label) == (fresh.det, signature(fresh), label)
+        assert L.gram == fresh.gram
+        assert standard(name, *params) is L  # built once per process
+
+    def test_atom_grams(self):
+        e8 = IntMatrix(E8_ROWS)
+        assert standard("E8").gram == e8 and standard("E8", 1) is standard("E8")
+        assert standard("E8", -1).gram == e8.scale(-1)
+        blocks = [e8.scale(-1)] * 3 + [standard("U").gram] * 2
+        assert standard("LambdaSharp").gram == block_diag(*blocks)
+        assert standard("LambdaK3").gram == block_diag(*blocks[1:], standard("U").gram)
+
+    def test_memo_keys_are_the_fixed_names(self):
+        for d in (1, 2, 3):
+            standard("Lambda2d", d)
+        for name, params in [("E8", (2,)), ("E8", (-3,)), ("U", (-1,)), ("U", (6,)), ("An", (3, -1)), ("gen", (-2,))]:
+            L = standard(name, *params)
+            assert standard(name, *params) is not L  # scaled and parametrised lattices are not kept
+        assert set(quadlat.lattice._ATOMS) <= {"E8", "E8(-1)", "U", "LambdaSharp", "LambdaK3"}
+
+    def test_scaled_atoms_keep_their_labels(self):
+        assert standard("E8", 2).label == "E8(2)" and standard("U", -1).label == "U(-1)"
+        assert standard("U", -1).gram == standard("U").gram.scale(-1)
 
 
 class TestSignature:
@@ -230,6 +276,28 @@ class TestDiscriminantGroup:
                 assert all((d * x).denominator == 1 for x in g)
                 paired = (RatMatrix([g]) @ L.gram)[0]
                 assert all(x.denominator == 1 for x in paired)
+
+    def test_kept_once_per_lattice(self):
+        rng = random.Random(14)
+        lattices = [standard("Lambda2d", 7), standard("LambdaSharp"), rescale(standard("U"), 6)]
+        lattices += [random_nondegenerate(rng) for _ in range(30)]
+        for L in lattices:
+            A = discriminant_group(L)
+            assert discriminant_group(L) is A
+            fresh = discriminant_group(make_lattice(L.gram))
+            assert fresh is not A and fresh == A
+
+    def test_invariants_read_the_kept_group(self, monkeypatch):
+        L = standard("Lambda2d", 11)
+        A = discriminant_group(L)
+
+        def refuse(m):
+            raise AssertionError("a second Smith form of the same lattice")
+
+        monkeypatch.setattr(quadlat.lattice, "smith_normal_form", refuse)
+        assert nikulin_check(L, Signature(2, 26)).guaranteed
+        assert discriminant_form(L).group is A
+        assert in_tilde_O(L, IntMatrix.identity(21))
 
     def test_min_generators(self):
         assert min_generators(discriminant_group(standard("Lambda2d", 5))) == 1

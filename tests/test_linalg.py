@@ -158,6 +158,48 @@ class TestDeterminant:
             det_exact(IntMatrix([[1, 2]]))
 
 
+def dense_product(a, b, ncols):
+    """Independent product oracle: the plain dot product of row i of a and column j of b."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(ncols)] for i in range(len(a))]
+
+
+def sparse_matrix(rng, nrows, ncols, bound=9):
+    # mostly zeros, like the block-sparse Grams and bases of the package
+    return IntMatrix([[rng.choice([0, 0, 0, rng.randint(-bound, bound)]) for _ in range(ncols)] for _ in range(nrows)],
+                     ncols=ncols)
+
+
+class TestReusedRightOperand:
+    def test_products_match_dense_reference(self):
+        rng = random.Random(14)
+
+        def check(m):
+            for _ in range(3):
+                a = sparse_matrix(rng, rng.randint(0, 4), m.nrows)
+                product = a @ m
+                assert product.tolist() == dense_product(a, m, m.ncols) and product.ncols == m.ncols
+
+        for _ in range(150):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            b = sparse_matrix(rng, r, c)
+            # b is the right operand of several products, then each matrix derived from it
+            check(b)
+            for m in (b.transpose(), b.stack(sparse_matrix(rng, rng.randint(0, 3), c)), b.scale(-3), -b, b):
+                check(m)
+
+    def test_sparse_rows_built_once(self):
+        b = IntMatrix([[0, 2, 0], [1, 0, -1]])
+        assert b._sparse is None
+        IntMatrix([[1, 1]]) @ b
+        rows = b._sparse
+        assert rows == [[(1, 2)], [(0, 1), (2, -1)]]
+        IntMatrix([[3, 0]]) @ b
+        assert b._sparse is rows
+        t = b.transpose()
+        assert t._sparse is None and (IntMatrix.identity(3) @ t) == t
+        assert t._sparse == [[(1, 1)], [(0, 2)], [(1, -1)]]
+
+
 class TestKernelBasis:
     def test_trivial_kernel(self):
         # full row rank: the empty basis of ℤ^r, also for r = 0
