@@ -85,7 +85,11 @@ def _embedding_from_json(data: dict) -> embeddings.SublatticeEmbedding:
     if not isinstance(data, dict) or "ambient" not in data or "basis" not in data:
         raise BadParameter("embedding JSON needs 'ambient' and 'basis' keys")
     amb = lattice_from_json(data["ambient"])
-    return embeddings.SublatticeEmbedding(amb, IntMatrix(_json_numbers(data["basis"], "basis"), ncols=amb.rank))
+    basis = data["basis"]
+    # more rows than the ambient rank are dependent: refused before any row is read
+    if isinstance(basis, list) and len(basis) > amb.rank:
+        raise BadParameter("basis rows are linearly dependent")
+    return embeddings.SublatticeEmbedding(amb, IntMatrix(_json_numbers(basis, "basis"), ncols=amb.rank))
 
 
 def _group_text(factors) -> str:

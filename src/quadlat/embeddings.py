@@ -30,6 +30,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     Signature,
+    _derived_lattice,
     discriminant_group,
     is_even,
     make_lattice,
@@ -59,7 +60,9 @@ class SublatticeEmbedding:
     Lambda2d Gram.  The induced form may be degenerate (quotient
     computations need that); operations requiring a non-degenerate
     restriction check it themselves.  An embedding keeps its orthogonal
-    complement once that is computed.
+    complement and its induced lattice (``as_lattice``, unlabelled) once
+    each is computed; ``build_iota2d`` fills the lattice with the Lambda2d
+    lattice its induced Gram was checked against.
     """
 
     ambient: Lattice
@@ -76,6 +79,7 @@ class SublatticeEmbedding:
         if b.nrows > b.ncols or det_exact(b @ b.transpose()) == 0:
             raise BadParameter("basis rows are linearly dependent")
         object.__setattr__(self, "_complement", None)  # filled by orthogonal_complement
+        object.__setattr__(self, "_lattice", None)  # filled by as_lattice or build_iota2d
 
     @classmethod
     def _trusted(cls, ambient: Lattice, basis: IntMatrix) -> "SublatticeEmbedding":
@@ -84,6 +88,7 @@ class SublatticeEmbedding:
         object.__setattr__(E, "ambient", ambient)
         object.__setattr__(E, "basis", basis)
         object.__setattr__(E, "_complement", None)
+        object.__setattr__(E, "_lattice", None)
         return E
 
     @property
@@ -97,8 +102,15 @@ def induced_gram(E: SublatticeEmbedding) -> IntMatrix:
 
 
 def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
-    """The sublattice as an abstract lattice (requires non-degenerate restriction)."""
-    return make_lattice(induced_gram(E), label)
+    """The sublattice as an abstract lattice (requires non-degenerate restriction).
+
+    E keeps the unlabelled lattice, so its Gram is built and validated once
+    per embedding; a label gives a relabelled copy.
+    """
+    if E._lattice is None:
+        object.__setattr__(E, "_lattice", make_lattice(induced_gram(E)))
+    L = E._lattice
+    return L if label is None else _derived_lattice(L.gram, L.det, L._signature, label)
 
 
 @dataclass(frozen=True)
@@ -296,20 +308,18 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
         raise BadParameter("d must be a positive integer")
     sharp = standard("LambdaSharp")
     v = find_primitive_vector(standard("E8", -1), -2 * d)
-    rows = []
-    for i in range(16):  # E8(-1)^2 occupies ambient coordinates 0..15
-        rows.append([1 if j == i else 0 for j in range(28)])
-    for i in range(4):  # the U^2 block sits at ambient coordinates 24..27
-        rows.append([1 if j == 24 + i else 0 for j in range(28)])
-    rows.append([0] * 16 + list(v) + [0] * 4)  # third E8(-1): coordinates 16..23
-    emb = SublatticeEmbedding._trusted(sharp, IntMatrix(rows, ncols=28))
+    # E8(-1)^2 occupies ambient coordinates 0..15 and the U^2 block 24..27
+    rows = [(0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28))]
+    rows.append((0,) * 16 + tuple(v) + (0,) * 4)  # third E8(-1): coordinates 16..23
+    emb = SublatticeEmbedding._trusted(sharp, IntMatrix._trusted(tuple(rows), 28))
     # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly,
     # which also proves the rows independent, the Lambda2d Gram being non-degenerate
-    induced, expected = induced_gram(emb), standard("Lambda2d", d).gram
-    if induced != expected:
+    induced, lam = induced_gram(emb), standard("Lambda2d", d)
+    if induced != lam.gram:
         raise InvariantViolation(
-            "iota2d does not induce the Lambda2d Gram", d=d, induced=induced, expected=expected
+            "iota2d does not induce the Lambda2d Gram", d=d, induced=induced, expected=lam.gram
         )
+    object.__setattr__(emb, "_lattice", _derived_lattice(lam.gram, lam.det, lam._signature, None))
     return emb
 
 
@@ -356,7 +366,7 @@ def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
     num, den = solve_integral(m, (g @ E.basis).stack(comp.basis))
     if any(x % den for row in num for x in row):
         raise NotInTildeO("extension is not integral on the ambient lattice")
-    result = IntMatrix([[x // den for x in row] for row in num], ncols=num.ncols)
+    result = IntMatrix._trusted(tuple(tuple(x // den for x in row) for row in num), num.ncols)
     if not is_isometry(E.ambient, result):
         raise InvariantViolation(
             "extension does not preserve the ambient form", extension=result, g=g

@@ -19,6 +19,10 @@ The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
 K3 geometry, slow near the rank cap (``info "gen(2)^1000"``, in effect one
 rank-1000 Smith form, takes 35–45 s with CPython 3.11 on a 2-core host).
+Their row and column steps run only where there is work: a 2-row or
+2-column gcd step only for a nonzero entry to clear against the nonzero
+pivot, a row update only for a nonzero multiplier.  The block-sparse
+Grams and unit-row bases of K3 geometry leave most entries zero.
 """
 
 from __future__ import annotations
@@ -265,27 +269,25 @@ def _frozen(rows: list[list[int]], ncols: int) -> IntMatrix:
 
 
 def _ident_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _addmul_row(rows: list[list[int]], dst: int, src: int, k: int) -> None:
-    if k:
-        rdst = rows[dst]
-        for j, v in enumerate(rows[src]):
-            if v:
-                rdst[j] += k * v
+    # row dst += k·(row src), for k ≠ 0
+    rdst = rows[dst]
+    for j, v in enumerate(rows[src]):
+        if v:
+            rdst[j] += k * v
 
 
 def _gcd_row_op(mat: list[list[int]], trans: list[list[int]], pr: int, i: int, col: int) -> None:
     # Unimodular 2-row operation putting gcd(mat[pr][col], mat[i][col])
-    # at (pr, col) and zero at (i, col).
+    # at (pr, col) and zero at (i, col); both entries are nonzero, the
+    # callers skipping an entry that is already zero.
     a, b = mat[pr][col], mat[i][col]
-    if b == 0:
-        return
-    if a == 0:
-        mat[pr], mat[i] = mat[i], mat[pr]
-        trans[pr], trans[i] = trans[i], trans[pr]
-        return
     if b % a == 0:
         q = b // a
         _addmul_row(mat, i, pr, -q)
@@ -302,13 +304,6 @@ def _gcd_row_op(mat: list[list[int]], trans: list[list[int]], pr: int, i: int, c
 def _gcd_col_op(mat: list[list[int]], trans: list[list[int]], pc: int, j: int, row: int) -> None:
     # Column analogue of _gcd_row_op; trans accumulates the right factor.
     a, b = mat[row][pc], mat[row][j]
-    if b == 0:
-        return
-    if a == 0:
-        for m in (mat, trans):
-            for r in m:
-                r[pc], r[j] = r[j], r[pc]
-        return
     if b % a == 0:
         q = b // a
         for m in (mat, trans):
@@ -362,9 +357,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, r):
-                _gcd_row_op(S, U, t, i, t)
+                if S[i][t]:
+                    _gcd_row_op(S, U, t, i, t)
             for j in range(t + 1, c):
-                _gcd_col_op(S, V, t, j, t)
+                if S[t][j]:
+                    _gcd_col_op(S, V, t, j, t)
             if any(S[i][t] for i in range(t + 1, r)):
                 continue  # column ops re-dirtied the pivot column
             p = S[t][t]
@@ -416,15 +413,17 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             H[prow], H[piv] = H[piv], H[prow]
             T[prow], T[piv] = T[piv], T[prow]
         for i in range(prow + 1, r):
-            _gcd_row_op(H, T, prow, i, col)
+            if H[i][col]:
+                _gcd_row_op(H, T, prow, i, col)
         if H[prow][col] < 0:
             H[prow] = [-x for x in H[prow]]
             T[prow] = [-x for x in T[prow]]
         p = H[prow][col]
         for i in range(prow):
             q = H[i][col] // p  # floor division leaves a remainder in [0, p)
-            _addmul_row(H, i, prow, -q)
-            _addmul_row(T, i, prow, -q)
+            if q:
+                _addmul_row(H, i, prow, -q)
+                _addmul_row(T, i, prow, -q)
         prow += 1
     return _frozen(H, c), _frozen(T, r)
 

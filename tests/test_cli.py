@@ -285,6 +285,17 @@ class TestBadInput:
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": "BadParameter", "detail": "basis rows are linearly dependent"}
 
+    def test_complement_more_rows_than_rank_refused_before_rows_are_read(self, capsys, monkeypatch):
+        def refuse(value, name):
+            raise AssertionError(f"{name} was walked")
+
+        plane = {"ambient": {"gram": [[0, 1], [1, 0]]}, "basis": [[1, 0]] * 10**5}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(plane)))
+        monkeypatch.setattr("quadlat.cli._json_numbers", refuse)
+        code, out = invoke(capsys, "--json", "complement")
+        assert code == 2
+        assert json.loads(out) == {"error": "BadParameter", "detail": "basis rows are linearly dependent"}
+
 
 class TestRankCap:
     """Oversized expressions are refused before any Gram matrix is built."""

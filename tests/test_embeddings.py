@@ -1,10 +1,11 @@
+import contextlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from quadlat import embeddings
+from quadlat import embeddings, linalg
 from quadlat.errors import (
     BadParameter,
     InvariantViolation,
@@ -174,6 +175,54 @@ class TestKernelEmbeddings:
         monkeypatch.setattr(embeddings, "kernel_basis", refuse)
         r = extend_isometry(E, _e8_block_swap_in_lambda2d())
         assert C.basis @ r == C.basis
+
+
+@contextlib.contextmanager
+def _eliminations():
+    """Count the symmetric eliminations that validate Grams, by rank."""
+    calls = []
+    kernel = linalg._symmetric_elimination
+
+    def counted(m):
+        calls.append(m.nrows)
+        return kernel(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_symmetric_elimination", counted)
+        yield calls
+
+
+class TestKeptLattice:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5000))
+    def test_iota2d_lattice_is_the_induced_lattice(self, d):
+        E = build_iota2d(d)
+        kept, fresh = as_lattice(E), make_lattice(induced_gram(E))
+        assert kept.gram == fresh.gram and kept.det == fresh.det
+        assert signature(kept) == signature(fresh) == Signature(2, 19)
+        assert kept.label is None and as_lattice(E) is kept
+
+    def test_extension_of_iota2d_runs_no_elimination(self):
+        E = build_iota2d(7)
+        with _eliminations() as calls:
+            extend_isometry(E, _e8_block_swap_in_lambda2d())
+        assert calls == []
+
+    def test_label_gives_a_relabelled_copy(self):
+        E = build_iota2d(3)
+        named = as_lattice(E, "x")
+        assert named.label == "x" and named.gram == as_lattice(E).gram
+        assert as_lattice(E).label is None
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(embeddings_in())
+    def test_public_embedding_validates_its_gram_once(self, E):
+        assume(det_exact(induced_gram(E)) != 0)
+        with _eliminations() as calls:
+            first = as_lattice(E)
+            assert as_lattice(E, "y").label == "y"
+            assert as_lattice(E) is first
+        assert calls == [E.rank]
 
 
 class TestOrthogonalComplement:

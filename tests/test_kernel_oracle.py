@@ -3,7 +3,8 @@
 sympy (test-only) checks ``solve_rational`` and ``IntMatrix.__matmul__``
 on dense and block-sparse matrices up to rank 28 with large entries, and
 the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
-ones included.  It also checks the kernels built on the one Bareiss step:
+ones included; a work test checks that those forms call their row and
+column steps only for a nonzero entry and multiplier.  It also checks the kernels built on the one Bareiss step:
 ``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
 zero right-hand sides) and the det of the symmetric elimination.  The
 remaining kernels are checked against the formulas they replaced: the
@@ -43,6 +44,7 @@ from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 import quadlat.lattice  # noqa: E402
+from quadlat import linalg  # noqa: E402
 
 from quadlat.brauer import FiniteMatrixGroupModL, brute_force_points, fixed_subspace_mod_ell  # noqa: E402
 
@@ -81,6 +83,7 @@ from quadlat.linalg import (  # noqa: E402
     det_exact,
     hermite_normal_form,
     invert_rational,
+    kernel_basis,
     smith_normal_form,
     solve_integral,
     solve_rational,
@@ -215,6 +218,62 @@ class TestAgainstSympy:
         # columns span, so equal forms of the transposes mean equal row
         # lattices; zero rows of H span nothing
         assert sympy_hnf(Matrix(H.tolist()).T) == sympy_hnf(Matrix(m.tolist()).T)
+
+
+def _helper_calls(run) -> list[tuple[str, bool]]:
+    """Run ``run()`` with the normal-form helpers watched; one (helper, had
+    work) pair per call.  A row or column gcd step has work when its pivot
+    and the entry it clears are nonzero, a row update when its multiplier is."""
+    calls = []
+    row_op, col_op, addmul = linalg._gcd_row_op, linalg._gcd_col_op, linalg._addmul_row
+
+    def watched_row_op(mat, trans, pr, i, col):
+        calls.append(("row", bool(mat[pr][col] and mat[i][col])))
+        row_op(mat, trans, pr, i, col)
+
+    def watched_col_op(mat, trans, pc, j, row):
+        calls.append(("column", bool(mat[row][pc] and mat[row][j])))
+        col_op(mat, trans, pc, j, row)
+
+    def watched_addmul(rows, dst, src, k):
+        calls.append(("addmul", bool(k)))
+        addmul(rows, dst, src, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_gcd_row_op", watched_row_op)
+        mp.setattr(linalg, "_gcd_col_op", watched_col_op)
+        mp.setattr(linalg, "_addmul_row", watched_addmul)
+        run()
+    return calls
+
+
+def _all_normal_forms(m):
+    for a in (m, m.transpose()):
+        smith_normal_form(a)
+        hermite_normal_form(a)
+        kernel_basis(a)
+
+
+class TestNormalFormWork:
+    """Smith and Hermite forms call their row and column helpers only for
+    an entry to clear and a nonzero multiplier; the sympy oracles above
+    check what they compute."""
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_inputs(self, d):
+        for m in (standard("Lambda2d", d).gram, build_iota2d(d).basis):
+            calls = _helper_calls(lambda: _all_normal_forms(m))
+            assert calls and all(work for _, work in calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_or_rank_deficient())
+    def test_small_or_rank_deficient(self, m):
+        assert all(work for _, work in _helper_calls(lambda: _all_normal_forms(m)))
+
+    @ORACLE
+    @given(dense_or_block_sparse(max_rank=12, entries=st.integers(-9, 9)))
+    def test_dense_or_block_sparse(self, m):
+        assert all(work for _, work in _helper_calls(lambda: _all_normal_forms(m)))
 
 
 # ---------------------------------------------------------------------------
