@@ -4,25 +4,36 @@ An even overlattice of L sits between L and its dual and corresponds to
 a subgroup of the discriminant group on which the quadratic form
 vanishes (Nikulin 1979, §1.4).  ``isotropic_subgroups`` generates each
 such subgroup exactly once, by canonical augmentation (McKay 1998), on
-the ints of the form's ``lattice._ElementTable``, and grows each
-subgroup's span from its parent's with ``lattice._span``.  Results are
-ordered by size and then lexicographically on their element sets, so
-output is deterministic.  Glue generators enter integer arithmetic once,
-as numerators over their common denominator, kept by ``GlueSubgroup``
-from its dual-lattice check.
+the ints of the form's ``lattice._ElementTable``.  It tests a candidate
+one coset of its span at a time, dropping it at the first element below
+it, and refuses with ``TooLarge`` once it has built more than
+``GLUE_SEARCH_CAP`` coset elements.  Results are ordered by size and
+then lexicographically on their element sets, so output is
+deterministic.
+
+The glue path runs on integers from the form to the overlattice.  The
+public ``GlueSubgroup`` constructor checks that its generators lie in
+the dual lattice; ``isotropic_subgroups`` builds its subgroups from
+integer combinations of the group's own lifts through the trusted
+``GlueSubgroup._trusted``, with no check.  ``overlattice_from_glue``
+checks that the glue is isotropic, whichever path built it, and takes
+the overlattice's det and signature from the base lattice, with no
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt, prod
 
-from .errors import BadParameter, NotIsotropic, TooLarge
+from .errors import BadParameter, InvariantViolation, NotIsotropic, TooLarge
 from .lattice import (
     BRUTE_FORCE_CAP,
     DiscriminantForm,
     Lattice,
+    _derived_lattice,
     _ElementTable,
     _span,
     discriminant_form,
@@ -33,13 +44,23 @@ from .linalg import IntMatrix, RatMatrix, hermite_normal_form
 #: Default ceiling on |det| for the binary-form enumeration.
 BINARY_DET_CAP = 10_000
 
+#: Ceiling on the coset elements one ``isotropic_subgroups`` search may
+#: build, each one group addition: U(2)^4 needs 101,428 and U(6)^2 48,066.
+#: Fixed: the ``cap`` on |A| does not change it.
+GLUE_SEARCH_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class GlueSubgroup:
     """Isotropic subgroup of a discriminant group, given by generator lifts.
 
-    Rows of ``generators`` are dual vectors in base-lattice coordinates;
-    each must pair integrally with the base lattice.
+    Rows of ``generators`` are dual vectors in base-lattice coordinates.
+    This constructor checks that each pairs integrally with the base
+    lattice, and keeps the rows as integer numerators over their least
+    common denominator.  ``isotropic_subgroups`` builds its subgroups
+    through ``_trusted`` from integer combinations of the discriminant
+    group's lifts, which lie in the dual by construction, so it skips the
+    check.  Neither path checks isotropy: ``overlattice_from_glue`` does.
     """
 
     base: Lattice
@@ -57,6 +78,20 @@ class GlueSubgroup:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
+    @classmethod
+    def _trusted(cls, base: Lattice, num: IntMatrix, den: int) -> "GlueSubgroup":
+        # dual vectors num/den by construction; divided by their common gcd
+        # with den, so _num and _den are what generators._numerators() gives
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
+        G = object.__new__(cls)
+        object.__setattr__(G, "base", base)
+        object.__setattr__(G, "generators", RatMatrix._over(num, den))
+        object.__setattr__(G, "_num", num)
+        object.__setattr__(G, "_den", den)
+        return G
+
 
 def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list[GlueSubgroup]:
     """Every subgroup of the discriminant group on which q vanishes mod 2ℤ.
@@ -71,40 +106,75 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     outside span(g₁, ..., gᵢ₋₁); they are the rows of its
     ``GlueSubgroup``.  A child of H = span(g₁, ..., gₖ) adjoins a
     candidate e > gₖ and is kept only when e is the least element of
-    span(H, e) outside H.
+    span(H, e) outside H.  That span is built one coset H + k·e at a time,
+    and the candidate is dropped at the first element below e.
+
+    |A| ≤ ``cap`` does not bound the output: U(2)^6 has 4096 elements and
+    28,767,916 isotropic subgroups.  So the search counts the coset
+    elements it builds and refuses with TooLarge past ``GLUE_SEARCH_CAP``.
     """
     if F.order > cap:
         raise TooLarge(f"|A| = {F.order} exceeds the brute-force cap {cap}")
     T = _ElementTable(F.group.invariant_factors, F._exponent, F._q_gen, F._b_gen)
+    add = T.add
     found = []
+    built = 0
+
+    def child(H, e):
+        # span(H, e) when e is its least element outside H, else None
+        nonlocal built
+        new, m = [], e
+        while m not in H:
+            for h in H:
+                x = add(h, m)
+                if x < e:
+                    built += len(new) + 1
+                    return None
+                new.append(x)
+            m = add(m, e)
+        built += len(new)
+        return H.union(new)
 
     def grow(H, gens, candidates):
         # candidates: isotropic, beyond gens[-1], outside H, b-orthogonal to H;
         # so span(H, e) is isotropic, as q(h + e) = q(h) + q(e) + 2·b(h, e)
         found.append((H, gens))
         for i, e in enumerate(candidates):
-            K = _span([e], T.add, H)
-            if min(K - H) == e:
+            K = child(H, e)
+            if built > GLUE_SEARCH_CAP:
+                raise TooLarge(
+                    f"the glue search built {built} coset elements, past its cap {GLUE_SEARCH_CAP}, "
+                    f"with {len(found)} isotropic subgroups found"
+                )
+            if K is not None:
                 later = [c for c in candidates[i + 1 :] if c not in K and T.b(c, e) == 0]
                 grow(K, gens + [e], later)
 
     grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     lift_num, den = F.group._lift_num, F.group._lift_den
-    rows = [IntMatrix._trusted(tuple(map(T.coefficients, gens)), len(T.factors)) for _, gens in found]
-    return [GlueSubgroup(F.lattice, RatMatrix._over(m @ lift_num, den)) for m in rows]
+    s = len(T.factors)
+    return [
+        GlueSubgroup._trusted(F.lattice, IntMatrix._trusted(tuple(map(T.coefficients, gens)), s) @ lift_num, den)
+        for _, gens in found
+    ]
+
+
+def _element_numerators(G: GlueSubgroup) -> frozenset[tuple[int, ...]]:
+    # the subgroup as numerator tuples over G._den, each reduced mod G._den
+    den = G._den
+    rows = [tuple(x % den for x in row) for row in G._num]
+    return _span(rows, lambda x, y: tuple((a + b) % den for a, b in zip(x, y)), frozenset([(0,) * G.base.rank]))
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
     """Elements of the glue subgroup as dual vectors reduced mod the base lattice."""
     den = G._den
-    rows = [tuple(x % den for x in row) for row in G._num]
-    span = _span(rows, lambda x, y: tuple((a + b) % den for a, b in zip(x, y)), frozenset([(0,) * G.base.rank]))
-    return frozenset(tuple(Fraction(x, den) for x in e) for e in span)
+    return frozenset(tuple(Fraction(x, den) for x in e) for e in _element_numerators(G))
 
 
 def glue_order(G: GlueSubgroup) -> int:
-    return len(subgroup_elements(G))
+    return len(_element_numerators(G))
 
 
 def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
@@ -112,23 +182,27 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
 
     Raises NotIsotropic when the result fails to be an even integral
     lattice (which happens exactly when the glue subgroup is not
-    isotropic).
+    isotropic).  Its det is det L·(det B)²/den^(2n) for the basis B/den
+    below, and its signature is L's, so its Gram needs no elimination.
     """
     base = G.base
     n = base.rank
     # the lattice is (1/den)·(row span of den·identity and den·lifts)
     den = G._den
-    scaled = IntMatrix.identity(n).scale(den).stack(G._num)
+    scaled = IntMatrix._trusted(tuple((0,) * i + (den,) + (0,) * (n - 1 - i) for i in range(n)) + tuple(G._num), n)
     H, _ = hermite_normal_form(scaled)
-    basis = IntMatrix(H[:n], ncols=n)  # full rank: contains den·identity
+    basis = IntMatrix._trusted(H[:n], n)  # full rank, as it contains den·identity: upper triangular
     num = basis @ base.gram @ basis.transpose()  # den² times the Gram
     den2 = den * den
     if any(x % den2 for row in num for x in row):
         raise NotIsotropic("glue subgroup is not isotropic: non-integral pairing")
-    gram_int = IntMatrix([[x // den2 for x in row] for row in num], ncols=n)
-    if any(gram_int[i][i] % 2 for i in range(n)):
+    gram = IntMatrix._trusted(tuple(tuple(x // den2 for x in row) for row in num), n)
+    if any(gram[i][i] % 2 for i in range(n)):
         raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
-    return make_lattice(gram_int)
+    det, r = divmod(base.det * prod(basis[i][i] for i in range(n)) ** 2, den ** (2 * n))
+    if r:
+        raise InvariantViolation("the overlattice det is not an integer", glue=G, basis=basis)
+    return _derived_lattice(gram, det, base._signature, None)
 
 
 def even_overlattices(L: Lattice, cap: int = BRUTE_FORCE_CAP) -> list[Lattice]:

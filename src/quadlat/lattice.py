@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import (
     BadParameter,
     Degenerate,
+    InvariantViolation,
     NotSymmetric,
     OddLattice,
     TooLarge,
@@ -300,7 +301,10 @@ class DiscriminantForm:
     The values must define a quadratic form on the group: b symmetric,
     dᵢ·b(gᵢ, gⱼ) ∈ ℤ, q(gᵢ) ≡ b(gᵢ, gᵢ) mod 1 and dᵢ²·q(gᵢ) ∈ 2ℤ.  Then
     q and b are well defined on ⊕ ℤ/dᵢ and q(x) ≡ b(x, x) mod 1 for every
-    x; anything else is refused with BadParameter.
+    x; this constructor refuses anything else with BadParameter.
+    ``discriminant_form`` builds its form through ``_trusted`` from the
+    integer pairings of the lattice's own lifts, where these conditions
+    hold by construction, so it skips the checks.
     """
 
     group: DiscriminantGroup
@@ -332,6 +336,19 @@ class DiscriminantForm:
         object.__setattr__(self, "_exponent", N)
         object.__setattr__(self, "_q_gen", qs)
         object.__setattr__(self, "_b_gen", bs)
+
+    @classmethod
+    def _trusted(cls, group: DiscriminantGroup, N: int, q_gen: tuple, b_gen: tuple, lattice: Lattice):
+        # q·N mod 2N and b·N mod N over the exponent N of the group, a form by construction
+        F = object.__new__(cls)
+        object.__setattr__(F, "group", group)
+        object.__setattr__(F, "q_values", tuple(Fraction(x, N) for x in q_gen))
+        object.__setattr__(F, "b_values", RatMatrix._over(IntMatrix._trusted(b_gen, len(b_gen)), N))
+        object.__setattr__(F, "lattice", lattice)
+        object.__setattr__(F, "_exponent", N)
+        object.__setattr__(F, "_q_gen", q_gen)
+        object.__setattr__(F, "_b_gen", b_gen)
+        return F
 
     @property
     def order(self) -> int:
@@ -377,18 +394,25 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
 def discriminant_form(L: Lattice) -> DiscriminantForm:
     """Quadratic/bilinear discriminant data; defined for even lattices only.
 
-    Every value is one entry of the integer product num·G·numᵀ, reduced
-    mod 2·den² (q) or den² (b), over den²; num/den are the generator lifts.
+    Every value is one entry p of the integer product num·G·numᵀ over
+    den², num/den being the generator lifts: q·N = p·N/den² mod 2N on the
+    diagonal and b·N = p·N/den² mod N, for the exponent N.  Each division
+    is exact, since N·x lies in L for every dual vector x; it is checked
+    explicitly, and the form is built with no other check.
     """
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
     group = discriminant_group(L)
     num, den = group._lift_num, group._lift_den
-    pairings = num @ L.gram @ num.transpose()
+    factors = group.invariant_factors
+    N = factors[-1] if factors else 1
     den2 = den * den
-    q = tuple(Fraction(pairings[i][i] % (2 * den2), den2) for i in range(pairings.nrows))
-    b = IntMatrix._trusted(tuple(tuple(x % den2 for x in row) for row in pairings), pairings.ncols)
-    return DiscriminantForm(group, q, RatMatrix._over(b, den2), L)
+    pairings = num @ L.gram @ num.transpose()
+    if any(x * N % den2 for row in pairings for x in row):
+        raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
+    q = tuple(pairings[i][i] * N // den2 % (2 * N) for i in range(len(factors)))
+    b = tuple(tuple(x * N // den2 % N for x in row) for row in pairings)
+    return DiscriminantForm._trusted(group, N, q, b, L)
 
 
 def min_generators(A: DiscriminantGroup) -> int:

@@ -322,6 +322,19 @@ class TestNormSearchCap:
         assert data["error"] == "TooLarge" and "norm search" in data["detail"]
 
 
+class TestGlueSearchCap:
+    def test_u2_fifth_refused_with_one_json_line(self, capsys, monkeypatch):
+        # |A| = 1024 is inside the |A| cap, and QUADLAT_CAP does not lift the search cap
+        monkeypatch.setenv("QUADLAT_CAP", str(10**9))
+        start = time.perf_counter()
+        code, out = invoke(capsys, "--json", "overlattices", "U(2)^5")
+        assert time.perf_counter() - start < 10  # about 2.5 s
+        assert code == 2
+        assert out.count("\n") == 1
+        data = json.loads(out)
+        assert data["error"] == "TooLarge" and "glue search" in data["detail"]
+
+
 class TestPointsCapAndHugePrimes:
     """The scan cap is decided without building ell^(n²), and before any
     trial division; primality tests use integer square roots only."""

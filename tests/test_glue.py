@@ -157,6 +157,19 @@ class TestIsotropicSubgroups:
             GlueSubgroup(standard("U"), RatMatrix([[Fraction(1, 3), 0]]))
 
 
+class TestGlueSearchCap:
+    """The search counts the coset elements it builds, and the |A| cap does
+    not lift its own; U(2)^4 and U(6)^2 answer under it (below)."""
+
+    def test_u2_cubed_builds_1520(self, monkeypatch):
+        F = discriminant_form(evaluate_expr("U(2)^3"))
+        monkeypatch.setattr(quadlat.glue, "GLUE_SEARCH_CAP", 1520)
+        assert len(isotropic_subgroups(F)) == 171
+        monkeypatch.setattr(quadlat.glue, "GLUE_SEARCH_CAP", 1519)
+        with pytest.raises(TooLarge, match="past its cap 1519"):
+            isotropic_subgroups(F, cap=10**9)
+
+
 def gaussian_binomial(n, k, p):
     return prod(p ** (n - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
 

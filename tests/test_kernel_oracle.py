@@ -18,7 +18,8 @@ pairings of dual vectors and exhaustive scans, and the prime-by-prime
 form isomorphism against the whole-group search it replaced, which
 evaluates q and b on its own.  The integer paths for dual
 vectors (numerators over one denominator) are checked against the
-``Fraction`` products they replaced.  The mod-ell elimination behind
+``Fraction`` products they replaced, and the glue path's trusted forms,
+subgroups and overlattices against the public constructors that check.  The mod-ell elimination behind
 ``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
 fixed spaces against the nullspace, invertibility against the
 determinant; the point scans against the closed-form orders of SL_n,
@@ -43,6 +44,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa:
 from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import quadlat.glue  # noqa: E402
 import quadlat.lattice  # noqa: E402
 from quadlat import linalg  # noqa: E402
 
@@ -58,11 +60,19 @@ from quadlat.embeddings import (  # noqa: E402
     orthogonal_complement,
     saturate,
 )
-from quadlat.errors import BadParameter, Degenerate, NonSquare, NotInvertible, SingularMatrix  # noqa: E402
+from quadlat.errors import (  # noqa: E402
+    BadParameter,
+    Degenerate,
+    InvariantViolation,
+    NonSquare,
+    NotInvertible,
+    SingularMatrix,
+)
 from quadlat.expr import evaluate_expr  # noqa: E402
-from quadlat.glue import GlueSubgroup, isotropic_subgroups, subgroup_elements  # noqa: E402
+from quadlat.glue import GlueSubgroup, isotropic_subgroups, overlattice_from_glue, subgroup_elements  # noqa: E402
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
+    DiscriminantGroup,
     Signature,
     _ElementTable,
     _span,
@@ -88,6 +98,8 @@ from quadlat.linalg import (  # noqa: E402
     solve_integral,
     solve_rational,
 )
+
+from test_glue import random_even_lattice  # noqa: E402
 
 ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 BIG = 10**12
@@ -1020,6 +1032,57 @@ class TestDualVectorIntegerPaths:
             assert verdict == _old_in_tilde_O(_U2_U2_U3, g)
             verdicts.append(verdict)
         assert set(verdicts) == {True, False}
+
+
+@st.composite
+def glue_lattices(draw):
+    """The criterion-5 family (even, rank ≤ 4, |det| ≤ 50), or an
+    orthogonal sum of U(n) and even gen(k) with |A| ≤ 150."""
+    if draw(st.booleans()):
+        return random_even_lattice(random.Random(draw(st.integers(0, 2**32))))
+    part = st.one_of(
+        st.integers(1, 6).map(lambda n: standard("U", n)),
+        st.integers(-6, 6).filter(bool).map(lambda k: standard("gen", 2 * k)),
+    )
+    L = direct_sum(*draw(st.lists(part, min_size=1, max_size=4)))
+    assume(abs(L.det) <= 150)
+    return L
+
+
+class TestTrustedGluePath:
+    """The glue path builds its forms, subgroups and overlattices without
+    re-running the public constructors' checks; those constructors, given
+    the same data, agree with it exactly."""
+
+    @ORACLE
+    @given(glue_lattices())
+    def test_trusted_results_match_the_validating_constructors(self, L):
+        F = discriminant_form(L)
+        checked = DiscriminantForm(F.group, F.q_values, F.b_values, F.lattice)
+        assert (checked._exponent, checked._q_gen, checked._b_gen) == (F._exponent, F._q_gen, F._b_gen)
+        for G in isotropic_subgroups(F):
+            again = GlueSubgroup(G.base, G.generators)
+            assert (again._num, again._den) == (G._num, G._den)
+            M = overlattice_from_glue(G)
+            validated = make_lattice(M.gram)
+            assert (validated.det, signature(validated)) == (M.det, signature(M))
+
+    def test_discriminant_pairing_exactness_is_checked(self, monkeypatch):
+        # a lift of order 36 in a group of exponent 6: q·6 = 1/6 is not an integer
+        corrupted = DiscriminantGroup((6,), RatMatrix([[Fraction(1, 36)]]))
+        monkeypatch.setattr(quadlat.lattice, "discriminant_group", lambda L: corrupted)
+        with pytest.raises(InvariantViolation):
+            discriminant_form(standard("gen", 6))
+
+    def test_overlattice_det_exactness_is_checked(self, monkeypatch):
+        L = direct_sum(standard("gen", 2), standard("gen", -2))
+        G = isotropic_subgroups(discriminant_form(L))[1]  # generated by (1/2, 1/2)
+        # a basis of the same even overlattice that is not triangular, so its
+        # diagonal does not give its det: -4·1²/2⁴ is not an integer
+        skew = IntMatrix([[1, 1], [1, -1], [0, 0]])
+        monkeypatch.setattr(quadlat.glue, "hermite_normal_form", lambda m: (skew, None))
+        with pytest.raises(InvariantViolation):
+            overlattice_from_glue(G)
 
 
 def _fraction_product(a, b):
