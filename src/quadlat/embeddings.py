@@ -338,9 +338,9 @@ def in_tilde_O(L: Lattice, g: IntMatrix) -> bool:
     if not is_isometry(L, g):
         return False
     # each lift num_i/den must move by a lattice vector: num·(g − I) ≡ 0 (mod den)
-    group = discriminant_group(L)
-    moved = group._lift_num @ (g - IntMatrix.identity(L.rank))
-    return all(x % group._lift_den == 0 for row in moved for x in row)
+    num, den = discriminant_group(L).generator_lifts._numerators()
+    moved = num @ (g - IntMatrix.identity(L.rank))
+    return all(x % den == 0 for row in moved for x in row)
 
 
 def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:

@@ -15,18 +15,20 @@ The glue path runs on integers from the form to the overlattice.  The
 public ``GlueSubgroup`` constructor checks that its generators lie in
 the dual lattice; ``isotropic_subgroups`` builds its subgroups from
 integer combinations of the group's own lifts through the trusted
-``GlueSubgroup._trusted``, with no check.  ``overlattice_from_glue``
-checks that the glue is isotropic, whichever path built it, and takes
-the overlattice's det and signature from the base lattice, with no
-elimination.
+``GlueSubgroup._trusted``, with no check.  A subgroup is read through the
+integer form of its generators and one Hermite normal form,
+``_glue_basis``: the overlattice, its order and its elements all come
+from that triangular basis, with no closure under addition.
+``overlattice_from_glue`` checks that the glue is isotropic, whichever
+path built it, and takes the overlattice's det and signature from the
+base lattice, with no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 from .errors import BadParameter, InvariantViolation, NotIsotropic, TooLarge
 from .lattice import (
@@ -35,7 +37,6 @@ from .lattice import (
     Lattice,
     _derived_lattice,
     _ElementTable,
-    _span,
     discriminant_form,
     make_lattice,
 )
@@ -54,13 +55,13 @@ GLUE_SEARCH_CAP = 1_000_000
 class GlueSubgroup:
     """Isotropic subgroup of a discriminant group, given by generator lifts.
 
-    Rows of ``generators`` are dual vectors in base-lattice coordinates.
-    This constructor checks that each pairs integrally with the base
-    lattice, and keeps the rows as integer numerators over their least
-    common denominator.  ``isotropic_subgroups`` builds its subgroups
-    through ``_trusted`` from integer combinations of the discriminant
-    group's lifts, which lie in the dual by construction, so it skips the
-    check.  Neither path checks isotropy: ``overlattice_from_glue`` does.
+    Rows of ``generators`` are dual vectors in base-lattice coordinates;
+    the integer functions below read them as ``generators._numerators()``.
+    This constructor checks that each row pairs integrally with the base
+    lattice.  ``isotropic_subgroups`` builds its subgroups through
+    ``_trusted`` from integer combinations of the discriminant group's
+    lifts, which lie in the dual by construction, so it skips the check.
+    Neither path checks isotropy: ``overlattice_from_glue`` does.
     """
 
     base: Lattice
@@ -75,21 +76,13 @@ class GlueSubgroup:
         num, den = gens._numerators()
         if any(x % den for row in num @ self.base.gram for x in row):
             raise BadParameter("generator does not lie in the dual lattice")
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, base: Lattice, num: IntMatrix, den: int) -> "GlueSubgroup":
-        # dual vectors num/den by construction; divided by their common gcd
-        # with den, so _num and _den are what generators._numerators() gives
-        g = gcd(den, *chain.from_iterable(num))
-        if g > 1:
-            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
+    def _trusted(cls, base: Lattice, generators: RatMatrix) -> "GlueSubgroup":
+        # rows that are dual vectors of base by construction
         G = object.__new__(cls)
         object.__setattr__(G, "base", base)
-        object.__setattr__(G, "generators", RatMatrix._over(num, den))
-        object.__setattr__(G, "_num", num)
-        object.__setattr__(G, "_den", den)
+        object.__setattr__(G, "generators", generators)
         return G
 
 
@@ -152,29 +145,45 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
 
     grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
-    lift_num, den = F.group._lift_num, F.group._lift_den
+    lift_num, den = F.group.generator_lifts._numerators()
     s = len(T.factors)
-    return [
-        GlueSubgroup._trusted(F.lattice, IntMatrix._trusted(tuple(map(T.coefficients, gens)), s) @ lift_num, den)
-        for _, gens in found
-    ]
+    rows = [IntMatrix._trusted(tuple(map(T.coefficients, gens)), s) @ lift_num for _, gens in found]
+    return [GlueSubgroup._trusted(F.lattice, RatMatrix._over(num, den)) for num in rows]
 
 
-def _element_numerators(G: GlueSubgroup) -> frozenset[tuple[int, ...]]:
-    # the subgroup as numerator tuples over G._den, each reduced mod G._den
-    den = G._den
-    rows = [tuple(x % den for x in row) for row in G._num]
-    return _span(rows, lambda x, y: tuple((a + b) % den for a, b in zip(x, y)), frozenset([(0,) * G.base.rank]))
+def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
+    """(H, den): the overlattice M generated by the base and the glue is
+    (1/den)·(row span of H), for the generators' integer form num/den and
+    H the Hermite form of den·I stacked on num.  H is n×n and upper
+    triangular, as its span contains den·ℤⁿ, and each pivot Hᵢᵢ divides den."""
+    n = G.base.rank
+    num, den = G.generators._numerators()
+    scaled = IntMatrix._trusted(tuple((0,) * i + (den,) + (0,) * (n - 1 - i) for i in range(n)) + tuple(num), n)
+    H, _ = hermite_normal_form(scaled)
+    return IntMatrix._trusted(H[:n], n), den
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
-    """Elements of the glue subgroup as dual vectors reduced mod the base lattice."""
-    den = G._den
-    return frozenset(tuple(Fraction(x, den) for x in e) for e in _element_numerators(G))
+    """Elements of the glue subgroup as dual vectors reduced mod the base lattice.
+
+    For (H, den) = ``_glue_basis(G)`` they are Σ cᵢ·Hᵢ/den mod 1 for
+    0 ≤ cᵢ < den/Hᵢᵢ, each once: for two coefficient tuples that first
+    differ at i, the sums differ in coordinate i by (cᵢ − cᵢ′)·Hᵢᵢ/den, as H
+    is upper triangular, and 0 < |cᵢ − cᵢ′|·Hᵢᵢ < den makes that no integer.
+    """
+    H, den = _glue_basis(G)
+    elements = [(0,) * H.ncols]
+    for i, row in enumerate(H):
+        if row[i] < den:  # a row with Hᵢᵢ = den adds no element
+            step = range(den // row[i])
+            elements = [tuple((x + c * y) % den for x, y in zip(e, row)) for e in elements for c in step]
+    return frozenset(tuple(Fraction(x, den) for x in e) for e in elements)
 
 
 def glue_order(G: GlueSubgroup) -> int:
-    return len(_element_numerators(G))
+    """|M/L| = [span H : den·ℤⁿ] = denⁿ / ∏ Hᵢᵢ, for (H, den) = ``_glue_basis(G)``."""
+    H, den = _glue_basis(G)
+    return den**H.nrows // prod(row[i] for i, row in enumerate(H))
 
 
 def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
@@ -182,16 +191,13 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
 
     Raises NotIsotropic when the result fails to be an even integral
     lattice (which happens exactly when the glue subgroup is not
-    isotropic).  Its det is det L·(det B)²/den^(2n) for the basis B/den
-    below, and its signature is L's, so its Gram needs no elimination.
+    isotropic).  Its det is det L·(det H)²/den^(2n) for its basis H/den
+    from ``_glue_basis``, and its signature is L's, so its Gram needs no
+    elimination.
     """
     base = G.base
     n = base.rank
-    # the lattice is (1/den)·(row span of den·identity and den·lifts)
-    den = G._den
-    scaled = IntMatrix._trusted(tuple((0,) * i + (den,) + (0,) * (n - 1 - i) for i in range(n)) + tuple(G._num), n)
-    H, _ = hermite_normal_form(scaled)
-    basis = IntMatrix._trusted(H[:n], n)  # full rank, as it contains den·identity: upper triangular
+    basis, den = _glue_basis(G)
     num = basis @ base.gram @ basis.transpose()  # den² times the Gram
     den2 = den * den
     if any(x % den2 for row in num for x in row):

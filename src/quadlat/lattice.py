@@ -12,9 +12,9 @@ exponent of the group (its last invariant factor): q·N mod 2N and
 b·N mod N.  Every q value lies in (1/N)ℤ because N·x lies in the lattice
 for each dual vector x.  The searches walk a form's ``_ElementTable``,
 which numbers the elements of ⊕ ℤ/dᵢ by ints in lexicographic order and
-holds q on each of them; ``_span`` is the one subgroup closure, given an
-addition.  Two forms are compared one p-primary part at a time, and only
-a part that needs a search gets tables, over its own exponent.
+holds q on each of them.  Two forms are compared one p-primary part at a
+time, and only a part that needs a search gets tables, over its own
+exponent.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BadParameter,
@@ -272,17 +272,12 @@ class DiscriminantGroup:
 
     ``invariant_factors`` are the cyclic orders d1 | d2 | ... (each > 1);
     row i of ``generator_lifts`` is a dual vector generating the i-th
-    cyclic summand.  The lifts enter integer arithmetic once, as
-    numerators over their common denominator.
+    cyclic summand.  Integer arithmetic reads the lifts as
+    ``generator_lifts._numerators()``, which the matrix computes once.
     """
 
     invariant_factors: tuple[int, ...]
     generator_lifts: RatMatrix
-
-    def __post_init__(self):
-        num, den = self.generator_lifts._numerators()
-        object.__setattr__(self, "_lift_num", num)
-        object.__setattr__(self, "_lift_den", den)
 
     @property
     def order(self) -> int:
@@ -403,7 +398,7 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
     group = discriminant_group(L)
-    num, den = group._lift_num, group._lift_den
+    num, den = group.generator_lifts._numerators()
     factors = group.invariant_factors
     N = factors[-1] if factors else 1
     den2 = den * den
@@ -418,25 +413,6 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
 def min_generators(A: DiscriminantGroup) -> int:
     """Smallest size of a generating set (number of invariant factors)."""
     return len(A.invariant_factors)
-
-
-def _span(gens: Iterable, add: Callable, start: frozenset) -> frozenset:
-    """Subgroup of a finite abelian group with addition ``add``, generated
-    by the subgroup ``start`` and the elements ``gens``.
-
-    Adjoining g to a subgroup H adds the cosets H + k·g for k = 1, 2, ...
-    up to the first multiple of g that lies in H, so each element is
-    produced once.
-    """
-    span = set(start)
-    for g in gens:
-        multiples = []
-        m = g
-        while m not in span:
-            multiples.append(m)
-            m = add(m, g)
-        span.update([add(h, k) for h in span for k in multiples])
-    return frozenset(span)
 
 
 class _ElementTable:

@@ -11,9 +11,9 @@ substitution is ``solve_integral``, and ``_symmetric_elimination``'s
 congruence (``Lattice`` det and signature, the norm search's square
 completion).  The one elimination mod a prime is ``_echelon_mod``
 (``brauer``, form isomorphism).  Matrices are immutable; routines are pure.
-The one cache is an ``IntMatrix``'s sparse rows, the nonzero (column,
-entry) pairs of each row, filled the first time the matrix is the right
-operand of a product and kept for its later products.
+A matrix keeps what it computes once: an ``IntMatrix`` its sparse rows,
+filled when it is first the right operand of a product, and a
+``RatMatrix`` its integer form, which other modules read and never copy.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -28,7 +28,8 @@ Grams and unit-row bases of K3 geometry leave most entries zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import index as _as_index
 from typing import Iterable, Sequence
 
@@ -153,12 +154,12 @@ class IntMatrix(_Matrix):
         return IntMatrix._trusted(tuple(out), width)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.nrows != other.nrows or self._ncols != other.ncols:
             raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            ncols=self._ncols,
-        )
+        rows = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._data, other._data))
+        return IntMatrix._trusted(rows, self._ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
@@ -189,7 +190,7 @@ class RatMatrix(_Matrix):
     denominator, so the canonical-form invariants hold by construction.
     """
 
-    __slots__ = ()
+    __slots__ = ("_int_form",)  # (num, den) once _over or _numerators has set it
     _entry = Fraction
 
     def __matmul__(self, other) -> "RatMatrix":
@@ -208,27 +209,39 @@ class RatMatrix(_Matrix):
         return RatMatrix._over(other @ b, den_b)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self._data for x in row)
+        return self._numerators()[1] == 1
 
     def to_int(self) -> IntMatrix:
-        if not self.is_integral():
+        num, den = self._numerators()
+        if den != 1:
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[x.numerator for x in row] for row in self._data], ncols=self._ncols)
+        return num
 
     def common_denominator(self) -> int:
-        return lcm(*(x.denominator for row in self._data for x in row))
+        return self._numerators()[1]
 
     def _numerators(self) -> tuple[IntMatrix, int]:
         # The one way a rational matrix enters integer arithmetic: integer
-        # numerators over the least common denominator of all entries.
-        den = self.common_denominator()
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self._data)
-        return IntMatrix._trusted(num, self._ncols), den
+        # numerators over the least common denominator of all entries,
+        # computed once and kept.
+        form = getattr(self, "_int_form", None)
+        if form is None:
+            den = lcm(*(x.denominator for row in self._data for x in row))
+            num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self._data)
+            form = self._int_form = (IntMatrix._trusted(num, self._ncols), den)
+        return form
 
     @classmethod
     def _over(cls, num: IntMatrix, den: int) -> "RatMatrix":
-        # The way back: num/den, one Fraction per entry.
-        return cls._trusted(tuple(tuple(Fraction(x, den) for x in row) for row in num), num.ncols)
+        # The way back, for den > 0: num/den, one Fraction per entry.  With their
+        # common gcd g divided out, num and den are the integer form, since
+        # den/g is the least common denominator of the entries: it is kept.
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
+        m = cls._trusted(tuple(tuple(Fraction(x, den) for x in row) for row in num), num.ncols)
+        m._int_form = (num, den)
+        return m
 
     def __repr__(self) -> str:
         return f"RatMatrix({[[str(x) for x in row] for row in self._data]!r})"

@@ -6,6 +6,12 @@ functions return: the ``discriminant_form`` q and b values, the
 ``isotropic_subgroups`` generators in their order, each subgroup's
 ``glue_order``, and each overlattice's Gram, det and signature.  U(2)^4
 records the generators only, which keeps the test within a few seconds.
+The "elements" sections record each subgroup's ``subgroup_elements``,
+sorted, with its ``glue_order``: of the isotropic subgroups above, and of
+seeded ``GlueSubgroup``s from the public constructor, isotropic or not,
+with the overlattice each gives or the refusal.  The "discform" sections
+record the discriminant group's lifts and the stdout of
+``quadlat --json discform`` for Lambda2d(1..100) and three more lattices.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -18,21 +24,28 @@ the records may depend on set or dict iteration order.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from quadlat.cli import run
+from quadlat.errors import NotIsotropic
 from quadlat.expr import evaluate_expr
-from quadlat.glue import glue_order, isotropic_subgroups, overlattice_from_glue
-from quadlat.lattice import discriminant_form, signature
+from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
+from quadlat.lattice import discriminant_form, discriminant_group, signature
+from quadlat.linalg import RatMatrix
 from test_glue import random_even_lattice
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 EXPRESSIONS = ("U(2)^2", "U(3)^2", "U(2)^3", "U(6)^2")
 CRITERION_5_SEED, CRITERION_5_COUNT = 160451, 200
+PUBLIC_GLUE_SEED, PUBLIC_GLUE_COUNT = 170517, 300
+DISCFORM_EXPRESSIONS = ("gen(-4)", "U(2)+gen(6)", "Lambda2d(7)")
 
 
 def _rat_rows(m) -> list[list[str]]:
@@ -68,11 +81,56 @@ def _criterion_5_lattices():
     return [random_even_lattice(rng, max_rank=4, max_det=50) for _ in range(CRITERION_5_COUNT)]
 
 
+def _elements_record(G) -> dict:
+    # sorted, so the record does not depend on set iteration order
+    return {"elements": sorted([str(x) for x in e] for e in subgroup_elements(G)), "glue_order": glue_order(G)}
+
+
+def _isotropic_elements_record(L) -> list[dict]:
+    return [_elements_record(G) for G in isotropic_subgroups(discriminant_form(L))]
+
+
+def _public_glue_record(rng) -> dict:
+    # 0 to 3 rows, each a lift combination Σ cᵢ·liftᵢ shifted by a small
+    # lattice vector: zero, redundant and non-isotropic rows all occur
+    L = random_even_lattice(rng, max_rank=4, max_det=50)
+    lifts = discriminant_group(L).generator_lifts
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        c = [rng.randint(-3, 3) for _ in range(lifts.nrows)]
+        rows.append([sum(k * lifts[i][j] for i, k in enumerate(c)) + rng.randint(-2, 2) for j in range(L.rank)])
+    G = GlueSubgroup(L, RatMatrix(rows, ncols=L.rank))
+    try:
+        M = overlattice_from_glue(G)
+        overlattice = {"gram": M.gram.tolist(), "det": M.det, "signature": list(signature(M))}
+    except NotIsotropic as exc:
+        overlattice = str(exc)
+    record = _elements_record(G)
+    record.update(gram=L.gram.tolist(), generators=_rat_rows(G.generators), overlattice=overlattice)
+    return record
+
+
+def _discform_record(expr: str) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(["--json", "discform", expr])
+    lifts = discriminant_group(evaluate_expr(expr)).generator_lifts
+    return {"lifts": _rat_rows(lifts), "code": code, "stdout": out.getvalue()}
+
+
 def compute_digests() -> dict[str, str]:
     out = {expr: _digest(_glue_record(evaluate_expr(expr))) for expr in EXPRESSIONS}
     U24 = isotropic_subgroups(discriminant_form(evaluate_expr("U(2)^4")))
     out["U(2)^4 generators"] = _digest([_rat_rows(G.generators) for G in U24])
-    out[f"criterion-5 x{CRITERION_5_COUNT}"] = _digest([_glue_record(L) for L in _criterion_5_lattices()])
+    criterion_5 = _criterion_5_lattices()
+    out[f"criterion-5 x{CRITERION_5_COUNT}"] = _digest([_glue_record(L) for L in criterion_5])
+    for expr in EXPRESSIONS:
+        out[f"{expr} elements"] = _digest(_isotropic_elements_record(evaluate_expr(expr)))
+    out[f"criterion-5 x{CRITERION_5_COUNT} elements"] = _digest([_isotropic_elements_record(L) for L in criterion_5])
+    rng = random.Random(PUBLIC_GLUE_SEED)
+    out[f"public glue x{PUBLIC_GLUE_COUNT} elements"] = _digest([_public_glue_record(rng) for _ in range(PUBLIC_GLUE_COUNT)])
+    out["discform Lambda2d(1..100)"] = _digest([_discform_record(f"Lambda2d({d})") for d in range(1, 101)])
+    out["discform cli-mix"] = _digest([_discform_record(expr) for expr in DISCFORM_EXPRESSIONS])
     return out
 
 
@@ -81,7 +139,19 @@ def digests():
     return compute_digests()
 
 
-@pytest.mark.parametrize("case", [*EXPRESSIONS, "U(2)^4 generators", f"criterion-5 x{CRITERION_5_COUNT}"])
+CASES = (
+    *EXPRESSIONS,
+    "U(2)^4 generators",
+    f"criterion-5 x{CRITERION_5_COUNT}",
+    *(f"{expr} elements" for expr in EXPRESSIONS),
+    f"criterion-5 x{CRITERION_5_COUNT} elements",
+    f"public glue x{PUBLIC_GLUE_COUNT} elements",
+    "discform Lambda2d(1..100)",
+    "discform cli-mix",
+)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_glue_outputs_match_their_golden_digest(case, digests):
     assert digests[case] == json.loads(DIGESTS.read_text(encoding="utf-8"))[case]
 

@@ -13,12 +13,13 @@ det and signature a Lattice carries against ``det_exact`` and the
 ``Fraction`` congruence reduction kept below, and ``saturate`` against
 the first rows of V^{-1} from the Smith form.  The finite
 quadratic module core (integer q/b numerators, the element table,
-``_span``, form isomorphism, glue element sets) is checked against
+form isomorphism, glue element sets and orders) is checked against
 pairings of dual vectors and exhaustive scans, and the prime-by-prime
 form isomorphism against the whole-group search it replaced, which
 evaluates q and b on its own.  The integer paths for dual
-vectors (numerators over one denominator) are checked against the
-``Fraction`` products they replaced, and the glue path's trusted forms,
+vectors (numerators over one denominator, the one canonical integer
+form ``RatMatrix._over`` keeps) are checked against the ``Fraction``
+products they replaced, and the glue path's trusted forms,
 subgroups and overlattices against the public constructors that check.  The mod-ell elimination behind
 ``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
 fixed spaces against the nullspace, invertibility against the
@@ -69,13 +70,18 @@ from quadlat.errors import (  # noqa: E402
     SingularMatrix,
 )
 from quadlat.expr import evaluate_expr  # noqa: E402
-from quadlat.glue import GlueSubgroup, isotropic_subgroups, overlattice_from_glue, subgroup_elements  # noqa: E402
+from quadlat.glue import (  # noqa: E402
+    GlueSubgroup,
+    glue_order,
+    isotropic_subgroups,
+    overlattice_from_glue,
+    subgroup_elements,
+)
 from quadlat.lattice import (  # noqa: E402
     DiscriminantForm,
     DiscriminantGroup,
     Signature,
     _ElementTable,
-    _span,
     direct_sum,
     disc_form_isomorphic,
     discriminant_form,
@@ -669,24 +675,9 @@ class TestFiniteModuleCore:
             v = _lift(F, [data.draw(st.integers(-3, 3)) for _ in F.group.invariant_factors])
             rows.append([x + data.draw(small) for x in v])
         G = GlueSubgroup(L, RatMatrix(rows, ncols=L.rank))
-        assert subgroup_elements(G) == _fraction_closure(G)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_span_against_bfs(self, data):
-        factors = data.draw(st.lists(st.integers(1, 6), min_size=0, max_size=4))
-        entry = st.integers(-12, 12)
-        gens = data.draw(st.lists(st.tuples(*(entry for _ in factors)), max_size=4))
-        reduced = [tuple(a % d for a, d in zip(g, factors)) for g in gens]
-        # the start subgroup: the trivial one, or the closure of more drawn generators
-        coefficients = st.tuples(*(st.integers(0, d - 1) for d in factors))
-        start_gens = data.draw(st.none() | st.lists(coefficients, max_size=2))
-        start = _bfs_closure(start_gens or [], factors)
-
-        def add(x, y):
-            return tuple((a + b) % d for a, b, d in zip(x, y, factors))
-
-        assert _span(reduced, add, start) == _bfs_closure((start_gens or []) + reduced, factors)
+        closure = _fraction_closure(G)
+        assert subgroup_elements(G) == closure
+        assert glue_order(G) == len(closure)
 
 
 # the O(s²) evaluations on the generator numerators and the element order
@@ -997,9 +988,21 @@ class TestDualVectorIntegerPaths:
         entry = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 10**6)
         m = RatMatrix([[data.draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
         num, den = m._numerators()
-        assert den == m.common_denominator()
+        assert m._numerators() is m._numerators()  # computed once and kept
+        assert den == m.common_denominator() == lcm(*(x.denominator for row in m for x in row))
         assert all(num[i][j] == m[i][j] * den for i in range(r) for j in range(c))
         assert RatMatrix._over(num, den) == m
+        # _over divides out a common factor: it keeps the same canonical form
+        k = data.draw(st.integers(1, 50))
+        again = RatMatrix._over(num.scale(k), den * k)
+        assert again == m and again._numerators() == m._numerators()
+        # and the integral test and integer view read that form
+        assert m.is_integral() == (den == 1)
+        if den == 1:
+            assert m.to_int() is num
+        else:
+            with pytest.raises(ValueError):
+                m.to_int()
 
     @ORACLE
     @given(small_even_lattices())
@@ -1061,8 +1064,9 @@ class TestTrustedGluePath:
         checked = DiscriminantForm(F.group, F.q_values, F.b_values, F.lattice)
         assert (checked._exponent, checked._q_gen, checked._b_gen) == (F._exponent, F._q_gen, F._b_gen)
         for G in isotropic_subgroups(F):
-            again = GlueSubgroup(G.base, G.generators)
-            assert (again._num, again._den) == (G._num, G._den)
+            # a fresh matrix computes its integer form from its entries; G's was kept by _over
+            again = GlueSubgroup(G.base, RatMatrix(G.generators, ncols=L.rank))
+            assert again.generators._numerators() == G.generators._numerators()
             M = overlattice_from_glue(G)
             validated = make_lattice(M.gram)
             assert (validated.det, signature(validated)) == (M.det, signature(M))

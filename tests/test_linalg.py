@@ -158,6 +158,20 @@ class TestDeterminant:
             det_exact(IntMatrix([[1, 2]]))
 
 
+class TestSum:
+    def test_entrywise_and_int_only(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            a = random_matrix(rng)
+            b = IntMatrix([[rng.randint(-9, 9) for _ in range(a.ncols)] for _ in range(a.nrows)])
+            assert (a + b).tolist() == [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+            assert (a - b) + b == a
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2]]) + IntMatrix([[1], [2]])
+        with pytest.raises(TypeError):  # a sum with Fraction entries is no IntMatrix
+            IntMatrix([[1, 2]]) + RatMatrix([[1, 2]])
+
+
 def dense_product(a, b, ncols):
     """Independent product oracle: the plain dot product of row i of a and column j of b."""
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(ncols)] for i in range(len(a))]
