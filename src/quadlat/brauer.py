@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
 from .lattice import Lattice, _check_rank
-from .linalg import IntMatrix, _echelon_mod, det_exact, smith_normal_form
+from .linalg import IntMatrix, _echelon_mod, _smith, det_exact
 
 #: Exhaustive-scan guard for brute_force_points: ell**(n*n) must not exceed this.
 POINTS_SCAN_CAP = 10**8
@@ -98,7 +98,7 @@ def quotient_structure(P: CohomologyPair) -> tuple[int, tuple[int, ...]]:
     saturated.
     """
     free = P.b2 - P.rho
-    _, S, _ = smith_normal_form(P.ns.basis)
+    _, S, _ = _smith(P.ns.basis, False, False)
     torsion = tuple(S[i][i] for i in range(P.rho) if S[i][i] > 1)
     return free, torsion
 

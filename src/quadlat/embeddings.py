@@ -40,10 +40,11 @@ from .lattice import (
 )
 from .linalg import (
     IntMatrix,
+    _congruence,
+    _smith,
     _symmetric_elimination,
     det_exact,
     kernel_basis,
-    smith_normal_form,
     solve_integral,
 )
 
@@ -98,7 +99,7 @@ class SublatticeEmbedding:
 
 def induced_gram(E: SublatticeEmbedding) -> IntMatrix:
     """Gram matrix of the sublattice in its own basis."""
-    return E.basis @ E.ambient.gram @ E.basis.transpose()
+    return _congruence(E.basis, E.ambient.gram)
 
 
 def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
@@ -169,7 +170,7 @@ def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
 
 def saturation_index(E: SublatticeEmbedding) -> int:
     """Index of the sublattice inside its saturation (product of invariant factors)."""
-    _, S, _ = smith_normal_form(E.basis)
+    _, S, _ = _smith(E.basis, False, False)
     return prod(S[i][i] for i in range(E.basis.nrows))
 
 
@@ -184,7 +185,8 @@ def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
     it is computed once per embedding.
     """
     if E._complement is None:
-        m = E.ambient.gram @ E.basis.transpose()  # n x k; complement = left kernel
+        # G·Bᵀ (n x k; complement = left kernel) is (B·G)ᵀ, G being symmetric
+        m = (E.basis @ E.ambient.gram).transpose()
         object.__setattr__(E, "_complement", SublatticeEmbedding._trusted(E.ambient, kernel_basis(m)))
     return E._complement
 
@@ -330,7 +332,7 @@ def is_isometry(L: Lattice, g: IntMatrix) -> bool:
     """
     if g.nrows != g.ncols or g.nrows != L.rank:
         raise DimensionMismatch("matrix size does not match lattice rank")
-    return g @ L.gram @ g.transpose() == L.gram
+    return _congruence(g, L.gram) == L.gram
 
 
 def in_tilde_O(L: Lattice, g: IntMatrix) -> bool:

@@ -40,7 +40,7 @@ from .lattice import (
     discriminant_form,
     make_lattice,
 )
-from .linalg import IntMatrix, RatMatrix, hermite_normal_form
+from .linalg import IntMatrix, RatMatrix, _congruence, _frozen, _hnf
 
 #: Default ceiling on |det| for the binary-form enumeration.
 BINARY_DET_CAP = 10_000
@@ -158,9 +158,9 @@ def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
     triangular, as its span contains den·ℤⁿ, and each pivot Hᵢᵢ divides den."""
     n = G.base.rank
     num, den = G.generators._numerators()
-    scaled = IntMatrix._trusted(tuple((0,) * i + (den,) + (0,) * (n - 1 - i) for i in range(n)) + tuple(num), n)
-    H, _ = hermite_normal_form(scaled)
-    return IntMatrix._trusted(H[:n], n), den
+    scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
+    H, _ = _hnf(scaled, n, False)
+    return _frozen(H[:n], n), den
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
@@ -198,7 +198,7 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     base = G.base
     n = base.rank
     basis, den = _glue_basis(G)
-    num = basis @ base.gram @ basis.transpose()  # den² times the Gram
+    num = _congruence(basis, base.gram)  # den² times the Gram
     den2 = den * den
     if any(x % den2 for row in num for x in row):
         raise NotIsotropic("glue subgroup is not isotropic: non-integral pairing")

@@ -39,11 +39,12 @@ from .errors import (
 from .linalg import (
     IntMatrix,
     RatMatrix,
+    _congruence,
     _det_and_inertia,
     _echelon_mod,
+    _smith,
     block_diag,
     invert_rational,
-    smith_normal_form,
 )
 
 #: Default ceiling on |A| for the exhaustive finite-group searches
@@ -378,7 +379,7 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     """
     if L._group is None:
         n = L.rank
-        U, S, _ = smith_normal_form(L.gram)
+        U, S, _ = _smith(L.gram, True, False)
         rows = [i for i in range(n) if S[i][i] > 1]
         N = S[rows[-1]][rows[-1]] if rows else 1  # every d_i divides N
         num = IntMatrix._trusted(tuple(tuple(x * (N // S[i][i]) for x in U[i]) for i in rows), n)
@@ -402,7 +403,7 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     factors = group.invariant_factors
     N = factors[-1] if factors else 1
     den2 = den * den
-    pairings = num @ L.gram @ num.transpose()
+    pairings = _congruence(num, L.gram)
     if any(x * N % den2 for row in pairings for x in row):
         raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
     q = tuple(pairings[i][i] * N // den2 % (2 * N) for i in range(len(factors)))

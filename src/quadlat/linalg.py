@@ -12,8 +12,11 @@ congruence (``Lattice`` det and signature, the norm search's square
 completion).  The one elimination mod a prime is ``_echelon_mod``
 (``brauer``, form isomorphism).  Matrices are immutable; routines are pure.
 A matrix keeps what it computes once: an ``IntMatrix`` its sparse rows,
-filled when it is first the right operand of a product, and a
-``RatMatrix`` its integer form, which other modules read and never copy.
+filled when it is first the right operand of a product or a factor of a
+congruence, and a ``RatMatrix`` its integer form, which other modules read
+and never copy.  A Gram's congruence B·G·Bᵀ (induced Grams, isometry
+checks, discriminant pairings, overlattice Grams) is one kernel,
+``_congruence``, that builds only the upper half of the symmetric result.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -21,8 +24,15 @@ K3 geometry, slow near the rank cap (``info "gen(2)^1000"``, in effect one
 rank-1000 Smith form, takes 35–45 s with CPython 3.11 on a 2-core host).
 Their row and column steps run only where there is work: a 2-row or
 2-column gcd step only for a nonzero entry to clear against the nonzero
-pivot, a row update only for a nonzero multiplier.  The block-sparse
-Grams and unit-row bases of K3 geometry leave most entries zero.
+pivot, a row update only for a nonzero multiplier, and a Smith column step
+only on the rows from the pivot down.  The block-sparse Grams and unit-row
+bases of K3 geometry leave most entries zero.  Each form is a public
+wrapper over one private core, ``_smith`` or ``_hnf``, that carries a
+transform only for a caller that reads it.  No caller in the package reads
+Smith's V; ``lattice.discriminant_group`` reads U, and ``saturation_index``
+and ``brauer.quotient_structure`` only S.  ``kernel_basis`` reads the T of
+its first Hermite form and not of its second, and ``glue._glue_basis``
+reads only H.
 """
 
 from __future__ import annotations
@@ -140,9 +150,7 @@ class IntMatrix(_Matrix):
         # every standard Gram and embedding basis is block-sparse.  Those
         # (column, entry) pairs are built once per matrix, then only read.
         width = other._ncols
-        sparse_rows = other._sparse
-        if sparse_rows is None:
-            sparse_rows = other._sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
+        sparse_rows = other._sparse_rows()
         out = []
         for row in self._data:
             acc = [0] * width
@@ -152,6 +160,12 @@ class IntMatrix(_Matrix):
                         acc[j] += a * b
             out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out), width)
+
+    def _sparse_rows(self) -> list[list[tuple[int, int]]]:
+        # the (column, entry) pairs of each row's nonzero entries, built once
+        if self._sparse is None:
+            self._sparse = [[(j, b) for j, b in enumerate(row) if b] for row in self._data]
+        return self._sparse
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -247,6 +261,34 @@ class RatMatrix(_Matrix):
         return f"RatMatrix({[[str(x) for x in row] for row in self._data]!r})"
 
 
+def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """B·G·Bᵀ for a symmetric G, as one symmetric product.
+
+    Row i of B·G accumulates over the nonzero entries of row i of B, each
+    times a row of G's kept sparse rows; its pairing with row j of B runs
+    over B's nonzero columns in row j, and only for j ≥ i: the lower half
+    is the mirror of the upper, as the result is symmetric.  It equals
+    ``b @ g @ b.transpose()`` entry for entry.
+    """
+    if b.ncols != g.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    g_rows, b_rows = g._sparse_rows(), b._sparse_rows()
+    n, width = b.nrows, g.ncols
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(b_rows):
+        acc = [0] * width
+        for k, a in row:
+            for j, x in g_rows[k]:
+                acc[j] += a * x
+        out_i = out[i]
+        for j in range(i, n):
+            p = 0
+            for k, x in b_rows[j]:
+                p += acc[k] * x
+            out_i[j] = out[j][i] = p
+    return _frozen(out, n)
+
+
 def block_diag(*blocks: IntMatrix) -> IntMatrix:
     """Block-diagonal assembly of integer matrices."""
     nrows = sum(b.nrows for b in blocks)
@@ -296,54 +338,56 @@ def _addmul_row(rows: list[list[int]], dst: int, src: int, k: int) -> None:
             rdst[j] += k * v
 
 
-def _gcd_row_op(mat: list[list[int]], trans: list[list[int]], pr: int, i: int, col: int) -> None:
+def _gcd_row_op(mat: list[list[int]], trans: list[list[int]] | None, pr: int, i: int, col: int) -> None:
     # Unimodular 2-row operation putting gcd(mat[pr][col], mat[i][col])
     # at (pr, col) and zero at (i, col); both entries are nonzero, the
-    # callers skipping an entry that is already zero.
+    # callers skipping an entry that is already zero.  trans, when carried,
+    # takes the same operation.
     a, b = mat[pr][col], mat[i][col]
     if b % a == 0:
         q = b // a
         _addmul_row(mat, i, pr, -q)
-        _addmul_row(trans, i, pr, -q)
+        if trans is not None:
+            _addmul_row(trans, i, pr, -q)
         return
     g, x, y = _xgcd(a, b)
     af, bf = a // g, b // g
-    for m in (mat, trans):
+    for m in (mat,) if trans is None else (mat, trans):
         rp, ri = m[pr], m[i]
         m[pr] = [x * p + y * q for p, q in zip(rp, ri)]
         m[i] = [-bf * p + af * q for p, q in zip(rp, ri)]
 
 
-def _gcd_col_op(mat: list[list[int]], trans: list[list[int]], pc: int, j: int, row: int) -> None:
-    # Column analogue of _gcd_row_op; trans accumulates the right factor.
+def _gcd_col_op(mat: list[list[int]], trans: list[list[int]] | None, pc: int, j: int, row: int) -> None:
+    # Column analogue of _gcd_row_op, run on the rows of mat from ``row``
+    # on: the rows above it are already zero in both columns.  trans, when
+    # carried, accumulates the right factor over all its rows.
     a, b = mat[row][pc], mat[row][j]
+    rows = mat[row:] if trans is None else mat[row:] + trans
     if b % a == 0:
         q = b // a
-        for m in (mat, trans):
-            for r in m:
-                if r[pc]:
-                    r[j] -= q * r[pc]
+        for r in rows:
+            if r[pc]:
+                r[j] -= q * r[pc]
         return
     g, x, y = _xgcd(a, b)
     af, bf = a // g, b // g
-    for m in (mat, trans):
-        for r in m:
-            p, q = r[pc], r[j]
-            r[pc] = x * p + y * q
-            r[j] = -bf * p + af * q
+    for r in rows:
+        p, q = r[pc], r[j]
+        r[pc] = x * p + y * q
+        r[j] = -bf * p + af * q
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
-
-    Returns (U, S, V) with U·m·V = S, U and V unimodular, and S diagonal
-    with non-negative invariant factors d1 | d2 | ... ; zero factors come
-    last.
-    """
+def _smith(
+    m: IntMatrix, left: bool, right: bool
+) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
+    """The Smith core: (U, S, V) as lists of rows, with U·m·V = S; U is
+    None unless ``left`` and V None unless ``right``, and a transform that
+    is not carried costs nothing."""
     r, c = m.nrows, m.ncols
     S = m.tolist()
-    U = _ident_rows(r)
-    V = _ident_rows(c)
+    U = _ident_rows(r) if left else None
+    V = _ident_rows(c) if right else None
     t = 0
     while t < min(r, c):
         # pivot: first nonzero entry of smallest magnitude in the working
@@ -363,11 +407,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         pi, pj = piv
         if pi != t:
             S[t], S[pi] = S[pi], S[t]
-            U[t], U[pi] = U[pi], U[t]
+            if left:
+                U[t], U[pi] = U[pi], U[t]
         if pj != t:
-            for mm in (S, V):
-                for row in mm:
-                    row[t], row[pj] = row[pj], row[t]
+            for row in S[t:] if V is None else S[t:] + V:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, r):
                 if S[i][t]:
@@ -391,27 +435,37 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if bad is None:
                 break
             _addmul_row(S, t, bad, 1)
-            _addmul_row(U, t, bad, 1)
+            if left:
+                _addmul_row(U, t, bad, 1)
         if S[t][t] < 0:
             S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
+            if left:
+                U[t] = [-x for x in U[t]]
         t += 1
-    return _frozen(U, r), _frozen(S, c), _frozen(V, c)
+    return U, S, V
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form with transform.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms.
 
-    Returns (H, T) with T·m = H and T unimodular.  Normalization: pivots
-    positive, entries above a pivot reduced into [0, pivot), zero rows
-    last.  This makes H unique for the row lattice of m, so the form is
-    idempotent.
+    Returns (U, S, V) with U·m·V = S, U and V unimodular, and S diagonal
+    with non-negative invariant factors d1 | d2 | ... ; zero factors come
+    last.  The package's own callers run the core, ``_smith``, with only
+    the transforms they read: no caller reads V, the discriminant group
+    reads U, and the saturation index and the Brauer quotient read S.
     """
-    r, c = m.nrows, m.ncols
-    H = m.tolist()
-    T = _ident_rows(r)
+    U, S, V = _smith(m, True, True)
+    return _frozen(U, m.nrows), _frozen(S, m.ncols), _frozen(V, m.ncols)
+
+
+def _hnf(rows: list[list[int]], ncols: int, transform: bool) -> tuple[list[list[int]], list[list[int]] | None]:
+    """The Hermite core: (H, T) as lists of rows for the integer rows
+    given, which it overwrites; T·rows = H, and T is None unless
+    ``transform``."""
+    H, r = rows, len(rows)
+    T = _ident_rows(r) if transform else None
     prow = 0
-    for col in range(c):
+    for col in range(ncols):
         # smallest-magnitude nonzero below the pivot row keeps entries small
         piv = None
         best = None
@@ -424,21 +478,38 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if piv != prow:
             H[prow], H[piv] = H[piv], H[prow]
-            T[prow], T[piv] = T[piv], T[prow]
+            if transform:
+                T[prow], T[piv] = T[piv], T[prow]
         for i in range(prow + 1, r):
             if H[i][col]:
                 _gcd_row_op(H, T, prow, i, col)
         if H[prow][col] < 0:
             H[prow] = [-x for x in H[prow]]
-            T[prow] = [-x for x in T[prow]]
+            if transform:
+                T[prow] = [-x for x in T[prow]]
         p = H[prow][col]
         for i in range(prow):
             q = H[i][col] // p  # floor division leaves a remainder in [0, p)
             if q:
                 _addmul_row(H, i, prow, -q)
-                _addmul_row(T, i, prow, -q)
+                if transform:
+                    _addmul_row(T, i, prow, -q)
         prow += 1
-    return _frozen(H, c), _frozen(T, r)
+    return H, T
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form with transform.
+
+    Returns (H, T) with T·m = H and T unimodular.  Normalization: pivots
+    positive, entries above a pivot reduced into [0, pivot), zero rows
+    last.  This makes H unique for the row lattice of m, so the form is
+    idempotent.  The package's own callers run the core, ``_hnf``, and
+    carry T only where they read it: the first HNF of ``kernel_basis``
+    does, its second and ``glue._glue_basis`` do not.
+    """
+    H, T = _hnf(m.tolist(), m.ncols, True)
+    return _frozen(H, m.ncols), _frozen(T, m.nrows)
 
 
 def _bareiss_step(a: list[list[int]], k: int, prev: int) -> int:
@@ -553,11 +624,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     of H span the kernel exactly, hence the result is a primitive
     sublattice of ℤ^r.  Rows are HNF-normalized for determinism.
     """
-    r = m.nrows
-    H, T = hermite_normal_form(m)
+    H, T = _hnf(m.tolist(), m.ncols, True)
     rank = sum(1 for row in H if any(row))
-    Hk, _ = hermite_normal_form(IntMatrix._trusted(T[rank:], r))
-    return Hk
+    Hk, _ = _hnf(T[rank:], m.nrows, False)
+    return _frozen(Hk, m.nrows)
 
 
 def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:

@@ -1,0 +1,129 @@
+"""Mutants of the package that the test suite must kill.
+
+Each entry of ``MUTANTS`` is (file, old text, new text, test id): a file
+under the repository root, a piece of it that occurs there exactly once,
+what the mutant puts in its place, and one test that must fail with the
+mutant in.  Run from the repository root:
+
+    python tests/mutants.py
+
+It copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary
+directory, runs every named test on that unchanged copy (each must pass),
+then applies one mutant at a time to a fresh copy and runs its test there.
+A mutant is killed when its test fails or errors, or runs past
+``TIMEOUT_S`` seconds (a mutated loop that never ends).  The script exits
+1 if a mutant survives, a test fails unmutated, or an old text does not
+occur exactly once.  It is not collected as a test module.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+ORACLE = "tests/test_kernel_oracle.py"
+
+MUTANTS = [
+    (
+        "src/quadlat/linalg.py",
+        "            out_i[j] = out[j][i] = p\n",
+        "            out_i[j] = p\n",
+        f"{ORACLE}::TestTransformFreeCores::test_congruence_against_two_products",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "        for j in range(i, n):\n            p = 0\n",
+        "        for j in range(i + 1, n):\n            p = 0\n",
+        f"{ORACLE}::TestTransformFreeCores::test_is_isometry_refuses_near_isometries",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "    rows = mat[row:] if trans is None else mat[row:] + trans\n",
+        "    rows = mat[row + 1 :] if trans is None else mat[row:] + trans\n",
+        f"{ORACLE}::TestTransformFreeCores::test_small_or_rank_deficient",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "            if left:\n                U[t], U[pi] = U[pi], U[t]\n",
+        "            if right:\n                U[t], U[pi] = U[pi], U[t]\n",
+        f"{ORACLE}::TestTransformFreeCores::test_small_or_rank_deficient",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "        for i in range(prow):\n",
+        "        for i in range(prow if transform else 0):\n",
+        f"{ORACLE}::TestTransformFreeCores::test_small_or_rank_deficient",
+    ),
+    (
+        "src/quadlat/cli.py",
+        "    if r or order * order != square:\n",
+        "    if False:\n",
+        "tests/test_cli.py::TestOverlatticesAndBinary::test_glue_order_exactness_is_checked",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "    if r:\n        raise InvariantViolation(\"the overlattice det is not an integer\"",
+        "    if False:\n        raise InvariantViolation(\"the overlattice det is not an integer\"",
+        f"{ORACLE}::TestTrustedGluePath::test_overlattice_det_exactness_is_checked",
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run(copy: Path, test_ids: list[str]) -> str:
+    """'passed', 'failed' or 'timeout' for the tests in the copy; 'missing'
+    when pytest finds no such test."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return {0: "passed", 1: "failed", 2: "failed"}.get(proc.returncode, "missing")
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        for i, (path, old, new, test_id) in enumerate(MUTANTS):
+            count = (clean / path).read_text(encoding="utf-8").count(old)
+            if count != 1:
+                print(f"mutant {i}: old text occurs {count} times in {path}")
+                bad += 1
+        test_ids = sorted({m[3] for m in MUTANTS})
+        outcome = _run(clean, test_ids)
+        if outcome != "passed":
+            print(f"the named tests on the unchanged copy: {outcome}")
+            return 1
+        for i, (path, old, new, test_id) in enumerate(MUTANTS):
+            copy = Path(tmp) / f"mutant-{i}"
+            _copy(copy)
+            target = copy / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            outcome = _run(copy, [test_id])
+            killed = outcome in ("failed", "timeout")
+            print(f"mutant {i} ({path}): {'killed' if killed else 'SURVIVED'} ({outcome}) by {test_id}")
+            bad += not killed
+            shutil.rmtree(copy)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadlat
+import quadlat.glue
 from quadlat import periods
 from quadlat.cli import _build_parser, run
-from quadlat.lattice import standard, lattice_to_json
+from quadlat.expr import evaluate_expr
+from quadlat.glue import glue_order, isotropic_subgroups
+from quadlat.lattice import discriminant_form, lattice_to_json, make_lattice, standard
 
 
 def invoke(capsys, *argv):
@@ -149,6 +152,21 @@ class TestOverlatticesAndBinary:
         assert code == 0
         assert data["count"] == 2
         assert sorted(e["glue_order"] for e in data["overlattices"]) == [1, 2]
+
+    @pytest.mark.parametrize("expr", ["U(2)^3", "U(3)^2", "U(2)+gen(6)", "gen(6) + gen(-6)"])
+    def test_glue_orders_agree_with_the_glue_path(self, capsys, expr):
+        # the CLI reads |M/L| off det L / det M, glue_order off the glue basis
+        code, data = invoke_json(capsys, "overlattices", expr)
+        subgroups = isotropic_subgroups(discriminant_form(evaluate_expr(expr)))
+        assert code == 0 and [e["glue_order"] for e in data["overlattices"]] == list(map(glue_order, subgroups))
+
+    @pytest.mark.parametrize("gram", [[[2, 1], [1, 2]], [[2, 0], [0, 4]]])
+    def test_glue_order_exactness_is_checked(self, capsys, monkeypatch, gram):
+        # det L = 16 for U(2)^2: an overlattice of det 3 leaves 16/3, not an
+        # integer, and one of det 8 leaves 2, not a square
+        monkeypatch.setattr(quadlat.glue, "overlattice_from_glue", lambda G: make_lattice(gram))
+        code, data = invoke_json(capsys, "overlattices", "U(2)^2")
+        assert code == 2 and data["error"] == "InvariantViolation"
 
     def test_binary_enum(self, capsys):
         code, data = invoke_json(capsys, "binary-enum", "3", "pos")

@@ -1,5 +1,5 @@
-"""Golden digests of the glue path: its outputs on a fixed corpus must stay
-byte-identical.
+"""Golden digests of the glue and K3 paths: their outputs on a fixed corpus
+must stay byte-identical.
 
 Each case is one SHA-256 over a canonical JSON record of what the public
 functions return: the ``discriminant_form`` q and b values, the
@@ -12,6 +12,17 @@ seeded ``GlueSubgroup``s from the public constructor, isotropic or not,
 with the overlattice each gives or the refusal.  The "discform" sections
 record the discriminant group's lifts and the stdout of
 ``quadlat --json discform`` for Lambda2d(1..100) and three more lattices.
+The "k3" section records, for d = 1..1000 in steps of 37, the stdout of
+``quadlat --json iota2d d`` and of ``quadlat --json complement`` on it,
+``extend_isometry`` of the swap of the two E8(-1) blocks, and the
+complement of the polarization e + d·f in LambdaK3.  The "info/nikulin"
+section records the text and JSON stdout of ``info`` and ``nikulin`` on
+13 expressions, every atom among them; "overlattices" the text and JSON
+stdout of ``overlattices`` on the glue expressions; "saturation" records
+``saturation_index`` and ``saturate`` of seeded bases, dependent ones
+with their refusal; "quotient" records ``quotient_structure`` of the
+cli-mix periods' algebraic and transcendental parts, and of scaled
+copies of them.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -33,12 +44,23 @@ from pathlib import Path
 
 import pytest
 
+from quadlat.brauer import CohomologyPair, quotient_structure
 from quadlat.cli import run
-from quadlat.errors import NotIsotropic
+from quadlat.embeddings import (
+    SublatticeEmbedding,
+    as_lattice,
+    build_iota2d,
+    extend_isometry,
+    orthogonal_complement,
+    saturate,
+    saturation_index,
+)
+from quadlat.errors import BadParameter, NotIsotropic
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
-from quadlat.lattice import discriminant_form, discriminant_group, signature
-from quadlat.linalg import RatMatrix
+from quadlat.lattice import discriminant_form, discriminant_group, signature, standard
+from quadlat.linalg import IntMatrix, RatMatrix
+from quadlat.periods import period_from_json, transcendental
 from test_glue import random_even_lattice
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -46,6 +68,26 @@ EXPRESSIONS = ("U(2)^2", "U(3)^2", "U(2)^3", "U(6)^2")
 CRITERION_5_SEED, CRITERION_5_COUNT = 160451, 200
 PUBLIC_GLUE_SEED, PUBLIC_GLUE_COUNT = 170517, 300
 DISCFORM_EXPRESSIONS = ("gen(-4)", "U(2)+gen(6)", "Lambda2d(7)")
+K3_DEGREES = range(1, 1001, 37)
+INFO_EXPRESSIONS = (
+    "E8", "E8(-1)", "U", "LambdaSharp", "LambdaK3", "An(5)", "gen(-4)", "U(2)+gen(6)",
+    "Lambda2d(7)", "Lambda2d(1000)", "U(2)^3", "E8(2)+An(3)", "U(-1)+gen(10)",
+)
+SATURATION_SEED, SATURATION_COUNT = 180923, 300
+
+# swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
+_SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
+
+# the two periods of the cli-mix benchmark: U^2 and U^2 + E8(-1), re = (1, 1, 0, ...), im = (0, 0, 1, 1, ...)
+_E8_NEG = [[-x for x in row] for row in standard("E8").gram]
+_PERIODS = tuple(
+    {"lattice": {"gram": gram}, "D": -1, "re": [1, 1] + [0] * (len(gram) - 2), "im": [0, 0, 1, 1] + [0] * (len(gram) - 4)}
+    for gram in (
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[0, 1, 0, 0] + [0] * 8, [1, 0, 0, 0] + [0] * 8, [0, 0, 0, 1] + [0] * 8, [0, 0, 1, 0] + [0] * 8]
+        + [[0] * 4 + row for row in _E8_NEG],
+    )
+)
 
 
 def _rat_rows(m) -> list[list[str]]:
@@ -118,6 +160,67 @@ def _discform_record(expr: str) -> dict:
     return {"lifts": _rat_rows(lifts), "code": code, "stdout": out.getvalue()}
 
 
+def _cli_stdout(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def _k3_record(d: int) -> dict:
+    code, iota = _cli_stdout(["--json", "iota2d", str(d)])
+    complement = _cli_stdout(["--json", "complement"], stdin=iota)
+    E = build_iota2d(d)
+    v = [0] * 22
+    v[16], v[17] = 1, d  # e + d·f in the first hyperbolic plane of LambdaK3
+    polarized = orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([v])))
+    pol = as_lattice(polarized)
+    return {
+        "iota2d": [code, iota],
+        "complement": list(complement),
+        "extension": extend_isometry(E, _SWAP).tolist(),
+        "polarized": {"basis": polarized.basis.tolist(), "det": pol.det, "signature": list(signature(pol))},
+    }
+
+
+def _info_nikulin_record(expr: str) -> list:
+    argvs = (["info", expr], ["nikulin", expr, "2,26"], ["nikulin", expr, "3,19"])
+    return [_cli_stdout(prefix + argv) for argv in argvs for prefix in ([], ["--json"])]
+
+
+def _saturation_record(rng) -> dict:
+    # k rows of width n, some scaled or summed, so indices above 1 and dependent bases occur
+    n = rng.randint(1, 8)
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    for row in rows:
+        if rng.random() < 0.3:
+            row[:] = [rng.choice((2, 3, 4, 6)) * x for x in row]
+    if len(rows) > 1 and rng.random() < 0.2:
+        rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+    ambient = evaluate_expr("+".join(f"gen({k + 1})" for k in range(n)))  # saturation ignores its Gram
+    try:
+        E = SublatticeEmbedding(ambient, IntMatrix(rows, ncols=n))
+    except BadParameter as exc:
+        return {"basis": rows, "refused": str(exc)}
+    return {"basis": rows, "index": saturation_index(E), "saturation": saturate(E).basis.tolist()}
+
+
+def _quotient_record(payload: dict) -> list:
+    omega = period_from_json(payload)
+    split = transcendental(omega)
+    H = omega.lattice
+    out = []
+    for part in (split.ns, split.trans):
+        for k in (1, 2, 6):  # row i scaled by k^i
+            rows = [[k**i * x for x in row] for i, row in enumerate(part.basis)]
+            out.append(quotient_structure(CohomologyPair(H, SublatticeEmbedding(H, IntMatrix(rows, ncols=H.rank)))))
+    return out
+
+
 def compute_digests() -> dict[str, str]:
     out = {expr: _digest(_glue_record(evaluate_expr(expr))) for expr in EXPRESSIONS}
     U24 = isotropic_subgroups(discriminant_form(evaluate_expr("U(2)^4")))
@@ -131,6 +234,14 @@ def compute_digests() -> dict[str, str]:
     out[f"public glue x{PUBLIC_GLUE_COUNT} elements"] = _digest([_public_glue_record(rng) for _ in range(PUBLIC_GLUE_COUNT)])
     out["discform Lambda2d(1..100)"] = _digest([_discform_record(f"Lambda2d({d})") for d in range(1, 101)])
     out["discform cli-mix"] = _digest([_discform_record(expr) for expr in DISCFORM_EXPRESSIONS])
+    out["k3 d=1..1000 step 37"] = _digest([_k3_record(d) for d in K3_DEGREES])
+    out["info/nikulin x13"] = _digest([_info_nikulin_record(expr) for expr in INFO_EXPRESSIONS])
+    out["overlattices stdout"] = _digest(
+        [_cli_stdout(prefix + ["overlattices", expr]) for expr in (*EXPRESSIONS, "U(2)+gen(6)") for prefix in ([], ["--json"])]
+    )
+    rng = random.Random(SATURATION_SEED)
+    out[f"saturation x{SATURATION_COUNT}"] = _digest([_saturation_record(rng) for _ in range(SATURATION_COUNT)])
+    out["quotient cli-mix periods"] = _digest([_quotient_record(payload) for payload in _PERIODS])
     return out
 
 
@@ -148,6 +259,11 @@ CASES = (
     f"public glue x{PUBLIC_GLUE_COUNT} elements",
     "discform Lambda2d(1..100)",
     "discform cli-mix",
+    "k3 d=1..1000 step 37",
+    "info/nikulin x13",
+    "overlattices stdout",
+    f"saturation x{SATURATION_COUNT}",
+    "quotient cli-mix periods",
 )
 
 

@@ -4,7 +4,10 @@ sympy (test-only) checks ``solve_rational`` and ``IntMatrix.__matmul__``
 on dense and block-sparse matrices up to rank 28 with large entries, and
 the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
 ones included; a work test checks that those forms call their row and
-column steps only for a nonzero entry and multiplier.  It also checks the kernels built on the one Bareiss step:
+column steps only for a nonzero entry and multiplier, with and without
+their transforms.  The cores behind them, run with only the transforms a
+caller reads, must return the public forms, and ``_congruence`` must equal
+two products B·G·Bᵀ.  It also checks the kernels built on the one Bareiss step:
 ``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
 zero right-hand sides) and the det of the symmetric elimination.  The
 remaining kernels are checked against the formulas they replaced: the
@@ -56,6 +59,7 @@ from quadlat.embeddings import (  # noqa: E402
     _norm_vectors,
     _udu,
     build_iota2d,
+    extend_isometry,
     in_tilde_O,
     is_isometry,
     orthogonal_complement,
@@ -266,16 +270,20 @@ def _helper_calls(run) -> list[tuple[str, bool]]:
 
 
 def _all_normal_forms(m):
+    # the public forms, and the cores as the package's own callers run them
     for a in (m, m.transpose()):
         smith_normal_form(a)
+        linalg._smith(a, True, False)
+        linalg._smith(a, False, False)
         hermite_normal_form(a)
+        linalg._hnf(a.tolist(), a.ncols, False)
         kernel_basis(a)
 
 
 class TestNormalFormWork:
     """Smith and Hermite forms call their row and column helpers only for
-    an entry to clear and a nonzero multiplier; the sympy oracles above
-    check what they compute."""
+    an entry to clear and a nonzero multiplier, with and without their
+    transforms; the sympy oracles above check what they compute."""
 
     @pytest.mark.parametrize("d", [1, 2, 37, 1000])
     def test_k3_inputs(self, d):
@@ -292,6 +300,96 @@ class TestNormalFormWork:
     @given(dense_or_block_sparse(max_rank=12, entries=st.integers(-9, 9)))
     def test_dense_or_block_sparse(self, m):
         assert all(work for _, work in _helper_calls(lambda: _all_normal_forms(m)))
+
+
+def _assert_cores_match_public_forms(m):
+    U, S, V = smith_normal_form(m)
+    for left, right in itertools.product((False, True), repeat=2):
+        u, s, v = linalg._smith(m, left, right)
+        assert s == S.tolist()
+        assert u == (U.tolist() if left else None) and v == (V.tolist() if right else None)
+    H, T = hermite_normal_form(m)
+    assert linalg._hnf(m.tolist(), m.ncols, True) == (H.tolist(), T.tolist())
+    assert linalg._hnf(m.tolist(), m.ncols, False) == (H.tolist(), None)
+    # kernel_basis against its definition through the public form
+    rank = sum(1 for row in H if any(row))
+    assert kernel_basis(m) == hermite_normal_form(IntMatrix(T[rank:], ncols=m.nrows))[0]
+
+
+@st.composite
+def symmetric_and_left_factors(draw):
+    """(B, G): G symmetric, dense or block-sparse with entries up to 10^12;
+    B with 0 to n + 2 rows of width n, dense, block-sparse, or with zero rows."""
+    m = draw(dense_or_block_sparse(max_rank=12))
+    n = m.nrows
+    g = IntMatrix([[m[i][j] + m[j][i] for j in range(n)] for i in range(n)])
+    k = draw(st.integers(0, n + 2))
+    kind = draw(st.sampled_from(("dense", "block", "zero rows")))
+    entry = st.integers(-BIG, BIG)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    if kind == "block":  # each row nonzero on one window of columns only
+        for row in rows:
+            lo = draw(st.integers(0, n - 1))
+            hi = draw(st.integers(lo + 1, n))
+            row[:] = [x if lo <= j < hi else 0 for j, x in enumerate(row)]
+    elif kind == "zero rows":
+        rows = [[0] * n if draw(st.booleans()) else row for row in rows]
+    return IntMatrix(rows, ncols=n), g
+
+
+class TestTransformFreeCores:
+    """The package's callers read the Smith and Hermite cores with only the
+    transforms they need, and products B·G·Bᵀ from ``_congruence``: each
+    must give what the public functions and two products give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_or_rank_deficient())
+    def test_small_or_rank_deficient(self, m):
+        _assert_cores_match_public_forms(m)
+        _assert_cores_match_public_forms(m.transpose())
+
+    @ORACLE
+    @given(dense_or_block_sparse(max_rank=12, entries=st.integers(-9, 9)))
+    def test_dense_or_block_sparse(self, m):
+        _assert_cores_match_public_forms(m)
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_inputs(self, d):
+        E = build_iota2d(d)
+        for m in (standard("Lambda2d", d).gram, E.basis, orthogonal_complement(E).basis):
+            _assert_cores_match_public_forms(m)
+
+    @ORACLE
+    @given(symmetric_and_left_factors())
+    def test_congruence_against_two_products(self, bg):
+        b, g = bg
+        c = linalg._congruence(b, g)
+        assert (c.nrows, c.ncols) == (b.nrows, b.nrows)
+        assert c == b @ g @ b.transpose()
+
+    def test_congruence_shapes(self):
+        g = standard("U").gram
+        assert linalg._congruence(IntMatrix([], ncols=2), g) == IntMatrix([], ncols=0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg._congruence(IntMatrix([[1, 2, 3]]), g)
+
+    @pytest.mark.parametrize("d", [1, 37])
+    def test_is_isometry_refuses_near_isometries(self, d):
+        # the extension of the E8(-1) swap, and the swap itself, with one
+        # entry moved by ±1 or ±2: never an isometry of the Gram they fix
+        E = build_iota2d(d)
+        swap = [[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)]
+        rng = random.Random(d)
+        for L, g in ((E.ambient, extend_isometry(E, IntMatrix(swap))), (standard("Lambda2d", d), IntMatrix(swap))):
+            assert is_isometry(L, g)
+            n = L.rank
+            for _ in range(60):
+                i, j, delta = rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2))
+                rows = g.tolist()
+                rows[i][j] += delta
+                near = IntMatrix(rows)
+                assert near @ L.gram @ near.transpose() != L.gram
+                assert not is_isometry(L, near)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,8 +1181,8 @@ class TestTrustedGluePath:
         G = isotropic_subgroups(discriminant_form(L))[1]  # generated by (1/2, 1/2)
         # a basis of the same even overlattice that is not triangular, so its
         # diagonal does not give its det: -4·1²/2⁴ is not an integer
-        skew = IntMatrix([[1, 1], [1, -1], [0, 0]])
-        monkeypatch.setattr(quadlat.glue, "hermite_normal_form", lambda m: (skew, None))
+        skew = [[1, 1], [1, -1], [0, 0]]
+        monkeypatch.setattr(quadlat.glue, "_hnf", lambda rows, ncols, transform: (skew, None))
         with pytest.raises(InvariantViolation):
             overlattice_from_glue(G)
 
