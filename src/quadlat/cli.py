@@ -16,10 +16,9 @@ import json
 import operator
 import os
 import sys
-from math import isqrt
 
 from . import brauer, embeddings, glue, lattice, periods
-from .errors import BadParameter, InvariantViolation, QuadLatError, TooLarge, UsageError
+from .errors import BadParameter, QuadLatError, TooLarge, UsageError
 from .expr import evaluate_expr
 from .lattice import Signature, _json_numbers, lattice_from_json, lattice_to_json
 from .linalg import IntMatrix
@@ -183,20 +182,10 @@ def _cmd_complement(args) -> tuple[dict, list[str]]:
     return _embedding_to_json(comp), [f"complement rank: {comp.rank}", f"basis: {comp.basis.tolist()}"]
 
 
-def _glue_order(L: lattice.Lattice, M: lattice.Lattice) -> int:
-    # |M/L| for an overlattice M of L: |M/L|² = det L / det M, checked exact
-    square, r = divmod(L.det, M.det)
-    order = isqrt(square)
-    if r or order * order != square:
-        raise InvariantViolation("det L / det M is not a square integer", base_det=L.det, overlattice_det=M.det)
-    return order
-
-
 def _cmd_overlattices(args) -> tuple[dict, list[str]]:
     L = evaluate_expr(args.expr)
     subs = glue.isotropic_subgroups(lattice.discriminant_form(L), **_caps())
-    overs = [glue.overlattice_from_glue(G) for G in subs]
-    entries = [{"glue_order": _glue_order(L, M), "gram": M.gram.tolist()} for M in overs]
+    entries = [{"glue_order": glue.glue_order(G), "gram": glue.overlattice_from_glue(G).gram.tolist()} for G in subs]
     out = {"expr": L.label, "count": len(entries), "overlattices": entries}
     lines = [f"{len(entries)} even overlattice(s) of {L.label}"]
     lines.extend(f"  glue order {e['glue_order']}: {e['gram']}" for e in entries)

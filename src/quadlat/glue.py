@@ -17,11 +17,12 @@ the dual lattice; ``isotropic_subgroups`` builds its subgroups from
 integer combinations of the group's own lifts through the trusted
 ``GlueSubgroup._trusted``, with no check.  A subgroup is read through the
 integer form of its generators and one Hermite normal form,
-``_glue_basis``: the overlattice, its order and its elements all come
-from that triangular basis, with no closure under addition.
-``overlattice_from_glue`` checks that the glue is isotropic, whichever
-path built it, and takes the overlattice's det and signature from the
-base lattice, with no elimination.
+``_glue_basis``, which the subgroup keeps: the overlattice, its order
+(``glue_order``, the one formula for |M/L|, which the CLI reports) and
+its elements all come from that triangular basis, with no closure under
+addition.  ``overlattice_from_glue`` checks that the glue is isotropic,
+whichever path built it, and takes the overlattice's det and signature
+from the base lattice and ``glue_order``, with no elimination.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ class GlueSubgroup:
     lattice.  ``isotropic_subgroups`` builds its subgroups through
     ``_trusted`` from integer combinations of the discriminant group's
     lifts, which lie in the dual by construction, so it skips the check.
-    Neither path checks isotropy: ``overlattice_from_glue`` does.
+    Neither path checks isotropy: ``overlattice_from_glue`` does.  Both
+    leave the Hermite basis unset; ``_glue_basis`` builds and keeps it.
     """
 
     base: Lattice
@@ -76,6 +78,7 @@ class GlueSubgroup:
         num, den = gens._numerators()
         if any(x % den for row in num @ self.base.gram for x in row):
             raise BadParameter("generator does not lie in the dual lattice")
+        object.__setattr__(self, "_basis", None)  # (H, den), filled by _glue_basis
 
     @classmethod
     def _trusted(cls, base: Lattice, generators: RatMatrix) -> "GlueSubgroup":
@@ -83,6 +86,7 @@ class GlueSubgroup:
         G = object.__new__(cls)
         object.__setattr__(G, "base", base)
         object.__setattr__(G, "generators", generators)
+        object.__setattr__(G, "_basis", None)
         return G
 
 
@@ -155,12 +159,15 @@ def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
     """(H, den): the overlattice M generated by the base and the glue is
     (1/den)·(row span of H), for the generators' integer form num/den and
     H the Hermite form of den·I stacked on num.  H is n×n and upper
-    triangular, as its span contains den·ℤⁿ, and each pivot Hᵢᵢ divides den."""
-    n = G.base.rank
-    num, den = G.generators._numerators()
-    scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
-    H, _ = _hnf(scaled, n, False)
-    return _frozen(H[:n], n), den
+    triangular, as its span contains den·ℤⁿ, and each pivot Hᵢᵢ divides den.
+    G keeps it, so it is computed once per subgroup."""
+    if G._basis is None:
+        n = G.base.rank
+        num, den = G.generators._numerators()
+        scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
+        H, _ = _hnf(scaled, n, False)
+        object.__setattr__(G, "_basis", (_frozen(H[:n], n), den))
+    return G._basis
 
 
 def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
@@ -183,7 +190,10 @@ def subgroup_elements(G: GlueSubgroup) -> frozenset[tuple[Fraction, ...]]:
 def glue_order(G: GlueSubgroup) -> int:
     """|M/L| = [span H : den·ℤⁿ] = denⁿ / ∏ Hᵢᵢ, for (H, den) = ``_glue_basis(G)``."""
     H, den = _glue_basis(G)
-    return den**H.nrows // prod(row[i] for i, row in enumerate(H))
+    order, r = divmod(den**H.nrows, prod(row[i] for i, row in enumerate(H)))
+    if r:
+        raise InvariantViolation("the glue order is not an integer", glue=G, basis=H)
+    return order
 
 
 def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
@@ -191,9 +201,8 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
 
     Raises NotIsotropic when the result fails to be an even integral
     lattice (which happens exactly when the glue subgroup is not
-    isotropic).  Its det is det L·(det H)²/den^(2n) for its basis H/den
-    from ``_glue_basis``, and its signature is L's, so its Gram needs no
-    elimination.
+    isotropic).  Its det is det L / ``glue_order(G)``², as |M/L|² = det L /
+    det M, and its signature is L's, so its Gram needs no elimination.
     """
     base = G.base
     n = base.rank
@@ -205,7 +214,7 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     gram = IntMatrix._trusted(tuple(tuple(x // den2 for x in row) for row in num), n)
     if any(gram[i][i] % 2 for i in range(n)):
         raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
-    det, r = divmod(base.det * prod(basis[i][i] for i in range(n)) ** 2, den ** (2 * n))
+    det, r = divmod(base.det, glue_order(G) ** 2)
     if r:
         raise InvariantViolation("the overlattice det is not an integer", glue=G, basis=basis)
     return _derived_lattice(gram, det, base._signature, None)

@@ -49,6 +49,11 @@ class TestQuotientStructure:
             P = CohomologyPair(H, SublatticeEmbedding(H, IntMatrix([], ncols=H.rank)))
             assert quotient_structure(P) == (H.rank, ())
 
+    def test_algebraic_part_in_another_lattice_rejected(self):
+        other = make_lattice([[0, 2], [2, 0]])
+        with pytest.raises(BadParameter, match="embed into H"):
+            CohomologyPair(H2, SublatticeEmbedding(other, IntMatrix([[1, 0]])))
+
 
 class TestBrauerTorsionOrder:
     def test_paper_shape_rank_two(self):
@@ -204,6 +209,10 @@ class TestNoriSandwich:
 
     def test_zero_dim(self):
         assert nori_sandwich_check(1, 0, 7)
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(BadParameter, match="dim"):
+            nori_sandwich_check(1, -1, 7)
 
     def test_boundary_violation(self):
         ell, dim = 5, 2

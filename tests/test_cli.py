@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadlat
-import quadlat.glue
 from quadlat import periods
 from quadlat.cli import _build_parser, run
 from quadlat.expr import evaluate_expr
@@ -113,6 +112,12 @@ class TestPoints:
         code, data = invoke_json(capsys, "points", "special_linear", "2", "3")
         assert code == 2 and data["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("cap", ["0", "abc"])
+    def test_bad_cap_is_a_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("QUADLAT_CAP", cap)
+        code, out = invoke(capsys, "--json", "points", "special_linear", "2", "5")
+        assert code == 1 and out.count("\n") == 1 and json.loads(out)["error"] == "UsageError"
+
 
 class TestIotaAndComplement:
     def test_iota2d_payload(self, capsys):
@@ -155,18 +160,13 @@ class TestOverlatticesAndBinary:
 
     @pytest.mark.parametrize("expr", ["U(2)^3", "U(3)^2", "U(2)+gen(6)", "gen(6) + gen(-6)"])
     def test_glue_orders_agree_with_the_glue_path(self, capsys, expr):
-        # the CLI reads |M/L| off det L / det M, glue_order off the glue basis
+        # the CLI reports glue_order; |M/L|² = det L / det M, with det M from an
+        # elimination of the printed Gram, checks it independently
         code, data = invoke_json(capsys, "overlattices", expr)
-        subgroups = isotropic_subgroups(discriminant_form(evaluate_expr(expr)))
+        L = evaluate_expr(expr)
+        subgroups = isotropic_subgroups(discriminant_form(L))
         assert code == 0 and [e["glue_order"] for e in data["overlattices"]] == list(map(glue_order, subgroups))
-
-    @pytest.mark.parametrize("gram", [[[2, 1], [1, 2]], [[2, 0], [0, 4]]])
-    def test_glue_order_exactness_is_checked(self, capsys, monkeypatch, gram):
-        # det L = 16 for U(2)^2: an overlattice of det 3 leaves 16/3, not an
-        # integer, and one of det 8 leaves 2, not a square
-        monkeypatch.setattr(quadlat.glue, "overlattice_from_glue", lambda G: make_lattice(gram))
-        code, data = invoke_json(capsys, "overlattices", "U(2)^2")
-        assert code == 2 and data["error"] == "InvariantViolation"
+        assert all(e["glue_order"] ** 2 * make_lattice(e["gram"]).det == L.det for e in data["overlattices"])
 
     def test_binary_enum(self, capsys):
         code, data = invoke_json(capsys, "binary-enum", "3", "pos")
@@ -473,6 +473,10 @@ class TestExitCodesAndJsonDiscipline:
             (["info", "Foo"], "UnknownAtom"),
             (["info", "gen(0)"], "BadParameter"),
             (["info", "U^0"], "BadParameter"),
+            *((["info", expr], "BadParameter") for expr in ("U(1,2)", "An", "An(0)", "gen(1,2)", "Lambda2d(1,2)")),
+            (["nikulin", "U", "2,-1"], "BadParameter"),
+            (["points", "special_linear", "2", "1"], "BadParameter"),
+            (["points", "orthogonal", "3", "3", "--of", "U"], "BadParameter"),
         ]
         for argv, expected in cases:
             code, out = invoke(capsys, *argv)
@@ -612,6 +616,11 @@ class TestFixedModEllDimBound:
         code, out = invoke(capsys, "--json", "fixed-mod-ell", str(f))
         assert time.perf_counter() - start < 0.5
         _one_error_line(code, out, error)
+
+    def test_generator_rows_must_match_dim(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"ell": 5, "dim": 2, "generators": [[[1, 0], [0, 1]], [[1, 0], [0, 1], [1, 1]]]}))
+        _one_error_line(*invoke(capsys, "--json", "fixed-mod-ell", str(f)), "BadParameter")
 
     def test_dim_zero_is_valid(self, capsys, tmp_path):
         f = tmp_path / "gens.json"

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from quadlat import embeddings, linalg
 from quadlat.errors import (
     BadParameter,
+    DimensionMismatch,
     InvariantViolation,
+    NotAnIsometry,
     NotDefinite,
     NotInTildeO,
     NotRepresented,
@@ -119,6 +121,18 @@ class TestSublatticeEmbedding:
     def test_three_rows_in_rank_two_rejected(self):
         with pytest.raises(BadParameter):
             SublatticeEmbedding(Z2, IntMatrix([[1, 0], [0, 1], [1, 1]]))
+
+    def test_plain_lists_become_a_matrix(self):
+        E = SublatticeEmbedding(UU, [[1, 0, 0, 0], [0, 0, 1, 1]])
+        assert E.basis == IntMatrix([[1, 0, 0, 0], [0, 0, 1, 1]])
+
+    # plain rows of the wrong width fail building the matrix, as ragged rows
+    @pytest.mark.parametrize(
+        "basis, error", [(IntMatrix([[1, 0, 0]]), DimensionMismatch), ([[1, 0, 0]], ValueError)], ids=["matrix", "lists"]
+    )
+    def test_wrong_width_rejected(self, basis, error):
+        with pytest.raises(error):
+            SublatticeEmbedding(UU, basis)
 
 
 @st.composite
@@ -401,11 +415,24 @@ class TestIsometries:
     def test_non_isometry(self):
         assert not is_isometry(standard("U"), IntMatrix([[1, 1], [0, 1]]))
 
+    def test_wrong_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            is_isometry(standard("U"), IntMatrix.identity(3))
+
 
 class TestExtendIsometry:
     def test_identity_extends_to_identity(self):
         E = build_iota2d(2)
         assert extend_isometry(E, IntMatrix.identity(21)) == IntMatrix.identity(28)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            extend_isometry(build_iota2d(2), IntMatrix.identity(20))
+
+    def test_non_isometry_rejected(self):
+        E = SublatticeEmbedding(UU, IntMatrix([[1, 0, 0, 0], [0, 1, 0, 0]]))
+        with pytest.raises(NotAnIsometry):
+            extend_isometry(E, IntMatrix([[1, 1], [0, 1]]))
 
     def test_e8_block_swap_extends(self):
         E = build_iota2d(3)

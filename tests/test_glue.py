@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,8 @@ from math import prod
 import pytest
 
 import quadlat.glue
+import quadlat.linalg
+from quadlat.cli import run
 from quadlat.errors import BadParameter, NotIsotropic, TooLarge
 from quadlat.expr import evaluate_expr
 from quadlat.lattice import (
@@ -156,6 +159,19 @@ class TestIsotropicSubgroups:
         with pytest.raises(BadParameter):
             GlueSubgroup(standard("U"), RatMatrix([[Fraction(1, 3), 0]]))
 
+    def test_plain_lists_become_a_matrix(self):
+        L = direct_sum(standard("gen", 2), standard("gen", -2))
+        G = GlueSubgroup(L, [[Fraction(1, 2), Fraction(1, 2)]])
+        assert G.generators == RatMatrix([[Fraction(1, 2), Fraction(1, 2)]]) and glue_order(G) == 2
+
+    # plain rows of the wrong width fail building the matrix, as ragged rows
+    @pytest.mark.parametrize(
+        "generators, error", [(RatMatrix([[0, 0, 0]]), BadParameter), ([[0, 0, 0]], ValueError)], ids=["matrix", "lists"]
+    )
+    def test_wrong_width_rejected(self, generators, error):
+        with pytest.raises(error):
+            GlueSubgroup(standard("U"), generators)
+
 
 class TestGlueSearchCap:
     """The search counts the coset elements it builds, and the |A| cap does
@@ -243,8 +259,45 @@ class TestOverlatticeFromGlue:
             F = discriminant_form(L)
             for G in isotropic_subgroups(F):
                 M = overlattice_from_glue(G)
-                assert abs(M.det) * glue_order(G) ** 2 == abs(L.det)
+                # M's det is read off glue_order: check it against an elimination
+                assert M.det == det_exact(M.gram) and abs(M.det) * glue_order(G) ** 2 == abs(L.det)
                 assert is_even(M)
+
+
+class TestOneHermiteFormPerSubgroup:
+    """A subgroup keeps the Hermite basis ``_glue_basis`` builds, so its
+    overlattice, order and elements run one Hermite form between them."""
+
+    @pytest.fixture
+    def hnf_calls(self, monkeypatch):
+        calls = []
+        core = quadlat.linalg._hnf
+
+        def counted(rows, ncols, transform):
+            calls.append(ncols)
+            return core(rows, ncols, transform)
+
+        monkeypatch.setattr(quadlat.linalg, "_hnf", counted)
+        monkeypatch.setattr(quadlat.glue, "_hnf", counted)
+        return calls
+
+    def test_overlattices_request_runs_one_per_subgroup(self, hnf_calls, capsys):
+        assert run(["--json", "overlattices", "U(2)^3"]) == 0
+        assert len(hnf_calls) == 171 == json.loads(capsys.readouterr().out)["count"]
+
+    @pytest.mark.parametrize("expr", ["U(2)^3", "U(6)^2", "U(2)+gen(6)"])
+    def test_order_and_elements_read_the_kept_basis(self, hnf_calls, expr):
+        subgroups = isotropic_subgroups(discriminant_form(evaluate_expr(expr)))
+        for G in subgroups:
+            overlattice_from_glue(G)
+        assert len(hnf_calls) == len(subgroups)
+        assert all(len(subgroup_elements(G)) == glue_order(G) for G in subgroups)
+        assert len(hnf_calls) == len(subgroups)
+
+    def test_public_constructor_starts_without_a_basis(self, hnf_calls):
+        L = direct_sum(standard("gen", 2), standard("gen", -2))
+        G = GlueSubgroup(L, RatMatrix([[Fraction(1, 2), Fraction(1, 2)]]))
+        assert (glue_order(G), glue_order(G), len(hnf_calls)) == (2, 2, 1)
 
 
 class TestEvenOverlattices:

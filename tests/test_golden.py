@@ -22,7 +22,11 @@ stdout of ``overlattices`` on the glue expressions; "saturation" records
 ``saturation_index`` and ``saturate`` of seeded bases, dependent ones
 with their refusal; "quotient" records ``quotient_structure`` of the
 cli-mix periods' algebraic and transcendental parts, and of scaled
-copies of them.
+copies of them.  "cli-mix stdout" records the exit code and stdout of
+every request of the cli-mix benchmark, in two passes, with its input
+files written to a fresh directory and named relative to it, so an error
+detail that quotes a path reads the same on every run; "discform" on the
+13 info expressions records its text and JSON stdout.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -37,8 +41,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -87,6 +93,50 @@ _PERIODS = tuple(
         [[0, 1, 0, 0] + [0] * 8, [1, 0, 0, 0] + [0] * 8, [0, 0, 0, 1] + [0] * 8, [0, 0, 1, 0] + [0] * 8]
         + [[0] * 4 + row for row in _E8_NEG],
     )
+)
+
+
+# the cli-mix benchmark's input files, by the relative names its requests pass
+_CLI_FILES = {
+    "period_uu.json": json.dumps({**_PERIODS[0], "re": ["1", "1", "0", "0"], "im": ["0", "0", "1", "1"]}),
+    "period_uu_e8.json": json.dumps(
+        {**_PERIODS[1], "re": [str(x) for x in _PERIODS[1]["re"]], "im": [str(x) for x in _PERIODS[1]["im"]]}
+    ),
+    "gens.json": json.dumps({"ell": 5, "generators": [
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    ]}),
+    "malformed.json": '{"ell": 5, "generators": [[[1, 0], [0, 1]]',
+}
+_POLARIZED_3 = [0] * 16 + [1, 3] + [0] * 4  # e + 3f in the first hyperbolic plane of LambdaK3
+# (argv after --json, stdin): the benchmark's 21 answers, 4 domain or usage errors and 3 bad inputs
+_CLI_MIX = (
+    (["info", "gen(-4)"], ""),
+    (["info", "U(2)+gen(6)"], ""),
+    (["info", "Lambda2d(7)"], ""),
+    *((["discform", expr], "") for expr in DISCFORM_EXPRESSIONS),
+    (["nikulin", "Lambda2d(7)", "2,26"], ""),
+    (["nikulin", "U(2)+gen(6)", "2,26"], ""),
+    (["nikulin", "Lambda2d(7)", "2,19"], ""),
+    (["iota2d", "5"], ""),
+    (["complement"], json.dumps({"ambient": {"gram": standard("LambdaK3").gram.tolist()}, "basis": [_POLARIZED_3]})),
+    (["period-split", "period_uu.json"], ""),
+    (["period-split", "period_uu_e8.json"], ""),
+    (["fixed-mod-ell", "gens.json"], ""),
+    (["overlattices", "U(2)^2"], ""),
+    (["binary-enum", "12", "pos"], ""),
+    (["binary-enum", "60", "neg"], ""),
+    (["minkowski", "4"], ""),
+    (["points", "special_linear", "2", "5"], ""),
+    (["points", "symplectic", "2", "3"], ""),
+    (["points", "orthogonal", "2", "3", "--of", "U"], ""),
+    (["nikulin", "gen(3)", "2,26"], ""),
+    (["info", "Foo(1)"], ""),
+    (["info", "E8(-1)^"], ""),
+    (["binary-enum", "12", "sideways"], ""),
+    (["period-split", "missing.json"], ""),
+    (["fixed-mod-ell", "malformed.json"], ""),
+    (["complement"], json.dumps({"ambient": {"gram": _PERIODS[0]["lattice"]["gram"]}, "basis": [["x", 0, 0, 0]]})),
 )
 
 
@@ -221,7 +271,19 @@ def _quotient_record(payload: dict) -> list:
     return out
 
 
-def compute_digests() -> dict[str, str]:
+def _cli_mix_record(workdir: Path) -> list:
+    # two passes of every request, run from workdir so the file names are relative
+    for name, text in _CLI_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    saved = os.getcwd()
+    os.chdir(workdir)
+    try:
+        return [_cli_stdout(["--json", *argv], stdin) for _ in range(2) for argv, stdin in _CLI_MIX]
+    finally:
+        os.chdir(saved)
+
+
+def compute_digests(workdir: Path) -> dict[str, str]:
     out = {expr: _digest(_glue_record(evaluate_expr(expr))) for expr in EXPRESSIONS}
     U24 = isotropic_subgroups(discriminant_form(evaluate_expr("U(2)^4")))
     out["U(2)^4 generators"] = _digest([_rat_rows(G.generators) for G in U24])
@@ -242,12 +304,16 @@ def compute_digests() -> dict[str, str]:
     rng = random.Random(SATURATION_SEED)
     out[f"saturation x{SATURATION_COUNT}"] = _digest([_saturation_record(rng) for _ in range(SATURATION_COUNT)])
     out["quotient cli-mix periods"] = _digest([_quotient_record(payload) for payload in _PERIODS])
+    out["cli-mix stdout x2"] = _digest(_cli_mix_record(workdir))
+    out["discform x13"] = _digest(
+        [_cli_stdout(prefix + ["discform", expr]) for expr in INFO_EXPRESSIONS for prefix in ([], ["--json"])]
+    )
     return out
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return compute_digests()
+def digests(tmp_path_factory):
+    return compute_digests(tmp_path_factory.mktemp("cli-mix"))
 
 
 CASES = (
@@ -264,6 +330,8 @@ CASES = (
     "overlattices stdout",
     f"saturation x{SATURATION_COUNT}",
     "quotient cli-mix periods",
+    "cli-mix stdout x2",
+    "discform x13",
 )
 
 
@@ -275,4 +343,5 @@ def test_glue_outputs_match_their_golden_digest(case, digests):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    DIGESTS.write_text(json.dumps(compute_digests(), indent=1) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(json.dumps(compute_digests(Path(tmp)), indent=1) + "\n", encoding="utf-8")

@@ -1186,6 +1186,14 @@ class TestTrustedGluePath:
         with pytest.raises(InvariantViolation):
             overlattice_from_glue(G)
 
+    def test_glue_order_exactness_is_checked(self, monkeypatch):
+        L = direct_sum(standard("gen", 2), standard("gen", -2))
+        G = isotropic_subgroups(discriminant_form(L))[1]  # generated by (1/2, 1/2), den 2
+        # a pivot 3 that does not divide den: 2²/3 is not an integer
+        monkeypatch.setattr(quadlat.glue, "_hnf", lambda rows, ncols, transform: ([[3, 0], [0, 1], [0, 0]], None))
+        with pytest.raises(InvariantViolation):
+            glue_order(G)
+
 
 def _fraction_product(a, b):
     # the Fraction dot products RatMatrix multiplied with before its integer product

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge
+from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge, UnknownAtom
 import quadlat.lattice
 from quadlat.embeddings import as_lattice, build_iota2d, in_tilde_O, nikulin_check, orthogonal_complement
 from quadlat.lattice import (
@@ -91,6 +91,10 @@ class TestStandard:
         assert a2.gram.tolist() == [[2, -1], [-1, 2]] and a2.det == 3
 
     def test_bad_parameters(self):
+        with pytest.raises(UnknownAtom):
+            standard("Foo")
+        with pytest.raises(BadParameter, match="nothing"):
+            direct_sum()
         with pytest.raises(BadParameter):
             standard("gen", 0)
         with pytest.raises(BadParameter):
@@ -143,6 +147,7 @@ class TestSignature:
 
     def test_sharp(self):
         assert signature(standard("LambdaSharp")) == Signature(2, 26)
+        assert signature(standard("LambdaSharp")).rank == 28
 
     def test_rank_additivity_on_randoms(self):
         rng = random.Random(99)

@@ -156,6 +156,7 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(NonSquare):
             det_exact(IntMatrix([[1, 2]]))
+        assert not IntMatrix([[1, 2, 3], [2, 5, 6]]).is_symmetric()
 
 
 class TestSum:
@@ -170,6 +171,18 @@ class TestSum:
             IntMatrix([[1, 2]]) + IntMatrix([[1], [2]])
         with pytest.raises(TypeError):  # a sum with Fraction entries is no IntMatrix
             IntMatrix([[1, 2]]) + RatMatrix([[1, 2]])
+
+
+class TestConstructorAndOperandChecks:
+    @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+    def test_ragged_rows_rejected(self, cls):
+        with pytest.raises(ValueError, match="ragged"):
+            cls([[1, 2], [3]])
+
+    @pytest.mark.parametrize("product", [lambda m: m @ 3, lambda m: 3 @ m], ids=["right", "left"])
+    def test_product_with_a_scalar_is_a_type_error(self, product):
+        with pytest.raises(TypeError):
+            product(RatMatrix([[1, 2]]))
 
 
 def dense_product(a, b, ncols):
@@ -279,6 +292,10 @@ class TestSolveRational:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             solve_rational(IntMatrix([[1, 2], [2, 4]]), RatMatrix([[1], [1]]))
+
+    def test_wrong_height_rejected(self):
+        with pytest.raises(ValueError, match="number of rows"):
+            solve_rational(IntMatrix.identity(2), RatMatrix([[1], [2], [3]]))
 
     def test_inverse(self):
         m = IntMatrix([[2, 1], [1, 1]])
