@@ -9,14 +9,20 @@ fraction-free (Bareiss) update, ``_bareiss_step``, runs under two pivot
 rules: ``det_exact``'s row swap, whose forward pass on [m | b] plus a back
 substitution is ``solve_integral``, and ``_symmetric_elimination``'s
 congruence (``Lattice`` det and signature, the norm search's square
-completion).  The one elimination mod a prime is ``_echelon_mod``
-(``brauer``, form isomorphism).  Matrices are immutable; routines are pure.
-A matrix keeps what it computes once: an ``IntMatrix`` its sparse rows,
-filled when it is first the right operand of a product or a factor of a
-congruence, and a ``RatMatrix`` its integer form, which other modules read
-and never copy.  A Gram's congruence B·G·Bᵀ (induced Grams, isometry
-checks, discriminant pairings, overlattice Grams) is one kernel,
-``_congruence``, that builds only the upper half of the symmetric result.
+completion).  Every entry it writes is a minor of the input (Sylvester's
+identity), so a row whose lead is zero is not rescaled at each step: it
+keeps the pivot it was last written under and is brought up to date when
+it is next used.  The callers read only the pivot rows, from the
+diagonal on.  ``solve_integral`` first reads off the unknowns that unit
+rows ±e_j fix, and eliminates only the other rows.  The one elimination
+mod a prime is ``_echelon_mod`` (``brauer``, form isomorphism).  Matrices
+are immutable; routines are pure.  A matrix keeps what it computes once:
+an ``IntMatrix`` its sparse rows, filled when it is first the right
+operand of a product or a factor of a congruence, and a ``RatMatrix`` its
+integer form, which other modules read and never copy.  A Gram's
+congruence B·G·Bᵀ (induced Grams, isometry checks, discriminant pairings,
+overlattice Grams) is one kernel, ``_congruence``, that builds only the
+upper half of the symmetric result.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -25,14 +31,16 @@ rank-1000 Smith form, takes 35–45 s with CPython 3.11 on a 2-core host).
 Their row and column steps run only where there is work: a 2-row or
 2-column gcd step only for a nonzero entry to clear against the nonzero
 pivot, a row update only for a nonzero multiplier, and a Smith column step
-only on the rows from the pivot down.  The block-sparse Grams and unit-row
-bases of K3 geometry leave most entries zero.  Each form is a public
-wrapper over one private core, ``_smith`` or ``_hnf``, that carries a
-transform only for a caller that reads it.  No caller in the package reads
-Smith's V; ``lattice.discriminant_group`` reads U, and ``saturation_index``
-and ``brauer.quotient_structure`` only S.  ``kernel_basis`` reads the T of
-its first Hermite form and not of its second, and ``glue._glue_basis``
-reads only H.
+only on the rows from the pivot down, or on the pivot row alone while the
+pivot column is zero below the pivot and the pivot divides the entry.
+The block-sparse Grams and unit-row bases of K3 geometry leave most
+entries zero.  Each form is a public wrapper over one private core,
+``_smith`` or ``_hnf``, that carries a transform only for a caller that
+reads it.  No caller in the package reads Smith's V;
+``lattice.discriminant_group`` reads U, and ``saturation_index`` and
+``brauer.quotient_structure`` only S.  ``kernel_basis`` reads the T of its
+first Hermite form, which stops at an echelon form, and not of its
+second, and ``glue._glue_basis`` reads only H.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ class _Matrix:
         return len(self._data)
 
     def tolist(self) -> list[list]:
-        return [list(r) for r in self._data]
+        return list(map(list, self._data))
 
     def transpose(self):
         cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
@@ -358,24 +366,31 @@ def _gcd_row_op(mat: list[list[int]], trans: list[list[int]] | None, pr: int, i:
         m[i] = [-bf * p + af * q for p, q in zip(rp, ri)]
 
 
-def _gcd_col_op(mat: list[list[int]], trans: list[list[int]] | None, pc: int, j: int, row: int) -> None:
+def _gcd_col_op(
+    mat: list[list[int]], trans: list[list[int]] | None, pc: int, j: int, row: int, dirty: bool
+) -> bool:
     # Column analogue of _gcd_row_op, run on the rows of mat from ``row``
-    # on: the rows above it are already zero in both columns.  trans, when
-    # carried, accumulates the right factor over all its rows.
+    # on: the rows above it are already zero in both columns.  Unless
+    # ``dirty``, column pc is zero below ``row`` too, so a step whose entry
+    # the pivot divides changes only mat[row][j], and no other row of mat is
+    # read.  trans, when carried, accumulates the right factor over all its
+    # rows.  Returns whether it took a gcd step, which may leave column pc
+    # nonzero below ``row``.
     a, b = mat[row][pc], mat[row][j]
-    rows = mat[row:] if trans is None else mat[row:] + trans
     if b % a == 0:
         q = b // a
-        for r in rows:
+        rows = mat[row:] if dirty else mat[row : row + 1]
+        for r in rows if trans is None else rows + trans:
             if r[pc]:
                 r[j] -= q * r[pc]
-        return
+        return False
     g, x, y = _xgcd(a, b)
     af, bf = a // g, b // g
-    for r in rows:
+    for r in mat[row:] if trans is None else mat[row:] + trans:
         p, q = r[pc], r[j]
         r[pc] = x * p + y * q
         r[j] = -bf * p + af * q
+    return True
 
 
 def _smith(
@@ -383,7 +398,11 @@ def _smith(
 ) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
     """The Smith core: (U, S, V) as lists of rows, with U·m·V = S; U is
     None unless ``left`` and V None unless ``right``, and a transform that
-    is not carried costs nothing."""
+    is not carried costs nothing.  After the row steps at a pivot, its
+    column is zero below it; until a column step takes a gcd, a column step
+    whose entry the pivot divides clears that one entry of the pivot row
+    (and updates V), and the re-dirtied-column test runs only after a gcd
+    column step."""
     r, c = m.nrows, m.ncols
     S = m.tolist()
     U = _ident_rows(r) if left else None
@@ -416,11 +435,12 @@ def _smith(
             for i in range(t + 1, r):
                 if S[i][t]:
                     _gcd_row_op(S, U, t, i, t)
+            dirty = False  # column t is zero below the pivot until a gcd column step
             for j in range(t + 1, c):
                 if S[t][j]:
-                    _gcd_col_op(S, V, t, j, t)
-            if any(S[i][t] for i in range(t + 1, r)):
-                continue  # column ops re-dirtied the pivot column
+                    dirty |= _gcd_col_op(S, V, t, j, t, dirty)
+            if dirty and any(S[i][t] for i in range(t + 1, r)):
+                continue  # a gcd column step re-dirtied the pivot column
             p = S[t][t]
             if p in (1, -1):
                 break  # a unit divides everything left
@@ -458,10 +478,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return _frozen(U, m.nrows), _frozen(S, m.ncols), _frozen(V, m.ncols)
 
 
-def _hnf(rows: list[list[int]], ncols: int, transform: bool) -> tuple[list[list[int]], list[list[int]] | None]:
+def _hnf(
+    rows: list[list[int]], ncols: int, transform: bool, echelon_only: bool = False
+) -> tuple[list[list[int]], list[list[int]] | None]:
     """The Hermite core: (H, T) as lists of rows for the integer rows
     given, which it overwrites; T·rows = H, and T is None unless
-    ``transform``."""
+    ``transform``.  With ``echelon_only`` it stops at an echelon form: the
+    pivots keep their signs and the entries above them are not reduced.
+    Those steps touch only pivot rows and their rows of T, so the zero rows
+    and their rows of T are the same either way."""
     H, r = rows, len(rows)
     T = _ident_rows(r) if transform else None
     prow = 0
@@ -483,17 +508,18 @@ def _hnf(rows: list[list[int]], ncols: int, transform: bool) -> tuple[list[list[
         for i in range(prow + 1, r):
             if H[i][col]:
                 _gcd_row_op(H, T, prow, i, col)
-        if H[prow][col] < 0:
-            H[prow] = [-x for x in H[prow]]
-            if transform:
-                T[prow] = [-x for x in T[prow]]
-        p = H[prow][col]
-        for i in range(prow):
-            q = H[i][col] // p  # floor division leaves a remainder in [0, p)
-            if q:
-                _addmul_row(H, i, prow, -q)
+        if not echelon_only:
+            if H[prow][col] < 0:
+                H[prow] = [-x for x in H[prow]]
                 if transform:
-                    _addmul_row(T, i, prow, -q)
+                    T[prow] = [-x for x in T[prow]]
+            p = H[prow][col]
+            for i in range(prow):
+                q = H[i][col] // p  # floor division leaves a remainder in [0, p)
+                if q:
+                    _addmul_row(H, i, prow, -q)
+                    if transform:
+                        _addmul_row(T, i, prow, -q)
         prow += 1
     return H, T
 
@@ -512,77 +538,110 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return _frozen(H, m.ncols), _frozen(T, m.nrows)
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> int:
-    """The one fraction-free (Bareiss) update: each row s > k of a becomes
-    (p·row s − a[s][k]·row k) / prev across its full width, p = a[k][k] being
-    the pivot it returns and prev the one before (or 1).  Each division is
-    exact (Sylvester's identity); a row with a zero lead is only rescaled,
-    and column k below row k is left as it was, unread."""
+def _rescale(row: list[int], k: int, num: int, den: int) -> None:
+    # row[k:] times num/den, exact because each result is a minor
+    for t in range(k, len(row)):
+        if row[t]:
+            row[t] = num * row[t] // den
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int, frame: dict[int, int]) -> int:
+    """The one fraction-free (Bareiss) update, at pivot k.  prev is the
+    pivot before k (or 1).  ``frame`` maps each row last written under an
+    older pivot to that pivot; every other row is up to date, under prev.
+    Row k is first brought up to date, times prev/frame[k].  Then each row
+    s > k with a nonzero lead c becomes (p·row s − c·row k) / frame[s]
+    across its full width, frame[s] being prev for a row that is up to
+    date and p = a[k][k] the pivot it returns.  Every entry is a minor of
+    the input (Sylvester's identity), so each division is exact.  A row
+    with a zero lead is not touched: it keeps its frame, and the rescale by
+    p/prev waits until the row is next used.  Column k below row k is left
+    as it was, unread."""
     row_k = a[k]
+    if k in frame:
+        _rescale(row_k, k, prev, frame.pop(k))
     p = row_k[k]
     width = range(k + 1, len(row_k))
     for s in range(k + 1, len(a)):
         row_s = a[s]
         c = row_s[k]
         if c:
+            q = frame.pop(s, prev) if frame else prev
             for t in width:
-                row_s[t] = (p * row_s[t] - c * row_k[t]) // prev
+                row_s[t] = (p * row_s[t] - c * row_k[t]) // q
         elif p != prev:
-            for t in width:
-                if row_s[t]:
-                    row_s[t] = p * row_s[t] // prev
+            frame.setdefault(s, prev)
     return p
 
 
 def _forward_pass(a: list[list[int]]) -> int:
     """``_bareiss_step`` down n rows of width ≥ n, a zero pivot swapped for the
     first row below with a nonzero lead; returns the det of the first n
-    columns, now upper-triangular (0, stopping early, if they are singular)."""
+    columns (0, stopping early, if they are singular).  The pivot rows
+    a[k][k:] are then up to date and upper-triangular in the first n
+    columns; the entries left of the diagonal are stale and unread."""
+    n = len(a)
     sign = prev = 1
-    for k in range(len(a)):
+    frame: dict[int, int] = {}
+    for k in range(n):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
-            if swap is None:
+            for swap in range(k + 1, n):
+                if a[swap][k]:
+                    break
+            else:
                 return 0
             a[k], a[swap] = a[swap], a[k]
+            if frame:  # frames move with their rows
+                fk, fs = frame.pop(k, 0), frame.pop(swap, 0)
+                if fk:
+                    frame[swap] = fk
+                if fs:
+                    frame[k] = fs
             sign = -sign
-        prev = _bareiss_step(a, k, prev)
+        prev = _bareiss_step(a, k, prev, frame)
     return sign * prev
 
 
 def det_exact(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
-    if m.nrows != m.ncols:
+    if len(m._data) != m._ncols:
         raise NonSquare(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     return _forward_pass(m.tolist())
 
 
 def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
     """Fraction-free elimination of a symmetric integer matrix; returns the
-    pivot rows.  Row k is final once it gives pivot k: a[k][k:] is then row k
-    of prev (pivot k-1, or 1) times the Schur complement of the eliminated
-    block m_P, as ``_bareiss_step`` leaves it.  A zero pivot takes one rule:
-    for the first j > k with a[k][j] ≠ 0, the congruence e_k ← e_k + c·e_j,
-    c = -1 if 2a[k][j] + a[j][j] = 0 and c = 1 otherwise, makes the pivot
+    pivot rows, which callers read from the diagonal on.  Row k is final once
+    it gives pivot k: a[k][k:] is then row k of prev (pivot k-1, or 1) times
+    the Schur complement of the eliminated block m_P, as ``_bareiss_step``
+    leaves it.  A zero pivot takes one rule: for the first j > k with
+    a[k][j] ≠ 0, the congruence e_k ← e_k + c·e_j, c = -1 if
+    2a[k][j] + a[j][j] = 0 and c = 1 otherwise, makes the pivot
     2c·a[k][j] + a[j][j] ≠ 0.  It is unipotent and fixes m_P, so det and
-    inertia stay (Sylvester's law) and later divisions stay exact.  A zero
-    row (no such j) ends it with the k rows before it: then det(m) = 0."""
+    inertia stay (Sylvester's law) and later divisions stay exact.  Rows k
+    and j are brought up to date first, since the rule reads and mixes
+    them.  A zero row (no such j) ends it with the k rows before it: then
+    det(m) = 0."""
     n = m.nrows
     a = m.tolist()
     prev = 1
+    frame: dict[int, int] = {}
     for k in range(n):
         row_k = a[k]
         if not row_k[k]:
             j = next((t for t in range(k + 1, n) if row_k[t]), None)
             if j is None:
                 return a[:k]
+            for s in (k, j):
+                if s in frame:
+                    _rescale(a[s], k, prev, frame.pop(s))
             row_j = a[j]
             c = -1 if 2 * row_k[j] + row_j[j] == 0 else 1
             for t in range(k, n):
                 row_k[t] += c * row_j[t]
             for s in range(k, n):  # and the column, keeping the block symmetric
                 a[s][k] += c * a[s][j]
-        prev = _bareiss_step(a, k, prev)
+        prev = _bareiss_step(a, k, prev, frame)
     return a
 
 
@@ -620,11 +679,14 @@ def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Saturated basis of the left kernel {x ∈ ℤ^r : x·m = 0}.
 
-    The rows of the unimodular HNF transform that correspond to zero rows
-    of H span the kernel exactly, hence the result is a primitive
-    sublattice of ℤ^r.  Rows are HNF-normalized for determinism.
+    The rows of the unimodular transform that correspond to zero rows of
+    an echelon form of m span the kernel exactly, hence the result is a
+    primitive sublattice of ℤ^r.  The first Hermite pass stops at that
+    echelon form, since its zero rows and their transform rows are those
+    of the full form; the second, a full HNF of those rows, makes the
+    result unique.
     """
-    H, T = _hnf(m.tolist(), m.ncols, True)
+    H, T = _hnf(m.tolist(), m.ncols, True, echelon_only=True)
     rank = sum(1 for row in H if any(row))
     Hk, _ = _hnf(T[rank:], m.nrows, False)
     return _frozen(Hk, m.nrows)
@@ -635,28 +697,53 @@ def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
 
     Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
     so the solution is X/den; it is integral exactly when den divides
-    every entry of X.  ``det_exact``'s forward pass on the rows [m | b]
-    leaves an upper-triangular A with A·x = Y for the same x; back
-    substitution X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then divides
-    exactly, because X = den·m⁻¹·b is integral (Cramer's rule).
+    every entry of X.  A row i of m that is ±e_j fixes x_j = ±b_i outright;
+    two such rows on one column make m singular.  The other rows, without
+    the fixed columns, are a square m' with |det m'| = |det m| (expand
+    along the unit rows), and the fixed x_j move to their right side b'.
+    ``det_exact``'s forward pass on [m' | b'] leaves an upper-triangular A
+    with A·x' = Y for the same x'; back substitution
+    X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then divides exactly, because
+    X = den·m⁻¹·b is integral (Cramer's rule).
     """
     if m.nrows != m.ncols:
         raise NonSquare(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
     n = m.nrows
     if b.nrows != n:
         raise ValueError("right-hand side has wrong number of rows")
-    a = [list(m[i]) + list(b[i]) for i in range(n)]
+    fixed: dict[int, tuple[int, tuple]] = {}  # column j: (±1, b_i) with x_j = ±b_i
+    rest = []
+    for i, row in enumerate(m):
+        unit = 1 if 1 in row else -1
+        if row.count(0) == n - 1 and unit in row:
+            j = row.index(unit)
+            if j in fixed:
+                raise SingularMatrix("matrix is singular")
+            fixed[j] = (unit, b[i])
+        else:
+            rest.append(i)
+    cols = [j for j in range(n) if j not in fixed]
+    a = []
+    for i in rest:
+        row, y = m[i], b[i]
+        for j, (unit, b_j) in fixed.items():
+            if c := unit * row[j]:
+                y = [u - c * v for u, v in zip(y, b_j)]
+        a.append([row[j] for j in cols] + list(y))
     den = abs(_forward_pass(a))
     if not den:
         raise SingularMatrix("matrix is singular")
     x: list = [()] * n
-    for k in reversed(range(n)):
+    for j, (unit, b_j) in fixed.items():
+        x[j] = tuple([unit * den * v for v in b_j])
+    r = len(a)
+    for k in reversed(range(r)):
         row = a[k]
-        acc = [den * y for y in row[n:]]
-        for j in range(k + 1, n):
+        acc = [den * y for y in row[r:]]
+        for j in range(k + 1, r):
             if c := row[j]:
-                acc = [u - c * v for u, v in zip(acc, x[j])]
-        x[k] = tuple(u // row[k] for u in acc)
+                acc = [u - c * v for u, v in zip(acc, x[cols[j]])]
+        x[cols[k]] = tuple([u // row[k] for u in acc])
     return IntMatrix._trusted(tuple(x), b.ncols), den
 
 

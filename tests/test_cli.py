@@ -266,6 +266,27 @@ class TestFixedModEll:
         assert data["basis"] == [[1, 1]]
 
 
+class TestInputShapeRefusals:
+    """JSON inputs of the wrong shape are refused with their own message."""
+
+    def test_fixed_mod_ell_empty_generators_need_a_dim(self, capsys, tmp_path):
+        f = tmp_path / "gens.json"
+        f.write_text(json.dumps({"ell": 5, "generators": []}))
+        code, out = invoke(capsys, "--json", "fixed-mod-ell", str(f))
+        _one_error_line(code, out, "BadParameter")
+        assert json.loads(out)["detail"] == "empty generator list needs an explicit 'dim'"
+        f.write_text(json.dumps({"ell": 5, "dim": 2, "generators": []}))
+        code, data = invoke_json(capsys, "fixed-mod-ell", str(f))
+        assert code == 0 and data["fixed_dimension"] == 2
+
+    def test_period_split_array_refused(self, capsys, tmp_path):
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps([UU_PERIOD]))
+        code, out = invoke(capsys, "--json", "period-split", str(f))
+        _one_error_line(code, out, "BadParameter")
+        assert json.loads(out)["detail"] == "period JSON must be an object"
+
+
 class TestBadInput:
     """Unreadable or malformed input is one JSON error line, never a traceback."""
 

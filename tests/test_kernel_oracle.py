@@ -9,7 +9,13 @@ their transforms.  The cores behind them, run with only the transforms a
 caller reads, must return the public forms, and ``_congruence`` must equal
 two products B·G·Bᵀ.  It also checks the kernels built on the one Bareiss step:
 ``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
-zero right-hand sides) and the det of the symmetric elimination.  The
+zero right-hand sides) and the det of the symmetric elimination, with the
+work those eliminations skip: rows that wait under an older pivot (dense
+and sparse systems, swapped rows, a congruence that mixes a waiting row,
+permuted block-diagonal Grams), unit rows solved outright, Smith column
+steps on a clean pivot column and the echelon-only first Hermite pass of
+``kernel_basis``; ``TestEliminationWork`` counts the rescales and Bareiss
+rows of the k3 eliminations.  The
 remaining kernels are checked against the formulas they replaced: the
 discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
@@ -61,6 +67,7 @@ from quadlat.embeddings import (  # noqa: E402
     build_iota2d,
     extend_isometry,
     in_tilde_O,
+    induced_gram,
     is_isometry,
     orthogonal_complement,
     saturate,
@@ -156,6 +163,17 @@ def small_or_rank_deficient(draw, max_dim=8):
     return a @ b
 
 
+def _assert_smith(m):
+    # U·m·V = S with U, V unimodular, and S diagonal with sympy's invariant factors
+    U, S, V = smith_normal_form(m)
+    assert U @ m @ V == S
+    assert abs(det_exact(U)) == 1 and abs(det_exact(V)) == 1
+    expected, _, _ = smith_normal_decomp(Matrix(m.tolist()), domain=ZZ)
+    k = min(m.nrows, m.ncols)
+    assert [S[i][i] for i in range(k)] == [int(expected[i, i]) for i in range(k)]
+    assert all(S[i][j] == 0 for i in range(m.nrows) for j in range(m.ncols) if i != j)
+
+
 class TestAgainstSympy:
     @ORACLE
     @given(dense_or_block_sparse(), st.data())
@@ -222,13 +240,7 @@ class TestAgainstSympy:
     @settings(max_examples=100, deadline=None)
     @given(small_or_rank_deficient())
     def test_smith_normal_form(self, m):
-        U, S, V = smith_normal_form(m)
-        assert U @ m @ V == S
-        assert abs(det_exact(U)) == 1 and abs(det_exact(V)) == 1
-        expected, _, _ = smith_normal_decomp(Matrix(m.tolist()), domain=ZZ)
-        k = min(m.nrows, m.ncols)
-        assert [S[i][i] for i in range(k)] == [int(expected[i, i]) for i in range(k)]
-        assert all(S[i][j] == 0 for i in range(m.nrows) for j in range(m.ncols) if i != j)
+        _assert_smith(m)
 
     @settings(max_examples=100, deadline=None)
     @given(small_or_rank_deficient())
@@ -253,9 +265,9 @@ def _helper_calls(run) -> list[tuple[str, bool]]:
         calls.append(("row", bool(mat[pr][col] and mat[i][col])))
         row_op(mat, trans, pr, i, col)
 
-    def watched_col_op(mat, trans, pc, j, row):
+    def watched_col_op(mat, trans, pc, j, row, dirty):
         calls.append(("column", bool(mat[row][pc] and mat[row][j])))
-        col_op(mat, trans, pc, j, row)
+        return col_op(mat, trans, pc, j, row, dirty)
 
     def watched_addmul(rows, dst, src, k):
         calls.append(("addmul", bool(k)))
@@ -1320,6 +1332,15 @@ def _assert_solves(m, b):
         assert [[int(v) for v in row] for row in product] == [[den * v for v in row] for row in b]
 
 
+def _extension_system(d):
+    """extend_isometry's block-sparse 28×28 system (m, b), for the swap of
+    the two E8(-1) blocks of Lambda2d(d)."""
+    E = build_iota2d(d)
+    comp = orthogonal_complement(E)
+    swap = [[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)]
+    return E.basis.stack(comp.basis), (IntMatrix(swap) @ E.basis).stack(comp.basis)
+
+
 class TestBareissKernel:
     @ORACLE
     @given(st.one_of(zero_leading_pivots(), dense_or_block_sparse(max_rank=12)), st.data())
@@ -1329,11 +1350,7 @@ class TestBareissKernel:
 
     @pytest.mark.parametrize("d", [1, 2, 37, 1000])
     def test_k3_extension_system(self, d):
-        # extend_isometry's block-sparse 28×28 system, for the swap of the two E8(-1) blocks
-        E = build_iota2d(d)
-        comp = orthogonal_complement(E)
-        swap = [[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)]
-        _assert_solves(E.basis.stack(comp.basis), (IntMatrix(swap) @ E.basis).stack(comp.basis))
+        _assert_solves(*_extension_system(d))
 
     def test_empty_and_zero_right_hand_sides(self):
         assert solve_integral(IntMatrix([], ncols=0), IntMatrix([], ncols=2)) == (IntMatrix([], ncols=2), 1)
@@ -1352,6 +1369,295 @@ class TestBareissKernel:
     def test_symmetric_det_against_sympy(self, m):
         # det_exact shares the step, so it is no independent oracle for Lattice.det
         assert _det_and_inertia(m)[0] == int(_to_domain(m, ZZ).det())
+
+
+# ---------------------------------------------------------------------------
+# eliminations that skip the rows their callers never read: deferred Bareiss
+# rescales, unit rows solved outright, clean Smith columns and an
+# echelon-only first Hermite pass
+# ---------------------------------------------------------------------------
+
+def _seeded_dense(seed, n=8, zero_block=3):
+    """A non-singular dense n×n matrix, entries in -9..9 and about a third of
+    them zero, whose leading zero_block² block is zero: the forward pass
+    swaps, and rows with a zero lead wait under an older pivot."""
+    rng = random.Random(seed)
+    while True:
+        m = IntMatrix([
+            [0 if i < zero_block and j < zero_block else rng.choice((0, rng.randint(-9, 9), rng.randint(-9, 9)))
+             for j in range(n)]
+            for i in range(n)
+        ])
+        if _to_domain(m, ZZ).det() != 0:
+            return m
+
+
+def _seeded_gram(seed, n=8):
+    """A non-degenerate symmetric n×n matrix with about half its entries and
+    a third of its diagonal zero, so pivots vanish and rows wait."""
+    rng = random.Random(seed)
+    while True:
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.choice((0, 0, rng.randint(-5, 5))) if i != j else rng.choice((0, 2, -3))
+        g = IntMatrix(a)
+        if _to_domain(g, ZZ).det() != 0:
+            return g
+
+
+def _rescale_calls(run) -> list[tuple[int, int]]:
+    """Run ``run()`` with the Bareiss rescale watched; one (num, den) pair
+    per row brought up to date."""
+    calls = []
+    rescale = linalg._rescale
+
+    def watched(row, k, num, den):
+        calls.append((num, den))
+        rescale(row, k, num, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rescale", watched)
+        run()
+    return calls
+
+
+def _forward_pass_rows(run) -> list[int]:
+    """Run ``run()`` with the forward pass watched; the row count of each pass."""
+    rows = []
+    forward = linalg._forward_pass
+
+    def watched(a):
+        rows.append(len(a))
+        return forward(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_forward_pass", watched)
+        run()
+    return rows
+
+
+def _polarized_gram(d):
+    # the Gram of v^⊥ in LambdaK3, v = e + d·f in its first hyperbolic plane
+    v = [0] * 22
+    v[16], v[17] = 1, d
+    return induced_gram(orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([v]))))
+
+
+@st.composite
+def unit_row_systems(draw, max_rank=10):
+    """A square m with no, some or all rows ±e_j on distinct columns, in
+    random rows and columns; the other rows dense, entries large or small."""
+    n = draw(st.integers(1, max_rank))
+    units = draw(st.sampled_from((0, n, draw(st.integers(0, n)))))
+    entry = st.integers(-BIG, BIG) if draw(st.booleans()) else st.integers(-3, 3)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    at, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    for i, j in zip(at[:units], cols[:units]):
+        rows[i] = [0] * n
+        rows[i][j] = draw(st.sampled_from((1, -1)))
+    return IntMatrix(rows)
+
+
+@st.composite
+def permuted_block_grams(draw):
+    """A non-degenerate block-diagonal symmetric matrix, blocks of rank ≤ 4,
+    under a random simultaneous permutation of rows and columns."""
+    blocks = draw(st.lists(symmetric_grams(max_rank=4, entries=st.integers(-9, 9), zero_diagonal=True),
+                           min_size=1, max_size=5))
+    g = block_diag(*blocks)
+    perm = draw(st.permutations(range(g.nrows)))
+    return IntMatrix([[g[i][j] for j in perm] for i in perm])
+
+
+@st.composite
+def mixed_column_steps(draw):
+    """A matrix whose smallest nonzero entry p is at (0, 0), the first in
+    scan order, and whose first row mixes multiples of p with entries p
+    does not divide, in a drawn order; rows below are zero in column 0, so
+    the Smith form starts with column steps that find the column clean."""
+    p = draw(st.integers(2, 5))
+    r, c = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    big = st.one_of(st.just(0), st.integers(p, 40), st.integers(-40, -p))
+    first = [p] + [draw(st.one_of(st.integers(-8, 8).map(lambda k: k * p), big)) for _ in range(c - 1)]
+    below = [[0] + [draw(big) for _ in range(c - 1)] for _ in range(r - 1)]
+    return IntMatrix([first, *below])
+
+
+def _assert_det_and_inertia(g):
+    # det against sympy and, for a non-degenerate g, inertia against the Fraction reduction
+    det, plus, minus = _det_and_inertia(g)
+    assert det == int(_to_domain(g, ZZ).det())
+    if det:
+        assert Signature(plus, minus) == _fraction_signature(g)
+
+
+class TestDeferredRescale:
+    """A row whose lead is zero keeps the pivot it was last written under
+    and is rescaled when it is next used; det, inertia and the solution are
+    unique, so they must not change."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_systems(self, seed):
+        m = _seeded_dense(seed)
+        rng = random.Random(-seed)
+        b = IntMatrix([[rng.randint(-BIG, BIG) for _ in range(3)] for _ in range(m.nrows)])
+        _assert_solves(m, b)
+        assert det_exact(m) == int(_to_domain(m, ZZ).det())
+        assert _rescale_calls(lambda: det_exact(m))  # rows did wait
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[5, 0, 0, 0, 0, 5], [0, -4, 0, 5, 0, -4], [0, 0, 4, 0, 0, 1], [0, 2, 0, 0, 0, -5], [0, 0, 3, 0, 0, 0],
+             [-1, 0, 0, 0, 1, 5]],
+            [[0, 0, -1, 0, 3, 0], [-4, 0, 0, 0, 5, 0], [-1, 0, 0, 1, 1, 2], [0, 0, 1, 3, 0, 0], [2, 0, -5, -5, 3, 0],
+             [0, -5, 0, 0, 0, -5]],
+            [[4, 0, 1, 0, 0, 0], [4, 0, 0, 0, 2, 0], [0, 0, 4, -2, 0, -5], [0, -3, 0, 2, 0, 5], [2, 0, -5, 0, 0, 0],
+             [0, 0, -5, -5, 4, -1]],
+        ],
+    )
+    def test_swapped_rows_keep_their_frames(self, rows):
+        # a zero pivot swaps a waiting row down and an up-to-date row up
+        m = IntMatrix(rows)
+        _assert_solves(m, IntMatrix([[5], [-3], [4], [3], [-3], [1]]))
+        assert det_exact(m) == int(_to_domain(m, ZZ).det())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_grams(self, seed):
+        _assert_det_and_inertia(_seeded_gram(seed))
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[2, 2, 0], [2, 2, 1], [0, 1, 1]],
+            [[3, 3, 0, 1], [3, 3, 2, 0], [0, 2, 0, 5], [1, 0, 5, 4]],
+            [[-2, 4, 0, 0], [4, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]],
+            [[0, 0, 0, -3], [0, 0, -3, 0], [0, -3, 0, 0], [-3, 0, 0, 0]],
+        ],
+    )
+    def test_congruence_mixes_a_deferred_row(self, gram):
+        # pivot 0 leaves a row with a zero lead waiting; pivot 1 is then zero,
+        # and its congruence mixes in that row, which must be brought up to date
+        g = IntMatrix(gram)
+        assert _rescale_calls(lambda: _det_and_inertia(g))
+        _assert_det_and_inertia(g)
+
+    @ORACLE
+    @given(permuted_block_grams())
+    def test_permuted_block_grams(self, g):
+        _assert_det_and_inertia(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices(max_rank=6, entries=st.sampled_from((0, 0, 0, 1, -1, 2, -3)), zero_diagonal=True))
+    def test_sparse_grams_with_zero_pivots(self, g):
+        _assert_det_and_inertia(g)
+
+
+class TestUnitRows:
+    """solve_integral fixes x_j = ±b_i for each row ±e_j and runs Bareiss on
+    the rest only."""
+
+    @ORACLE
+    @given(unit_row_systems(), st.data())
+    def test_against_sympy(self, m, data):
+        assume(_to_domain(m, ZZ).det() != 0)
+        _assert_solves(m, data.draw(right_hand_sides(m.nrows)))
+
+    def test_signed_permutations(self):
+        perm, signs = [3, 0, 4, 1, 2], [1, -1, -1, 1, -1]
+        m = IntMatrix([[signs[i] * int(j == perm[i]) for j in range(5)] for i in range(5)])
+        b = IntMatrix([[i + 1, -7 * i] for i in range(5)])
+        assert _forward_pass_rows(lambda: _assert_solves(m, b)) == [0]
+        expected = [None] * 5
+        for i in range(5):  # row i of m is signs[i]·e_perm[i]
+            expected[perm[i]] = [signs[i] * v for v in b[i]]
+        assert solve_integral(m, b) == (IntMatrix(expected), 1)
+
+    def test_mixed_with_dense_rows(self):
+        m = IntMatrix([[0, -1, 0, 0], [2, 5, 3, -1], [0, 0, 0, 1], [4, -3, 7, 2]])
+        b = IntMatrix([[5], [1], [-2], [9]])
+        assert _forward_pass_rows(lambda: _assert_solves(m, b)) == [2]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [0, 0, -1], [0, 0, 1]],
+            [[0, -1, 0], [3, 1, 2], [0, 1, 0]],
+            [[0, 0, 0, 1], [1, 2, 3, 4], [0, 0, 0, -1], [5, 6, 7, 9]],
+        ],
+    )
+    def test_two_unit_rows_on_one_column_are_singular(self, rows):
+        with pytest.raises(SingularMatrix):
+            solve_integral(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
+
+
+class TestCleanSmithColumns:
+    """A Smith column step whose entry the pivot divides changes only the
+    pivot row while the pivot column is clean; a gcd column step dirties it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_column_steps())
+    def test_mixed_column_steps(self, m):
+        _assert_smith(m)
+        _assert_smith(m.transpose())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 3, 4], [0, 5, 0], [0, 0, 7]],  # a gcd step, then a divisible one on a dirty column
+            [[2, 4, 3], [0, 6, 5], [0, 9, 4]],  # a divisible step, then a gcd step
+            [[3, 6, 4, 9], [0, 5, 0, 7], [0, 8, 6, 0]],
+        ],
+    )
+    def test_gcd_and_divisible_steps(self, rows):
+        _assert_smith(IntMatrix(rows))
+
+
+class TestEchelonOnlyHermitePass:
+    """kernel_basis's first Hermite pass stops at an echelon form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_or_rank_deficient())
+    def test_rank_deficient_kernels(self, m):
+        K = kernel_basis(m)
+        rank = Matrix(m.tolist()).rank()
+        assert K.nrows == m.nrows - rank and K.ncols == m.nrows
+        assert all(x == 0 for row in K @ m for x in row)
+        assert hermite_normal_form(K)[0] == K  # normalised, so unique
+        if K.nrows:  # primitive: its rows span every integer vector of its rational span
+            _, S, _ = smith_normal_form(K)
+            assert all(S[i][i] == 1 for i in range(K.nrows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2], [2, 4], [3, 6], [-1, 5]],
+            [[6, 4, 2], [3, 2, 1], [0, 0, 0], [9, 6, 3], [1, 1, 1]],
+        ],
+    )
+    def test_kernels_are_normalised(self, rows):
+        m = IntMatrix(rows)
+        K = kernel_basis(m)
+        assert hermite_normal_form(K)[0] == K
+        assert all(x == 0 for row in K @ m for x in row)
+
+
+class TestEliminationWork:
+    """Work counts of the k3 eliminations, taken with hooks on the rescale
+    and the forward pass."""
+
+    def test_polarized_gram_rescales_each_row_at_most_once(self):
+        g = _polarized_gram(37)
+        assert g.nrows == 21
+        calls = _rescale_calls(lambda: _det_and_inertia(g))
+        assert len(calls) <= 21  # each row at most once; 10 at d = 37
+
+    @pytest.mark.parametrize("d", [1, 37, 1000])
+    def test_extension_system_runs_bareiss_on_at_most_five_rows(self, d):
+        m, b = _extension_system(d)
+        rows = _forward_pass_rows(lambda: solve_integral(m, b))
+        assert len(rows) == 1 and rows[0] <= 5  # of 28
 
 
 _PRIMES_TO_101 = [p for p in range(2, 102) if all(p % q for q in range(2, p))]

@@ -179,6 +179,12 @@ class TestConstructorAndOperandChecks:
         with pytest.raises(ValueError, match="ragged"):
             cls([[1, 2], [3]])
 
+    @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+    def test_no_rows_needs_an_explicit_width(self, cls):
+        with pytest.raises(ValueError, match="empty matrix needs an explicit ncols"):
+            cls([])
+        assert cls([], ncols=3).ncols == 3
+
     @pytest.mark.parametrize("product", [lambda m: m @ 3, lambda m: 3 @ m], ids=["right", "left"])
     def test_product_with_a_scalar_is_a_type_error(self, product):
         with pytest.raises(TypeError):
