@@ -45,7 +45,7 @@ from .linalg import (
     _symmetric_elimination,
     det_exact,
     kernel_basis,
-    solve_integral,
+    solve_rational,
 )
 
 
@@ -71,7 +71,8 @@ class SublatticeEmbedding:
 
     def __post_init__(self):
         if not isinstance(self.basis, IntMatrix):
-            object.__setattr__(self, "basis", IntMatrix(self.basis, ncols=self.ambient.rank))
+            rows = list(self.basis)  # a wrong width meets the check below
+            object.__setattr__(self, "basis", IntMatrix(rows, ncols=None if rows else self.ambient.rank))
         b = self.basis
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
@@ -339,10 +340,8 @@ def in_tilde_O(L: Lattice, g: IntMatrix) -> bool:
     """True when g is an isometry acting trivially on the discriminant group."""
     if not is_isometry(L, g):
         return False
-    # each lift num_i/den must move by a lattice vector: num·(g − I) ≡ 0 (mod den)
-    num, den = discriminant_group(L).generator_lifts._numerators()
-    moved = num @ (g - IntMatrix.identity(L.rank))
-    return all(x % den == 0 for row in moved for x in row)
+    # each lift must move by a lattice vector
+    return (discriminant_group(L).generator_lifts @ (g - IntMatrix.identity(L.rank))).is_integral()
 
 
 def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
@@ -365,10 +364,10 @@ def extend_isometry(E: SublatticeEmbedding, g: IntMatrix) -> IntMatrix:
     m = E.basis.stack(comp.basis)  # square: the restriction is non-degenerate
     # rows of m are the sub/complement basis vectors: want m·R = (g ⊕ 1)·m,
     # whose right side is g·basis stacked on the complement basis
-    num, den = solve_integral(m, (g @ E.basis).stack(comp.basis))
-    if any(x % den for row in num for x in row):
+    x = solve_rational(m, (g @ E.basis).stack(comp.basis))
+    if not x.is_integral():
         raise NotInTildeO("extension is not integral on the ambient lattice")
-    result = IntMatrix._trusted(tuple(tuple(x // den for x in row) for row in num), num.ncols)
+    result = x.to_int()
     if not is_isometry(E.ambient, result):
         raise InvariantViolation(
             "extension does not preserve the ambient form", extension=result, g=g

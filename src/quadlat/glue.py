@@ -71,12 +71,12 @@ class GlueSubgroup:
 
     def __post_init__(self):
         if not isinstance(self.generators, RatMatrix):
-            object.__setattr__(self, "generators", RatMatrix(self.generators, ncols=self.base.rank))
+            rows = list(self.generators)  # a wrong width meets the check below
+            object.__setattr__(self, "generators", RatMatrix(rows, ncols=None if rows else self.base.rank))
         gens = self.generators
         if gens.ncols != self.base.rank:
             raise BadParameter("generator width does not match base rank")
-        num, den = gens._numerators()
-        if any(x % den for row in num @ self.base.gram for x in row):
+        if not (gens @ self.base.gram).is_integral():
             raise BadParameter("generator does not lie in the dual lattice")
         object.__setattr__(self, "_basis", None)  # (H, den), filled by _glue_basis
 
@@ -207,11 +207,10 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     base = G.base
     n = base.rank
     basis, den = _glue_basis(G)
-    num = _congruence(basis, base.gram)  # den² times the Gram
-    den2 = den * den
-    if any(x % den2 for row in num for x in row):
+    pairings = RatMatrix._over(_congruence(basis, base.gram), den * den)
+    if not pairings.is_integral():
         raise NotIsotropic("glue subgroup is not isotropic: non-integral pairing")
-    gram = IntMatrix._trusted(tuple(tuple(x // den2 for x in row) for row in num), n)
+    gram = pairings.to_int()
     if any(gram[i][i] % 2 for i in range(n)):
         raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
     det, r = divmod(base.det, glue_order(G) ** 2)

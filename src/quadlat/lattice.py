@@ -274,7 +274,7 @@ class DiscriminantGroup:
     ``invariant_factors`` are the cyclic orders d1 | d2 | ... (each > 1);
     row i of ``generator_lifts`` is a dual vector generating the i-th
     cyclic summand.  Integer arithmetic reads the lifts as
-    ``generator_lifts._numerators()``, which the matrix computes once.
+    ``generator_lifts._numerators()``, the pair the matrix stores.
     """
 
     invariant_factors: tuple[int, ...]

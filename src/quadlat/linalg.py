@@ -1,26 +1,25 @@
 """Exact integer and rational matrix kernels.
 
 All arithmetic runs over Python's arbitrary-precision ints; there is no
-floating point and no overflow.  ``Fraction``s appear only at the API
-boundary: ``RatMatrix`` values passed in or returned.  A rational solve
-or ``RatMatrix`` product runs on integer numerators over one common
-denominator, and the ``Fraction``s are built once, at the return.  One
-fraction-free (Bareiss) update, ``_bareiss_step``, runs under two pivot
-rules: ``det_exact``'s row swap, whose forward pass on [m | b] plus a back
-substitution is ``solve_integral``, and ``_symmetric_elimination``'s
-congruence (``Lattice`` det and signature, the norm search's square
-completion).  Every entry it writes is a minor of the input (Sylvester's
-identity), so a row whose lead is zero is not rescaled at each step: it
-keeps the pivot it was last written under and is brought up to date when
-it is next used.  The callers read only the pivot rows, from the
-diagonal on.  ``solve_integral`` first reads off the unknowns that unit
-rows ±e_j fix, and eliminates only the other rows.  The one elimination
-mod a prime is ``_echelon_mod`` (``brauer``, form isomorphism).  Matrices
-are immutable; routines are pure.  A matrix keeps what it computes once:
-an ``IntMatrix`` its sparse rows, filled when it is first the right
-operand of a product or a factor of a congruence, and a ``RatMatrix`` its
-integer form, which other modules read and never copy.  A Gram's
-congruence B·G·Bᵀ (induced Grams, isometry checks, discriminant pairings,
+floating point and no overflow.  A ``RatMatrix`` is one ``IntMatrix`` of
+numerators over one denominator, in lowest terms: rational solves,
+products and integrality tests run on that pair, and a ``Fraction`` is
+built only where an entry is read, or converted by the public
+constructor.  One fraction-free (Bareiss) update, ``_bareiss_step``, runs
+under two pivot rules: ``det_exact``'s row swap, whose forward pass on
+[m | b] plus a back substitution is ``solve_integral``, and
+``_symmetric_elimination``'s congruence (``Lattice`` det and signature,
+the norm search's square completion).  Every entry it writes is a minor
+of the input (Sylvester's identity), so a row whose lead is zero is not
+rescaled at each step: it keeps the pivot it was last written under and
+is brought up to date when it is next used.  The callers read only the
+pivot rows, from the diagonal on.  ``solve_integral`` first reads off the
+unknowns that unit rows ±e_j fix, and eliminates only the other rows.
+The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
+isomorphism).  Matrices are immutable; routines are pure.  An
+``IntMatrix`` keeps its sparse rows, filled when it is first the right
+operand of a product or a factor of a congruence.  A Gram's congruence
+B·G·Bᵀ (induced Grams, isometry checks, discriminant pairings,
 overlattice Grams) is one kernel, ``_congruence``, that builds only the
 upper half of the symmetric result.
 
@@ -54,20 +53,19 @@ from typing import Iterable, Sequence
 from .errors import NonSquare, SingularMatrix
 
 
-class _Matrix:
-    """Immutable matrix; rows are exposed as tuples: ``m[i][j]`` is the
-    entry in row i, column j.  An explicit ``ncols`` is required when
-    there are no rows.  A subclass names the conversion of its entries.
-    ``_sparse`` holds an ``IntMatrix``'s sparse rows once a product needs them.
+class IntMatrix:
+    """Immutable matrix with arbitrary-precision integer entries; rows are
+    exposed as tuples: ``m[i][j]`` is the entry in row i, column j.  An
+    explicit ``ncols`` is required when there are no rows.  ``_sparse``
+    holds the sparse rows once a product needs them.
     """
 
     __slots__ = ("_data", "_ncols", "_sparse")
 
-    def __init__(self, rows: Iterable[Sequence], *, ncols: int | None = None):
-        entry = self._entry
+    def __init__(self, rows: Iterable[Sequence[int]], *, ncols: int | None = None):
         data = []
         for row in rows:
-            t = tuple(entry(x) for x in row)
+            t = tuple(map(_as_index, row))
             if ncols is None:
                 ncols = len(t)
             elif len(t) != ncols:
@@ -80,8 +78,8 @@ class _Matrix:
         self._sparse = None
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple, ...], ncols: int):
-        # rows this module built itself: tuples of entries, all of length ncols
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        # rows this module built itself: tuples of ints, all of length ncols
         m = object.__new__(cls)
         m._data = data
         m._ncols = ncols
@@ -89,8 +87,12 @@ class _Matrix:
         return m
 
     @classmethod
-    def identity(cls, n: int):
+    def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+
+    @classmethod
+    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
+        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @property
     def nrows(self) -> int:
@@ -109,44 +111,29 @@ class _Matrix:
     def __len__(self) -> int:
         return len(self._data)
 
-    def tolist(self) -> list[list]:
+    def tolist(self) -> list[list[int]]:
         return list(map(list, self._data))
 
-    def transpose(self):
+    def transpose(self) -> "IntMatrix":
         cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
         return self._trusted(cols, self.nrows)
 
-    def stack(self, other):
+    def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self._ncols != other.ncols:
             raise ValueError("shape mismatch in vertical stack")
-        if not isinstance(other, type(self)):  # converted to this type's entries
-            other = type(self)(other, ncols=other.ncols)
+        if not isinstance(other, IntMatrix):  # converted to int entries
+            other = IntMatrix(other, ncols=other.ncols)
         return self._trusted(self._data + other._data, self._ncols)
 
-    def scale(self, k):
-        k = self._entry(k)
+    def scale(self, k: int) -> "IntMatrix":
+        k = _as_index(k)
         return self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self._ncols == other._ncols
-            and self._data == other._data
-        )
+        return isinstance(other, IntMatrix) and self._ncols == other._ncols and self._data == other._data
 
     def __hash__(self) -> int:
         return hash((self._ncols, self._data))
-
-
-class IntMatrix(_Matrix):
-    """Immutable matrix with arbitrary-precision integer entries."""
-
-    __slots__ = ()
-    _entry = staticmethod(_as_index)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -205,68 +192,112 @@ class IntMatrix(_Matrix):
         return f"IntMatrix({self.tolist()!r})"
 
 
-class RatMatrix(_Matrix):
-    """Immutable matrix of exact rationals.
-
-    ``Fraction`` keeps every entry in lowest terms with a positive
-    denominator, so the canonical-form invariants hold by construction.
+class RatMatrix:
+    """Immutable matrix of exact rationals, stored as one integer matrix
+    over one denominator: ``num/den`` in lowest terms, den > 0 being the
+    least common denominator of the entries, so two equal matrices store
+    the same pair.  Shapes, products and the integrality test run on the
+    pair.  ``Fraction``s, each in lowest terms with a positive denominator,
+    are built only when an entry is read, and are not kept.
     """
 
-    __slots__ = ("_int_form",)  # (num, den) once _over or _numerators has set it
-    _entry = Fraction
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, rows: Iterable[Sequence], *, ncols: int | None = None):
+        # each entry through Fraction once; IntMatrix checks the shape
+        fracs = [tuple(map(Fraction, row)) for row in rows]
+        den = lcm(*(x.denominator for row in fracs for x in row))
+        self._num = IntMatrix([[x.numerator * (den // x.denominator) for x in row] for row in fracs], ncols=ncols)
+        self._den = den
+
+    @classmethod
+    def _over(cls, num: IntMatrix, den: int) -> "RatMatrix":
+        # num/den for den > 0: with their common gcd g divided out, den/g is
+        # the least common denominator of the entries
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
+        m = object.__new__(cls)
+        m._num, m._den = num, den
+        return m
+
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return cls._over(IntMatrix.identity(n), 1)
+
+    def _numerators(self) -> tuple[IntMatrix, int]:
+        # the one way a rational matrix enters integer arithmetic: the stored pair
+        return self._num, self._den
+
+    @property
+    def nrows(self) -> int:
+        return self._num.nrows
+
+    @property
+    def ncols(self) -> int:
+        return self._num.ncols
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+        if isinstance(i, slice):  # a tuple of rows, as IntMatrix gives
+            return tuple(map(self.__getitem__, range(len(self._num))[i]))
+        den = self._den
+        return tuple([Fraction(x, den) for x in self._num[i]])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._num)))
+
+    def tolist(self) -> list[list[Fraction]]:
+        return list(map(list, self))
+
+    def transpose(self) -> "RatMatrix":
+        return RatMatrix._over(self._num.transpose(), self._den)
+
+    def stack(self, other) -> "RatMatrix":
+        # both parts over the lcm of their denominators, which is the least
+        # common one; IntMatrix.stack checks the widths
+        b, den_b = other._numerators() if isinstance(other, RatMatrix) else (other, 1)
+        den = lcm(self._den, den_b)
+        return RatMatrix._over(self._num.scale(den // self._den).stack(b.scale(den // den_b)), den)
+
+    def scale(self, k) -> "RatMatrix":
+        k = Fraction(k)
+        return RatMatrix._over(self._num.scale(k.numerator), self._den * k.denominator)
 
     def __matmul__(self, other) -> "RatMatrix":
-        # one integer product of the numerators, one Fraction per entry
-        if not isinstance(other, _Matrix):
+        # one integer product of the numerators
+        if not isinstance(other, (IntMatrix, RatMatrix)):
             return NotImplemented
-        a, den_a = self._numerators()
         b, den_b = other._numerators() if isinstance(other, RatMatrix) else (other, 1)
-        return RatMatrix._over(a @ b, den_a * den_b)
+        return RatMatrix._over(self._num @ b, self._den * den_b)
 
     def __rmatmul__(self, other) -> "RatMatrix":
         # IntMatrix @ RatMatrix, which IntMatrix.__matmul__ declines
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        b, den_b = self._numerators()
-        return RatMatrix._over(other @ b, den_b)
+        return RatMatrix._over(other @ self._num, self._den)
 
     def is_integral(self) -> bool:
-        return self._numerators()[1] == 1
+        return self._den == 1
 
     def to_int(self) -> IntMatrix:
-        num, den = self._numerators()
-        if den != 1:
+        if self._den != 1:
             raise ValueError("matrix has non-integer entries")
-        return num
+        return self._num
 
     def common_denominator(self) -> int:
-        return self._numerators()[1]
+        return self._den
 
-    def _numerators(self) -> tuple[IntMatrix, int]:
-        # The one way a rational matrix enters integer arithmetic: integer
-        # numerators over the least common denominator of all entries,
-        # computed once and kept.
-        form = getattr(self, "_int_form", None)
-        if form is None:
-            den = lcm(*(x.denominator for row in self._data for x in row))
-            num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self._data)
-            form = self._int_form = (IntMatrix._trusted(num, self._ncols), den)
-        return form
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RatMatrix) and self._den == other._den and self._num == other._num
 
-    @classmethod
-    def _over(cls, num: IntMatrix, den: int) -> "RatMatrix":
-        # The way back, for den > 0: num/den, one Fraction per entry.  With their
-        # common gcd g divided out, num and den are the integer form, since
-        # den/g is the least common denominator of the entries: it is kept.
-        g = gcd(den, *chain.from_iterable(num))
-        if g > 1:
-            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
-        m = cls._trusted(tuple(tuple(Fraction(x, den) for x in row) for row in num), num.ncols)
-        m._int_form = (num, den)
-        return m
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"RatMatrix({[[str(x) for x in row] for row in self._data]!r})"
+        return f"RatMatrix({[[str(x) for x in row] for row in self]!r})"
 
 
 def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
@@ -750,8 +781,8 @@ def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
 def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
     """Exact solution x of m·x = b for square non-singular m.
 
-    The right side is scaled to integers by its common denominator and
-    solved by ``solve_integral``; ``Fraction``s are built only here.
+    The right side's numerators are solved by ``solve_integral``, over the
+    product of the two denominators.
     """
     den_b = 1
     if isinstance(b, RatMatrix):

@@ -195,6 +195,38 @@ MUTANTS = [
         "    if True:\n",
         "tests/test_embeddings.py::TestKernelEmbeddings::test_extension_reuses_the_kept_complement",
     ),
+    # a rational matrix is one integer matrix over one denominator, in lowest terms
+    (
+        "src/quadlat/linalg.py",
+        "        if g > 1:\n            num, den = IntMatrix._trusted(",
+        "        if False:\n            num, den = IntMatrix._trusted(",
+        f"{ORACLE}::TestDualVectorIntegerPaths::test_numerators_round_trip",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "isinstance(other, RatMatrix) and self._den == other._den and self._num == other._num",
+        "isinstance(other, RatMatrix) and self._num == other._num",
+        f"{ORACLE}::TestDualVectorIntegerPaths::test_numerators_round_trip",
+    ),
+    # boundaries no test reached: a zero ψ(ω, ω̄), and |A| or |det| equal to its cap
+    (
+        "src/quadlat/periods.py",
+        "    if conj <= 0:\n",
+        "    if conj < 0:\n",
+        "tests/test_periods.py::TestValidatePeriod::test_totally_isotropic_plane_is_not_positive",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "    if F1.order > cap:\n",
+        "    if F1.order >= cap:\n",
+        "tests/test_lattice.py::TestDiscFormIsomorphic::test_cap_is_inclusive",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "    if abs(det) > cap:\n",
+        "    if abs(det) >= cap:\n",
+        "tests/test_glue.py::TestEnumerateEvenBinary::test_cap_is_inclusive",
+    ),
 ]
 
 

@@ -128,11 +128,13 @@ class TestSublatticeEmbedding:
 
     # plain rows of the wrong width fail building the matrix, as ragged rows
     @pytest.mark.parametrize(
-        "basis, error", [(IntMatrix([[1, 0, 0]]), DimensionMismatch), ([[1, 0, 0]], ValueError)], ids=["matrix", "lists"]
+        "basis", [IntMatrix([[1, 0, 0]]), [[1, 0, 0]]], ids=["matrix", "lists"]
     )
-    def test_wrong_width_rejected(self, basis, error):
-        with pytest.raises(error):
+    def test_wrong_width_rejected(self, basis):
+        # one mistake, one kind of error, however the rows are given; no rows take the ambient rank
+        with pytest.raises(DimensionMismatch):
             SublatticeEmbedding(UU, basis)
+        assert SublatticeEmbedding(UU, []).basis == IntMatrix([], ncols=UU.rank)
 
 
 @st.composite

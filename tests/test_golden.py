@@ -26,7 +26,12 @@ copies of them.  "cli-mix stdout" records the exit code and stdout of
 every request of the cli-mix benchmark, in two passes, with its input
 files written to a fresh directory and named relative to it, so an error
 detail that quotes a path reads the same on every run; "discform" on the
-13 info expressions records its text and JSON stdout.
+13 info expressions records its text and JSON stdout.  "rational
+outputs" records the ``str`` entries of ``dual_basis`` and of the
+discriminant lifts on the 13 info expressions and on seeded even
+lattices, and of ``solve_rational``, ``invert_rational`` and the
+``RatMatrix`` ``transpose``/``stack``/``scale``/``@`` on seeded integer
+matrices, singular ones with their refusal.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -46,6 +51,7 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,11 +67,11 @@ from quadlat.embeddings import (
     saturate,
     saturation_index,
 )
-from quadlat.errors import BadParameter, NotIsotropic
+from quadlat.errors import BadParameter, NotIsotropic, SingularMatrix
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
-from quadlat.lattice import discriminant_form, discriminant_group, signature, standard
-from quadlat.linalg import IntMatrix, RatMatrix
+from quadlat.lattice import discriminant_form, discriminant_group, dual_basis, signature, standard
+from quadlat.linalg import IntMatrix, RatMatrix, invert_rational, solve_rational
 from quadlat.periods import period_from_json, transcendental
 from test_glue import random_even_lattice
 
@@ -80,6 +86,7 @@ INFO_EXPRESSIONS = (
     "Lambda2d(7)", "Lambda2d(1000)", "U(2)^3", "E8(2)+An(3)", "U(-1)+gen(10)",
 )
 SATURATION_SEED, SATURATION_COUNT = 180923, 300
+RATIONAL_SEED, RATIONAL_COUNT = 210419, 40
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -271,6 +278,40 @@ def _quotient_record(payload: dict) -> list:
     return out
 
 
+def _dual_record(L) -> dict:
+    return {"dual": _rat_rows(dual_basis(L)), "lifts": _rat_rows(discriminant_group(L).generator_lifts)}
+
+
+def _rational_record(rng) -> dict:
+    # an n×n integer matrix, singular about one time in five, and a k-column
+    # rational right side; the RatMatrix operations run on m⁻¹ (or on m/den
+    # when m is singular) against integer and rational operands
+    n, k = rng.randint(1, 6), rng.randint(1, 3)
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+    m = IntMatrix(rows)
+    den = rng.randint(1, 12)
+    b = RatMatrix([[Fraction(rng.randint(-20, 20), den) for _ in range(k)] for _ in range(n)], ncols=k)
+    record: dict = {"m": rows, "b": _rat_rows(b)}
+    try:
+        inv = invert_rational(m)
+        record.update(inverse=_rat_rows(inv), solve=_rat_rows(solve_rational(m, b)),
+                      solve_int=_rat_rows(solve_rational(m, m)))
+    except SingularMatrix as exc:
+        inv = m.to_rat().scale(Fraction(1, den))
+        record["refused"] = str(exc)
+    scalar = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    record.update(
+        transpose=_rat_rows(inv.transpose()),
+        stack_int=_rat_rows(inv.stack(m)),
+        stack_rat=[_rat_rows(inv.stack(b.transpose())), _rat_rows(RatMatrix([], ncols=n).stack(inv))],
+        scale=[_rat_rows(inv.scale(s)) for s in (scalar, 0, -1, 3)],
+        products=[_rat_rows(p) for p in (inv @ m, m @ inv, inv @ b, b.transpose() @ inv, inv @ inv)],
+    )
+    return record
+
+
 def _cli_mix_record(workdir: Path) -> list:
     # two passes of every request, run from workdir so the file names are relative
     for name, text in _CLI_FILES.items():
@@ -308,6 +349,13 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     out["discform x13"] = _digest(
         [_cli_stdout(prefix + ["discform", expr]) for expr in INFO_EXPRESSIONS for prefix in ([], ["--json"])]
     )
+    rng = random.Random(RATIONAL_SEED)
+    seeded = [random_even_lattice(rng, max_rank=6, max_det=400) for _ in range(RATIONAL_COUNT)]
+    out["rational outputs"] = _digest({
+        "info": [_dual_record(evaluate_expr(expr)) for expr in INFO_EXPRESSIONS],
+        "seeded": [_dual_record(L) for L in seeded],
+        "matrices": [_rational_record(rng) for _ in range(RATIONAL_COUNT)],
+    })
     return out
 
 
@@ -332,6 +380,7 @@ CASES = (
     "quotient cli-mix periods",
     "cli-mix stdout x2",
     "discform x13",
+    "rational outputs",
 )
 
 

@@ -26,8 +26,8 @@ form isomorphism, glue element sets and orders) is checked against
 pairings of dual vectors and exhaustive scans, and the prime-by-prime
 form isomorphism against the whole-group search it replaced, which
 evaluates q and b on its own.  The integer paths for dual
-vectors (numerators over one denominator, the one canonical integer
-form ``RatMatrix._over`` keeps) are checked against the ``Fraction``
+vectors (numerators over one denominator, the one pair a ``RatMatrix``
+stores) are checked against the ``Fraction``
 products they replaced, and the glue path's trusted forms,
 subgroups and overlattices against the public constructors that check.  The mod-ell elimination behind
 ``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
@@ -64,11 +64,14 @@ from quadlat.embeddings import (  # noqa: E402
     SublatticeEmbedding,
     _norm_vectors,
     _udu,
+    as_lattice,
     build_iota2d,
     extend_isometry,
     in_tilde_O,
     induced_gram,
     is_isometry,
+    is_primitive,
+    nikulin_check,
     orthogonal_complement,
     saturate,
 )
@@ -1080,6 +1083,42 @@ def _signed_permutation(perm, signs):
     return IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)])
 
 
+class TestFractionsOnRead:
+    """A ``RatMatrix`` stores one integer matrix over one denominator: the
+    k3 pipeline and the glue path build no ``Fraction`` in ``linalg`` until
+    an entry is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(linalg, "Fraction", counted)
+        return built
+
+    @pytest.mark.parametrize("d", [1, 37, 1000])
+    def test_k3_pipeline(self, built, d):
+        L = standard("Lambda2d", d)
+        lifts = discriminant_group(L).generator_lifts
+        assert nikulin_check(L, Signature(2, 26)).guaranteed
+        E = build_iota2d(d)
+        assert is_primitive(E)
+        comp = as_lattice(orthogonal_complement(E))
+        assert disc_form_isomorphic(discriminant_form(comp), discriminant_form(standard("gen", -2 * d)), negate=True)
+        assert is_isometry(E.ambient, extend_isometry(E, _E8_SWAP)) and in_tilde_O(L, _E8_SWAP)
+        assert built == []
+        assert lifts[0][20] == Fraction(-1, 2 * d) and len(built) == 21  # one row read, one Fraction per entry
+
+    def test_u2_cubed_glue(self, built):
+        subgroups = isotropic_subgroups(discriminant_form(evaluate_expr("U(2)^3")))
+        assert sum(abs(overlattice_from_glue(G).det) == 1 for G in subgroups) == 30  # glue order 8 of 171
+        assert built == []
+        assert subgroups[-1].generators.tolist() and built
+
+
 _U2_U2_U3 = direct_sum(standard("U", 2), standard("U", 2), standard("U", 3))
 # isometries of U(2)² ⊕ U(3) that permute coordinates up to sign: swap
 # e and f in one plane, negate one plane, swap the two U(2) planes
@@ -1096,16 +1135,31 @@ class TestDualVectorIntegerPaths:
     def test_numerators_round_trip(self, data):
         r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
         entry = st.fractions(max_denominator=60).filter(lambda x: abs(x) < 10**6)
-        m = RatMatrix([[data.draw(entry) for _ in range(c)] for _ in range(r)], ncols=c)
+        ref = [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+        m = RatMatrix(ref, ncols=c)
         num, den = m._numerators()
-        assert m._numerators() is m._numerators()  # computed once and kept
-        assert den == m.common_denominator() == lcm(*(x.denominator for row in m for x in row))
-        assert all(num[i][j] == m[i][j] * den for i in range(r) for j in range(c))
+        assert m._numerators()[0] is num  # the stored pair, not a copy
+        assert den == m.common_denominator() == lcm(*(x.denominator for row in ref for x in row))
+        assert all(num[i][j] == ref[i][j] * den for i in range(r) for j in range(c))
         assert RatMatrix._over(num, den) == m
-        # _over divides out a common factor: it keeps the same canonical form
+        # _over divides out a common factor: it stores the same pair as the
+        # public constructor, so the two compare, hash and read alike
         k = data.draw(st.integers(1, 50))
         again = RatMatrix._over(num.scale(k), den * k)
-        assert again == m and again._numerators() == m._numerators()
+        assert again == m and hash(again) == hash(m) and again._numerators() == m._numerators()
+        assert again.tolist() == m.tolist() == ref and list(again) == list(map(tuple, ref))
+        assert m[1:] == tuple(map(tuple, ref[1:])) and (not r or m[-1] == tuple(ref[-1]))
+        assert (RatMatrix._over(num, 2 * den) == m) == (not any(map(any, ref)))  # halved unless zero
+        # the readers and builders agree with the Fraction lists they stand for
+        cols = [list(col) for col in zip(*ref)] if r else [[] for _ in range(c)]
+        assert m.transpose().tolist() == cols and m.transpose().nrows == c
+        other_rat = [[data.draw(entry) for _ in range(c)] for _ in range(data.draw(st.integers(0, 3)))]
+        other_int = [[data.draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(data.draw(st.integers(0, 3)))]
+        assert m.stack(RatMatrix(other_rat, ncols=c)).tolist() == ref + other_rat
+        assert m.stack(IntMatrix(other_int, ncols=c)) == RatMatrix(ref + other_int, ncols=c)
+        s = data.draw(st.fractions(max_denominator=12).filter(lambda x: x <= 0) | entry)
+        assert m.scale(s).tolist() == [[s * x for x in row] for row in ref]
+        assert m.scale(s) == RatMatrix([[s * x for x in row] for row in ref], ncols=c)
         # and the integral test and integer view read that form
         assert m.is_integral() == (den == 1)
         if den == 1:
@@ -1174,7 +1228,7 @@ class TestTrustedGluePath:
         checked = DiscriminantForm(F.group, F.q_values, F.b_values, F.lattice)
         assert (checked._exponent, checked._q_gen, checked._b_gen) == (F._exponent, F._q_gen, F._b_gen)
         for G in isotropic_subgroups(F):
-            # a fresh matrix computes its integer form from its entries; G's was kept by _over
+            # a fresh matrix reduces its entries to the pair _over stored for G
             again = GlueSubgroup(G.base, RatMatrix(G.generators, ncols=L.rank))
             assert again.generators._numerators() == G.generators._numerators()
             M = overlattice_from_glue(G)
@@ -1332,13 +1386,16 @@ def _assert_solves(m, b):
         assert [[int(v) for v in row] for row in product] == [[den * v for v in row] for row in b]
 
 
+# swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
+_E8_SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
+
+
 def _extension_system(d):
     """extend_isometry's block-sparse 28×28 system (m, b), for the swap of
     the two E8(-1) blocks of Lambda2d(d)."""
     E = build_iota2d(d)
     comp = orthogonal_complement(E)
-    swap = [[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)]
-    return E.basis.stack(comp.basis), (IntMatrix(swap) @ E.basis).stack(comp.basis)
+    return E.basis.stack(comp.basis), (_E8_SWAP @ E.basis).stack(comp.basis)
 
 
 class TestBareissKernel:

@@ -375,6 +375,12 @@ class TestDiscFormIsomorphic:
         with pytest.raises(TooLarge):
             disc_form_isomorphic(F, F, cap=100)
 
+    def test_cap_is_inclusive(self):
+        F = discriminant_form(standard("gen", 2 * 60))  # |A| = 120
+        assert disc_form_isomorphic(F, F, cap=120)
+        with pytest.raises(TooLarge):
+            disc_form_isomorphic(F, F, cap=119)
+
     def test_a2_against_negated_a2(self):
         # q(g) = 2/3 on Z/3 for A2; every generator has the same q value,
         # so A2 and A2(-1) match only with the sign flip

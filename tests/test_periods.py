@@ -163,6 +163,13 @@ class TestValidatePeriod:
         with pytest.raises(NotPositive):
             validate_period(om)
 
+    def test_totally_isotropic_plane_is_not_positive(self):
+        # re = e1, im = e2 span a totally isotropic plane: psi(omega, conj) = 0,
+        # which is not positive either
+        om = PeriodVector(UU, -1, (1, 0, 0, 0), (0, 0, 1, 0))
+        with pytest.raises(NotPositive):
+            pairing_with_conjugate(om)
+
     def test_vanishing_im_rejected_at_construction(self):
         with pytest.raises(BadParameter):
             PeriodVector(UU, -1, (1, 1, 0, 0), (0, 0, 0, 0))
