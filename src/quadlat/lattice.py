@@ -204,6 +204,18 @@ def standard(name: str, *params: int) -> Lattice:
     rank-one lattice ⟨k⟩; Lambda2d(d) = E8(-1)^2 + U^2 + gen(-2d);
     LambdaSharp = E8(-1)^3 + U^2; LambdaK3 = E8(-1)^2 + U^3.  E8, E8(-1),
     U, LambdaSharp and LambdaK3 are built once per process and shared.
+
+    Lambda2d(d) carries its discriminant group from construction: ℤ/2d,
+    generated by -e₂₀/(2d).  The form of an orthogonal sum is the sum of
+    the forms and E8(-1)^2 + U^2 is unimodular, so the group is that of
+    gen(-2d) on the last coordinate (Nikulin, 1979).  The lift is also
+    exactly the one the Smith transform of ``discriminant_group`` gives.
+    That run takes no pivot of magnitude above 2 in the prefix
+    E8(-1)^2 + U^2, so the last row, with |-2d| ≥ 2, is picked only once
+    the prefix is done, a tie going to the earlier row.  Every prefix pivot
+    ends as a unit, the prefix being unimodular, so the divisibility scan
+    never mixes a row into the last one: U = U_prefix ⊕ [-1], whose last
+    row over 2d is the lift.
     """
     def scaled(gram_rows, scale_params, base_label):
         if len(scale_params) > 1:
@@ -242,8 +254,11 @@ def standard(name: str, *params: int) -> Lattice:
         d = params[0]
         if d < 1:
             raise BadParameter("Lambda2d needs d >= 1")
-        L = direct_sum(*[_atom("E8(-1)")] * 2, *[_atom("U")] * 2, standard("gen", -2 * d))
-        return _derived_lattice(L.gram, L.det, L._signature, f"Lambda2d({d})")
+        S = direct_sum(*[_atom("E8(-1)")] * 2, *[_atom("U")] * 2, standard("gen", -2 * d))
+        L = _derived_lattice(S.gram, S.det, S._signature, f"Lambda2d({d})")
+        lift = IntMatrix._trusted(((0,) * 20 + (-1,),), 21)
+        object.__setattr__(L, "_group", DiscriminantGroup((2 * d,), RatMatrix._trusted(lift, 2 * d)))
+        return L
     if name in _ATOM_SUMS:
         if params:
             raise BadParameter(f"{name} takes no parameters")
@@ -375,7 +390,10 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     x ↦ x·G turns w_i into the dual vector w_i·G^{-1} of order d_i.  Since
     G^{-1} = V·S^{-1}·U, that lift is w_i·V·S^{-1}·U = e_i·S^{-1}·U =
     U_i/d_i: row i of U over d_i, read off the Smith transform with no
-    rational solve.  L keeps the group, so it is computed once per lattice.
+    rational solve.  L keeps the group, so it is computed once per lattice;
+    ``standard("Lambda2d", d)`` attaches its group when it builds the
+    lattice, so it runs no Smith form here.  A relabelled copy, as
+    ``evaluate_expr`` and ``build_iota2d`` make, finds the same lift here.
     """
     if L._group is None:
         n = L.rank
@@ -392,9 +410,10 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
 
     Every value is one entry p of the integer product num·G·numᵀ over
     den², num/den being the generator lifts: q·N = p·N/den² mod 2N on the
-    diagonal and b·N = p·N/den² mod N, for the exponent N.  Each division
-    is exact, since N·x lies in L for every dual vector x; it is checked
-    explicitly, and the form is built with no other check.
+    diagonal and b·N = p·N/den² mod N, for the exponent N.  Each quotient
+    is an integer, since N·x lies in L for every dual vector x; that is
+    checked explicitly, as the integrality of the reduced matrix p·N/den²,
+    and the form is built with no other check.
     """
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
@@ -402,12 +421,12 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     num, den = group.generator_lifts._numerators()
     factors = group.invariant_factors
     N = factors[-1] if factors else 1
-    den2 = den * den
-    pairings = _congruence(num, L.gram)
-    if any(x * N % den2 for row in pairings for x in row):
+    scaled = RatMatrix._over(_congruence(num, L.gram).scale(N), den * den)
+    if not scaled.is_integral():
         raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
-    q = tuple(pairings[i][i] * N // den2 % (2 * N) for i in range(len(factors)))
-    b = tuple(tuple(x * N // den2 % N for x in row) for row in pairings)
+    pairings = scaled.to_int()
+    q = tuple(pairings[i][i] % (2 * N) for i in range(len(factors)))
+    b = tuple(tuple(x % N for x in row) for row in pairings)
     return DiscriminantForm._trusted(group, N, q, b, L)
 
 

@@ -13,8 +13,13 @@ the norm search's square completion).  Every entry it writes is a minor
 of the input (Sylvester's identity), so a row whose lead is zero is not
 rescaled at each step: it keeps the pivot it was last written under and
 is brought up to date when it is next used.  The callers read only the
-pivot rows, from the diagonal on.  ``solve_integral`` first reads off the
-unknowns that unit rows ±e_j fix, and eliminates only the other rows.
+pivot rows, from the diagonal on.  ``solve_integral`` and
+``solve_rational`` share one core, ``_solve_core``: it reads off the
+unknowns that unit rows ±e_j fix, unscaled, and eliminates only the other
+rows.  ``solve_integral`` scales the fixed unknowns by the den it returns;
+``solve_rational`` reduces den against the eliminated unknowns alone and
+scales the fixed ones only when some of den is left, so the 27 unit rows
+of the k3 extension system are neither multiplied nor divided.
 The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
 isomorphism).  Matrices are immutable; routines are pure.  An
 ``IntMatrix`` keeps its sparse rows, filled when it is first the right
@@ -127,7 +132,7 @@ class IntMatrix:
 
     def scale(self, k: int) -> "IntMatrix":
         k = _as_index(k)
-        return self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)
+        return self._trusted(tuple([tuple([k * x for x in row]) for row in self._data]), self._ncols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self._ncols == other._ncols and self._data == other._data
@@ -216,7 +221,12 @@ class RatMatrix:
         # the least common denominator of the entries
         g = gcd(den, *chain.from_iterable(num))
         if g > 1:
-            num, den = IntMatrix._trusted(tuple(tuple(x // g for x in row) for row in num), num.ncols), den // g
+            num, den = IntMatrix._trusted(tuple([tuple([x // g for x in row]) for row in num]), num.ncols), den // g
+        return cls._trusted(num, den)
+
+    @classmethod
+    def _trusted(cls, num: IntMatrix, den: int) -> "RatMatrix":
+        # num/den already in lowest terms: den > 0 and gcd(den, num) = 1
         m = object.__new__(cls)
         m._num, m._den = num, den
         return m
@@ -723,19 +733,18 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return _frozen(Hk, m.nrows)
 
 
-def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
-    """Fraction-free solve of m·x = b for square non-singular m.
+def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int]:
+    """The solve core: (x, cols, den) for m·x = b, m square and non-singular.
 
-    Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
-    so the solution is X/den; it is integral exactly when den divides
-    every entry of X.  A row i of m that is ±e_j fixes x_j = ±b_i outright;
-    two such rows on one column make m singular.  The other rows, without
-    the fixed columns, are a square m' with |det m'| = |det m| (expand
-    along the unit rows), and the fixed x_j move to their right side b'.
-    ``det_exact``'s forward pass on [m' | b'] leaves an upper-triangular A
-    with A·x' = Y for the same x'; back substitution
-    X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then divides exactly, because
-    X = den·m⁻¹·b is integral (Cramer's rule).
+    A row i of m that is ±e_j fixes x_j = ±b_i outright; two such rows on
+    one column make m singular.  Those rows of x are ±b_i themselves,
+    unscaled.  The other rows, without the fixed columns, are a square m'
+    with |det m'| = |det m| = den (expand along the unit rows), and the
+    fixed x_j move to their right side b'.  ``det_exact``'s forward pass
+    on [m' | b'] leaves an upper-triangular A with A·x' = Y for the same
+    x'; back substitution X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then
+    divides exactly, because den·x is integral (Cramer's rule).  Row j of
+    x, for j in the eliminated columns ``cols``, is that X_j = den·x_j.
     """
     if m.nrows != m.ncols:
         raise NonSquare(f"solve needs a square matrix, got {m.nrows}x{m.ncols}")
@@ -766,7 +775,7 @@ def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
         raise SingularMatrix("matrix is singular")
     x: list = [()] * n
     for j, (unit, b_j) in fixed.items():
-        x[j] = tuple([unit * den * v for v in b_j])
+        x[j] = b_j if unit == 1 else tuple([-v for v in b_j])
     r = len(a)
     for k in reversed(range(r)):
         row = a[k]
@@ -775,20 +784,58 @@ def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
             if c := row[j]:
                 acc = [u - c * v for u, v in zip(acc, x[cols[j]])]
         x[cols[k]] = tuple([u // row[k] for u in acc])
+    return x, cols, den
+
+
+def _scale_fixed(x: list[tuple], cols: list[int], k: int) -> None:
+    # the rows of x that unit rows fixed, times k
+    eliminated = set(cols)
+    for j, row in enumerate(x):
+        if j not in eliminated:
+            x[j] = tuple([k * v for v in row])
+
+
+def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
+    """Fraction-free solve of m·x = b for square non-singular m.
+
+    Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
+    so the solution is X/den; it is integral exactly when den divides
+    every entry of X.  It runs the solve core ``_solve_core``, which fixes
+    the unknowns of unit rows ±e_j outright and eliminates only the other
+    rows, then scales the fixed unknowns by den.
+    """
+    x, cols, den = _solve_core(m, b)
+    if den > 1:
+        _scale_fixed(x, cols, den)
     return IntMatrix._trusted(tuple(x), b.ncols), den
 
 
 def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
     """Exact solution x of m·x = b for square non-singular m.
 
-    The right side's numerators are solved by ``solve_integral``, over the
-    product of the two denominators.
+    The right side's numerators go through the solve core ``_solve_core``,
+    which gives the unknowns that unit rows fix as integers and the
+    eliminated ones as X'/den.  Only X' and den enter the reduction:
+    with g = gcd(den, X'), the solution is the eliminated rows X'/g and
+    the fixed rows times den/g, over den/g, and those fixed rows are
+    multiplied only when den/g > 1.  That pair is in lowest terms; a
+    rational right side's denominator then joins it through ``_over``.
     """
     den_b = 1
     if isinstance(b, RatMatrix):
         b, den_b = b._numerators()
-    x, den = solve_integral(m, b)
-    return RatMatrix._over(x, den * den_b)
+    x, cols, den = _solve_core(m, b)
+    g = gcd(den, *chain.from_iterable(x[j] for j in cols))
+    if g > 1:
+        for j in cols:
+            x[j] = tuple([v // g for v in x[j]])
+        den //= g
+    if den > 1:
+        _scale_fixed(x, cols, den)
+    num = IntMatrix._trusted(tuple(x), b.ncols)
+    if den_b == 1:
+        return RatMatrix._trusted(num, den)
+    return RatMatrix._over(num, den * den_b)
 
 
 def invert_rational(m: IntMatrix) -> RatMatrix:

@@ -172,8 +172,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/linalg.py",
-        "        return self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)\n",
-        "        t = self._trusted(tuple(tuple(k * x for x in row) for row in self._data), self._ncols)\n"
+        "        return self._trusted(tuple([tuple([k * x for x in row]) for row in self._data]), self._ncols)\n",
+        "        t = self._trusted(tuple([tuple([k * x for x in row]) for row in self._data]), self._ncols)\n"
         "        t._sparse = self._sparse\n        return t\n",
         "tests/test_linalg.py::TestReusedRightOperand::test_products_match_dense_reference",
     ),
@@ -200,13 +200,32 @@ MUTANTS = [
         "src/quadlat/linalg.py",
         "        if g > 1:\n            num, den = IntMatrix._trusted(",
         "        if False:\n            num, den = IntMatrix._trusted(",
-        f"{ORACLE}::TestDualVectorIntegerPaths::test_numerators_round_trip",
+        "tests/test_lattice.py::TestDualBasis::test_dual_times_gram_is_identity",
     ),
     (
         "src/quadlat/linalg.py",
         "isinstance(other, RatMatrix) and self._den == other._den and self._num == other._num",
         "isinstance(other, RatMatrix) and self._num == other._num",
         f"{ORACLE}::TestDualVectorIntegerPaths::test_numerators_round_trip",
+    ),
+    # Lambda2d carries its group; solve_rational reduces only the unknowns it eliminated
+    (
+        "src/quadlat/lattice.py",
+        "        lift = IntMatrix._trusted(((0,) * 20 + (-1,),), 21)\n",
+        "        lift = IntMatrix._trusted(((0,) * 20 + (1,),), 21)\n",
+        "tests/test_lattice.py::TestConstructedLambda2dGroup::test_equals_the_transform_lift",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "    g = gcd(den, *chain.from_iterable(x[j] for j in cols))\n",
+        "    g = 1\n",
+        f"{ORACLE}::TestSolveCore::test_fixed_rows_join_the_reduced_denominator",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "    if den > 1:\n        _scale_fixed(x, cols, den)\n    num = ",
+        "    if False:\n        _scale_fixed(x, cols, den)\n    num = ",
+        f"{ORACLE}::TestSolveCore::test_fixed_rows_join_the_reduced_denominator",
     ),
     # boundaries no test reached: a zero ψ(ω, ω̄), and |A| or |det| equal to its cap
     (

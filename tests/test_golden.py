@@ -22,7 +22,13 @@ stdout of ``overlattices`` on the glue expressions; "saturation" records
 ``saturation_index`` and ``saturate`` of seeded bases, dependent ones
 with their refusal; "quotient" records ``quotient_structure`` of the
 cli-mix periods' algebraic and transcendental parts, and of scaled
-copies of them.  "cli-mix stdout" records the exit code and stdout of
+copies of them.  "Lambda2d(101..1000 step 9)" records, for each d, the
+lifts and the form of the group that ``standard("Lambda2d", d)`` carries,
+and the stdout of ``quadlat --json discform``, whose expression path
+finds the group by a Smith form.  "extension solves" records, for
+d = 1..60, ``solve_rational`` on the k3 extension system (the iota2d
+basis stacked on its complement) against the E8(-1) swap's right side,
+integral and over 2d, and its inverse.  "cli-mix stdout" records the exit code and stdout of
 every request of the cli-mix benchmark, in two passes, with its input
 files written to a fresh directory and named relative to it, so an error
 detail that quotes a path reads the same on every run; "discform" on the
@@ -87,6 +93,8 @@ INFO_EXPRESSIONS = (
 )
 SATURATION_SEED, SATURATION_COUNT = 180923, 300
 RATIONAL_SEED, RATIONAL_COUNT = 210419, 40
+LAMBDA2D_DEGREES = range(101, 1001, 9)
+EXTENSION_DEGREES = range(1, 61)
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -312,6 +320,27 @@ def _rational_record(rng) -> dict:
     return record
 
 
+def _lambda2d_record(d: int) -> dict:
+    L = standard("Lambda2d", d)
+    return {
+        "lifts": _rat_rows(discriminant_group(L).generator_lifts),
+        "form": _form_record(discriminant_form(L)),
+        "discform": list(_cli_stdout(["--json", "discform", f"Lambda2d({d})"])),
+    }
+
+
+def _extension_record(d: int) -> dict:
+    # the system extend_isometry solves: its 27 unit rows fix their unknowns outright
+    E = build_iota2d(d)
+    comp = orthogonal_complement(E)
+    m, rhs = E.basis.stack(comp.basis), (_SWAP @ E.basis).stack(comp.basis)
+    return {
+        "swap": _rat_rows(solve_rational(m, rhs)),
+        "swap over 2d": _rat_rows(solve_rational(m, rhs.to_rat().scale(Fraction(1, 2 * d)))),
+        "inverse": _rat_rows(invert_rational(m)),
+    }
+
+
 def _cli_mix_record(workdir: Path) -> list:
     # two passes of every request, run from workdir so the file names are relative
     for name, text in _CLI_FILES.items():
@@ -356,6 +385,8 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         "seeded": [_dual_record(L) for L in seeded],
         "matrices": [_rational_record(rng) for _ in range(RATIONAL_COUNT)],
     })
+    out["Lambda2d(101..1000 step 9)"] = _digest([_lambda2d_record(d) for d in LAMBDA2D_DEGREES])
+    out["extension solves d=1..60"] = _digest([_extension_record(d) for d in EXTENSION_DEGREES])
     return out
 
 
@@ -381,6 +412,8 @@ CASES = (
     "cli-mix stdout x2",
     "discform x13",
     "rational outputs",
+    "Lambda2d(101..1000 step 9)",
+    "extension solves d=1..60",
 )
 
 

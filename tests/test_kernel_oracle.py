@@ -1649,6 +1649,60 @@ class TestUnitRows:
             solve_integral(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
 
 
+class TestSolveCore:
+    """solve_integral and solve_rational share one core, which gives the
+    unknowns that unit rows fix unscaled; solve_rational reduces only the
+    eliminated ones, and its stored pair is the one ``_over`` would give."""
+
+    @ORACLE
+    @given(unit_row_systems(), st.data())
+    def test_solve_rational_is_the_reduced_integral_solve(self, m, data):
+        b = data.draw(right_hand_sides(m.nrows))
+        rhs = RatMatrix._over(b, data.draw(st.integers(2, 60))) if data.draw(st.booleans()) else b
+        num, den_b = rhs._numerators() if isinstance(rhs, RatMatrix) else (rhs, 1)
+        if _to_domain(m, ZZ).det() == 0:
+            with pytest.raises(SingularMatrix):
+                solve_rational(m, rhs)
+            return
+        x, den = solve_integral(m, num)
+        assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_extension_system(self, d):
+        m, b = _extension_system(d)
+        x, den = solve_integral(m, b)
+        for rhs, den_b in ((b, 1), (RatMatrix._over(b, 2 * d + 1), 2 * d + 1)):
+            assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+
+    @pytest.mark.parametrize(
+        "rows, b, expected",
+        [
+            # x_1 = -3 fixed; den = 2 and X' = (4,) reduce by g = 2 to an integral solution
+            ([[0, -1], [2, 0]], [[3], [4]], [[2], [-3]]),
+            # den = 6 and X' = (3, 1) share no factor: the fixed x_0 = 5 is scaled by 6
+            ([[1, 0, 0], [0, 2, 0], [0, 1, 3]], [[5], [1], [1]], [[5], [Fraction(1, 2)], [Fraction(1, 6)]]),
+            # den = 4, X' = (2,): g = 2, and the fixed x_1 = -7 is scaled by den/g = 2
+            ([[4, 0], [0, -1]], [[2], [7]], [[Fraction(1, 2)], [-7]]),
+        ],
+    )
+    def test_fixed_rows_join_the_reduced_denominator(self, rows, b, expected):
+        # RatMatrix's public constructor finds the least common denominator on its own
+        assert solve_rational(IntMatrix(rows), IntMatrix(b))._numerators() == RatMatrix(expected)._numerators()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [0, 0, -1], [0, 0, 1]],
+            [[0, -1, 0], [3, 1, 2], [0, 1, 0]],
+            [[1, 0, 0], [0, 1, 2], [0, 2, 4]],
+        ],
+    )
+    def test_singular_refusals(self, rows):
+        for rhs in (IntMatrix([[1]] * 3), RatMatrix([[Fraction(1, 3)]] * 3)):
+            with pytest.raises(SingularMatrix):
+                solve_rational(IntMatrix(rows), rhs)
+
+
 class TestCleanSmithColumns:
     """A Smith column step whose entry the pivot divides changes only the
     pivot row while the pivot column is clean; a gcd column step dirties it."""

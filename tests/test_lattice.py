@@ -7,6 +7,7 @@ import pytest
 from quadlat.errors import BadParameter, Degenerate, NotSymmetric, OddLattice, TooLarge, UnknownAtom
 import quadlat.lattice
 from quadlat.embeddings import as_lattice, build_iota2d, in_tilde_O, nikulin_check, orthogonal_complement
+from quadlat.expr import evaluate_expr
 from quadlat.lattice import (
     DiscriminantForm,
     Lattice,
@@ -26,7 +27,7 @@ from quadlat.lattice import (
     signature,
     standard,
 )
-from quadlat.linalg import IntMatrix, RatMatrix, block_diag, det_exact
+from quadlat.linalg import IntMatrix, RatMatrix, _smith, block_diag, det_exact
 
 
 E8_ROWS = [
@@ -308,6 +309,52 @@ class TestDiscriminantGroup:
         assert min_generators(discriminant_group(standard("Lambda2d", 5))) == 1
         assert min_generators(discriminant_group(standard("U"))) == 0
         assert min_generators(discriminant_group(make_lattice([[2, 0], [0, 2]]))) == 2
+
+
+def _transform_group(gram):
+    # invariant factors > 1 and the lifts U_i/d_i, read off the Smith transform
+    U, S, _ = _smith(gram, True, False)
+    rows = [i for i in range(gram.nrows) if S[i][i] > 1]
+    lifts = RatMatrix([[Fraction(x, S[i][i]) for x in U[i]] for i in rows], ncols=gram.nrows)
+    return tuple(S[i][i] for i in rows), lifts
+
+
+class TestConstructedLambda2dGroup:
+    """standard("Lambda2d", d) carries ℤ/2d with the lift -e₂₀/(2d), which
+    is what the Smith transform gives."""
+
+    def test_equals_the_transform_lift(self, monkeypatch):
+        built = [standard("Lambda2d", d) for d in range(1, 1001)]
+        for d, L in enumerate(built, 1):
+            factors, lifts = _transform_group(L.gram)
+            assert (factors, lifts) == ((2 * d,), RatMatrix([[0] * 20 + [Fraction(-1, 2 * d)]]))
+
+            def refuse(*args):
+                raise AssertionError("a Smith form of a lattice that carries its group")
+
+            with monkeypatch.context() as m:
+                m.setattr(quadlat.lattice, "_smith", refuse)
+                group = discriminant_group(L)
+            assert (group.invariant_factors, group.generator_lifts) == (factors, lifts)
+
+    @pytest.mark.parametrize("c", [2, -2, 3, -3])
+    def test_prefix_transform_is_kept(self, c):
+        # the premise of the construction: the unimodular prefix E8(-1)^2 + U^2
+        # is done before the last row is touched, and that row only takes a sign
+        prefix = direct_sum(*[standard("E8", -1)] * 2, *[standard("U")] * 2)
+        U_prefix, S_prefix, _ = _smith(prefix.gram, True, False)
+        U, S, _ = _smith(block_diag(prefix.gram, IntMatrix([[c]])), True, False)
+        assert [S_prefix[i][i] for i in range(20)] == [1] * 20
+        assert [S[i][i] for i in range(21)] == [1] * 20 + [abs(c)]
+        sign = 1 if c > 0 else -1
+        assert U == [row + [0] for row in U_prefix] + [[0] * 20 + [sign]]
+
+    @pytest.mark.parametrize("d", [1, 7, 37, 1000])
+    def test_relabelled_copies_find_the_same_lift(self, d):
+        expected = discriminant_group(standard("Lambda2d", d))
+        for L in (evaluate_expr(f"Lambda2d({d})"), as_lattice(build_iota2d(d))):
+            assert L._group is None  # these take the transform path
+            assert discriminant_group(L) == expected
 
 
 class TestDiscriminantForm:
