@@ -30,7 +30,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     Signature,
-    _derived_lattice,
+    _relabelled,
     discriminant_group,
     is_even,
     make_lattice,
@@ -62,8 +62,10 @@ class SublatticeEmbedding:
     computations need that); operations requiring a non-degenerate
     restriction check it themselves.  An embedding keeps its orthogonal
     complement and its induced lattice (``as_lattice``, unlabelled) once
-    each is computed; ``build_iota2d`` fills the lattice with the Lambda2d
-    lattice its induced Gram was checked against.
+    each is computed.  ``build_iota2d`` fills both: the lattice with the
+    Lambda2d lattice its induced Gram was checked against, and the group
+    that lattice carries; the complement with the kernel in the third
+    E8(-1) summand that the generic one equals.
     """
 
     ambient: Lattice
@@ -112,7 +114,7 @@ def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
     if E._lattice is None:
         object.__setattr__(E, "_lattice", make_lattice(induced_gram(E)))
     L = E._lattice
-    return L if label is None else _derived_lattice(L.gram, L.det, L._signature, label)
+    return L if label is None else _relabelled(L, label)
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,10 @@ def is_primitive(E: SublatticeEmbedding) -> bool:
 def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
     """Vectors of the ambient lattice pairing to zero with the sublattice.
 
-    Primitive by construction (it is a kernel sublattice).  E keeps it, so
-    it is computed once per embedding.
+    Primitive by construction (it is a kernel sublattice): the HNF basis
+    of the left kernel of (B·G)ᵀ, which is unique.  E keeps it, so it is
+    computed once per embedding; ``build_iota2d`` fills it from the kernel
+    of an 8×1 column, and this returns that basis.
     """
     if E._complement is None:
         # G·Bᵀ (n x k; complement = left kernel) is (B·G)ᵀ, G being symmetric
@@ -304,13 +308,20 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
 
     The two E8(-1) summands and the two hyperbolic planes map identically
     onto the matching summands of the ambient; the rank-one gen(-2d)
-    summand maps onto the lexicographically least primitive vector of
+    summand maps onto the lexicographically least primitive vector v of
     norm -2d inside the third E8(-1) summand.
+
+    The embedding comes with its lattice (``standard("Lambda2d", d)``
+    relabelled, group included) and its orthogonal complement.  The
+    complement is the kernel of the 8×1 column G₈·vᵀ, G₈ the E8(-1) Gram,
+    padded to coordinates 16..23: the same rows as the generic
+    ``orthogonal_complement``, at the cost of an 8-row kernel in place of a
+    28-row one.
     """
     if d < 1:
         raise BadParameter("d must be a positive integer")
-    sharp = standard("LambdaSharp")
-    v = find_primitive_vector(standard("E8", -1), -2 * d)
+    sharp, e8 = standard("LambdaSharp"), standard("E8", -1)
+    v = find_primitive_vector(e8, -2 * d)
     # E8(-1)^2 occupies ambient coordinates 0..15 and the U^2 block 24..27
     rows = [(0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28))]
     rows.append((0,) * 16 + tuple(v) + (0,) * 4)  # third E8(-1): coordinates 16..23
@@ -322,7 +333,16 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
         raise InvariantViolation(
             "iota2d does not induce the Lambda2d Gram", d=d, induced=induced, expected=lam.gram
         )
-    object.__setattr__(emb, "_lattice", _derived_lattice(lam.gram, lam.det, lam._signature, None))
+    object.__setattr__(emb, "_lattice", _relabelled(lam, None))
+    # rows 0..19 are the unit vectors of the orthogonal non-degenerate
+    # summands E8(-1)^2 and U^2, so x is orthogonal to them exactly when it
+    # is zero on coordinates 0..15 and 24..27; the complement is then
+    # {y ∈ E8(-1) : y·G₈·vᵀ = 0} on coordinates 16..23.  A lattice has one
+    # HNF and zero columns pad an HNF unchanged, so these are the rows of
+    # kernel_basis((B·G)ᵀ) that orthogonal_complement would find.
+    perp = kernel_basis(e8.gram @ IntMatrix._trusted(tuple((x,) for x in v), 1))
+    comp = IntMatrix._trusted(tuple((0,) * 16 + row + (0,) * 4 for row in perp), 28)
+    object.__setattr__(emb, "_complement", SublatticeEmbedding._trusted(sharp, comp))
     return emb
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadParameter, ParseError, UnknownAtom
-from .lattice import Lattice, _check_rank, _derived_lattice, direct_sum, standard
+from .lattice import Lattice, _check_rank, _relabelled, direct_sum, standard
 
 _ATOMS = ("U", "E8", "An", "gen", "Lambda2d", "LambdaSharp", "LambdaK3")
 
@@ -191,4 +191,4 @@ def evaluate_expr(text: str) -> Lattice:
     """Parse and evaluate, labelling the result with its canonical text."""
     ast = parse_lattice_expr(text)
     lat = ast.evaluate()
-    return _derived_lattice(lat.gram, lat.det, lat._signature, ast.to_text())
+    return _relabelled(lat, ast.to_text())

@@ -131,6 +131,13 @@ def _derived_lattice(gram: IntMatrix, det: int, sig: Signature, label: str | Non
     return L
 
 
+def _relabelled(L: Lattice, label: str | None) -> Lattice:
+    # L under another label; the group L holds, a function of the Gram, goes with it
+    R = _derived_lattice(L.gram, L.det, L._signature, label)
+    object.__setattr__(R, "_group", L._group)
+    return R
+
+
 def _check_rank(rank: int) -> None:
     """Refuse a lattice of rank above RANK_CAP before anything is built."""
     if rank > RANK_CAP:
@@ -393,7 +400,8 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     rational solve.  L keeps the group, so it is computed once per lattice;
     ``standard("Lambda2d", d)`` attaches its group when it builds the
     lattice, so it runs no Smith form here.  A relabelled copy, as
-    ``evaluate_expr`` and ``build_iota2d`` make, finds the same lift here.
+    ``evaluate_expr``, ``as_lattice`` and ``build_iota2d`` make, carries
+    the group of the lattice it copies.
     """
     if L._group is None:
         n = L.rank

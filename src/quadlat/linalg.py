@@ -15,18 +15,23 @@ rescaled at each step: it keeps the pivot it was last written under and
 is brought up to date when it is next used.  The callers read only the
 pivot rows, from the diagonal on.  ``solve_integral`` and
 ``solve_rational`` share one core, ``_solve_core``: it reads off the
-unknowns that unit rows ±e_j fix, unscaled, and eliminates only the other
-rows.  ``solve_integral`` scales the fixed unknowns by the den it returns;
-``solve_rational`` reduces den against the eliminated unknowns alone and
-scales the fixed ones only when some of den is left, so the 27 unit rows
-of the k3 extension system are neither multiplied nor divided.
+unknowns that unit rows ±e_j fix (``_unit_rows``), unscaled, and
+eliminates only the other rows.  ``solve_integral`` scales the fixed
+unknowns by the den it returns; ``solve_rational`` reduces den against
+the eliminated unknowns alone and scales the fixed ones only when some
+of den is left, so the 27 unit rows of the k3 extension system are
+neither multiplied nor divided.
 The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
 isomorphism).  Matrices are immutable; routines are pure.  An
 ``IntMatrix`` keeps its sparse rows, filled when it is first the right
 operand of a product or a factor of a congruence.  A Gram's congruence
 B·G·Bᵀ (induced Grams, isometry checks, discriminant pairings,
 overlattice Grams) is one kernel, ``_congruence``, that builds only the
-upper half of the symmetric result.
+upper half of the symmetric result.  A row of B with one nonzero entry
+pairs through B's column lists and touches only the nonzeros it meets;
+the k3 bases (iota2d, the polarization complement, the E8(-1) swap and
+its extension) are almost all such rows.  Other rows, and so a dense B,
+take the row-by-row pairing.
 
 The normal forms use the naive pivot-reduction algorithms rather than
 modular or LLL-accelerated variants: quick on the rank ≤ 28 lattices of
@@ -42,7 +47,8 @@ entries zero.  Each form is a public wrapper over one private core,
 ``_smith`` or ``_hnf``, that carries a transform only for a caller that
 reads it.  No caller in the package reads Smith's V;
 ``lattice.discriminant_group`` reads U, and ``saturation_index`` and
-``brauer.quotient_structure`` only S.  ``kernel_basis`` reads the T of its
+``brauer.quotient_structure`` only S, which splits off the unit rows
+±e_j before any pivot is scanned.  ``kernel_basis`` reads the T of its
 first Hermite form, which stops at an echelon form, and not of its
 second, and ``glue._glue_basis`` reads only H.
 """
@@ -313,10 +319,17 @@ class RatMatrix:
 def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
     """B·G·Bᵀ for a symmetric G, as one symmetric product.
 
-    Row i of B·G accumulates over the nonzero entries of row i of B, each
-    times a row of G's kept sparse rows; its pairing with row j of B runs
-    over B's nonzero columns in row j, and only for j ≥ i: the lower half
-    is the mirror of the upper, as the result is symmetric.  It equals
+    Entry (i, j) is built for j ≥ i only, then mirrored: the result is
+    symmetric.  A row of B with one nonzero entry, a·e_k, pairs through
+    G's sparse row k and B's column lists (column l: the pairs (j, B[j][l])
+    with B[j][l] ≠ 0), so entry (i, j) = a·Σ_l G[k][l]·B[j][l] touches only
+    those nonzeros.  The column lists are built at the first such row,
+    from that row down, and only for a B of five rows or more: four rows
+    pair at most ten times, and on glue bases of rank ≤ 4 the lists cost
+    as much as they save, or more.  Any other row i of B·G
+    accumulates over the nonzero entries of row i of B, each times a row of
+    G's kept sparse rows, and its pairing with row j of B runs over B's
+    nonzero columns in row j; a dense B does only that.  It equals
     ``b @ g @ b.transpose()`` entry for entry.
     """
     if b.ncols != g.nrows:
@@ -324,12 +337,26 @@ def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
     g_rows, b_rows = g._sparse_rows(), b._sparse_rows()
     n, width = b.nrows, g.ncols
     out = [[0] * n for _ in range(n)]
+    cols = None
     for i, row in enumerate(b_rows):
+        out_i = out[i]
+        if n > 4 and len(row) == 1:
+            if cols is None:  # from row i on: no later row pairs with a row above it
+                cols = [[] for _ in range(b.ncols)]
+                for j in range(i, n):
+                    for l, y in b_rows[j]:
+                        cols[l].append((j, y))
+            ((k, a),) = row
+            for l, x in g_rows[k]:
+                ax = a * x
+                for j, y in cols[l]:
+                    if j >= i:
+                        out_i[j] = out[j][i] = out_i[j] + ax * y
+            continue
         acc = [0] * width
         for k, a in row:
             for j, x in g_rows[k]:
                 acc[j] += a * x
-        out_i = out[i]
         for j in range(i, n):
             p = 0
             for k, x in b_rows[j]:
@@ -434,17 +461,47 @@ def _gcd_col_op(
     return True
 
 
+def _unit_rows(m: IntMatrix) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """The rows ±e_j of m on distinct columns, as {j: (i, ±1)} for row i,
+    and the indices of the other rows.  A row ±e_j whose column an earlier
+    row took is one of the others."""
+    units: dict[int, tuple[int, int]] = {}
+    rest = []
+    width = m.ncols - 1
+    for i, row in enumerate(m):
+        if row.count(0) == width:
+            unit = 1 if 1 in row else -1
+            if unit in row and (j := row.index(unit)) not in units:
+                units[j] = (i, unit)
+                continue
+        rest.append(i)
+    return units, rest
+
+
 def _smith(
     m: IntMatrix, left: bool, right: bool
 ) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
     """The Smith core: (U, S, V) as lists of rows, with U·m·V = S; U is
     None unless ``left`` and V None unless ``right``, and a transform that
-    is not carried costs nothing.  After the row steps at a pivot, its
-    column is zero below it; until a column step takes a gcd, a column step
-    whose entry the pivot divides clears that one entry of the pivot row
-    (and updates V), and the re-dirtied-column test runs only after a gcd
-    column step."""
+    is not carried costs nothing.  With no transform, the rows ±e_j on
+    distinct columns (``_unit_rows``) split off first: row steps by them
+    clear their columns in the other rows, so m is equivalent to
+    I ⊕ m', m' being the other rows without those columns, and S is
+    I ⊕ S(m'), the Smith form being unique.  After the row steps at a
+    pivot, its column is zero below it; until a column step takes a gcd, a
+    column step whose entry the pivot divides clears that one entry of the
+    pivot row (and updates V), and the re-dirtied-column test runs only
+    after a gcd column step."""
     r, c = m.nrows, m.ncols
+    if not (left or right):
+        units, rest = _unit_rows(m)
+        if units:
+            keep = [j for j in range(c) if j not in units]
+            rows = tuple([tuple([m[i][j] for j in keep]) for i in rest])
+            _, S, _ = _smith(IntMatrix._trusted(rows, len(keep)), False, False)
+            u = len(units)
+            ones = [row + [0] * (c - u) for row in _ident_rows(u)]
+            return None, ones + [[0] * u + row for row in S], None
     S = m.tolist()
     U = _ident_rows(r) if left else None
     V = _ident_rows(c) if right else None
@@ -736,11 +793,13 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int]:
     """The solve core: (x, cols, den) for m·x = b, m square and non-singular.
 
-    A row i of m that is ±e_j fixes x_j = ±b_i outright; two such rows on
-    one column make m singular.  Those rows of x are ±b_i themselves,
-    unscaled.  The other rows, without the fixed columns, are a square m'
-    with |det m'| = |det m| = den (expand along the unit rows), and the
-    fixed x_j move to their right side b'.  ``det_exact``'s forward pass
+    A row i of m that is ±e_j fixes x_j = ±b_i outright (``_unit_rows``).
+    Those rows of x are ±b_i themselves, unscaled.  A second row ±e_j on
+    a fixed column stays among the other rows, zero on the columns left,
+    so the forward pass below finds m singular.  The other rows, without
+    the fixed columns, are a square m' with |det m'| = |det m| = den
+    (expand along the unit rows), and the fixed x_j move to their right
+    side b'.  ``det_exact``'s forward pass
     on [m' | b'] leaves an upper-triangular A with A·x' = Y for the same
     x'; back substitution X_k = (den·Y_k − Σ_{j>k} a_kj·X_j) / a_kk then
     divides exactly, because den·x is integral (Cramer's rule).  Row j of
@@ -751,17 +810,8 @@ def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int
     n = m.nrows
     if b.nrows != n:
         raise ValueError("right-hand side has wrong number of rows")
-    fixed: dict[int, tuple[int, tuple]] = {}  # column j: (±1, b_i) with x_j = ±b_i
-    rest = []
-    for i, row in enumerate(m):
-        unit = 1 if 1 in row else -1
-        if row.count(0) == n - 1 and unit in row:
-            j = row.index(unit)
-            if j in fixed:
-                raise SingularMatrix("matrix is singular")
-            fixed[j] = (unit, b[i])
-        else:
-            rest.append(i)
+    units, rest = _unit_rows(m)
+    fixed = {j: (unit, b[i]) for j, (i, unit) in units.items()}  # x_j = ±b_i
     cols = [j for j in range(n) if j not in fixed]
     a = []
     for i in rest:

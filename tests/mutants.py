@@ -130,18 +130,49 @@ MUTANTS = [
         "            for s in (k,):\n",
         f"{ORACLE}::TestDeferredRescale::test_congruence_mixes_a_deferred_row",
     ),
-    # unit rows solved outright
+    # unit rows solved outright; a second unit row on a taken column is one of the other rows
     (
         "src/quadlat/linalg.py",
-        "            fixed[j] = (unit, b[i])\n",
-        "            fixed[j] = (1, b[i])\n",
+        "    fixed = {j: (unit, b[i]) for j, (i, unit) in units.items()}",
+        "    fixed = {j: (1, b[i]) for j, (i, unit) in units.items()}",
         f"{ORACLE}::TestUnitRows::test_signed_permutations",
     ),
     (
         "src/quadlat/linalg.py",
-        "            if j in fixed:\n                raise SingularMatrix",
-        "            if False:\n                raise SingularMatrix",
+        "            if unit in row and (j := row.index(unit)) not in units:\n                units[j] = (i, unit)\n",
+        "            if unit in row:\n                units.setdefault(row.index(unit), (i, unit))\n",
         f"{ORACLE}::TestUnitRows::test_two_unit_rows_on_one_column_are_singular",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "(j := row.index(unit)) not in units:",
+        "(j := row.index(unit)) >= 0:",
+        f"{ORACLE}::TestTransformFreeCores::test_smith_splits_off_unit_rows",
+    ),
+    # rows with one nonzero entry pair through column lists; the S-only Smith form splits off unit rows
+    (
+        "src/quadlat/linalg.py",
+        "                ax = a * x\n",
+        "                ax = abs(a) * x\n",
+        f"{ORACLE}::TestTransformFreeCores::test_congruence_on_single_entry_rows",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "                        out_i[j] = out[j][i] = out_i[j] + ax * y\n",
+        "                        out_i[j] = out_i[j] + ax * y\n",
+        f"{ORACLE}::TestTransformFreeCores::test_congruence_on_single_entry_rows",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "                    if j >= i:\n",
+        "                    if j > i:\n",
+        f"{ORACLE}::TestTransformFreeCores::test_congruence_on_single_entry_rows",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "[[0] * u + row for row in S]",
+        "[row + [0] * u for row in S]",
+        f"{ORACLE}::TestTransformFreeCores::test_smith_splits_off_unit_rows",
     ),
     # the clean-column Smith step and the echelon-only Hermite pass
     (
@@ -194,6 +225,19 @@ MUTANTS = [
         "    if E._complement is None:\n",
         "    if True:\n",
         "tests/test_embeddings.py::TestKernelEmbeddings::test_extension_reuses_the_kept_complement",
+    ),
+    # iota2d carries its complement, and a relabelled lattice its group
+    (
+        "src/quadlat/embeddings.py",
+        "(0,) * 16 + row + (0,) * 4",
+        "(0,) * 15 + row + (0,) * 5",
+        "tests/test_embeddings.py::TestConstructedIotaComplement::test_equals_the_generic_complement",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "    object.__setattr__(R, \"_group\", L._group)\n",
+        "    object.__setattr__(R, \"_group\", None)\n",
+        "tests/test_lattice.py::TestConstructedLambda2dGroup::test_relabelled_copies_find_the_same_lift",
     ),
     # a rational matrix is one integer matrix over one denominator, in lowest terms
     (

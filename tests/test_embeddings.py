@@ -29,7 +29,7 @@ from quadlat.lattice import (
     signature,
     standard,
 )
-from quadlat.linalg import IntMatrix, det_exact
+from quadlat.linalg import IntMatrix, det_exact, kernel_basis
 from quadlat.embeddings import (
     SublatticeEmbedding,
     as_lattice,
@@ -372,6 +372,29 @@ class TestIota2d:
             build_iota2d(3)
         assert info.value.data["d"] == 3 and info.value.data["induced"] == wrong
         assert info.value.data["expected"] == standard("Lambda2d", 3).gram
+
+
+class TestConstructedIotaComplement:
+    """build_iota2d fills the complement from the 8×1 column G₈·vᵀ: it must
+    be the HNF basis that the generic kernel of (B·G)ᵀ gives, row for row."""
+
+    def test_equals_the_generic_complement(self):
+        for d in range(1, 1001):
+            E = build_iota2d(d)
+            assert E._complement is not None
+            assert orthogonal_complement(E).basis == kernel_basis((E.basis @ E.ambient.gram).transpose())
+
+    def test_building_runs_no_rank_28_kernel(self, monkeypatch):
+        rows = []
+
+        def watched(m):
+            rows.append(m.nrows)
+            return kernel_basis(m)
+
+        monkeypatch.setattr(embeddings, "kernel_basis", watched)
+        for d in (1, 37, 1000):
+            orthogonal_complement(build_iota2d(d))
+        assert rows == [8, 8, 8]
 
 
 def _u_swap_in_lambda2d():

@@ -37,7 +37,13 @@ outputs" records the ``str`` entries of ``dual_basis`` and of the
 discriminant lifts on the 13 info expressions and on seeded even
 lattices, and of ``solve_rational``, ``invert_rational`` and the
 ``RatMatrix`` ``transpose``/``stack``/``scale``/``@`` on seeded integer
-matrices, singular ones with their refusal.
+matrices, singular ones with their refusal.  "unit-row kernels" records
+``_congruence`` on seeded left factors whose rows have one nonzero entry
+(signed permutations, iota2d-like bases, such rows mixed with dense, zero
+and two-entry rows, and bases with no rows), the S of
+``_smith(m, False, False)`` and ``saturation_index`` on seeded matrices
+with rows ±e_j, repeated columns among them, and the basis of
+``orthogonal_complement(build_iota2d(d))`` for d = 1..1000.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -77,7 +83,7 @@ from quadlat.errors import BadParameter, NotIsotropic, SingularMatrix
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
 from quadlat.lattice import discriminant_form, discriminant_group, dual_basis, signature, standard
-from quadlat.linalg import IntMatrix, RatMatrix, invert_rational, solve_rational
+from quadlat.linalg import IntMatrix, RatMatrix, _congruence, _smith, invert_rational, solve_rational
 from quadlat.periods import period_from_json, transcendental
 from test_glue import random_even_lattice
 
@@ -95,6 +101,8 @@ SATURATION_SEED, SATURATION_COUNT = 180923, 300
 RATIONAL_SEED, RATIONAL_COUNT = 210419, 40
 LAMBDA2D_DEGREES = range(101, 1001, 9)
 EXTENSION_DEGREES = range(1, 61)
+UNIT_ROW_SEED, UNIT_ROW_COUNT = 230519, 300
+IOTA_COMPLEMENT_DEGREES = range(1, 1001)
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -341,6 +349,67 @@ def _extension_record(d: int) -> dict:
     }
 
 
+def _unit_row_rows(rng, k: int, n: int, singles) -> list[list[int]]:
+    # k rows of width n: one nonzero entry drawn from singles on a random
+    # column (columns may repeat), dense rows, zero rows and two-entry rows
+    rows = []
+    for _ in range(k):
+        row, kind = [0] * n, rng.random()
+        if kind < 0.55:
+            row[rng.randrange(n)] = rng.choice(singles)
+        elif kind < 0.8:
+            row = [rng.randint(-5, 5) for _ in range(n)]
+        elif kind >= 0.9:
+            for j in rng.sample(range(n), min(2, n)):
+                row[j] = rng.choice((1, -1, 2))
+        rows.append(row)
+    return rows
+
+
+def _symmetric_rows(rng, n: int) -> list[list[int]]:
+    # dense, or with about 70% of its entries zero
+    density, g = rng.choice((1.0, 0.3)), [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                g[i][j] = g[j][i] = rng.randint(-6, 6)
+    return g
+
+
+def _congruence_record(rng) -> dict:
+    n = rng.randint(1, 10)
+    kind = rng.choice(("signed permutation", "iota-like", "mixed", "no rows"))
+    if kind == "signed permutation":
+        perm = rng.sample(range(n), n)
+        rows = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    elif kind == "iota-like":  # unit rows on distinct columns, then one dense row on the others
+        cols, k = rng.sample(range(n), n), rng.randint(0, n - 1)
+        rows = [[int(j == c) for j in range(n)] for c in cols[:k]]
+        rows.append([rng.randint(-4, 4) if j in cols[k:] else 0 for j in range(n)])
+    elif kind == "mixed":
+        rows = _unit_row_rows(rng, rng.randint(1, n + 2), n, (1, -1, 2, -3))
+    else:
+        rows = []
+    gram = _symmetric_rows(rng, n)
+    return {"b": rows, "g": gram, "c": _congruence(IntMatrix(rows, ncols=n), IntMatrix(gram)).tolist()}
+
+
+def _unit_row_smith_record(rng) -> dict:
+    # non-square, with rows ±e_j; a unit row is sometimes repeated on its column, sign flipped
+    n = rng.randint(1, 8)
+    rows = _unit_row_rows(rng, rng.randint(1, n + 2), n, (1, -1))
+    if rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [-x for x in rows[rng.randrange(len(rows))]])
+    m = IntMatrix(rows, ncols=n)
+    record: dict = {"m": rows, "S": _smith(m, False, False)[1]}
+    ambient = evaluate_expr("+".join(f"gen({k + 1})" for k in range(n)))  # saturation ignores its Gram
+    try:
+        record["index"] = saturation_index(SublatticeEmbedding(ambient, m))
+    except BadParameter as exc:
+        record["refused"] = str(exc)
+    return record
+
+
 def _cli_mix_record(workdir: Path) -> list:
     # two passes of every request, run from workdir so the file names are relative
     for name, text in _CLI_FILES.items():
@@ -387,6 +456,12 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     })
     out["Lambda2d(101..1000 step 9)"] = _digest([_lambda2d_record(d) for d in LAMBDA2D_DEGREES])
     out["extension solves d=1..60"] = _digest([_extension_record(d) for d in EXTENSION_DEGREES])
+    rng = random.Random(UNIT_ROW_SEED)
+    out["unit-row kernels"] = _digest({
+        "congruence": [_congruence_record(rng) for _ in range(UNIT_ROW_COUNT)],
+        "smith": [_unit_row_smith_record(rng) for _ in range(UNIT_ROW_COUNT)],
+        "iota2d complement": [orthogonal_complement(build_iota2d(d)).basis.tolist() for d in IOTA_COMPLEMENT_DEGREES],
+    })
     return out
 
 
@@ -414,6 +489,7 @@ CASES = (
     "rational outputs",
     "Lambda2d(101..1000 step 9)",
     "extension solves d=1..60",
+    "unit-row kernels",
 )
 
 

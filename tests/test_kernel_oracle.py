@@ -6,8 +6,10 @@ the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
 ones included; a work test checks that those forms call their row and
 column steps only for a nonzero entry and multiplier, with and without
 their transforms.  The cores behind them, run with only the transforms a
-caller reads, must return the public forms, and ``_congruence`` must equal
-two products B·G·Bᵀ.  It also checks the kernels built on the one Bareiss step:
+caller reads, must return the public forms (the S-only Smith form, which
+splits off unit rows, on non-square unit-row matrices too), and
+``_congruence`` must equal two products B·G·Bᵀ, also on bases of rows
+with one nonzero entry.  It also checks the kernels built on the one Bareiss step:
 ``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
 zero right-hand sides) and the det of the symmetric elimination, with the
 work those eliminations skip: rows that wait under an older pivot (dense
@@ -352,6 +354,53 @@ def symmetric_and_left_factors(draw):
     return IntMatrix(rows, ncols=n), g
 
 
+@st.composite
+def single_entry_left_factors(draw):
+    """(B, G): G symmetric, dense or block-sparse with entries up to 10^12;
+    B a signed permutation, or rows with one nonzero entry (columns may
+    repeat) mixed with dense and zero rows, or no rows at all."""
+    m = draw(dense_or_block_sparse(max_rank=12))
+    n = m.nrows
+    g = IntMatrix([[m[i][j] + m[j][i] for j in range(n)] for i in range(n)])
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        rows = [[draw(st.sampled_from((1, -1))) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        return IntMatrix(rows, ncols=n), g
+    single = st.sampled_from((1, -1, 2, -7)) | st.integers(-BIG, BIG).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, n + 3))):
+        kind, row = draw(st.sampled_from(("single", "single", "dense", "zero"))), [0] * n
+        if kind == "single":
+            row[draw(st.integers(0, n - 1))] = draw(single)
+        elif kind == "dense":
+            row = [draw(st.integers(-9, 9)) for _ in range(n)]
+        rows.append(row)
+    return IntMatrix(rows, ncols=n), g
+
+
+@st.composite
+def unit_row_matrices(draw, max_dim=8):
+    """An r×c matrix, r ≠ c, of rows ±e_j mixed with dense, zero and
+    two-entry rows; a unit row's column is often taken again by another."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim).filter(lambda c: c != r))
+    rows = []
+    for _ in range(r):
+        kind, row = draw(st.sampled_from(("unit", "unit", "repeat", "dense", "zero", "two"))), [0] * c
+        if kind == "repeat" and rows:
+            row = [draw(st.sampled_from((1, -1))) * x for x in draw(st.sampled_from(rows))]
+        elif kind in ("unit", "repeat"):
+            row[draw(st.integers(0, c - 1))] = draw(st.sampled_from((1, -1)))
+        elif kind == "dense":
+            row = [draw(st.integers(-9, 9)) for _ in range(c)]
+        elif kind == "two":
+            k = min(2, c)
+            for j in draw(st.lists(st.integers(0, c - 1), min_size=k, max_size=k, unique=True)):
+                row[j] = draw(st.sampled_from((1, -1, 3)))
+        rows.append(row)
+    return IntMatrix(rows, ncols=c)
+
+
 class TestTransformFreeCores:
     """The package's callers read the Smith and Hermite cores with only the
     transforms they need, and products B·G·Bᵀ from ``_congruence``: each
@@ -381,6 +430,24 @@ class TestTransformFreeCores:
         c = linalg._congruence(b, g)
         assert (c.nrows, c.ncols) == (b.nrows, b.nrows)
         assert c == b @ g @ b.transpose()
+
+    @ORACLE
+    @given(single_entry_left_factors())
+    @example(bg=(
+        IntMatrix([[0, 0, -1, 0, 0], [1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, -1, 0]]),
+        IntMatrix([[2, 1, 0, 0, 1], [1, -2, 3, 0, 0], [0, 3, 4, 1, 0], [0, 0, 1, 2, -1], [1, 0, 0, -1, 6]]),
+    ))
+    def test_congruence_on_single_entry_rows(self, bg):
+        b, g = bg
+        assert linalg._congruence(b, g) == b @ g @ b.transpose()
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_row_matrices())
+    @example(m=IntMatrix([[0, 1, 0], [0, -1, 0], [2, 3, 5], [0, 0, 0]]))
+    @example(m=IntMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 2, 4, 6]]))
+    def test_smith_splits_off_unit_rows(self, m):
+        for a in (m, m.transpose()):
+            assert linalg._smith(a, False, False)[1] == smith_normal_form(a)[1].tolist()
 
     def test_congruence_shapes(self):
         g = standard("U").gram

@@ -351,10 +351,12 @@ class TestConstructedLambda2dGroup:
 
     @pytest.mark.parametrize("d", [1, 7, 37, 1000])
     def test_relabelled_copies_find_the_same_lift(self, d):
-        expected = discriminant_group(standard("Lambda2d", d))
-        for L in (evaluate_expr(f"Lambda2d({d})"), as_lattice(build_iota2d(d))):
-            assert L._group is None  # these take the transform path
-            assert discriminant_group(L) == expected
+        # the copies carry the constructed group, which is the one a fresh
+        # lattice on the same Gram finds by the Smith transform
+        copies = (evaluate_expr(f"Lambda2d({d})"), as_lattice(build_iota2d(d)), as_lattice(build_iota2d(d), "L"))
+        for L in copies:
+            assert L._group is not None
+            assert discriminant_group(L) == discriminant_group(make_lattice(L.gram))
 
 
 class TestDiscriminantForm:
