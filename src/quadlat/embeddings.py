@@ -31,9 +31,9 @@ from .lattice import (
     Lattice,
     Signature,
     _relabelled,
+    _symmetric_lattice,
     discriminant_group,
     is_even,
-    make_lattice,
     min_generators,
     signature,
     standard,
@@ -61,11 +61,13 @@ class SublatticeEmbedding:
     Lambda2d Gram.  The induced form may be degenerate (quotient
     computations need that); operations requiring a non-degenerate
     restriction check it themselves.  An embedding keeps its orthogonal
-    complement and its induced lattice (``as_lattice``, unlabelled) once
-    each is computed.  ``build_iota2d`` fills both: the lattice with the
-    Lambda2d lattice its induced Gram was checked against, and the group
-    that lattice carries; the complement with the kernel in the third
-    E8(-1) summand that the generic one equals.
+    complement, its induced lattice (``as_lattice``, unlabelled) and its
+    saturation index once each is computed.  ``build_iota2d`` fills all
+    three: the lattice with the Lambda2d lattice its induced Gram was
+    checked against, and the group that lattice carries; the complement
+    with the kernel in the third E8(-1) summand that the generic one
+    equals; the index with gcd(v), which its unit rows leave as the only
+    invariant factor.
     """
 
     ambient: Lattice
@@ -84,6 +86,7 @@ class SublatticeEmbedding:
             raise BadParameter("basis rows are linearly dependent")
         object.__setattr__(self, "_complement", None)  # filled by orthogonal_complement
         object.__setattr__(self, "_lattice", None)  # filled by as_lattice or build_iota2d
+        object.__setattr__(self, "_index", None)  # filled by saturation_index or build_iota2d
 
     @classmethod
     def _trusted(cls, ambient: Lattice, basis: IntMatrix) -> "SublatticeEmbedding":
@@ -93,6 +96,7 @@ class SublatticeEmbedding:
         object.__setattr__(E, "basis", basis)
         object.__setattr__(E, "_complement", None)
         object.__setattr__(E, "_lattice", None)
+        object.__setattr__(E, "_index", None)
         return E
 
     @property
@@ -109,10 +113,13 @@ def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
     """The sublattice as an abstract lattice (requires non-degenerate restriction).
 
     E keeps the unlabelled lattice, so its Gram is built and validated once
-    per embedding; a label gives a relabelled copy.
+    per embedding; a label gives a relabelled copy.  The Gram is the
+    congruence B·G·Bᵀ, symmetric by construction, so it is validated by
+    the det/signature elimination alone (``lattice._symmetric_lattice``),
+    which refuses a degenerate restriction with ``Degenerate``.
     """
     if E._lattice is None:
-        object.__setattr__(E, "_lattice", make_lattice(induced_gram(E)))
+        object.__setattr__(E, "_lattice", _symmetric_lattice(induced_gram(E)))
     L = E._lattice
     return L if label is None else _relabelled(L, label)
 
@@ -172,9 +179,15 @@ def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
 
 
 def saturation_index(E: SublatticeEmbedding) -> int:
-    """Index of the sublattice inside its saturation (product of invariant factors)."""
-    _, S, _ = _smith(E.basis, False, False)
-    return prod(S[i][i] for i in range(E.basis.nrows))
+    """Index of the sublattice inside its saturation (product of invariant factors).
+
+    E keeps it, so the Smith form runs once per embedding;
+    ``build_iota2d`` fills it from its construction and runs none.
+    """
+    if E._index is None:
+        _, S, _ = _smith(E.basis, False, False)
+        object.__setattr__(E, "_index", prod(S[i][i] for i in range(E.basis.nrows)))
+    return E._index
 
 
 def is_primitive(E: SublatticeEmbedding) -> bool:
@@ -312,11 +325,13 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     norm -2d inside the third E8(-1) summand.
 
     The embedding comes with its lattice (``standard("Lambda2d", d)``
-    relabelled, group included) and its orthogonal complement.  The
-    complement is the kernel of the 8×1 column G₈·vᵀ, G₈ the E8(-1) Gram,
-    padded to coordinates 16..23: the same rows as the generic
-    ``orthogonal_complement``, at the cost of an 8-row kernel in place of a
-    28-row one.
+    relabelled, group included), its orthogonal complement and its
+    saturation index.  The complement is the kernel of the 8×1 column
+    G₈·vᵀ, G₈ the E8(-1) Gram, padded to coordinates 16..23: the same rows
+    as the generic ``orthogonal_complement``, at the cost of an 8-row
+    kernel in place of a 28-row one.  Rows 0..19 are unit vectors on
+    coordinates that v does not touch, so the Smith form of the basis is
+    I ⊕ [gcd(v)], and the index is gcd(v) with no Smith form.
     """
     if d < 1:
         raise BadParameter("d must be a positive integer")
@@ -343,6 +358,7 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     perp = kernel_basis(e8.gram @ IntMatrix._trusted(tuple((x,) for x in v), 1))
     comp = IntMatrix._trusted(tuple((0,) * 16 + row + (0,) * 4 for row in perp), 28)
     object.__setattr__(emb, "_complement", SublatticeEmbedding._trusted(sharp, comp))
+    object.__setattr__(emb, "_index", gcd(*v))
     return emb
 
 

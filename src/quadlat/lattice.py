@@ -4,7 +4,8 @@ A lattice here is a free ℤ-module of finite rank together with a
 non-degenerate symmetric integer Gram matrix.  Vectors are row vectors
 in the basis implicit in the Gram matrix, and the pairing of x with y is
 x·G·yᵀ.  A Lattice carries its det and signature from the one elimination
-that validates its Gram; direct sums and relabels compose them with none.
+that validates its Gram; direct sums and relabels compose them with none,
+and ``standard("Lambda2d", d)`` states them.
 It keeps its discriminant group once that is computed.
 
 A discriminant form keeps its values as integer numerators over N, the
@@ -107,16 +108,30 @@ class Lattice:
         g = self.gram
         if g.nrows != g.ncols or not g.is_symmetric():
             raise NotSymmetric("Gram matrix must be square and symmetric")
-        d, plus, minus = _det_and_inertia(g)
-        if d == 0:
-            raise Degenerate("Gram matrix is singular")
+        d, sig = _det_and_signature(g)
         object.__setattr__(self, "det", d)
-        object.__setattr__(self, "_signature", Signature(plus, minus))
+        object.__setattr__(self, "_signature", sig)
         object.__setattr__(self, "_group", None)  # filled by discriminant_group
 
     @property
     def rank(self) -> int:
         return self.gram.nrows
+
+
+def _det_and_signature(gram: IntMatrix) -> tuple[int, Signature]:
+    # the one elimination that validates a symmetric Gram; a singular one is refused
+    d, plus, minus = _det_and_inertia(gram)
+    if d == 0:
+        raise Degenerate("Gram matrix is singular")
+    return d, Signature(plus, minus)
+
+
+def _symmetric_lattice(gram: IntMatrix) -> Lattice:
+    """An unlabelled lattice on a square Gram that is symmetric by
+    construction, such as a congruence B·G·Bᵀ: the det/signature
+    elimination and the ``Degenerate`` refusal run, the symmetry test does
+    not.  ``make_lattice`` keeps every check."""
+    return _derived_lattice(gram, *_det_and_signature(gram), None)
 
 
 def _derived_lattice(gram: IntMatrix, det: int, sig: Signature, label: str | None) -> Lattice:
@@ -212,6 +227,13 @@ def standard(name: str, *params: int) -> Lattice:
     LambdaSharp = E8(-1)^3 + U^2; LambdaK3 = E8(-1)^2 + U^3.  E8, E8(-1),
     U, LambdaSharp and LambdaK3 are built once per process and shared.
 
+    Lambda2d(d) is built from the LambdaK3 atom, E8(-1)^2 + U^3: its
+    leading 20×20 block is E8(-1)^2 + U^2, whose rows, each with a 0
+    appended, are followed by the row (0, ..., 0, -2d).  That prefix is
+    unimodular with det 1 and signature (2, 18), so det = -2d and the
+    signature is (2, 19), with no gen(-2d) lattice, block assembly or
+    elimination.
+
     Lambda2d(d) carries its discriminant group from construction: ℤ/2d,
     generated by -e₂₀/(2d).  The form of an orthogonal sum is the sum of
     the forms and E8(-1)^2 + U^2 is unimodular, so the group is that of
@@ -261,8 +283,11 @@ def standard(name: str, *params: int) -> Lattice:
         d = params[0]
         if d < 1:
             raise BadParameter("Lambda2d needs d >= 1")
-        S = direct_sum(*[_atom("E8(-1)")] * 2, *[_atom("U")] * 2, standard("gen", -2 * d))
-        L = _derived_lattice(S.gram, S.det, S._signature, f"Lambda2d({d})")
+        # rows 0..19 of LambdaK3 are zero on the third U, so their first 21
+        # entries are the rows of E8(-1)^2 + U^2 with a 0 appended
+        prefix = _atom("LambdaK3").gram[:20]
+        gram = IntMatrix._trusted((*(row[:21] for row in prefix), (0,) * 20 + (-2 * d,)), 21)
+        L = _derived_lattice(gram, -2 * d, Signature(2, 19), f"Lambda2d({d})")
         lift = IntMatrix._trusted(((0,) * 20 + (-1,),), 21)
         object.__setattr__(L, "_group", DiscriminantGroup((2 * d,), RatMatrix._trusted(lift, 2 * d)))
         return L

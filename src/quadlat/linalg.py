@@ -50,7 +50,12 @@ reads it.  No caller in the package reads Smith's V;
 ``brauer.quotient_structure`` only S, which splits off the unit rows
 ±e_j before any pivot is scanned.  ``kernel_basis`` reads the T of its
 first Hermite form, which stops at an echelon form, and not of its
-second, and ``glue._glue_basis`` reads only H.
+second, and ``glue._glue_basis`` reads only H.  ``kernel_basis`` first
+splits off the zero rows of its input: each gives a unit vector of the
+kernel, the only unit vectors its transform rows can hold, and both
+Hermite passes run on the other rows (the polarization complement's
+22×1 column has 2 nonzero rows).  ``_hnf`` itself has no such split, so
+``_glue_basis`` pays nothing for it.
 """
 
 from __future__ import annotations
@@ -774,20 +779,47 @@ def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
     return a[: len(pivots)], pivots
 
 
+def _kernel_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    # the two Hermite passes: the HNF of the left kernel of the given rows,
+    # which the first pass overwrites
+    H, T = _hnf(rows, ncols, True, echelon_only=True)
+    rank = sum(1 for row in H if any(row))
+    return _hnf(T[rank:], len(rows), False)[0]
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Saturated basis of the left kernel {x ∈ ℤ^r : x·m = 0}.
+    """Saturated basis of the left kernel K = {x ∈ ℤ^r : x·m = 0}, in HNF.
 
     The rows of the unimodular transform that correspond to zero rows of
-    an echelon form of m span the kernel exactly, hence the result is a
-    primitive sublattice of ℤ^r.  The first Hermite pass stops at that
-    echelon form, since its zero rows and their transform rows are those
-    of the full form; the second, a full HNF of those rows, makes the
-    result unique.
+    an echelon form of m span K exactly, hence the result is a primitive
+    sublattice of ℤ^r.  The first Hermite pass stops at that echelon form,
+    since its zero rows and their transform rows are those of the full
+    form; the second, a full HNF of those rows, makes the result unique.
+
+    The zero rows Z of m split off before either pass.  Those kernel rows
+    that are unit vectors ±e_j are exactly e_j for j in Z: e_j·m = 0 says
+    row j of m is zero, and such a row is never a pivot or cleared, so its
+    transform row stays +e_j.  K = ℤ^Z ⊕ K', K' the left kernel of the
+    nonzero rows, padded with zeros at Z.  The rows e_j merged by pivot
+    column with the padded rows of HNF(K') are in HNF: each pivot is
+    positive, the entries above a pivot e_j are 0, and the rows e_j are 0
+    above the pivots of K'.  A lattice has one HNF, so this is HNF(K), and
+    both passes run on the nonzero rows alone.  The polarization complement
+    of e + d·f in LambdaK3 is the kernel of a 22×1 column with 20 zero
+    rows, so its passes run on a 2×1 column and a 1×2 row.
     """
-    H, T = _hnf(m.tolist(), m.ncols, True, echelon_only=True)
-    rank = sum(1 for row in H if any(row))
-    Hk, _ = _hnf(T[rank:], m.nrows, False)
-    return _frozen(Hk, m.nrows)
+    n = m.nrows
+    # slot j holds the kernel row whose pivot is column j: e_j for a zero row j
+    by_pivot = [None if any(row) else [0] * j + [1] + [0] * (n - 1 - j) for j, row in enumerate(m)]
+    rest = [i for i, row in enumerate(by_pivot) if row is None]
+    if len(rest) == n:
+        return _frozen(_kernel_hnf(m.tolist(), m.ncols), n)
+    for h in _kernel_hnf([list(m[i]) for i in rest], m.ncols):
+        row = [0] * n
+        for i, x in zip(rest, h):
+            row[i] = x
+        by_pivot[rest[next(t for t, x in enumerate(h) if x)]] = row
+    return _frozen([row for row in by_pivot if row is not None], n)
 
 
 def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int]:

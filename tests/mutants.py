@@ -183,8 +183,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/linalg.py",
-        "    Hk, _ = _hnf(T[rank:], m.nrows, False)\n",
-        "    Hk, _ = _hnf(T[rank:], m.nrows, False, echelon_only=True)\n",
+        "    return _hnf(T[rank:], len(rows), False)[0]\n",
+        "    return _hnf(T[rank:], len(rows), False, echelon_only=True)[0]\n",
         f"{ORACLE}::TestEchelonOnlyHermitePass::test_kernels_are_normalised",
     ),
     # sparse rows belong to one matrix; each thing the k3 pipeline keeps is computed once
@@ -270,6 +270,37 @@ MUTANTS = [
         "    if den > 1:\n        _scale_fixed(x, cols, den)\n    num = ",
         "    if False:\n        _scale_fixed(x, cols, den)\n    num = ",
         f"{ORACLE}::TestSolveCore::test_fixed_rows_join_the_reduced_denominator",
+    ),
+    # kernel_basis splits off zero rows; Lambda2d and iota2d carry what their construction proves
+    (
+        "src/quadlat/linalg.py",
+        "[0] * j + [1] + [0] * (n - 1 - j)",
+        "[0] * j + [-1] + [0] * (n - 1 - j)",
+        f"{ORACLE}::TestKernelSplitsOffZeroRows::test_equals_the_unsplit_passes",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "        by_pivot[rest[next(t for t, x in enumerate(h) if x)]] = row",
+        "        by_pivot[next(t for t, x in enumerate(h) if x)] = row",
+        f"{ORACLE}::TestKernelSplitsOffZeroRows::test_equals_the_unsplit_passes",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "        L = _derived_lattice(gram, -2 * d, Signature(2, 19), f\"Lambda2d({d})\")\n",
+        "        L = _derived_lattice(gram, 2 * d, Signature(2, 19), f\"Lambda2d({d})\")\n",
+        "tests/test_lattice.py::TestConstructedLambda2dGram::test_equals_the_direct_sum",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "    object.__setattr__(emb, \"_index\", gcd(*v))\n",
+        "    object.__setattr__(emb, \"_index\", gcd(*v[1:]))\n",
+        "tests/test_embeddings.py::TestConstructedIotaComplement::test_carried_index_is_the_smith_product",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "    if d == 0:\n        raise Degenerate(\"Gram matrix is singular\")\n",
+        "    if False:\n        raise Degenerate(\"Gram matrix is singular\")\n",
+        "tests/test_embeddings.py::TestKeptLattice::test_degenerate_restriction_is_refused",
     ),
     # boundaries no test reached: a zero ψ(ω, ω̄), and |A| or |det| equal to its cap
     (

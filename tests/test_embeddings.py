@@ -1,5 +1,6 @@
 import contextlib
 import random
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from quadlat import embeddings, linalg
 from quadlat.errors import (
     BadParameter,
+    Degenerate,
     DimensionMismatch,
     InvariantViolation,
     NotAnIsometry,
@@ -230,6 +232,24 @@ class TestKeptLattice:
         assert named.label == "x" and named.gram == as_lattice(E).gram
         assert as_lattice(E).label is None
 
+    def test_degenerate_restriction_is_refused(self):
+        with pytest.raises(Degenerate):
+            as_lattice(SublatticeEmbedding(standard("U"), [[1, 0]]))
+
+    def test_congruence_gram_skips_the_symmetry_test(self, monkeypatch):
+        # B·G·Bᵀ is symmetric by construction; make_lattice still tests it
+        E = SublatticeEmbedding(standard("LambdaK3"), IntMatrix([[0] * 16 + [1, 5] + [0] * 4]))
+        C = orthogonal_complement(E)
+
+        def refuse(self):
+            raise AssertionError("a symmetry test of a congruence Gram")
+
+        monkeypatch.setattr(IntMatrix, "is_symmetric", refuse)
+        L = as_lattice(C)
+        assert (L.det, signature(L)) == (-10, Signature(2, 19))
+        with pytest.raises(AssertionError, match="symmetry test"):
+            make_lattice(L.gram)
+
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(embeddings_in())
     def test_public_embedding_validates_its_gram_once(self, E):
@@ -376,7 +396,9 @@ class TestIota2d:
 
 class TestConstructedIotaComplement:
     """build_iota2d fills the complement from the 8×1 column G₈·vᵀ: it must
-    be the HNF basis that the generic kernel of (B·G)ᵀ gives, row for row."""
+    be the HNF basis that the generic kernel of (B·G)ᵀ gives, row for row.
+    It fills the saturation index with gcd(v), which must be the product
+    of the invariant factors the S-only Smith form gives."""
 
     def test_equals_the_generic_complement(self):
         for d in range(1, 1001):
@@ -395,6 +417,20 @@ class TestConstructedIotaComplement:
         for d in (1, 37, 1000):
             orthogonal_complement(build_iota2d(d))
         assert rows == [8, 8, 8]
+
+    def test_carried_index_is_the_smith_product(self):
+        for d in range(1, 1001):
+            E = build_iota2d(d)
+            _, S, _ = linalg._smith(E.basis, False, False)
+            assert E._index == prod(S[i][i] for i in range(E.rank)) == 1
+
+    def test_is_primitive_runs_no_smith_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Smith form of iota2d")
+
+        monkeypatch.setattr(embeddings, "_smith", refuse)
+        for d in range(1, 1001):
+            assert is_primitive(build_iota2d(d))
 
 
 def _u_swap_in_lambda2d():

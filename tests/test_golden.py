@@ -43,7 +43,13 @@ matrices, singular ones with their refusal.  "unit-row kernels" records
 and two-entry rows, and bases with no rows), the S of
 ``_smith(m, False, False)`` and ``saturation_index`` on seeded matrices
 with rows ±e_j, repeated columns among them, and the basis of
-``orthogonal_complement(build_iota2d(d))`` for d = 1..1000.
+``orthogonal_complement(build_iota2d(d))`` for d = 1..1000.  "normal
+forms" records U, S, V of ``smith_normal_form``, H, T of
+``hermite_normal_form`` and ``kernel_basis`` on seeded matrices (dense,
+block-diagonal, with zero rows, and tall sparse ones whose kernels hold
+unit vectors), the complement of the polarization e + d·f in LambdaK3 with
+its det and signature for d = 1..1000, and the Gram, det and signature of
+``standard("Lambda2d", d)`` for d = 1..1000.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -83,7 +89,18 @@ from quadlat.errors import BadParameter, NotIsotropic, SingularMatrix
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
 from quadlat.lattice import discriminant_form, discriminant_group, dual_basis, signature, standard
-from quadlat.linalg import IntMatrix, RatMatrix, _congruence, _smith, invert_rational, solve_rational
+from quadlat.linalg import (
+    IntMatrix,
+    RatMatrix,
+    _congruence,
+    _smith,
+    block_diag,
+    hermite_normal_form,
+    invert_rational,
+    kernel_basis,
+    smith_normal_form,
+    solve_rational,
+)
 from quadlat.periods import period_from_json, transcendental
 from test_glue import random_even_lattice
 
@@ -103,6 +120,8 @@ LAMBDA2D_DEGREES = range(101, 1001, 9)
 EXTENSION_DEGREES = range(1, 61)
 UNIT_ROW_SEED, UNIT_ROW_COUNT = 230519, 300
 IOTA_COMPLEMENT_DEGREES = range(1, 1001)
+NORMAL_FORM_SEED, NORMAL_FORM_COUNT = 240611, 300
+POLARIZATION_DEGREES = range(1, 1001)
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -410,6 +429,50 @@ def _unit_row_smith_record(rng) -> dict:
     return record
 
 
+def _normal_form_matrix(rng) -> IntMatrix:
+    kind = rng.choice(("dense", "block-diagonal", "zero rows", "tall sparse"))
+    if kind == "block-diagonal":
+        blocks = []
+        for _ in range(rng.randint(2, 3)):
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            blocks.append(IntMatrix([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]))
+        return block_diag(*blocks)
+    if kind == "tall sparse":  # rows zero, ±e_j or two-entry: the kernel holds unit vectors
+        c = rng.randint(1, 3)
+        return IntMatrix(_unit_row_rows(rng, rng.randint(c + 1, 9), c, (1, -1, 2, -3)), ncols=c)
+    r, c = rng.randint(1, 7), rng.randint(1, 7)
+    rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+    if kind == "zero rows":
+        for i in rng.sample(range(r), rng.randint(1, r)):
+            rows[i] = [0] * c
+    return IntMatrix(rows, ncols=c)
+
+
+def _normal_form_record(rng) -> dict:
+    m = _normal_form_matrix(rng)
+    U, S, V = smith_normal_form(m)
+    H, T = hermite_normal_form(m)
+    return {
+        "m": m.tolist(),
+        "smith": [U.tolist(), S.tolist(), V.tolist()],
+        "hermite": [H.tolist(), T.tolist()],
+        "kernel": kernel_basis(m).tolist(),
+    }
+
+
+def _polarization_record(d: int) -> dict:
+    v = [0] * 22
+    v[16], v[17] = 1, d  # e + d·f in the first hyperbolic plane of LambdaK3
+    comp = orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([v])))
+    L = as_lattice(comp)
+    return {"basis": comp.basis.tolist(), "det": L.det, "signature": list(signature(L))}
+
+
+def _lambda2d_gram_record(d: int) -> dict:
+    L = standard("Lambda2d", d)
+    return {"gram": L.gram.tolist(), "det": L.det, "signature": list(signature(L))}
+
+
 def _cli_mix_record(workdir: Path) -> list:
     # two passes of every request, run from workdir so the file names are relative
     for name, text in _CLI_FILES.items():
@@ -462,6 +525,12 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         "smith": [_unit_row_smith_record(rng) for _ in range(UNIT_ROW_COUNT)],
         "iota2d complement": [orthogonal_complement(build_iota2d(d)).basis.tolist() for d in IOTA_COMPLEMENT_DEGREES],
     })
+    rng = random.Random(NORMAL_FORM_SEED)
+    out["normal forms"] = _digest({
+        "matrices": [_normal_form_record(rng) for _ in range(NORMAL_FORM_COUNT)],
+        "polarization complement": [_polarization_record(d) for d in POLARIZATION_DEGREES],
+        "Lambda2d": [_lambda2d_gram_record(d) for d in POLARIZATION_DEGREES],
+    })
     return out
 
 
@@ -490,6 +559,7 @@ CASES = (
     "Lambda2d(101..1000 step 9)",
     "extension solves d=1..60",
     "unit-row kernels",
+    "normal forms",
 )
 
 

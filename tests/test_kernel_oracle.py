@@ -16,8 +16,10 @@ work those eliminations skip: rows that wait under an older pivot (dense
 and sparse systems, swapped rows, a congruence that mixes a waiting row,
 permuted block-diagonal Grams), unit rows solved outright, Smith column
 steps on a clean pivot column and the echelon-only first Hermite pass of
-``kernel_basis``; ``TestEliminationWork`` counts the rescales and Bareiss
-rows of the k3 eliminations.  The
+``kernel_basis``, whose zero rows split off before either pass (against
+the unsplit passes and a sympy rank and Smith oracle);
+``TestEliminationWork`` counts the rescales and Bareiss rows of the k3
+eliminations.  The
 remaining kernels are checked against the formulas they replaced: the
 discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
@@ -686,11 +688,11 @@ class TestOneElimination:
     def test_signature_direct_sum_and_expressions_run_no_elimination(self, eliminations, monkeypatch):
         monkeypatch.setattr(quadlat.lattice, "_ATOMS", {})  # a cold atom memo, whatever ran before
         gram = standard("Lambda2d", 5).gram
-        assert sorted(eliminations) == [1, 2, 8]  # one per atom; the sum and relabel run none
+        assert sorted(eliminations) == [2, 8]  # E8(-1) and U under LambdaK3; Lambda2d reads its block
         eliminations.clear()
         assert standard("LambdaSharp").rank == 28
         assert standard("Lambda2d", 6).rank == 21
-        assert eliminations == [1]  # E8(-1) and U are built once; gen(-12) is new
+        assert eliminations == []  # E8(-1) and U are built once, and Lambda2d builds no gen(-2d)
         eliminations.clear()
         L = make_lattice(gram)
         assert eliminations == [21]
@@ -1819,6 +1821,84 @@ class TestEchelonOnlyHermitePass:
         K = kernel_basis(m)
         assert hermite_normal_form(K)[0] == K
         assert all(x == 0 for row in K @ m for x in row)
+
+
+@st.composite
+def kernel_split_matrices(draw, max_rows=10, max_cols=4):
+    """An r×c matrix, mostly taller than wide: zero rows, rows ±e_j, rows
+    repeating an earlier one (sign flipped or not), rows of ±1 and 0, and
+    dense rows."""
+    r, c = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    rows = []
+    for _ in range(r):
+        kind, row = draw(st.sampled_from(("zero", "zero", "unit", "repeat", "signs", "dense"))), [0] * c
+        if kind == "repeat" and rows:
+            row = [draw(st.sampled_from((1, -1))) * x for x in draw(st.sampled_from(rows))]
+        elif kind in ("unit", "repeat") and c:
+            row[draw(st.integers(0, c - 1))] = draw(st.sampled_from((1, -1)))
+        elif kind == "signs":
+            row = [draw(st.integers(-1, 1)) for _ in range(c)]
+        elif kind == "dense":
+            row = [draw(st.integers(-4, 4)) for _ in range(c)]
+        rows.append(row)
+    return IntMatrix(rows, ncols=c)
+
+
+def _unsplit_kernel(m: IntMatrix) -> IntMatrix:
+    # both Hermite passes on every row of m, zero rows included
+    H, T = linalg._hnf(m.tolist(), m.ncols, True, echelon_only=True)
+    rank = sum(1 for row in H if any(row))
+    return IntMatrix(linalg._hnf(T[rank:], m.nrows, False)[0], ncols=m.nrows)
+
+
+def _assert_row_hnf(K: IntMatrix) -> None:
+    # pivots positive and moving right, zeros left of each pivot, the
+    # entries above a pivot in [0, pivot)
+    last = -1
+    for i, row in enumerate(K):
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert pivot > last and row[pivot] > 0
+        assert all(0 <= K[k][pivot] < row[pivot] for k in range(i))
+        last = pivot
+
+
+class TestKernelSplitsOffZeroRows:
+    """kernel_basis splits off the zero rows of m, each a unit vector of the
+    kernel, and runs its Hermite passes on the other rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_split_matrices())
+    @example(m=IntMatrix([[0], [3], [0], [0], [-5], [0]]))
+    @example(m=IntMatrix([[0, 1], [0, 0], [0, -1], [1, 0], [0, 0]]))
+    def test_equals_the_unsplit_passes(self, m):
+        K = kernel_basis(m)
+        assert K == _unsplit_kernel(m)
+        assert all(x == 0 for row in K @ m for x in row)
+        assert K.nrows == m.nrows - (Matrix(m.tolist()).rank() if m.nrows and m.ncols else 0)
+        if K.nrows:  # saturated: every invariant factor is 1 (sympy)
+            S, _, _ = smith_normal_decomp(Matrix(K.tolist()), domain=ZZ)
+            assert all(S[i, i] == 1 for i in range(K.nrows))
+        _assert_row_hnf(K)
+
+    @pytest.mark.parametrize("d", [1, 7, 1000])
+    def test_polarization_passes_run_on_the_nonzero_rows(self, d, monkeypatch):
+        v = [0] * 22
+        v[16], v[17] = 1, d  # e + d·f in the first hyperbolic plane of LambdaK3
+        m = (IntMatrix([v]) @ standard("LambdaK3").gram).transpose()
+        hnf, shapes = linalg._hnf, []
+
+        def watched(rows, ncols, *args, **kwargs):
+            shapes.append((len(rows), ncols))
+            return hnf(rows, ncols, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_hnf", watched)
+            K = kernel_basis(m)
+        assert shapes == [(2, 1), (1, 2)]
+        assert K == _unsplit_kernel(m)
+        expected = [[int(i == j) for i in range(22)] for j in range(22) if j not in (16, 17)]
+        expected.insert(16, [0] * 16 + [1, -d] + [0] * 4)
+        assert K.tolist() == expected
 
 
 class TestEliminationWork:

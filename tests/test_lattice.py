@@ -27,7 +27,7 @@ from quadlat.lattice import (
     signature,
     standard,
 )
-from quadlat.linalg import IntMatrix, RatMatrix, _smith, block_diag, det_exact
+from quadlat.linalg import IntMatrix, RatMatrix, _det_and_inertia, _smith, block_diag, det_exact
 
 
 E8_ROWS = [
@@ -317,6 +317,18 @@ def _transform_group(gram):
     rows = [i for i in range(gram.nrows) if S[i][i] > 1]
     lifts = RatMatrix([[Fraction(x, S[i][i]) for x in U[i]] for i in rows], ncols=gram.nrows)
     return tuple(S[i][i] for i in rows), lifts
+
+
+class TestConstructedLambda2dGram:
+    """standard("Lambda2d", d) reads its Gram off the LambdaK3 block and
+    states its det and signature: they must be the direct sum's."""
+
+    def test_equals_the_direct_sum(self):
+        e8, u = standard("E8", -1).gram, standard("U").gram
+        for d in range(1, 1001):
+            L = standard("Lambda2d", d)
+            assert L.gram == block_diag(e8, e8, u, u, IntMatrix([[-2 * d]]))
+            assert (L.det, *signature(L)) == _det_and_inertia(L.gram)
 
 
 class TestConstructedLambda2dGroup:
