@@ -127,15 +127,16 @@ def _cmd_info(args) -> tuple[dict, list[str]]:
 def _cmd_discform(args) -> tuple[dict, list[str]]:
     L = evaluate_expr(args.expr)
     F = lattice.discriminant_form(L)
+    q_values = F.q_values
     out = {
         "expr": L.label,
         "invariant_factors": list(F.group.invariant_factors),
         "generator_lifts": [[str(x) for x in row] for row in F.group.generator_lifts],
-        "q": [str(x) for x in F.q_values],
+        "q": [str(x) for x in q_values],
         "b": [[str(x) for x in row] for row in F.b_values],
     }
     lines = [f"expr:  {L.label}", f"group: {_group_text(F.group.invariant_factors)}"]
-    lines.extend(f"q(g{i + 1}) = {q} (mod 2)" for i, q in enumerate(F.q_values))
+    lines.extend(f"q(g{i + 1}) = {q} (mod 2)" for i, q in enumerate(q_values))
     return out, lines
 
 

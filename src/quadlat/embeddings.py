@@ -276,7 +276,10 @@ def _norm_vectors(gram_pos: IntMatrix, target: int):
                 yield from descend(level + 1, rem)
         x[level] = 0
 
-    yield from descend(0, Fraction(target))
+    try:
+        yield from descend(0, Fraction(target))
+    finally:
+        del descend  # the closure holds itself: unbound, it leaves no reference cycle
 
 
 def _definite_data(L: Lattice, norm: int) -> tuple[IntMatrix, int]:

@@ -147,7 +147,10 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
                 later = [c for c in candidates[i + 1 :] if c not in K and T.b(c, e) == 0]
                 grow(K, gens + [e], later)
 
-    grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
+    try:
+        grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
+    finally:
+        del grow  # the closure holds itself: unbound, it leaves no reference cycle
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     lift_num, den = F.group.generator_lifts._numerators()
     s = len(T.factors)

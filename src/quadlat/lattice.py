@@ -8,14 +8,14 @@ that validates its Gram; direct sums and relabels compose them with none,
 and ``standard("Lambda2d", d)`` states them.
 It keeps its discriminant group once that is computed.
 
-A discriminant form keeps its values as integer numerators over N, the
-exponent of the group (its last invariant factor): q·N mod 2N and
-b·N mod N.  Every q value lies in (1/N)ℤ because N·x lies in the lattice
-for each dual vector x.  The searches walk a form's ``_ElementTable``,
-which numbers the elements of ⊕ ℤ/dᵢ by ints in lexicographic order and
-holds q on each of them.  Two forms are compared one p-primary part at a
-time, and only a part that needs a search gets tables, over its own
-exponent.
+A discriminant form is its integer numerators over N, the exponent of
+the group (its last invariant factor): q·N mod 2N and b·N mod N; its
+rational values are built only when read.  Every q value lies in (1/N)ℤ
+because N·x lies in the lattice for each dual vector x.  The searches
+walk a form's ``_ElementTable``, which numbers the elements of ⊕ ℤ/dᵢ by
+ints in lexicographic order and holds q on each of them.  Two forms are
+compared one p-primary part at a time, and only a part that needs a
+search gets tables, over its own exponent.
 """
 
 from __future__ import annotations
@@ -332,16 +332,17 @@ class DiscriminantGroup:
         return prod(self.invariant_factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscriminantForm:
     """Discriminant group with its ℚ/2ℤ quadratic and ℚ/ℤ bilinear data.
 
-    q values live in [0, 2), b values in [0, 1); both are exact
-    rationals.  ``lattice`` records the source so glue constructions can
-    refer back to its coordinates.  The values are evaluated on integer
-    numerators over the exponent N of the group: q·N mod 2N and b·N mod N.
+    It stores only its integers over N, the exponent of the group: q·N mod
+    2N and b·N mod N on the generators.  ``q_values`` in [0, 2) and
+    ``b_values`` in [0, 1) are views built from them when read.  ``lattice``
+    records the source for glue constructions, and is not compared.
 
-    The values must define a quadratic form on the group: b symmetric,
+    The constructor takes the values as rationals, any representatives:
+    they must define a quadratic form on the group, b symmetric,
     dᵢ·b(gᵢ, gⱼ) ∈ ℤ, q(gᵢ) ≡ b(gᵢ, gᵢ) mod 1 and dᵢ²·q(gᵢ) ∈ 2ℤ.  Then
     q and b are well defined on ⊕ ℤ/dᵢ and q(x) ≡ b(x, x) mod 1 for every
     x; this constructor refuses anything else with BadParameter.
@@ -351,18 +352,19 @@ class DiscriminantForm:
     """
 
     group: DiscriminantGroup
-    q_values: tuple[Fraction, ...]
-    b_values: RatMatrix
     lattice: Lattice = field(compare=False)
+    _exponent: int = field(compare=False, repr=False)
+    _q_gen: tuple[int, ...]
+    _b_gen: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        factors = self.group.invariant_factors
+    def __init__(self, group: DiscriminantGroup, q_values: Sequence, b_values: RatMatrix, lattice: Lattice):
+        factors = group.invariant_factors
         s = len(factors)
-        if len(self.q_values) != s or self.b_values.nrows != s or self.b_values.ncols != s:
+        if len(q_values) != s or b_values.nrows != s or b_values.ncols != s:
             raise BadParameter(f"a form on {s} generators needs {s} q values and an {s}x{s} b matrix")
         N = factors[-1] if factors else 1
-        q = [Fraction(x) * N for x in self.q_values]
-        b = [[x * N for x in row] for row in self.b_values]
+        q = [Fraction(x) * N for x in q_values]
+        b = [[x * N for x in row] for row in b_values]
         if any(x.denominator != 1 for x in itertools.chain(q, *b)):
             raise BadParameter(f"discriminant values must lie in (1/{N})ℤ")
         qs = tuple(x.numerator % (2 * N) for x in q)
@@ -376,22 +378,24 @@ class DiscriminantForm:
                 raise BadParameter(f"q(g{i}) must equal b(g{i}, g{i}) mod 1")
             if d * d * qs[i] % (2 * N):
                 raise BadParameter(f"{d}²·q(g{i}) must lie in 2ℤ for the generator g{i} of order {d}")
-        object.__setattr__(self, "_exponent", N)
-        object.__setattr__(self, "_q_gen", qs)
-        object.__setattr__(self, "_b_gen", bs)
+        vars(self).update(group=group, lattice=lattice, _exponent=N, _q_gen=qs, _b_gen=bs)
 
     @classmethod
     def _trusted(cls, group: DiscriminantGroup, N: int, q_gen: tuple, b_gen: tuple, lattice: Lattice):
         # q·N mod 2N and b·N mod N over the exponent N of the group, a form by construction
         F = object.__new__(cls)
-        object.__setattr__(F, "group", group)
-        object.__setattr__(F, "q_values", tuple(Fraction(x, N) for x in q_gen))
-        object.__setattr__(F, "b_values", RatMatrix._over(IntMatrix._trusted(b_gen, len(b_gen)), N))
-        object.__setattr__(F, "lattice", lattice)
-        object.__setattr__(F, "_exponent", N)
-        object.__setattr__(F, "_q_gen", q_gen)
-        object.__setattr__(F, "_b_gen", b_gen)
+        vars(F).update(group=group, lattice=lattice, _exponent=N, _q_gen=q_gen, _b_gen=b_gen)
         return F
+
+    @property
+    def q_values(self) -> tuple[Fraction, ...]:
+        """q(gᵢ) in [0, 2), built from the stored integers on each read."""
+        return tuple(Fraction(x, self._exponent) for x in self._q_gen)
+
+    @property
+    def b_values(self) -> RatMatrix:
+        """b(gᵢ, gⱼ) in [0, 1), built from the stored integers on each read."""
+        return RatMatrix._over(IntMatrix._trusted(self._b_gen, len(self._b_gen)), self._exponent)
 
     @property
     def order(self) -> int:
@@ -445,21 +449,20 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     den², num/den being the generator lifts: q·N = p·N/den² mod 2N on the
     diagonal and b·N = p·N/den² mod N, for the exponent N.  Each quotient
     is an integer, since N·x lies in L for every dual vector x; that is
-    checked explicitly, as the integrality of the reduced matrix p·N/den²,
-    and the form is built with no other check.
+    checked explicitly, as a zero remainder of each exact division by den²,
+    and the form is built from those integers with no other check.
     """
     if not is_even(L):
         raise OddLattice("discriminant form needs an even lattice")
     group = discriminant_group(L)
     num, den = group.generator_lifts._numerators()
     factors = group.invariant_factors
-    N = factors[-1] if factors else 1
-    scaled = RatMatrix._over(_congruence(num, L.gram).scale(N), den * den)
-    if not scaled.is_integral():
+    N, dd = (factors[-1] if factors else 1), den * den
+    pairings = [[divmod(p * N, dd) for p in row] for row in _congruence(num, L.gram)]
+    if any(r for row in pairings for _, r in row):
         raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
-    pairings = scaled.to_int()
-    q = tuple(pairings[i][i] % (2 * N) for i in range(len(factors)))
-    b = tuple(tuple(x % N for x in row) for row in pairings)
+    q = tuple(row[i][0] % (2 * N) for i, row in enumerate(pairings))
+    b = tuple(tuple(x % N for x, _ in row) for row in pairings)
     return DiscriminantForm._trusted(group, N, q, b, L)
 
 
@@ -600,7 +603,10 @@ def _search_isomorphism(T1: _ElementTable, T2: _ElementTable, sign: int) -> bool
                 chosen.pop()
         return False
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        del search  # the closure holds itself: unbound, it leaves no reference cycle
 
 
 def disc_form_isomorphic(

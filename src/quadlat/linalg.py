@@ -47,15 +47,14 @@ entries zero.  Each form is a public wrapper over one private core,
 ``_smith`` or ``_hnf``, that carries a transform only for a caller that
 reads it.  No caller in the package reads Smith's V;
 ``lattice.discriminant_group`` reads U, and ``saturation_index`` and
-``brauer.quotient_structure`` only S, which splits off the unit rows
-±e_j before any pivot is scanned.  ``kernel_basis`` reads the T of its
-first Hermite form, which stops at an echelon form, and not of its
-second, and ``glue._glue_basis`` reads only H.  ``kernel_basis`` first
-splits off the zero rows of its input: each gives a unit vector of the
-kernel, the only unit vectors its transform rows can hold, and both
-Hermite passes run on the other rows (the polarization complement's
-22×1 column has 2 nonzero rows).  ``_hnf`` itself has no such split, so
-``_glue_basis`` pays nothing for it.
+``brauer.quotient_structure`` only S.  ``kernel_basis`` reads the T of its
+first Hermite form, which stops at an echelon form, and not of its second,
+and ``glue._glue_basis`` reads only H.  ``kernel_basis`` first splits off
+the zero rows of its input: each gives a unit vector of the kernel, the
+only unit vectors its transform rows can hold, and both Hermite passes run
+on the other rows (the polarization complement's 22×1 column has 2 nonzero
+rows).  ``_hnf`` itself has no such split, so ``_glue_basis`` pays nothing
+for it.
 """
 
 from __future__ import annotations
@@ -468,8 +467,8 @@ def _gcd_col_op(
 
 def _unit_rows(m: IntMatrix) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """The rows ±e_j of m on distinct columns, as {j: (i, ±1)} for row i,
-    and the indices of the other rows.  A row ±e_j whose column an earlier
-    row took is one of the others."""
+    and the indices of the other rows, for ``_solve_core``.  A row ±e_j
+    whose column an earlier row took is one of the others."""
     units: dict[int, tuple[int, int]] = {}
     rest = []
     width = m.ncols - 1
@@ -488,25 +487,12 @@ def _smith(
 ) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
     """The Smith core: (U, S, V) as lists of rows, with U·m·V = S; U is
     None unless ``left`` and V None unless ``right``, and a transform that
-    is not carried costs nothing.  With no transform, the rows ±e_j on
-    distinct columns (``_unit_rows``) split off first: row steps by them
-    clear their columns in the other rows, so m is equivalent to
-    I ⊕ m', m' being the other rows without those columns, and S is
-    I ⊕ S(m'), the Smith form being unique.  After the row steps at a
-    pivot, its column is zero below it; until a column step takes a gcd, a
-    column step whose entry the pivot divides clears that one entry of the
-    pivot row (and updates V), and the re-dirtied-column test runs only
-    after a gcd column step."""
+    is not carried costs nothing.  After the row steps at a pivot, its
+    column is zero below it; until a column step takes a gcd, a column
+    step whose entry the pivot divides clears that one entry of the pivot
+    row (and updates V), and the re-dirtied-column test runs only after a
+    gcd column step."""
     r, c = m.nrows, m.ncols
-    if not (left or right):
-        units, rest = _unit_rows(m)
-        if units:
-            keep = [j for j in range(c) if j not in units]
-            rows = tuple([tuple([m[i][j] for j in keep]) for i in rest])
-            _, S, _ = _smith(IntMatrix._trusted(rows, len(keep)), False, False)
-            u = len(units)
-            ones = [row + [0] * (c - u) for row in _ident_rows(u)]
-            return None, ones + [[0] * u + row for row in S], None
     S = m.tolist()
     U = _ident_rows(r) if left else None
     V = _ident_rows(c) if right else None

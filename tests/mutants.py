@@ -147,9 +147,9 @@ MUTANTS = [
         "src/quadlat/linalg.py",
         "(j := row.index(unit)) not in units:",
         "(j := row.index(unit)) >= 0:",
-        f"{ORACLE}::TestTransformFreeCores::test_smith_splits_off_unit_rows",
+        f"{ORACLE}::TestUnitRows::test_two_unit_rows_on_one_column_are_singular",
     ),
-    # rows with one nonzero entry pair through column lists; the S-only Smith form splits off unit rows
+    # rows with one nonzero entry pair through column lists
     (
         "src/quadlat/linalg.py",
         "                ax = a * x\n",
@@ -167,12 +167,6 @@ MUTANTS = [
         "                    if j >= i:\n",
         "                    if j > i:\n",
         f"{ORACLE}::TestTransformFreeCores::test_congruence_on_single_entry_rows",
-    ),
-    (
-        "src/quadlat/linalg.py",
-        "[[0] * u + row for row in S]",
-        "[row + [0] * u for row in S]",
-        f"{ORACLE}::TestTransformFreeCores::test_smith_splits_off_unit_rows",
     ),
     # the clean-column Smith step and the echelon-only Hermite pass
     (
@@ -320,6 +314,44 @@ MUTANTS = [
         "    if abs(det) > cap:\n",
         "    if abs(det) >= cap:\n",
         "tests/test_glue.py::TestEnumerateEvenBinary::test_cap_is_inclusive",
+    ),
+    # a form is its integers over N: values divided by den² exactly, and read as views
+    (
+        "src/quadlat/lattice.py",
+        "N, dd = (factors[-1] if factors else 1), den * den",
+        "N, dd = (factors[-1] if factors else 1), den",
+        "tests/test_lattice.py::TestDiscriminantForm::test_rank_one_q_value",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "    if any(r for row in pairings for _, r in row):\n",
+        "    if any(r for row in pairings[1:] for _, r in row):\n",
+        f"{ORACLE}::TestTrustedGluePath::test_discriminant_pairing_exactness_is_checked",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "Fraction(x, self._exponent) for x in self._q_gen",
+        "Fraction(x % self._exponent, self._exponent) for x in self._q_gen",
+        "tests/test_lattice.py::TestDiscriminantForm::test_plus_minus_two",
+    ),
+    # the recursive searches unbind themselves, leaving no reference cycle
+    (
+        "src/quadlat/lattice.py",
+        "        del search  #",
+        "        pass  #",
+        f"{ORACLE}::TestNoReferenceCycles::test_searches_leave_no_garbage",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "        del descend  #",
+        "        pass  #",
+        f"{ORACLE}::TestNoReferenceCycles::test_searches_leave_no_garbage",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "        del grow  #",
+        "        pass  #",
+        f"{ORACLE}::TestNoReferenceCycles::test_searches_leave_no_garbage",
     ),
 ]
 

@@ -49,7 +49,10 @@ forms" records U, S, V of ``smith_normal_form``, H, T of
 block-diagonal, with zero rows, and tall sparse ones whose kernels hold
 unit vectors), the complement of the polarization e + d·f in LambdaK3 with
 its det and signature for d = 1..1000, and the Gram, det and signature of
-``standard("Lambda2d", d)`` for d = 1..1000.
+``standard("Lambda2d", d)`` for d = 1..1000.  "isomorphism pool" records
+the q and b values of the pool forms of ``test_lattice.pool_lattices``
+and the ``disc_form_isomorphic`` verdict, with ``negate`` False and True,
+on every pair of them with equal invariant factors.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -88,7 +91,7 @@ from quadlat.embeddings import (
 from quadlat.errors import BadParameter, NotIsotropic, SingularMatrix
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
-from quadlat.lattice import discriminant_form, discriminant_group, dual_basis, signature, standard
+from quadlat.lattice import disc_form_isomorphic, discriminant_form, discriminant_group, dual_basis, signature, standard
 from quadlat.linalg import (
     IntMatrix,
     RatMatrix,
@@ -103,6 +106,7 @@ from quadlat.linalg import (
 )
 from quadlat.periods import period_from_json, transcendental
 from test_glue import random_even_lattice
+from test_lattice import pool_lattices
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 EXPRESSIONS = ("U(2)^2", "U(3)^2", "U(2)^3", "U(6)^2")
@@ -473,6 +477,16 @@ def _lambda2d_gram_record(d: int) -> dict:
     return {"gram": L.gram.tolist(), "det": L.det, "signature": list(signature(L))}
 
 
+def _isomorphism_pool_record() -> dict:
+    forms = [discriminant_form(L) for L in pool_lattices()]
+    pairs = [
+        (i, j) for i, F1 in enumerate(forms) for j, F2 in enumerate(forms)
+        if F1.group.invariant_factors == F2.group.invariant_factors
+    ]
+    verdicts = [[i, j] + [disc_form_isomorphic(forms[i], forms[j], negate) for negate in (False, True)] for i, j in pairs]
+    return {"forms": [_form_record(F) for F in forms], "verdicts": verdicts}
+
+
 def _cli_mix_record(workdir: Path) -> list:
     # two passes of every request, run from workdir so the file names are relative
     for name, text in _CLI_FILES.items():
@@ -531,6 +545,7 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         "polarization complement": [_polarization_record(d) for d in POLARIZATION_DEGREES],
         "Lambda2d": [_lambda2d_gram_record(d) for d in POLARIZATION_DEGREES],
     })
+    out["isomorphism pool"] = _digest(_isomorphism_pool_record())
     return out
 
 
@@ -560,6 +575,7 @@ CASES = (
     "extension solves d=1..60",
     "unit-row kernels",
     "normal forms",
+    "isomorphism pool",
 )
 
 

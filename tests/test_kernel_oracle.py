@@ -6,8 +6,8 @@ the Smith and Hermite normal forms on matrices up to 8×8, rank-deficient
 ones included; a work test checks that those forms call their row and
 column steps only for a nonzero entry and multiplier, with and without
 their transforms.  The cores behind them, run with only the transforms a
-caller reads, must return the public forms (the S-only Smith form, which
-splits off unit rows, on non-square unit-row matrices too), and
+caller reads, must return the public forms (the S-only Smith form on
+non-square unit-row matrices too), and
 ``_congruence`` must equal two products B·G·Bᵀ, also on bases of rows
 with one nonzero entry.  It also checks the kernels built on the one Bareiss step:
 ``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
@@ -19,7 +19,9 @@ steps on a clean pivot column and the echelon-only first Hermite pass of
 ``kernel_basis``, whose zero rows split off before either pass (against
 the unsplit passes and a sympy rank and Smith oracle);
 ``TestEliminationWork`` counts the rescales and Bareiss rows of the k3
-eliminations.  The
+eliminations, ``TestFractionsOnRead`` the ``Fraction``s that ``linalg``,
+``lattice`` and ``glue`` build before a value is read (none), and
+``TestNoReferenceCycles`` the garbage the recursive searches leave (none).  The
 remaining kernels are checked against the formulas they replaced: the
 discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
@@ -40,6 +42,7 @@ determinant; the point scans against the closed-form orders of SL_n,
 Sp_2m and O(U) over a prime field.
 """
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -70,6 +73,7 @@ from quadlat.embeddings import (  # noqa: E402
     _udu,
     as_lattice,
     build_iota2d,
+    count_norm_vectors,
     extend_isometry,
     in_tilde_O,
     induced_gram,
@@ -124,6 +128,7 @@ from quadlat.linalg import (  # noqa: E402
 )
 
 from test_glue import random_even_lattice  # noqa: E402
+from test_lattice import pool_lattices  # noqa: E402
 
 ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 BIG = 10**12
@@ -448,6 +453,9 @@ class TestTransformFreeCores:
     @example(m=IntMatrix([[0, 1, 0], [0, -1, 0], [2, 3, 5], [0, 0, 0]]))
     @example(m=IntMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 2, 4, 6]]))
     def test_smith_splits_off_unit_rows(self, m):
+        """The S-only Smith core equals the S of the public form on
+        matrices with unit rows ±e_j, repeated and non-square ones among
+        them."""
         for a in (m, m.transpose()):
             assert linalg._smith(a, False, False)[1] == smith_normal_form(a)[1].tolist()
 
@@ -756,31 +764,7 @@ def _brute_isomorphic(F1, F2, negate):
     return False
 
 
-def _pool_forms():
-    gens = [standard("gen", k) for k in (2, -2, 4, -4, 6, -6, 8, -8, 12, -12)]
-    u2 = standard("U", 2)
-    lattices = gens + [
-        u2,
-        standard("U", 4),
-        standard("An", 3),
-        standard("An", 3, -1),
-        make_lattice([[2, 1, 0, 1], [1, 2, 1, 1], [0, 1, 2, 1], [1, 1, 1, 2]]),  # D4-like, (ℤ/2)²
-        direct_sum(gens[0], gens[0]),
-        direct_sum(gens[0], gens[1]),
-        direct_sum(gens[1], gens[1]),
-        direct_sum(gens[2], gens[2]),
-        direct_sum(gens[2], gens[3]),
-        direct_sum(gens[0], gens[4]),
-        direct_sum(gens[1], gens[4]),
-        direct_sum(gens[1], gens[5]),
-        direct_sum(u2, gens[0]),
-        direct_sum(u2, gens[1]),
-        direct_sum(gens[0], gens[0], gens[0]),
-    ]
-    return [discriminant_form(L) for L in lattices]
-
-
-_POOL = _pool_forms()
+_POOL = [discriminant_form(L) for L in pool_lattices()]
 _POOL_PAIRS = [
     (F1, F2)
     for F1 in _POOL
@@ -1153,9 +1137,10 @@ def _signed_permutation(perm, signs):
 
 
 class TestFractionsOnRead:
-    """A ``RatMatrix`` stores one integer matrix over one denominator: the
-    k3 pipeline and the glue path build no ``Fraction`` in ``linalg`` until
-    an entry is read."""
+    """A ``RatMatrix`` stores one integer matrix over one denominator, and a
+    ``DiscriminantForm`` its integers over the exponent: the k3 pipeline, the
+    glue path and form isomorphism build no ``Fraction`` in ``linalg``,
+    ``lattice`` or ``glue`` until a value is read."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1165,7 +1150,8 @@ class TestFractionsOnRead:
             built.append(args)
             return Fraction(*args)
 
-        monkeypatch.setattr(linalg, "Fraction", counted)
+        for module in (linalg, quadlat.lattice, quadlat.glue):
+            monkeypatch.setattr(module, "Fraction", counted)
         return built
 
     @pytest.mark.parametrize("d", [1, 37, 1000])
@@ -1175,17 +1161,60 @@ class TestFractionsOnRead:
         assert nikulin_check(L, Signature(2, 26)).guaranteed
         E = build_iota2d(d)
         assert is_primitive(E)
-        comp = as_lattice(orthogonal_complement(E))
-        assert disc_form_isomorphic(discriminant_form(comp), discriminant_form(standard("gen", -2 * d)), negate=True)
+        F = discriminant_form(as_lattice(orthogonal_complement(E)))
+        assert disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * d)), negate=True)
         assert is_isometry(E.ambient, extend_isometry(E, _E8_SWAP)) and in_tilde_O(L, _E8_SWAP)
         assert built == []
-        assert lifts[0][20] == Fraction(-1, 2 * d) and len(built) == 21  # one row read, one Fraction per entry
+        assert len(F.q_values) == len(built) == 1  # one per generator
+        assert lifts[0][20] == Fraction(-1, 2 * d) and len(built) == 1 + 21  # one row read, one per entry
 
     def test_u2_cubed_glue(self, built):
-        subgroups = isotropic_subgroups(discriminant_form(evaluate_expr("U(2)^3")))
+        F = discriminant_form(evaluate_expr("U(2)^3"))
+        subgroups = isotropic_subgroups(F)
         assert sum(abs(overlattice_from_glue(G).det) == 1 for G in subgroups) == 30  # glue order 8 of 171
         assert built == []
-        assert subgroups[-1].generators.tolist() and built
+        assert F.q_values == (0,) * 6 and len(built) == 6  # one per generator
+        assert subgroups[-1].generators.tolist() and len(built) > 6
+
+    def test_u2_cubed_isomorphism(self, built):
+        F = discriminant_form(evaluate_expr("U(2)^3"))
+        assert disc_form_isomorphic(F, F) and disc_form_isomorphic(F, F, negate=True)
+        assert built == []
+        assert F.q_values == (0,) * 6 and len(built) == 6  # one per generator
+
+
+class TestNoReferenceCycles:
+    """The recursive searches (``search`` of form isomorphism, ``descend``
+    of the norm search, ``grow`` of the glue search) unbind themselves when
+    they return, so their ops leave nothing for the cyclic collector."""
+
+    @staticmethod
+    def _garbage(op) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            op()
+        finally:
+            found = gc.collect()
+            gc.enable()
+        return found
+
+    @staticmethod
+    def _k3_ops():
+        for d in range(1, 11):
+            L = standard("Lambda2d", d)
+            nikulin_check(L, Signature(2, 26))
+            E = build_iota2d(d)
+            F = discriminant_form(as_lattice(orthogonal_complement(E)))
+            disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * d)), negate=True)
+            extend_isometry(E, _E8_SWAP)
+
+    def test_searches_leave_no_garbage(self):
+        F = discriminant_form(evaluate_expr("U(2)^3"))
+        assert self._garbage(self._k3_ops) == 0
+        assert self._garbage(lambda: isotropic_subgroups(F)) == 0
+        assert self._garbage(lambda: disc_form_isomorphic(F, F, negate=True)) == 0
+        assert self._garbage(lambda: count_norm_vectors(standard("E8", -1), -4)) == 0
 
 
 _U2_U2_U3 = direct_sum(standard("U", 2), standard("U", 2), standard("U", 3))
@@ -1296,6 +1325,7 @@ class TestTrustedGluePath:
         F = discriminant_form(L)
         checked = DiscriminantForm(F.group, F.q_values, F.b_values, F.lattice)
         assert (checked._exponent, checked._q_gen, checked._b_gen) == (F._exponent, F._q_gen, F._b_gen)
+        assert checked == F and hash(checked) == hash(F)
         for G in isotropic_subgroups(F):
             # a fresh matrix reduces its entries to the pair _over stored for G
             again = GlueSubgroup(G.base, RatMatrix(G.generators, ncols=L.rank))

@@ -55,6 +55,31 @@ def random_nondegenerate(rng, max_rank=5, bound=9):
             return make_lattice(rows)
 
 
+def pool_lattices():
+    """The isomorphism pool: small even lattices of rank 1 to 4, many
+    pairs of them with equal discriminant groups."""
+    gens = [standard("gen", k) for k in (2, -2, 4, -4, 6, -6, 8, -8, 12, -12)]
+    u2 = standard("U", 2)
+    return gens + [
+        u2,
+        standard("U", 4),
+        standard("An", 3),
+        standard("An", 3, -1),
+        make_lattice([[2, 1, 0, 1], [1, 2, 1, 1], [0, 1, 2, 1], [1, 1, 1, 2]]),  # D4-like, (ℤ/2)²
+        direct_sum(gens[0], gens[0]),
+        direct_sum(gens[0], gens[1]),
+        direct_sum(gens[1], gens[1]),
+        direct_sum(gens[2], gens[2]),
+        direct_sum(gens[2], gens[3]),
+        direct_sum(gens[0], gens[4]),
+        direct_sum(gens[1], gens[4]),
+        direct_sum(gens[1], gens[5]),
+        direct_sum(u2, gens[0]),
+        direct_sum(u2, gens[1]),
+        direct_sum(gens[0], gens[0], gens[0]),
+    ]
+
+
 class TestMakeLattice:
     def test_hyperbolic_plane(self):
         L = make_lattice([[0, 1], [1, 0]])
@@ -566,6 +591,19 @@ class TestDiscriminantFormValidation:
     def test_accepts_a_quadratic_form(self):
         F = self._form((3,), ("4/3",), [["1/3"]])
         assert F._q_gen == (4,) and F._b_gen == ((1,),)
+
+    def test_values_outside_the_canonical_ranges_read_reduced(self):
+        # q = -2/3 ≡ 4/3 (mod 2) and b = 7/3 ≡ 1/3 (mod 1), on ℤ/3; and on
+        # (ℤ/2)², q = (2, -3/2) ≡ (0, 1/2) and b = (-1, -1/2; 3/2, 5/2) ≡ (0, 1/2; 1/2, 1/2)
+        for factors, q, b, reduced_q, reduced_b in (
+            ((3,), ("-2/3",), [["7/3"]], ("4/3",), [["1/3"]]),
+            ((2, 2), (2, "-3/2"), [[-1, "-1/2"], ["3/2", "5/2"]], (0, "1/2"), [[0, "1/2"], ["1/2", "1/2"]]),
+        ):
+            F, reduced = self._form(factors, q, b), self._form(factors, reduced_q, reduced_b)
+            assert F.q_values == tuple(map(Fraction, reduced_q))
+            assert F.b_values == RatMatrix(reduced_b)
+            assert all(0 <= x < 2 for x in F.q_values) and all(0 <= x < 1 for row in F.b_values for x in row)
+            assert F == reduced and hash(F) == hash(reduced)
 
     def test_b_not_symmetric(self):
         with pytest.raises(BadParameter, match="symmetric"):
