@@ -30,6 +30,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     Signature,
+    _derived_lattice,
     _relabelled,
     _symmetric_lattice,
     discriminant_group,
@@ -66,8 +67,13 @@ class SublatticeEmbedding:
     three: the lattice with the Lambda2d lattice its induced Gram was
     checked against, and the group that lattice carries; the complement
     with the kernel in the third E8(-1) summand that the generic one
-    equals; the index with gcd(v), which its unit rows leave as the only
-    invariant factor.
+    equals, and with its lattice (det −2d, signature (0, 7)); the index
+    with gcd(v), which its unit rows leave as the only invariant factor.
+    A complement that ``orthogonal_complement`` builds in a unimodular
+    ambient from a source of lower rank keeps the source's basis
+    (``_source``), from which ``as_lattice`` reads its det and signature.
+    It keeps the basis, not the source: the source holds the complement,
+    so that would be a reference cycle.
     """
 
     ambient: Lattice
@@ -87,6 +93,7 @@ class SublatticeEmbedding:
         object.__setattr__(self, "_complement", None)  # filled by orthogonal_complement
         object.__setattr__(self, "_lattice", None)  # filled by as_lattice or build_iota2d
         object.__setattr__(self, "_index", None)  # filled by saturation_index or build_iota2d
+        object.__setattr__(self, "_source", None)  # a complement's source basis, set by orthogonal_complement
 
     @classmethod
     def _trusted(cls, ambient: Lattice, basis: IntMatrix) -> "SublatticeEmbedding":
@@ -97,6 +104,7 @@ class SublatticeEmbedding:
         object.__setattr__(E, "_complement", None)
         object.__setattr__(E, "_lattice", None)
         object.__setattr__(E, "_index", None)
+        object.__setattr__(E, "_source", None)
         return E
 
     @property
@@ -117,11 +125,38 @@ def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
     congruence B·G·Bᵀ, symmetric by construction, so it is validated by
     the det/signature elimination alone (``lattice._symmetric_lattice``),
     which refuses a degenerate restriction with ``Degenerate``.
+
+    A complement C = S^⊥ that keeps the basis of S (``orthogonal_complement``
+    in a unimodular ambient L, S of lower rank than C) runs the
+    elimination of S's Gram in place of its own.  S_sat = ℚS ∩ L is
+    primitive in L, so |det C| = |det S_sat| = |det S|/[S_sat:S]² (Nikulin
+    1979, §1.6); for a non-degenerate S, ℚS ⊕ ℚC is all of ℚL, so
+    sig C = sig L − sig S, and the sign of each det is (-1)^minus.  Hence
+    det C = det L·det S/[S_sat:S]², from the lattice and the saturation
+    index of S, the division checked to be exact.  S is degenerate
+    exactly when C is, both radicals spanning ℚS ∩ ℚC, so the lattice of
+    S raises the same ``Degenerate``.  The trade is a rank-k elimination
+    and a Smith form of the k×n basis of S for a rank-(n−k) elimination,
+    which is why a source of rank k ≥ n − k is not kept.
     """
     if E._lattice is None:
-        object.__setattr__(E, "_lattice", _symmetric_lattice(induced_gram(E)))
+        L = _symmetric_lattice(induced_gram(E)) if E._source is None else _complement_lattice(E)
+        object.__setattr__(E, "_lattice", L)
     L = E._lattice
     return L if label is None else _relabelled(L, label)
+
+
+def _complement_lattice(C: SublatticeEmbedding) -> Lattice:
+    # C = S^⊥ in a unimodular ambient, C keeping S's basis: det and signature read off S
+    S = SublatticeEmbedding._trusted(C.ambient, C._source)
+    sub, k = as_lattice(S), saturation_index(S)
+    det, r = divmod(C.ambient.det * sub.det, k * k)
+    if r:
+        raise InvariantViolation(
+            "the complement det is not an integer", ambient_det=C.ambient.det, sub_det=sub.det, index=k
+        )
+    (plus, minus), (s_plus, s_minus) = C.ambient._signature, sub._signature
+    return _derived_lattice(induced_gram(C), det, Signature(plus - s_plus, minus - s_minus), None)
 
 
 @dataclass(frozen=True)
@@ -200,12 +235,17 @@ def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
     Primitive by construction (it is a kernel sublattice): the HNF basis
     of the left kernel of (B·G)ᵀ, which is unique.  E keeps it, so it is
     computed once per embedding; ``build_iota2d`` fills it from the kernel
-    of an 8×1 column, and this returns that basis.
+    of an 8×1 column, and this returns that basis.  In a unimodular
+    ambient, a complement of higher rank than E keeps E's basis, and
+    ``as_lattice`` reads its det and signature off E.
     """
     if E._complement is None:
         # G·Bᵀ (n x k; complement = left kernel) is (B·G)ᵀ, G being symmetric
         m = (E.basis @ E.ambient.gram).transpose()
-        object.__setattr__(E, "_complement", SublatticeEmbedding._trusted(E.ambient, kernel_basis(m)))
+        C = SublatticeEmbedding._trusted(E.ambient, kernel_basis(m))
+        if abs(E.ambient.det) == 1 and E.rank < C.rank:
+            object.__setattr__(C, "_source", E.basis)
+        object.__setattr__(E, "_complement", C)
     return E._complement
 
 
@@ -332,7 +372,9 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     saturation index.  The complement is the kernel of the 8×1 column
     G₈·vᵀ, G₈ the E8(-1) Gram, padded to coordinates 16..23: the same rows
     as the generic ``orthogonal_complement``, at the cost of an 8-row
-    kernel in place of a 28-row one.  Rows 0..19 are unit vectors on
+    kernel in place of a 28-row one.  Lambda2d(d) is primitive in the
+    unimodular LambdaSharp, so the complement's lattice has det −2d and
+    signature (0, 7) with no elimination.  Rows 0..19 are unit vectors on
     coordinates that v does not touch, so the Smith form of the basis is
     I ⊕ [gcd(v)], and the index is gcd(v) with no Smith form.
     """
@@ -341,9 +383,11 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     sharp, e8 = standard("LambdaSharp"), standard("E8", -1)
     v = find_primitive_vector(e8, -2 * d)
     # E8(-1)^2 occupies ambient coordinates 0..15 and the U^2 block 24..27
-    rows = [(0,) * i + (1,) + (0,) * (27 - i) for i in (*range(16), *range(24, 28))]
+    units = (*range(16), *range(24, 28))
+    rows = [(0,) * i + (1,) + (0,) * (27 - i) for i in units]
     rows.append((0,) * 16 + tuple(v) + (0,) * 4)  # third E8(-1): coordinates 16..23
-    emb = SublatticeEmbedding._trusted(sharp, IntMatrix._trusted(tuple(rows), 28))
+    sparse = [[(i, 1)] for i in units] + [[(16 + j, x) for j, x in enumerate(v) if x]]
+    emb = SublatticeEmbedding._trusted(sharp, IntMatrix._trusted(tuple(rows), 28, sparse))
     # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly,
     # which also proves the rows independent, the Lambda2d Gram being non-degenerate
     induced, lam = induced_gram(emb), standard("Lambda2d", d)
@@ -359,8 +403,15 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     # HNF and zero columns pad an HNF unchanged, so these are the rows of
     # kernel_basis((B·G)ᵀ) that orthogonal_complement would find.
     perp = kernel_basis(e8.gram @ IntMatrix._trusted(tuple((x,) for x in v), 1))
-    comp = IntMatrix._trusted(tuple((0,) * 16 + row + (0,) * 4 for row in perp), 28)
-    object.__setattr__(emb, "_complement", SublatticeEmbedding._trusted(sharp, comp))
+    comp = IntMatrix._trusted(
+        tuple((0,) * 16 + row + (0,) * 4 for row in perp), 28,
+        [[(16 + j, x) for j, x in row] for row in perp._sparse_rows()],
+    )
+    # |det| = 2d, Lambda2d(d) being primitive in the unimodular LambdaSharp,
+    # and signature (2, 26) − (2, 19) = (0, 7), so det = (-1)^7·2d
+    C = SublatticeEmbedding._trusted(sharp, comp)
+    object.__setattr__(C, "_lattice", _derived_lattice(induced_gram(C), -2 * d, Signature(0, 7), None))
+    object.__setattr__(emb, "_complement", C)
     object.__setattr__(emb, "_index", gcd(*v))
     return emb
 

@@ -5,7 +5,7 @@ non-degenerate symmetric integer Gram matrix.  Vectors are row vectors
 in the basis implicit in the Gram matrix, and the pairing of x with y is
 x·G·yᵀ.  A Lattice carries its det and signature from the one elimination
 that validates its Gram; direct sums and relabels compose them with none,
-and ``standard("Lambda2d", d)`` states them.
+and ``standard("Lambda2d", d)`` and ``standard("gen", k)`` state them.
 It keeps its discriminant group once that is computed.
 
 A discriminant form is its integer numerators over N, the exponent of
@@ -223,7 +223,10 @@ def standard(name: str, *params: int) -> Lattice:
     """Construct one of the named lattices.
 
     U, E8 and An accept an optional trailing scale factor; gen(k) is the
-    rank-one lattice ⟨k⟩; Lambda2d(d) = E8(-1)^2 + U^2 + gen(-2d);
+    rank-one lattice ⟨k⟩, which states det k and its signature and
+    carries its group ℤ/|k| (trivial for k = ±1) with the lift
+    sign(k)/|k|, the one the Smith transform of [k] gives;
+    Lambda2d(d) = E8(-1)^2 + U^2 + gen(-2d);
     LambdaSharp = E8(-1)^3 + U^2; LambdaK3 = E8(-1)^2 + U^3.  E8, E8(-1),
     U, LambdaSharp and LambdaK3 are built once per process and shared.
 
@@ -276,7 +279,16 @@ def standard(name: str, *params: int) -> Lattice:
         k = params[0]
         if k == 0:
             raise BadParameter("gen(0) is degenerate")
-        return Lattice(IntMatrix([[k]]), f"gen({k})")
+        label, gram = f"gen({k})", IntMatrix([[k]])
+        k = gram[0][0]
+        L = _derived_lattice(gram, k, Signature(1, 0) if k > 0 else Signature(0, 1), label)
+        if abs(k) > 1:  # ℤ/|k|, generated by sign(k)/|k|
+            lift = IntMatrix._trusted(((1 if k > 0 else -1,),), 1)
+            group = DiscriminantGroup((abs(k),), RatMatrix._trusted(lift, abs(k)))
+        else:
+            group = DiscriminantGroup((), RatMatrix._trusted(IntMatrix._trusted((), 1), 1))
+        object.__setattr__(L, "_group", group)
+        return L
     if name == "Lambda2d":
         if len(params) != 1:
             raise BadParameter("Lambda2d takes exactly one parameter")
@@ -284,9 +296,11 @@ def standard(name: str, *params: int) -> Lattice:
         if d < 1:
             raise BadParameter("Lambda2d needs d >= 1")
         # rows 0..19 of LambdaK3 are zero on the third U, so their first 21
-        # entries are the rows of E8(-1)^2 + U^2 with a 0 appended
-        prefix = _atom("LambdaK3").gram[:20]
-        gram = IntMatrix._trusted((*(row[:21] for row in prefix), (0,) * 20 + (-2 * d,)), 21)
+        # entries are the rows of E8(-1)^2 + U^2 with a 0 appended, and
+        # their sparse rows are those of the atom
+        k3 = _atom("LambdaK3").gram
+        sparse = [*k3._sparse_rows()[:20], [(20, -2 * d)]]
+        gram = IntMatrix._trusted((*(row[:21] for row in k3[:20]), (0,) * 20 + (-2 * d,)), 21, sparse)
         L = _derived_lattice(gram, -2 * d, Signature(2, 19), f"Lambda2d({d})")
         lift = IntMatrix._trusted(((0,) * 20 + (-1,),), 21)
         object.__setattr__(L, "_group", DiscriminantGroup((2 * d,), RatMatrix._trusted(lift, 2 * d)))
@@ -427,10 +441,10 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     G^{-1} = V·S^{-1}·U, that lift is w_i·V·S^{-1}·U = e_i·S^{-1}·U =
     U_i/d_i: row i of U over d_i, read off the Smith transform with no
     rational solve.  L keeps the group, so it is computed once per lattice;
-    ``standard("Lambda2d", d)`` attaches its group when it builds the
-    lattice, so it runs no Smith form here.  A relabelled copy, as
-    ``evaluate_expr``, ``as_lattice`` and ``build_iota2d`` make, carries
-    the group of the lattice it copies.
+    ``standard("Lambda2d", d)`` and ``standard("gen", k)`` attach their
+    groups when they build the lattice, so they run no Smith form here.
+    A relabelled copy, as ``evaluate_expr``, ``as_lattice`` and
+    ``build_iota2d`` make, carries the group of the lattice it copies.
     """
     if L._group is None:
         n = L.rank

@@ -23,8 +23,11 @@ of den is left, so the 27 unit rows of the k3 extension system are
 neither multiplied nor divided.
 The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
 isomorphism).  Matrices are immutable; routines are pure.  An
-``IntMatrix`` keeps its sparse rows, filled when it is first the right
-operand of a product or a factor of a congruence.  A Gram's congruence
+``IntMatrix`` keeps its sparse rows.  A builder that knows them passes
+them to ``IntMatrix._trusted``: the Lambda2d Gram, the iota2d basis and
+the complement it carries, and the rows ``kernel_basis`` splits off and
+pads.  Any other matrix fills them when it is first the right operand
+of a product or a factor of a congruence.  A Gram's congruence
 B·G·Bᵀ (induced Grams, isometry checks, discriminant pairings,
 overlattice Grams) is one kernel, ``_congruence``, that builds only the
 upper half of the symmetric result.  A row of B with one nonzero entry
@@ -72,7 +75,8 @@ class IntMatrix:
     """Immutable matrix with arbitrary-precision integer entries; rows are
     exposed as tuples: ``m[i][j]`` is the entry in row i, column j.  An
     explicit ``ncols`` is required when there are no rows.  ``_sparse``
-    holds the sparse rows once a product needs them.
+    holds the sparse rows: given by a builder that knows them, or scanned
+    once a product needs them.
     """
 
     __slots__ = ("_data", "_ncols", "_sparse")
@@ -93,12 +97,16 @@ class IntMatrix:
         self._sparse = None
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
-        # rows this module built itself: tuples of ints, all of length ncols
+    def _trusted(
+        cls, data: tuple[tuple[int, ...], ...], ncols: int, sparse: list[list[tuple[int, int]]] | None = None
+    ) -> "IntMatrix":
+        # rows the package built itself: tuples of ints, all of length ncols;
+        # ``sparse``, when the builder knows it, is their (column, entry)
+        # pairs of nonzero entries, as ``_sparse_rows`` would scan them
         m = object.__new__(cls)
         m._data = data
         m._ncols = ncols
-        m._sparse = None
+        m._sparse = sparse
         return m
 
     @classmethod
@@ -792,20 +800,26 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     above the pivots of K'.  A lattice has one HNF, so this is HNF(K), and
     both passes run on the nonzero rows alone.  The polarization complement
     of e + d·f in LambdaK3 is the kernel of a 22×1 column with 20 zero
-    rows, so its passes run on a 2×1 column and a 1×2 row.
+    rows, so its passes run on a 2×1 column and a 1×2 row.  The result
+    then carries its sparse rows: (j, 1) for e_j, and the nonzero entries
+    of each padded row, placed as they are padded.
     """
     n = m.nrows
-    # slot j holds the kernel row whose pivot is column j: e_j for a zero row j
-    by_pivot = [None if any(row) else [0] * j + [1] + [0] * (n - 1 - j) for j, row in enumerate(m)]
-    rest = [i for i, row in enumerate(by_pivot) if row is None]
+    # slot j holds the kernel row whose pivot is column j, with its sparse
+    # row: e_j and [(j, 1)] for a zero row j
+    by_pivot = [None if any(row) else ((0,) * j + (1,) + (0,) * (n - 1 - j), [(j, 1)]) for j, row in enumerate(m)]
+    rest = [i for i, slot in enumerate(by_pivot) if slot is None]
     if len(rest) == n:
         return _frozen(_kernel_hnf(m.tolist(), m.ncols), n)
     for h in _kernel_hnf([list(m[i]) for i in rest], m.ncols):
-        row = [0] * n
+        row, sparse = [0] * n, []
         for i, x in zip(rest, h):
-            row[i] = x
-        by_pivot[rest[next(t for t, x in enumerate(h) if x)]] = row
-    return _frozen([row for row in by_pivot if row is not None], n)
+            if x:
+                row[i] = x
+                sparse.append((i, x))
+        by_pivot[sparse[0][0]] = (tuple(row), sparse)  # its first nonzero is its pivot
+    kept = [slot for slot in by_pivot if slot is not None]
+    return IntMatrix._trusted(tuple(row for row, _ in kept), n, [sparse for _, sparse in kept])
 
 
 def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int]:

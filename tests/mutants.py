@@ -268,14 +268,14 @@ MUTANTS = [
     # kernel_basis splits off zero rows; Lambda2d and iota2d carry what their construction proves
     (
         "src/quadlat/linalg.py",
-        "[0] * j + [1] + [0] * (n - 1 - j)",
-        "[0] * j + [-1] + [0] * (n - 1 - j)",
+        "(0,) * j + (1,) + (0,) * (n - 1 - j)",
+        "(0,) * j + (-1,) + (0,) * (n - 1 - j)",
         f"{ORACLE}::TestKernelSplitsOffZeroRows::test_equals_the_unsplit_passes",
     ),
     (
         "src/quadlat/linalg.py",
-        "        by_pivot[rest[next(t for t, x in enumerate(h) if x)]] = row",
-        "        by_pivot[next(t for t, x in enumerate(h) if x)] = row",
+        "        by_pivot[sparse[0][0]] = (tuple(row), sparse)",
+        "        by_pivot[sparse[-1][0]] = (tuple(row), sparse)",
         f"{ORACLE}::TestKernelSplitsOffZeroRows::test_equals_the_unsplit_passes",
     ),
     (
@@ -352,6 +352,75 @@ MUTANTS = [
         "        del grow  #",
         "        pass  #",
         f"{ORACLE}::TestNoReferenceCycles::test_searches_leave_no_garbage",
+    ),
+    # a complement of higher rank than its source, in a unimodular ambient, reads its det and signature off it
+    (
+        "src/quadlat/embeddings.py",
+        "    det, r = divmod(C.ambient.det * sub.det, k * k)\n",
+        "    det, r = divmod(abs(C.ambient.det * sub.det), k * k)\n",
+        f"{ORACLE}::TestComplementFromItsSource::test_k3_complements",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "Signature(plus - s_plus, minus - s_minus)",
+        "Signature(minus - s_minus, plus - s_plus)",
+        f"{ORACLE}::TestComplementFromItsSource::test_k3_complements",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "    if r:\n        raise InvariantViolation(\n            \"the complement det",
+        "    if False:\n        raise InvariantViolation(\n            \"the complement det",
+        f"{ORACLE}::TestComplementFromItsSource::test_complement_det_exactness_is_checked",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "        if abs(E.ambient.det) == 1 and E.rank < C.rank:\n",
+        "        if E.rank < C.rank:\n",
+        f"{ORACLE}::TestComplementFromItsSource::test_non_unimodular_ambient_runs_the_elimination",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "        if abs(E.ambient.det) == 1 and E.rank < C.rank:\n",
+        "        if abs(E.ambient.det) == 1:\n",
+        f"{ORACLE}::TestComplementFromItsSource::test_a_source_of_higher_rank_is_not_kept",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "-2 * d, Signature(0, 7)",
+        "2 * d, Signature(0, 7)",
+        f"{ORACLE}::TestComplementFromItsSource::test_k3_complements",
+    ),
+    # gen(k) carries its group
+    (
+        "src/quadlat/lattice.py",
+        "            lift = IntMatrix._trusted(((1 if k > 0 else -1,),), 1)\n",
+        "            lift = IntMatrix._trusted(((-1 if k > 0 else 1,),), 1)\n",
+        "tests/test_lattice.py::TestConstructedGenGroup::test_equals_the_lattice_of_its_gram",
+    ),
+    # sparse rows carried from construction
+    (
+        "src/quadlat/lattice.py",
+        "[(20, -2 * d)]",
+        "[(20, 2 * d)]",
+        f"{ORACLE}::TestCarriedSparseRows::test_lambda2d_grams",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "[[(i, 1)] for i in units]",
+        "[[(i, -1)] for i in units]",
+        f"{ORACLE}::TestCarriedSparseRows::test_iota2d_bases_and_complements",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "[[(16 + j, x) for j, x in row] for row in perp._sparse_rows()]",
+        "[[(15 + j, x) for j, x in row] for row in perp._sparse_rows()]",
+        f"{ORACLE}::TestCarriedSparseRows::test_iota2d_bases_and_complements",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "                sparse.append((i, x))\n",
+        "                sparse.append((i, 1))\n",
+        f"{ORACLE}::TestCarriedSparseRows::test_kernel_basis_outputs",
     ),
 ]
 

@@ -39,7 +39,8 @@ from quadlat.periods import PeriodVector, minimal_hodge_sublattice, pairing_with
 from quadlat.brauer import brauer_torsion_order, brute_force_points, minkowski_bound, nori_sandwich_check
 from quadlat.brauer import CohomologyPair
 
-from test_glue import brute_force_even_overlattices, random_even_lattice
+from sample_lattices import random_even_lattice
+from test_glue import brute_force_even_overlattices
 
 
 def _report(number, label, t0, budget=None):

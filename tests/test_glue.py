@@ -16,11 +16,11 @@ from quadlat.lattice import (
     direct_sum,
     discriminant_form,
     is_even,
-    make_lattice,
     signature,
     standard,
 )
 from quadlat.linalg import IntMatrix, RatMatrix, det_exact, hermite_normal_form
+from sample_lattices import random_even_lattice
 from quadlat.glue import (
     GlueSubgroup,
     enumerate_even_binary,
@@ -103,21 +103,6 @@ def brute_force_even_overlattices(L):
             key = frozenset(tuple(Fraction(x) % 1 for x in row) for row in rows)
             result[key] = gram
     return result
-
-
-def random_even_lattice(rng, max_rank=4, max_det=50):
-    while True:
-        n = rng.randint(1, max_rank)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 2 * rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                v = rng.randint(-3, 3)
-                rows[i][j] = v
-                rows[j][i] = v
-        d = det_exact(IntMatrix(rows))
-        if d != 0 and abs(d) <= max_det:
-            return make_lattice(rows)
 
 
 class TestIsotropicSubgroups:

@@ -50,20 +50,28 @@ block-diagonal, with zero rows, and tall sparse ones whose kernels hold
 unit vectors), the complement of the polarization e + d·f in LambdaK3 with
 its det and signature for d = 1..1000, and the Gram, det and signature of
 ``standard("Lambda2d", d)`` for d = 1..1000.  "isomorphism pool" records
-the q and b values of the pool forms of ``test_lattice.pool_lattices``
+the q and b values of the pool forms of ``sample_lattices.pool_lattices``
 and the ``disc_form_isomorphic`` verdict, with ``negate`` False and True,
-on every pair of them with equal invariant factors.
+on every pair of them with equal invariant factors.  "E8 and An norm
+counts" records ``count_norm_vectors`` of E8 at norms 0..10 (the refusal
+at the odd ones) and of A1..A8 at norm 2; for E8 up to norm 6 and for
+A1..A8 it pins the nodes the search visits, ``NORM_NODES``: with
+``NORM_SEARCH_CAP`` set to that count the search passes, and one below
+it refuses.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says why.  The test runs under any ``PYTHONHASHSEED``: nothing in
-the records may depend on set or dict iteration order.
+and says why.  ``--check`` compares them without pytest, on any
+interpreter, and exits 1 on a mismatch.  The test runs under any
+``PYTHONHASHSEED``: nothing in the records may depend on set or dict
+iteration order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -75,20 +83,20 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
+from quadlat import embeddings
 from quadlat.brauer import CohomologyPair, quotient_structure
 from quadlat.cli import run
 from quadlat.embeddings import (
     SublatticeEmbedding,
     as_lattice,
     build_iota2d,
+    count_norm_vectors,
     extend_isometry,
     orthogonal_complement,
     saturate,
     saturation_index,
 )
-from quadlat.errors import BadParameter, NotIsotropic, SingularMatrix
+from quadlat.errors import BadParameter, NotIsotropic, ParityViolation, SingularMatrix, TooLarge
 from quadlat.expr import evaluate_expr
 from quadlat.glue import GlueSubgroup, glue_order, isotropic_subgroups, overlattice_from_glue, subgroup_elements
 from quadlat.lattice import disc_form_isomorphic, discriminant_form, discriminant_group, dual_basis, signature, standard
@@ -105,8 +113,7 @@ from quadlat.linalg import (
     solve_rational,
 )
 from quadlat.periods import period_from_json, transcendental
-from test_glue import random_even_lattice
-from test_lattice import pool_lattices
+from sample_lattices import pool_lattices, random_even_lattice
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 EXPRESSIONS = ("U(2)^2", "U(3)^2", "U(2)^3", "U(6)^2")
@@ -126,6 +133,14 @@ UNIT_ROW_SEED, UNIT_ROW_COUNT = 230519, 300
 IOTA_COMPLEMENT_DEGREES = range(1, 1001)
 NORMAL_FORM_SEED, NORMAL_FORM_COUNT = 240611, 300
 POLARIZATION_DEGREES = range(1, 1001)
+E8_NORMS = range(0, 11)
+AN_RANKS = range(1, 9)
+# the nodes each norm search visits: it passes with NORM_SEARCH_CAP at this
+# count and refuses one below it
+NORM_NODES = {
+    ("E8", 0): 9, ("E8", 2): 735, ("E8", 4): 5475, ("E8", 6): 18411,
+    **{(f"An({n})", 2): nodes for n, nodes in zip(AN_RANKS, (4, 11, 24, 45, 76, 119, 176, 249))},
+}
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -477,6 +492,28 @@ def _lambda2d_gram_record(d: int) -> dict:
     return {"gram": L.gram.tolist(), "det": L.det, "signature": list(signature(L))}
 
 
+def _capped_count(L, norm: int, cap: int):
+    # count_norm_vectors under the node cap, or the name of its refusal
+    saved = embeddings.NORM_SEARCH_CAP
+    embeddings.NORM_SEARCH_CAP = cap
+    try:
+        return count_norm_vectors(L, norm)
+    except (ParityViolation, TooLarge) as exc:
+        return type(exc).__name__
+    finally:
+        embeddings.NORM_SEARCH_CAP = saved
+
+
+def _norm_count_record(L, norm: int) -> dict:
+    record = {"lattice": L.label, "norm": norm}
+    nodes = NORM_NODES.get((L.label, norm))
+    if nodes is None:
+        record["count"] = _capped_count(L, norm, embeddings.NORM_SEARCH_CAP)
+    else:
+        record.update(nodes=nodes, count=_capped_count(L, norm, nodes), one_below=_capped_count(L, norm, nodes - 1))
+    return record
+
+
 def _isomorphism_pool_record() -> dict:
     forms = [discriminant_form(L) for L in pool_lattices()]
     pairs = [
@@ -546,12 +583,21 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         "Lambda2d": [_lambda2d_gram_record(d) for d in POLARIZATION_DEGREES],
     })
     out["isomorphism pool"] = _digest(_isomorphism_pool_record())
+    out["E8 and An norm counts"] = _digest(
+        [_norm_count_record(standard("E8"), norm) for norm in E8_NORMS]
+        + [_norm_count_record(standard("An", n), 2) for n in AN_RANKS]
+    )
     return out
 
 
-@pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return compute_digests(tmp_path_factory.mktemp("cli-mix"))
+@functools.lru_cache(maxsize=None)
+def _computed_digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return compute_digests(Path(tmp))
+
+
+def _stored_digests() -> dict[str, str]:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 CASES = (
@@ -576,16 +622,48 @@ CASES = (
     "unit-row kernels",
     "normal forms",
     "isomorphism pool",
+    "E8 and An norm counts",
 )
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_glue_outputs_match_their_golden_digest(case, digests):
-    assert digests[case] == json.loads(DIGESTS.read_text(encoding="utf-8"))[case]
+def pytest_generate_tests(metafunc):
+    # one test per case, parametrized through this hook so that the module
+    # imports no pytest and its script modes run without it
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", CASES)
+
+
+def test_glue_outputs_match_their_golden_digest(case):
+    assert _computed_digests()[case] == _stored_digests()[case]
+
+
+def test_check_exits_1_on_a_mismatch(tmp_path, monkeypatch, capsys):
+    stored = _stored_digests()
+    stored["isomorphism pool"] = "0" * 64
+    altered = tmp_path / "digests.json"
+    altered.write_text(json.dumps(stored), encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "DIGESTS", altered)
+    assert main(["--check"]) == 1
+    assert "mismatch: isomorphism pool" in capsys.readouterr().out
+    assert main(["--bad"]) == 2
+
+
+def main(argv: list[str]) -> int:
+    """--write stores the digests; --check compares them with the stored
+    ones and returns 1 on a mismatch."""
+    if argv == ["--write"]:
+        DIGESTS.write_text(json.dumps(_computed_digests(), indent=1) + "\n", encoding="utf-8")
+        return 0
+    if argv != ["--check"]:
+        print("usage: python tests/test_golden.py --check | --write", file=sys.stderr)
+        return 2
+    computed, stored = _computed_digests(), _stored_digests()
+    bad = [case for case in CASES if computed[case] != stored.get(case)]
+    for case in bad:
+        print(f"mismatch: {case}")
+    print(f"{len(CASES) - len(bad)} of {len(CASES)} golden sections match")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.write_text(json.dumps(compute_digests(Path(tmp)), indent=1) + "\n", encoding="utf-8")
+    sys.exit(main(sys.argv[1:]))

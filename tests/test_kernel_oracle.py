@@ -18,10 +18,17 @@ permuted block-diagonal Grams), unit rows solved outright, Smith column
 steps on a clean pivot column and the echelon-only first Hermite pass of
 ``kernel_basis``, whose zero rows split off before either pass (against
 the unsplit passes and a sympy rank and Smith oracle);
+``TestCarriedSparseRows`` checks the sparse rows that Lambda2d, iota2d and
+``kernel_basis`` carry from construction against a scan of their entries,
+and ``TestComplementFromItsSource`` the det and signature a complement
+reads off the sublattice it complements against the elimination of its
+Gram (degenerate ones, sources of high rank and non-unimodular ambients
+too);
 ``TestEliminationWork`` counts the rescales and Bareiss rows of the k3
 eliminations, ``TestFractionsOnRead`` the ``Fraction``s that ``linalg``,
 ``lattice`` and ``glue`` build before a value is read (none), and
-``TestNoReferenceCycles`` the garbage the recursive searches leave (none).  The
+``TestNoReferenceCycles`` the garbage the recursive searches and the k3
+complements leave (none).  The
 remaining kernels are checked against the formulas they replaced: the
 discriminant-group lifts against V^{-1}·G^{-1}, the
 det and signature a Lattice carries against ``det_exact`` and the
@@ -61,6 +68,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa:
 from sympy.matrices.normalforms import smith_normal_decomp  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+import quadlat.embeddings  # noqa: E402
 import quadlat.glue  # noqa: E402
 import quadlat.lattice  # noqa: E402
 from quadlat import linalg  # noqa: E402
@@ -127,8 +135,7 @@ from quadlat.linalg import (  # noqa: E402
     solve_rational,
 )
 
-from test_glue import random_even_lattice  # noqa: E402
-from test_lattice import pool_lattices  # noqa: E402
+from sample_lattices import pool_lattices, random_even_lattice  # noqa: E402
 
 ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 BIG = 10**12
@@ -712,7 +719,20 @@ class TestOneElimination:
         eliminations.clear()
         E = evaluate_expr("E8(-1)^2 + U^2 + gen(-10)")
         assert (E.det, signature(E)) == (L.det, signature(L))
-        assert eliminations == [1]  # the gen(-10) atom only
+        assert eliminations == []  # gen(-10) states its det and signature too
+
+    @pytest.mark.parametrize("d", [1, 37, 1000])
+    def test_complements_read_their_source(self, eliminations, d):
+        k3 = standard("LambdaK3")
+        S = SublatticeEmbedding(k3, IntMatrix([_polarization(d)]))
+        E = build_iota2d(d)
+        eliminations.clear()
+        L = as_lattice(orthogonal_complement(S))
+        assert eliminations == [1]  # the Gram [2d] of e + d·f, not the rank-21 complement
+        assert (L.det, signature(L)) == (-2 * d, Signature(2, 19))
+        M = as_lattice(orthogonal_complement(E))
+        assert eliminations == [1]  # iota2d carries its lattice and index
+        assert (M.det, signature(M)) == (-2 * d, Signature(0, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -1186,7 +1206,8 @@ class TestFractionsOnRead:
 class TestNoReferenceCycles:
     """The recursive searches (``search`` of form isomorphism, ``descend``
     of the norm search, ``grow`` of the glue search) unbind themselves when
-    they return, so their ops leave nothing for the cyclic collector."""
+    they return, and a complement keeps its source's basis, not its
+    source, so their ops leave nothing for the cyclic collector."""
 
     @staticmethod
     def _garbage(op) -> int:
@@ -1208,6 +1229,8 @@ class TestNoReferenceCycles:
             F = discriminant_form(as_lattice(orthogonal_complement(E)))
             disc_form_isomorphic(F, discriminant_form(standard("gen", -2 * d)), negate=True)
             extend_isometry(E, _E8_SWAP)
+            S = SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(d)]))
+            as_lattice(orthogonal_complement(S))  # the complement keeps S's basis, not S
 
     def test_searches_leave_no_garbage(self):
         F = discriminant_form(evaluate_expr("U(2)^3"))
@@ -1593,11 +1616,16 @@ def _forward_pass_rows(run) -> list[int]:
     return rows
 
 
-def _polarized_gram(d):
-    # the Gram of v^⊥ in LambdaK3, v = e + d·f in its first hyperbolic plane
+def _polarization(d):
+    # v = e + d·f in the first hyperbolic plane of LambdaK3
     v = [0] * 22
     v[16], v[17] = 1, d
-    return induced_gram(orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([v]))))
+    return v
+
+
+def _polarized_gram(d):
+    # the Gram of v^⊥ in LambdaK3
+    return induced_gram(orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(d)]))))
 
 
 @st.composite
@@ -1793,6 +1821,76 @@ class TestSolveCore:
         [
             [[1, 0, 0], [0, 0, -1], [0, 0, 1]],
             [[0, -1, 0], [3, 1, 2], [0, 1, 0]],
+            [[0, 0, 0, 1], [1, 2, 3, 4], [0, 0, 0, -1], [5, 6, 7, 9]],
+        ],
+    )
+    def test_two_unit_rows_on_one_column_are_singular(self, rows):
+        with pytest.raises(SingularMatrix):
+            solve_integral(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
+
+
+class TestSolveCore:
+    """solve_integral and solve_rational share one core, which gives the
+    unknowns that unit rows fix unscaled; solve_rational reduces only the
+    eliminated ones, and its stored pair is the one ``_over`` would give."""
+
+    @ORACLE
+    @given(unit_row_systems(), st.data())
+    def test_solve_rational_is_the_reduced_integral_solve(self, m, data):
+        b = data.draw(right_hand_sides(m.nrows))
+        rhs = RatMatrix._over(b, data.draw(st.integers(2, 60))) if data.draw(st.booleans()) else b
+        num, den_b = rhs._numerators() if isinstance(rhs, RatMatrix) else (rhs, 1)
+        if _to_domain(m, ZZ).det() == 0:
+            with pytest.raises(SingularMatrix):
+                solve_rational(m, rhs)
+            return
+        x, den = solve_integral(m, num)
+        assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_extension_system(self, d):
+        m, b = _extension_system(d)
+        x, den = solve_integral(m, b)
+        for rhs, den_b in ((b, 1), (RatMatrix._over(b, 2 * d + 1), 2 * d + 1)):
+            assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+
+    @pytest.mark.parametrize(
+        "rows, b, expected",
+        [
+            # x_1 = -3 fixed; den = 2 and X' = (4,) reduce by g = 2 to an integral solution
+            ([[0, -1], [2, 0]], [[3], [4]], [[2], [-3]]),
+            # den = 6 and X' = (3, 1) share no factor: the fixed x_0 = 5 is scaled by 6
+            ([[1, 0, 0], [0, 2, 0], [0, 1, 3]], [[5], [1], [1]], [[5], [Fraction(1, 2)], [Fraction(1, 6)]]),
+            # den = 4, X' = (2,): g = 2, and the fixed x_1 = -7 is scaled by den/g = 2
+            ([[4, 0], [0, -1]], [[2], [7]], [[Fraction(1, 2)], [-7]]),
+        ],
+    )
+    def test_fixed_rows_join_the_reduced_denominator(self, rows, b, expected):
+        # RatMatrix's public constructor finds the least common denominator on its own
+        assert solve_rational(IntMatrix(rows), IntMatrix(b))._numerators() == RatMatrix(expected)._numerators()
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            # on the eliminated rows 0 and 1, once the fixed x_2 = (1, 0, 0, 0)
+            # is substituted into row 0: column 0 is live in row 0 only, and so
+            # is column 1; column 3 is live in row 1 only, and column 2 is zero
+            [[0, 5, 0, 0], [0, 0, 0, 7], [1, 0, 0, 0]],
+            # column 0 is live in b, and zero once x_2 is substituted
+            [[1, 5, 0, 0], [0, 0, 0, 7], [1, 0, 0, 0]],
+        ],
+    )
+    def test_zero_right_side_columns(self, b):
+        m = IntMatrix([[2, 1, 1], [1, 3, 0], [0, 0, 1]])  # row 2 fixes x_2
+        _assert_solves(m, IntMatrix(b))
+        x = solve_rational(m, IntMatrix(b))
+        assert (RatMatrix._over(m, 1) @ x) == RatMatrix(b)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0], [0, 0, -1], [0, 0, 1]],
+            [[0, -1, 0], [3, 1, 2], [0, 1, 0]],
             [[1, 0, 0], [0, 1, 2], [0, 2, 4]],
         ],
     )
@@ -1929,6 +2027,115 @@ class TestKernelSplitsOffZeroRows:
         expected = [[int(i == j) for i in range(22)] for j in range(22) if j not in (16, 17)]
         expected.insert(16, [0] * 16 + [1, -d] + [0] * 4)
         assert K.tolist() == expected
+
+
+def _scanned(m: IntMatrix) -> list:
+    # the sparse rows a scan of every entry gives
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+class TestCarriedSparseRows:
+    """The matrices whose builders know their nonzero entries carry their
+    sparse rows from construction; they must be the rows a scan finds."""
+
+    def test_lambda2d_grams(self):
+        for d in range(1, 1001):
+            g = standard("Lambda2d", d).gram
+            assert g._sparse is not None and g._sparse == _scanned(g)
+
+    def test_iota2d_bases_and_complements(self):
+        for d in range(1, 1001):
+            E = build_iota2d(d)
+            for m in (E.basis, E._complement.basis):
+                assert m._sparse is not None and m._sparse == _scanned(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_split_matrices())
+    @example(m=IntMatrix([[0], [3], [0], [0], [-5], [0]]))
+    def test_kernel_basis_outputs(self, m):
+        # carried when m has a zero row, which splits off
+        K = kernel_basis(m)
+        assert (K._sparse is not None) == any(not any(row) for row in m)
+        assert K._sparse is None or K._sparse == _scanned(K)
+
+
+_UNIMODULAR_AMBIENTS = ("U^3", "E8", "LambdaK3", "LambdaSharp")
+
+
+@st.composite
+def unimodular_sublattices(draw):
+    """Independent rows, rank 0 to 4, in U³, E8, LambdaK3 or LambdaSharp:
+    mostly zeros and small entries, so isotropic and degenerate
+    restrictions occur."""
+    ambient = evaluate_expr(draw(st.sampled_from(_UNIMODULAR_AMBIENTS)))
+    n = ambient.rank
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+    basis = IntMatrix(rows, ncols=n)
+    assume(det_exact(basis @ basis.transpose()) != 0)
+    return SublatticeEmbedding(ambient, basis)
+
+
+class TestComplementFromItsSource:
+    """In a unimodular ambient, as_lattice of a complement C = S^⊥ of
+    higher rank than S reads det C = det L·det S/[S_sat:S]² and
+    sig C = sig L − sig S off the basis of S; the elimination of C's Gram
+    is the oracle."""
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow]
+    )
+    @given(unimodular_sublattices())
+    def test_against_the_elimination(self, S):
+        C = orthogonal_complement(S)
+        det, plus, minus = _det_and_inertia(induced_gram(C))
+        # the elimination of the smaller Gram: S's, read off, or C's own
+        expected = [S.rank] if S.rank < C.rank else [C.rank]
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            elimination = quadlat.lattice._det_and_inertia
+            mp.setattr(quadlat.lattice, "_det_and_inertia", lambda m: rows.append(m.nrows) or elimination(m))
+            if det == 0:
+                with pytest.raises(Degenerate):
+                    as_lattice(C)
+                assert rows == expected  # S is degenerate exactly when C is
+                return
+            L = as_lattice(C)
+        assert rows == expected
+        assert (L.det, signature(L)) == (det, Signature(plus, minus))
+        assert L.gram == induced_gram(C)
+
+    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
+    def test_k3_complements(self, d):
+        S = SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(d)]))
+        for C in (orthogonal_complement(S), orthogonal_complement(build_iota2d(d))):
+            L = as_lattice(C)
+            det, plus, minus = _det_and_inertia(L.gram)
+            assert (L.det, signature(L)) == (det, Signature(plus, minus))
+
+    @pytest.mark.parametrize("d", [1, 37, 1000])
+    def test_a_source_of_higher_rank_is_not_kept(self, eliminations, d):
+        S = SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(d)]))
+        P = orthogonal_complement(S)
+        assert P._source == S.basis  # rank 1 against 21
+        C = orthogonal_complement(P)
+        assert C._source is None  # rank 21 against 1
+        eliminations.clear()
+        L = as_lattice(C)
+        assert eliminations == [1]  # C's own Gram [2d], not P's rank-21 one
+        assert (L.det, signature(L)) == (2 * d, Signature(1, 0))
+
+    def test_non_unimodular_ambient_runs_the_elimination(self, eliminations):
+        S = SublatticeEmbedding(make_lattice([[2, 0, 0], [0, 3, 0], [0, 0, 5]]), IntMatrix([[1, 0, 0]]))
+        eliminations.clear()
+        L = as_lattice(orthogonal_complement(S))
+        assert eliminations == [2] and (L.det, signature(L)) == (15, Signature(2, 0))
+
+    def test_complement_det_exactness_is_checked(self, monkeypatch):
+        S = SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(1)]))
+        monkeypatch.setattr(quadlat.embeddings, "saturation_index", lambda E: 2)  # -1·2 over 2² is no integer
+        with pytest.raises(InvariantViolation, match="complement det"):
+            as_lattice(orthogonal_complement(S))
 
 
 class TestEliminationWork:

@@ -55,31 +55,6 @@ def random_nondegenerate(rng, max_rank=5, bound=9):
             return make_lattice(rows)
 
 
-def pool_lattices():
-    """The isomorphism pool: small even lattices of rank 1 to 4, many
-    pairs of them with equal discriminant groups."""
-    gens = [standard("gen", k) for k in (2, -2, 4, -4, 6, -6, 8, -8, 12, -12)]
-    u2 = standard("U", 2)
-    return gens + [
-        u2,
-        standard("U", 4),
-        standard("An", 3),
-        standard("An", 3, -1),
-        make_lattice([[2, 1, 0, 1], [1, 2, 1, 1], [0, 1, 2, 1], [1, 1, 1, 2]]),  # D4-like, (ℤ/2)²
-        direct_sum(gens[0], gens[0]),
-        direct_sum(gens[0], gens[1]),
-        direct_sum(gens[1], gens[1]),
-        direct_sum(gens[2], gens[2]),
-        direct_sum(gens[2], gens[3]),
-        direct_sum(gens[0], gens[4]),
-        direct_sum(gens[1], gens[4]),
-        direct_sum(gens[1], gens[5]),
-        direct_sum(u2, gens[0]),
-        direct_sum(u2, gens[1]),
-        direct_sum(gens[0], gens[0], gens[0]),
-    ]
-
-
 class TestMakeLattice:
     def test_hyperbolic_plane(self):
         L = make_lattice([[0, 1], [1, 0]])
@@ -394,6 +369,27 @@ class TestConstructedLambda2dGroup:
         for L in copies:
             assert L._group is not None
             assert discriminant_group(L) == discriminant_group(make_lattice(L.gram))
+
+
+class TestConstructedGenGroup:
+    """standard("gen", k) states det k and its signature, and carries ℤ/|k|
+    with the lift sign(k)/|k|: what a lattice on the Gram [k] finds by the
+    elimination and the Smith transform."""
+
+    def test_equals_the_lattice_of_its_gram(self, monkeypatch):
+        for k in (*range(-1000, 0), *range(1, 1001)):
+            L, fresh = standard("gen", k), make_lattice([[k]])
+            assert (L.gram, L.det, signature(L), L.label) == (fresh.gram, fresh.det, signature(fresh), f"gen({k})")
+            factors, lifts = _transform_group(fresh.gram)
+
+            def refuse(*args):
+                raise AssertionError("a Smith form of a lattice that carries its group")
+
+            with monkeypatch.context() as m:
+                m.setattr(quadlat.lattice, "_smith", refuse)
+                group = discriminant_group(L)
+            assert (group.invariant_factors, group.generator_lifts) == (factors, lifts)
+            assert group == discriminant_group(fresh)
 
 
 class TestDiscriminantForm:
