@@ -16,13 +16,19 @@ public ``GlueSubgroup`` constructor checks that its generators lie in
 the dual lattice; ``isotropic_subgroups`` builds its subgroups from
 integer combinations of the group's own lifts through the trusted
 ``GlueSubgroup._trusted``, with no check.  A subgroup is read through the
-integer form of its generators and one Hermite normal form,
+integer form num/den of its generators and a triangular basis,
 ``_glue_basis``, which the subgroup keeps: the overlattice, its order
 (``glue_order``, the one formula for |M/L|, which the CLI reports) and
-its elements all come from that triangular basis, with no closure under
-addition.  ``overlattice_from_glue`` checks that the glue is isotropic,
-whichever path built it, and takes the overlattice's det and signature
-from the base lattice and ``glue_order``, with no elimination.
+its elements all come from that basis, with no closure under addition.
+Glue of denominator 1 is the trivial subgroup L/L, whose overlattice is L
+itself (Nikulin 1979, §1.4): its basis is the identity, with no Hermite
+form, and ``overlattice_from_glue`` returns L, with its group, once L is
+checked even.  Every other subgroup takes one Hermite normal form, and
+its overlattice Gram is the congruence of that basis divided exactly by
+den², each remainder checked zero.  ``overlattice_from_glue`` checks
+that the glue is isotropic, whichever path built it, and takes the
+overlattice's det and signature from the base lattice and ``glue_order``,
+with no elimination.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
+from operator import mul
 
 from .errors import BadParameter, InvariantViolation, NotIsotropic, TooLarge
 from .lattice import (
@@ -38,10 +45,12 @@ from .lattice import (
     Lattice,
     _derived_lattice,
     _ElementTable,
+    _relabelled,
     discriminant_form,
+    is_even,
     make_lattice,
 )
-from .linalg import IntMatrix, RatMatrix, _congruence, _frozen, _hnf
+from .linalg import IntMatrix, RatMatrix, _congruence, _frozen, _hnf, _ident_rows
 
 #: Default ceiling on |det| for the binary-form enumeration.
 BINARY_DET_CAP = 10_000
@@ -106,6 +115,11 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     span(H, e) outside H.  That span is built one coset H + k·e at a time,
     and the candidate is dropped at the first element below e.
 
+    The trivial subgroup comes first, with no generators over 1, and a form
+    on which q vanishes at 0 alone has no other.  A candidate c is
+    b-orthogonal to e when c's coefficients dot e's b row, read off the
+    form's integer b on the generators, vanish mod N.
+
     |A| ≤ ``cap`` does not bound the output: U(2)^6 has 4096 elements and
     28,767,916 isotropic subgroups.  So the search counts the coset
     elements it builds and refuses with TooLarge past ``GLUE_SEARCH_CAP``.
@@ -113,7 +127,17 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     if F.order > cap:
         raise TooLarge(f"|A| = {F.order} exceeds the brute-force cap {cap}")
     T = _ElementTable(F.group.invariant_factors, F._exponent, F._q_gen, F._b_gen)
-    add = T.add
+    lift_num, den = F.group.generator_lifts._numerators()
+    # the trivial subgroup, first in the output order: no generators, over 1
+    trivial = GlueSubgroup._trusted(F.lattice, RatMatrix._trusted(IntMatrix._trusted((), lift_num.ncols), 1))
+    if T.q.count(0) == 1:  # q vanishes on 0 alone
+        return [trivial]
+    isotropic = [e for e, q in enumerate(T.q) if e and q == 0]
+    add, N, b_gen = T.add, F._exponent, F._b_gen
+    coefficients = {e: T.coefficients(e) for e in isotropic}
+    # b(gⱼ, e)·N mod N for each generator gⱼ, b being symmetric: b(c, e)·N is then
+    # the dot product of c's coefficients with e's row, mod N
+    b_rows = {e: [sum(map(mul, row, c)) % N for row in b_gen] for e, c in coefficients.items()}
     found = []
     built = 0
 
@@ -144,18 +168,18 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
                     f"with {len(found)} isotropic subgroups found"
                 )
             if K is not None:
-                later = [c for c in candidates[i + 1 :] if c not in K and T.b(c, e) == 0]
+                row = b_rows[e]
+                later = [c for c in candidates[i + 1 :] if c not in K and sum(map(mul, coefficients[c], row)) % N == 0]
                 grow(K, gens + [e], later)
 
     try:
-        grow(frozenset([0]), [], [e for e, q in enumerate(T.q) if e and q == 0])
+        grow(frozenset([0]), [], isotropic)
     finally:
         del grow  # the closure holds itself: unbound, it leaves no reference cycle
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
-    lift_num, den = F.group.generator_lifts._numerators()
     s = len(T.factors)
-    rows = [IntMatrix._trusted(tuple(map(T.coefficients, gens)), s) @ lift_num for _, gens in found]
-    return [GlueSubgroup._trusted(F.lattice, RatMatrix._over(num, den)) for num in rows]
+    rows = [IntMatrix._trusted(tuple(map(coefficients.get, gens)), s) @ lift_num for _, gens in found[1:]]
+    return [trivial] + [GlueSubgroup._trusted(F.lattice, RatMatrix._over(num, den)) for num in rows]
 
 
 def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
@@ -163,12 +187,17 @@ def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
     (1/den)·(row span of H), for the generators' integer form num/den and
     H the Hermite form of den·I stacked on num.  H is n×n and upper
     triangular, as its span contains den·ℤⁿ, and each pivot Hᵢᵢ divides den.
-    G keeps it, so it is computed once per subgroup."""
+    When den = 1 every generator is a lattice vector, the glue is L/L and
+    M = L: H is the identity, with no Hermite form.  G keeps it, so it is
+    computed once per subgroup."""
     if G._basis is None:
         n = G.base.rank
         num, den = G.generators._numerators()
-        scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
-        H, _ = _hnf(scaled, n, False)
+        if den == 1:
+            H = _ident_rows(n)
+        else:
+            scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
+            H, _ = _hnf(scaled, n, False)
         object.__setattr__(G, "_basis", (_frozen(H[:n], n), den))
     return G._basis
 
@@ -204,22 +233,32 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
 
     Raises NotIsotropic when the result fails to be an even integral
     lattice (which happens exactly when the glue subgroup is not
-    isotropic).  Its det is det L / ``glue_order(G)``², as |M/L|² = det L /
-    det M, and its signature is L's, so its Gram needs no elimination.
+    isotropic).  Even overlattices of L correspond to isotropic subgroups
+    of its discriminant group (Nikulin 1979, §1.4), and the trivial
+    subgroup, glue of denominator 1, to L itself: then the result is L,
+    with its Gram, det, signature and group, once its diagonal is checked
+    even.  Otherwise, for (H, den) = ``_glue_basis(G)``, the Gram is H·G·Hᵀ
+    divided by den² exactly, each remainder checked zero.  Its det is
+    det L / ``glue_order(G)``², as |M/L|² = det L / det M, and its
+    signature is L's, so its Gram needs no elimination.
     """
     base = G.base
-    n = base.rank
+    if G.generators.common_denominator() == 1:
+        if not is_even(base):
+            raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
+        return _relabelled(base, None)
     basis, den = _glue_basis(G)
-    pairings = RatMatrix._over(_congruence(basis, base.gram), den * den)
-    if not pairings.is_integral():
+    dd = den * den
+    pairings = _congruence(basis, base.gram)
+    if any(p % dd for row in pairings for p in row):
         raise NotIsotropic("glue subgroup is not isotropic: non-integral pairing")
-    gram = pairings.to_int()
-    if any(gram[i][i] % 2 for i in range(n)):
+    gram = tuple([tuple([p // dd for p in row]) for row in pairings])
+    if any(row[i] % 2 for i, row in enumerate(gram)):
         raise NotIsotropic("glue subgroup is not isotropic: odd vector norm")
     det, r = divmod(base.det, glue_order(G) ** 2)
     if r:
         raise InvariantViolation("the overlattice det is not an integer", glue=G, basis=basis)
-    return _derived_lattice(gram, det, base._signature, None)
+    return _derived_lattice(IntMatrix._trusted(gram, base.rank), det, base._signature, None)
 
 
 def even_overlattices(L: Lattice, cap: int = BRUTE_FORCE_CAP) -> list[Lattice]:

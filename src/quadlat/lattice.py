@@ -320,7 +320,7 @@ def signature(L: Lattice) -> Signature:
 
 def is_even(L: Lattice) -> bool:
     """True when every vector has even self-pairing (even diagonal suffices)."""
-    return all(L.gram[i][i] % 2 == 0 for i in range(L.rank))
+    return not any(row[i] % 2 for i, row in enumerate(L.gram))
 
 
 def dual_basis(L: Lattice) -> RatMatrix:
@@ -450,9 +450,12 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
         n = L.rank
         U, S, _ = _smith(L.gram, True, False)
         rows = [i for i in range(n) if S[i][i] > 1]
-        N = S[rows[-1]][rows[-1]] if rows else 1  # every d_i divides N
-        num = IntMatrix._trusted(tuple(tuple(x * (N // S[i][i]) for x in U[i]) for i in rows), n)
-        object.__setattr__(L, "_group", DiscriminantGroup(tuple(S[i][i] for i in rows), RatMatrix._over(num, N)))
+        factors = tuple([S[i][i] for i in rows])
+        N = factors[-1] if factors else 1  # every d_i divides N
+        num = tuple([tuple([x * (N // S[i][i]) for x in U[i]]) for i in rows])
+        # num/N is in lowest terms: its last row is a row of the unimodular U, of gcd 1
+        lifts = RatMatrix._trusted(IntMatrix._trusted(num, n), N)
+        object.__setattr__(L, "_group", DiscriminantGroup(factors, lifts))
     return L._group
 
 
@@ -472,11 +475,11 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
     num, den = group.generator_lifts._numerators()
     factors = group.invariant_factors
     N, dd = (factors[-1] if factors else 1), den * den
-    pairings = [[divmod(p * N, dd) for p in row] for row in _congruence(num, L.gram)]
-    if any(r for row in pairings for _, r in row):
+    pairings = [[p * N for p in row] for row in _congruence(num, L.gram)]
+    if any(p % dd for row in pairings for p in row):
         raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
-    q = tuple(row[i][0] % (2 * N) for i, row in enumerate(pairings))
-    b = tuple(tuple(x % N for x, _ in row) for row in pairings)
+    q = tuple([row[i] // dd % (2 * N) for i, row in enumerate(pairings)])
+    b = tuple([tuple([p // dd % N for p in row]) for row in pairings])
     return DiscriminantForm._trusted(group, N, q, b, L)
 
 
@@ -501,11 +504,12 @@ class _ElementTable:
 
     def __init__(self, factors: tuple[int, ...], M: int, q_gen: Sequence[int], b_gen: Sequence[Sequence[int]]):
         self.factors, self.modulus = factors, M
-        q = [0]
+        q, M2 = [0], 2 * M
         for i, d in enumerate(factors):
-            # b(gᵢ, x)·M, not reduced, for the x filled so far: their coefficient tuples, in order
-            b = [sum(map(mul, b_gen[i], c)) for c in itertools.product(*map(range, factors[:i]))]
-            q = [(x + c * (c * q_gen[i] + 2 * y)) % (2 * M) for x, y in zip(q, b) for c in range(d)]
+            # b(gᵢ, x)·M, not reduced, for the x filled so far (x = 0 alone before g₀), in order
+            b = [sum(map(mul, b_gen[i], c)) for c in itertools.product(*map(range, factors[:i]))] if i else [0]
+            qi = q_gen[i]
+            q = [(x + c * (c * qi + 2 * y)) % M2 for x, y in zip(q, b) for c in range(d)]
         w = len(q)
         self.q, self._radices = q, [(w := w // d, d, w * d) for d in factors]
         self.generators = [w for w, _, _ in self._radices]

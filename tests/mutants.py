@@ -80,6 +80,44 @@ MUTANTS = [
         "        return _frozen(H[:n], n), den\n    return G._basis\n",
         "tests/test_glue.py::TestOneHermiteFormPerSubgroup::test_overlattices_request_runs_one_per_subgroup",
     ),
+    # trivial glue is L itself, checked even; other overlattice Grams are divided exactly by den²
+    (
+        "src/quadlat/glue.py",
+        "        if not is_even(base):\n",
+        "        if False:\n",
+        "tests/test_glue.py::TestTrivialGlue::test_odd_base_is_refused",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "    if G.generators.common_denominator() == 1:\n",
+        "    if G.generators.common_denominator() <= 2:\n",
+        "tests/test_glue.py::TestTrivialGlue::test_overlattices_match_the_rational_formula",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "        if den == 1:\n            H = _ident_rows(n)\n",
+        "        if den <= 2:\n            H = _ident_rows(n)\n",
+        "tests/test_glue.py::TestIsotropicSubgroups::test_plus_minus_two",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "    if any(p % dd for row in pairings for p in row):\n",
+        "    if False:\n",
+        "tests/test_glue.py::TestTrivialGlue::test_overlattices_match_the_rational_formula",
+    ),
+    # the search's b test is a dot product with a b row mod N, and a form with no isotropic element stops at once
+    (
+        "src/quadlat/glue.py",
+        "sum(map(mul, coefficients[c], row)) % N == 0",
+        "sum(map(mul, coefficients[c], row)) % (2 * N) == 0",
+        "tests/test_glue.py::TestIsotropicCountsByFormula::test_u2_cubed",
+    ),
+    (
+        "src/quadlat/glue.py",
+        "    if T.q.count(0) == 1:  #",
+        "    if T.q.count(0) <= 2:  #",
+        "tests/test_glue.py::TestIsotropicSubgroups::test_plus_minus_two",
+    ),
     # the one Bareiss step and the fraction-free back substitution, on dense systems
     (
         "src/quadlat/linalg.py",
@@ -324,8 +362,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/lattice.py",
-        "    if any(r for row in pairings for _, r in row):\n",
-        "    if any(r for row in pairings[1:] for _, r in row):\n",
+        "    if any(p % dd for row in pairings for p in row):\n",
+        "    if any(p % dd for row in pairings[1:] for p in row):\n",
         f"{ORACLE}::TestTrustedGluePath::test_discriminant_pairing_exactness_is_checked",
     ),
     (

@@ -15,14 +15,17 @@ from quadlat.expr import evaluate_expr
 from quadlat.lattice import (
     direct_sum,
     discriminant_form,
+    discriminant_group,
     is_even,
+    make_lattice,
     signature,
     standard,
 )
-from quadlat.linalg import IntMatrix, RatMatrix, det_exact, hermite_normal_form
+from quadlat.linalg import IntMatrix, RatMatrix, _congruence, det_exact, hermite_normal_form
 from sample_lattices import random_even_lattice
 from quadlat.glue import (
     GlueSubgroup,
+    _glue_basis,
     enumerate_even_binary,
     even_overlattices,
     glue_order,
@@ -253,7 +256,8 @@ class TestOverlatticeFromGlue:
 
 class TestOneHermiteFormPerSubgroup:
     """A subgroup keeps the Hermite basis ``_glue_basis`` builds, so its
-    overlattice, order and elements run one Hermite form between them."""
+    overlattice, order and elements run one Hermite form between them; the
+    trivial subgroup, whose basis is the identity, runs none."""
 
     @pytest.fixture
     def hnf_calls(self, monkeypatch):
@@ -270,21 +274,74 @@ class TestOneHermiteFormPerSubgroup:
 
     def test_overlattices_request_runs_one_per_subgroup(self, hnf_calls, capsys):
         assert run(["--json", "overlattices", "U(2)^3"]) == 0
-        assert len(hnf_calls) == 171 == json.loads(capsys.readouterr().out)["count"]
+        assert len(hnf_calls) + 1 == 171 == json.loads(capsys.readouterr().out)["count"]
 
     @pytest.mark.parametrize("expr", ["U(2)^3", "U(6)^2", "U(2)+gen(6)"])
     def test_order_and_elements_read_the_kept_basis(self, hnf_calls, expr):
         subgroups = isotropic_subgroups(discriminant_form(evaluate_expr(expr)))
         for G in subgroups:
             overlattice_from_glue(G)
-        assert len(hnf_calls) == len(subgroups)
+        assert len(hnf_calls) == len(subgroups) - 1
         assert all(len(subgroup_elements(G)) == glue_order(G) for G in subgroups)
-        assert len(hnf_calls) == len(subgroups)
+        assert len(hnf_calls) == len(subgroups) - 1
 
     def test_public_constructor_starts_without_a_basis(self, hnf_calls):
         L = direct_sum(standard("gen", 2), standard("gen", -2))
         G = GlueSubgroup(L, RatMatrix([[Fraction(1, 2), Fraction(1, 2)]]))
         assert (glue_order(G), glue_order(G), len(hnf_calls)) == (2, 2, 1)
+
+
+class TestTrivialGlue:
+    """Glue of denominator 1 is the trivial subgroup L/L, whose overlattice
+    is L itself (Nikulin 1979, §1.4), once L is checked even.  Every other
+    overlattice Gram is H·G·Hᵀ divided exactly by den²."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[0, 0, 0]], [[1, 0, -1], [1, 0, -1], [0, 0, 0]], [[2, -1, 3]]],
+        ids=["no-rows", "zero-row", "redundant-rows", "lattice-vector"],
+    )
+    def test_public_trivial_glue_gives_the_base(self, rows):
+        L = make_lattice([[2, 1, 0], [1, -4, 1], [0, 1, 6]])
+        group = discriminant_group(L)
+        G = GlueSubgroup(L, rows)
+        M = overlattice_from_glue(G)
+        assert (M.gram, M.det, signature(M)) == (L.gram, L.det, signature(L))
+        assert discriminant_group(M) is group
+        assert glue_order(G) == 1 and subgroup_elements(G) == {(0, 0, 0)}
+
+    @pytest.mark.parametrize("rows", [[], [[0, 0]], [[1, 1]]])
+    def test_odd_base_is_refused(self, rows):
+        G = GlueSubgroup(make_lattice([[1, 0], [0, 2]]), rows)
+        with pytest.raises(NotIsotropic, match="^glue subgroup is not isotropic: odd vector norm$"):
+            overlattice_from_glue(G)
+
+    def test_overlattices_match_the_rational_formula(self):
+        # the oracle: H·G·Hᵀ over den² as a rational matrix, which must be integral
+        # with an even diagonal; on every isotropic subgroup, and on the cyclic
+        # subgroup of every group element, isotropic or not
+        rng = random.Random(2701)
+        glued = refused = 0
+        for _ in range(40):
+            L = random_even_lattice(rng)
+            F = discriminant_form(L)
+            lifts = F.group.generator_lifts.tolist()
+            cyclic = [
+                GlueSubgroup(L, [[sum(c * lift[j] for c, lift in zip(e, lifts)) for j in range(L.rank)]])
+                for e in F.elements()
+            ]
+            for G in isotropic_subgroups(F) + cyclic:
+                H, den = _glue_basis(G)
+                pairings = RatMatrix._over(_congruence(H, L.gram), den * den)
+                if pairings.is_integral() and is_even(make_lattice(pairings.to_int())):
+                    M = overlattice_from_glue(G)
+                    assert (M.gram, M.det * glue_order(G) ** 2) == (pairings.to_int(), L.det)
+                    glued += 1
+                else:
+                    with pytest.raises(NotIsotropic):
+                        overlattice_from_glue(G)
+                    refused += 1
+        assert glued > 100 and refused > 100
 
 
 class TestEvenOverlattices:
