@@ -140,7 +140,7 @@ class FiniteMatrixGroupModL:
             if len(_echelon_mod(rows, self.ell, self.dim)[1]) < self.dim:
                 raise NotInvertible("generator is singular mod ell")
             reduced.append(IntMatrix._trusted(rows, self.dim))
-        object.__setattr__(self, "generators", tuple(reduced))
+        vars(self)["generators"] = tuple(reduced)
 
 
 def fixed_subspace_mod_ell(S: FiniteMatrixGroupModL) -> tuple[int, IntMatrix]:

@@ -30,9 +30,9 @@ from .errors import (
 from .lattice import (
     Lattice,
     Signature,
-    _derived_lattice,
     _relabelled,
     _symmetric_lattice,
+    _trusted,
     discriminant_group,
     is_even,
     min_generators,
@@ -56,14 +56,15 @@ class SublatticeEmbedding:
 
     Rows must be linearly independent, and this constructor checks that
     det(B·Bᵀ) ≠ 0.  The embeddings the package builds itself skip the
-    check through ``_trusted``: ``orthogonal_complement`` and ``saturate``,
-    whose ``kernel_basis`` rows are independent by construction, and
-    ``build_iota2d``, whose exact induced Gram is the non-degenerate
-    Lambda2d Gram.  The induced form may be degenerate (quotient
-    computations need that); operations requiring a non-degenerate
-    restriction check it themselves.  An embedding keeps its orthogonal
-    complement, its induced lattice (``as_lattice``, unlabelled) and its
-    saturation index once each is computed.  ``build_iota2d`` fills all
+    check through ``lattice._trusted``: ``orthogonal_complement`` and
+    ``saturate``, whose ``kernel_basis`` rows are independent by
+    construction, and ``build_iota2d``, whose exact induced Gram is the
+    non-degenerate Lambda2d Gram.  The induced form may be degenerate
+    (quotient computations need that); operations requiring a
+    non-degenerate restriction check it themselves.  An embedding keeps
+    its orthogonal complement, its induced lattice (``as_lattice``,
+    unlabelled) and its saturation index once each is computed, each a
+    class attribute of None until then.  ``build_iota2d`` states all
     three: the lattice with the Lambda2d lattice its induced Gram was
     checked against, and the group that lattice carries; the complement
     with the kernel in the third E8(-1) summand that the generic one
@@ -78,11 +79,15 @@ class SublatticeEmbedding:
 
     ambient: Lattice
     basis: IntMatrix
+    _complement = None  # kept by orthogonal_complement, or stated by build_iota2d
+    _lattice = None  # kept by as_lattice, or stated by build_iota2d
+    _index = None  # kept by saturation_index, or stated by build_iota2d
+    _source = None  # a complement's source basis, set by orthogonal_complement
 
     def __post_init__(self):
         if not isinstance(self.basis, IntMatrix):
             rows = list(self.basis)  # a wrong width meets the check below
-            object.__setattr__(self, "basis", IntMatrix(rows, ncols=None if rows else self.ambient.rank))
+            vars(self)["basis"] = IntMatrix(rows, ncols=None if rows else self.ambient.rank)
         b = self.basis
         if b.ncols != self.ambient.rank:
             raise DimensionMismatch("basis width does not match ambient rank")
@@ -90,22 +95,6 @@ class SublatticeEmbedding:
         # more rows than columns are dependent, refused before the k×k product
         if b.nrows > b.ncols or det_exact(b @ b.transpose()) == 0:
             raise BadParameter("basis rows are linearly dependent")
-        object.__setattr__(self, "_complement", None)  # filled by orthogonal_complement
-        object.__setattr__(self, "_lattice", None)  # filled by as_lattice or build_iota2d
-        object.__setattr__(self, "_index", None)  # filled by saturation_index or build_iota2d
-        object.__setattr__(self, "_source", None)  # a complement's source basis, set by orthogonal_complement
-
-    @classmethod
-    def _trusted(cls, ambient: Lattice, basis: IntMatrix) -> "SublatticeEmbedding":
-        # independent rows of width ambient.rank, built by this module
-        E = object.__new__(cls)
-        object.__setattr__(E, "ambient", ambient)
-        object.__setattr__(E, "basis", basis)
-        object.__setattr__(E, "_complement", None)
-        object.__setattr__(E, "_lattice", None)
-        object.__setattr__(E, "_index", None)
-        object.__setattr__(E, "_source", None)
-        return E
 
     @property
     def rank(self) -> int:
@@ -141,14 +130,14 @@ def as_lattice(E: SublatticeEmbedding, label: str | None = None) -> Lattice:
     """
     if E._lattice is None:
         L = _symmetric_lattice(induced_gram(E)) if E._source is None else _complement_lattice(E)
-        object.__setattr__(E, "_lattice", L)
+        vars(E)["_lattice"] = L
     L = E._lattice
     return L if label is None else _relabelled(L, label)
 
 
 def _complement_lattice(C: SublatticeEmbedding) -> Lattice:
     # C = S^⊥ in a unimodular ambient, C keeping S's basis: det and signature read off S
-    S = SublatticeEmbedding._trusted(C.ambient, C._source)
+    S = _trusted(SublatticeEmbedding, ambient=C.ambient, basis=C._source)
     sub, k = as_lattice(S), saturation_index(S)
     det, r = divmod(C.ambient.det * sub.det, k * k)
     if r:
@@ -156,7 +145,7 @@ def _complement_lattice(C: SublatticeEmbedding) -> Lattice:
             "the complement det is not an integer", ambient_det=C.ambient.det, sub_det=sub.det, index=k
         )
     (plus, minus), (s_plus, s_minus) = C.ambient._signature, sub._signature
-    return _derived_lattice(induced_gram(C), det, Signature(plus - s_plus, minus - s_minus), None)
+    return _trusted(Lattice, gram=induced_gram(C), det=det, _signature=Signature(plus - s_plus, minus - s_minus))
 
 
 @dataclass(frozen=True)
@@ -210,7 +199,7 @@ def saturate(E: SublatticeEmbedding) -> SublatticeEmbedding:
     lattice is unique, so the basis is deterministic.
     """
     perp = kernel_basis(E.basis.transpose())
-    return SublatticeEmbedding._trusted(E.ambient, kernel_basis(perp.transpose()))
+    return _trusted(SublatticeEmbedding, ambient=E.ambient, basis=kernel_basis(perp.transpose()))
 
 
 def saturation_index(E: SublatticeEmbedding) -> int:
@@ -221,7 +210,7 @@ def saturation_index(E: SublatticeEmbedding) -> int:
     """
     if E._index is None:
         _, S, _ = _smith(E.basis, False, False)
-        object.__setattr__(E, "_index", prod(S[i][i] for i in range(E.basis.nrows)))
+        vars(E)["_index"] = prod(S[i][i] for i in range(E.basis.nrows))
     return E._index
 
 
@@ -242,10 +231,10 @@ def orthogonal_complement(E: SublatticeEmbedding) -> SublatticeEmbedding:
     if E._complement is None:
         # G·Bᵀ (n x k; complement = left kernel) is (B·G)ᵀ, G being symmetric
         m = (E.basis @ E.ambient.gram).transpose()
-        C = SublatticeEmbedding._trusted(E.ambient, kernel_basis(m))
+        C = _trusted(SublatticeEmbedding, ambient=E.ambient, basis=kernel_basis(m))
         if abs(E.ambient.det) == 1 and E.rank < C.rank:
-            object.__setattr__(C, "_source", E.basis)
-        object.__setattr__(E, "_complement", C)
+            vars(C)["_source"] = E.basis
+        vars(E)["_complement"] = C
     return E._complement
 
 
@@ -387,15 +376,14 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     rows = [(0,) * i + (1,) + (0,) * (27 - i) for i in units]
     rows.append((0,) * 16 + tuple(v) + (0,) * 4)  # third E8(-1): coordinates 16..23
     sparse = [[(i, 1)] for i in units] + [[(16 + j, x) for j, x in enumerate(v) if x]]
-    emb = SublatticeEmbedding._trusted(sharp, IntMatrix._trusted(tuple(rows), 28, sparse))
+    basis = IntMatrix._trusted(tuple(rows), 28, sparse)
     # block bookkeeping makes this isometric onto Lambda2d(d); verify exactly,
     # which also proves the rows independent, the Lambda2d Gram being non-degenerate
-    induced, lam = induced_gram(emb), standard("Lambda2d", d)
+    induced, lam = _congruence(basis, sharp.gram), standard("Lambda2d", d)
     if induced != lam.gram:
         raise InvariantViolation(
             "iota2d does not induce the Lambda2d Gram", d=d, induced=induced, expected=lam.gram
         )
-    object.__setattr__(emb, "_lattice", _relabelled(lam, None))
     # rows 0..19 are the unit vectors of the orthogonal non-degenerate
     # summands E8(-1)^2 and U^2, so x is orthogonal to them exactly when it
     # is zero on coordinates 0..15 and 24..27; the complement is then
@@ -409,11 +397,11 @@ def build_iota2d(d: int) -> SublatticeEmbedding:
     )
     # |det| = 2d, Lambda2d(d) being primitive in the unimodular LambdaSharp,
     # and signature (2, 26) − (2, 19) = (0, 7), so det = (-1)^7·2d
-    C = SublatticeEmbedding._trusted(sharp, comp)
-    object.__setattr__(C, "_lattice", _derived_lattice(induced_gram(C), -2 * d, Signature(0, 7), None))
-    object.__setattr__(emb, "_complement", C)
-    object.__setattr__(emb, "_index", gcd(*v))
-    return emb
+    comp_lattice = _trusted(Lattice, gram=_congruence(comp, sharp.gram), det=-2 * d, _signature=Signature(0, 7))
+    C = _trusted(SublatticeEmbedding, ambient=sharp, basis=comp, _lattice=comp_lattice)
+    return _trusted(
+        SublatticeEmbedding, ambient=sharp, basis=basis, _lattice=_relabelled(lam, None), _complement=C, _index=gcd(*v)
+    )
 
 
 def is_isometry(L: Lattice, g: IntMatrix) -> bool:

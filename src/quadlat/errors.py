@@ -9,91 +9,96 @@ status 2; anything else is a usage or programming error.
 class QuadLatError(Exception):
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        # the code of every subclass, which the CLI reports, is its class name
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
 
 # exact linear algebra
 
 class NonSquare(QuadLatError):
-    code = "NonSquare"
+    pass
 
 
 class SingularMatrix(QuadLatError):
-    code = "SingularMatrix"
+    pass
 
 
 class DimensionMismatch(QuadLatError):
-    code = "DimensionMismatch"
+    pass
 
 
 # lattice construction and discriminant data
 
 class NotSymmetric(QuadLatError):
-    code = "NotSymmetric"
+    pass
 
 
 class Degenerate(QuadLatError):
-    code = "Degenerate"
+    pass
 
 
 class BadParameter(QuadLatError):
-    code = "BadParameter"
+    pass
 
 
 class UnknownAtom(QuadLatError):
-    code = "UnknownAtom"
+    pass
 
 
 class OddLattice(QuadLatError):
-    code = "OddLattice"
+    pass
 
 
 class TooLarge(QuadLatError):
-    code = "TooLarge"
+    pass
 
 
 # embeddings and isometries
 
 class NotDefinite(QuadLatError):
-    code = "NotDefinite"
+    pass
 
 
 class NotRepresented(QuadLatError):
-    code = "NotRepresented"
+    pass
 
 
 class ParityViolation(QuadLatError):
-    code = "ParityViolation"
+    pass
 
 
 class NotAnIsometry(QuadLatError):
-    code = "NotAnIsometry"
+    pass
 
 
 class NotSpecialOrthogonal(QuadLatError):
-    code = "NotSpecialOrthogonal"
+    pass
 
 
 class NotInTildeO(QuadLatError):
-    code = "NotInTildeO"
+    pass
 
 
 # glue groups
 
 class NotIsotropic(QuadLatError):
-    code = "NotIsotropic"
+    pass
 
 
 # periods
 
 class NotPositive(QuadLatError):
-    code = "NotPositive"
+    pass
 
 
 class WrongSignature(QuadLatError):
-    code = "WrongSignature"
+    pass
 
 
 class DegenerateRestriction(QuadLatError):
-    code = "DegenerateRestriction"
+    pass
 
 
 class HodgeClosureMismatch(QuadLatError):
@@ -103,8 +108,6 @@ class HodgeClosureMismatch(QuadLatError):
     computed sublattices so the caller can inspect the disputed case
     instead of silently accepting either answer.
     """
-
-    code = "HodgeClosureMismatch"
 
     def __init__(self, message, span_closure, complement_closure):
         super().__init__(message)
@@ -121,8 +124,6 @@ class InvariantViolation(QuadLatError):
     inspected.
     """
 
-    code = "InvariantViolation"
-
     def __init__(self, message, **data):
         super().__init__(message)
         self.data = data
@@ -131,18 +132,16 @@ class InvariantViolation(QuadLatError):
 # cohomology quotients and finite groups mod ell
 
 class NotSaturated(QuadLatError):
-    code = "NotSaturated"
+    pass
 
 
 class NotInvertible(QuadLatError):
-    code = "NotInvertible"
+    pass
 
 
 # expression parsing
 
 class ParseError(QuadLatError):
-    code = "ParseError"
-
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
@@ -151,4 +150,3 @@ class ParseError(QuadLatError):
 class UsageError(QuadLatError):
     """Command-line usage problem; exits with status 1 instead of 2."""
 
-    code = "UsageError"

@@ -14,10 +14,10 @@ deterministic.
 The glue path runs on integers from the form to the overlattice.  The
 public ``GlueSubgroup`` constructor checks that its generators lie in
 the dual lattice; ``isotropic_subgroups`` builds its subgroups from
-integer combinations of the group's own lifts through the trusted
-``GlueSubgroup._trusted``, with no check.  A subgroup is read through the
-integer form num/den of its generators and a triangular basis,
-``_glue_basis``, which the subgroup keeps: the overlattice, its order
+integer combinations of the group's own lifts through the unchecked
+builder ``lattice._trusted``.  A subgroup is read through the integer
+form num/den of its generators and a triangular basis, ``_glue_basis``,
+which the subgroup keeps: the overlattice, its order
 (``glue_order``, the one formula for |M/L|, which the CLI reports) and
 its elements all come from that basis, with no closure under addition.
 Glue of denominator 1 is the trivial subgroup L/L, whose overlattice is L
@@ -43,9 +43,9 @@ from .lattice import (
     BRUTE_FORCE_CAP,
     DiscriminantForm,
     Lattice,
-    _derived_lattice,
     _ElementTable,
     _relabelled,
+    _trusted,
     discriminant_form,
     is_even,
     make_lattice,
@@ -69,34 +69,26 @@ class GlueSubgroup:
     the integer functions below read them as ``generators._numerators()``.
     This constructor checks that each row pairs integrally with the base
     lattice.  ``isotropic_subgroups`` builds its subgroups through
-    ``_trusted`` from integer combinations of the discriminant group's
-    lifts, which lie in the dual by construction, so it skips the check.
-    Neither path checks isotropy: ``overlattice_from_glue`` does.  Both
-    leave the Hermite basis unset; ``_glue_basis`` builds and keeps it.
+    ``lattice._trusted`` from integer combinations of the discriminant
+    group's lifts, which lie in the dual by construction, so it skips the
+    check.  Neither path checks isotropy: ``overlattice_from_glue`` does.
+    Both leave the Hermite basis at its class default, None;
+    ``_glue_basis`` builds and keeps it.
     """
 
     base: Lattice
     generators: RatMatrix
+    _basis = None  # (H, den), kept by _glue_basis
 
     def __post_init__(self):
         if not isinstance(self.generators, RatMatrix):
             rows = list(self.generators)  # a wrong width meets the check below
-            object.__setattr__(self, "generators", RatMatrix(rows, ncols=None if rows else self.base.rank))
+            vars(self)["generators"] = RatMatrix(rows, ncols=None if rows else self.base.rank)
         gens = self.generators
         if gens.ncols != self.base.rank:
             raise BadParameter("generator width does not match base rank")
         if not (gens @ self.base.gram).is_integral():
             raise BadParameter("generator does not lie in the dual lattice")
-        object.__setattr__(self, "_basis", None)  # (H, den), filled by _glue_basis
-
-    @classmethod
-    def _trusted(cls, base: Lattice, generators: RatMatrix) -> "GlueSubgroup":
-        # rows that are dual vectors of base by construction
-        G = object.__new__(cls)
-        object.__setattr__(G, "base", base)
-        object.__setattr__(G, "generators", generators)
-        object.__setattr__(G, "_basis", None)
-        return G
 
 
 def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list[GlueSubgroup]:
@@ -129,7 +121,8 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     T = _ElementTable(F.group.invariant_factors, F._exponent, F._q_gen, F._b_gen)
     lift_num, den = F.group.generator_lifts._numerators()
     # the trivial subgroup, first in the output order: no generators, over 1
-    trivial = GlueSubgroup._trusted(F.lattice, RatMatrix._trusted(IntMatrix._trusted((), lift_num.ncols), 1))
+    no_rows = RatMatrix._trusted(IntMatrix._trusted((), lift_num.ncols), 1)
+    trivial = _trusted(GlueSubgroup, base=F.lattice, generators=no_rows)
     if T.q.count(0) == 1:  # q vanishes on 0 alone
         return [trivial]
     isotropic = [e for e, q in enumerate(T.q) if e and q == 0]
@@ -179,7 +172,7 @@ def isotropic_subgroups(F: DiscriminantForm, cap: int = BRUTE_FORCE_CAP) -> list
     found.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     s = len(T.factors)
     rows = [IntMatrix._trusted(tuple(map(coefficients.get, gens)), s) @ lift_num for _, gens in found[1:]]
-    return [trivial] + [GlueSubgroup._trusted(F.lattice, RatMatrix._over(num, den)) for num in rows]
+    return [trivial] + [_trusted(GlueSubgroup, base=F.lattice, generators=RatMatrix._over(num, den)) for num in rows]
 
 
 def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
@@ -198,7 +191,7 @@ def _glue_basis(G: GlueSubgroup) -> tuple[IntMatrix, int]:
         else:
             scaled = [[0] * i + [den] + [0] * (n - 1 - i) for i in range(n)] + num.tolist()
             H, _ = _hnf(scaled, n, False)
-        object.__setattr__(G, "_basis", (_frozen(H[:n], n), den))
+        vars(G)["_basis"] = (_frozen(H[:n], n), den)
     return G._basis
 
 
@@ -258,7 +251,7 @@ def overlattice_from_glue(G: GlueSubgroup) -> Lattice:
     det, r = divmod(base.det, glue_order(G) ** 2)
     if r:
         raise InvariantViolation("the overlattice det is not an integer", glue=G, basis=basis)
-    return _derived_lattice(IntMatrix._trusted(gram, base.rank), det, base._signature, None)
+    return _trusted(Lattice, gram=IntMatrix._trusted(gram, base.rank), det=det, _signature=base._signature)
 
 
 def even_overlattices(L: Lattice, cap: int = BRUTE_FORCE_CAP) -> list[Lattice]:

@@ -8,6 +8,14 @@ that validates its Gram; direct sums and relabels compose them with none,
 and ``standard("Lambda2d", d)`` and ``standard("gen", k)`` state them.
 It keeps its discriminant group once that is computed.
 
+A value the package builds from validated parts, with its facts known,
+skips its class's checks: ``_trusted(cls, **fields)`` is the one unchecked
+builder of every value type, ``Lattice``, ``DiscriminantForm``,
+``embeddings.SublatticeEmbedding``, ``glue.GlueSubgroup`` and
+``periods.QuadScalar``.  A fact computed once and then kept is declared
+once, as a class attribute that defaults to None; its reader stores it in
+the instance, and a builder that knows it passes it to ``_trusted``.
+
 A discriminant form is its integer numerators over N, the exponent of
 the group (its last invariant factor): q·N mod 2N and b·N mod N; its
 rational values are built only when read.  Every q value lies in (1/N)ℤ
@@ -95,23 +103,28 @@ class Signature:
         yield self.minus
 
 
+def _trusted(cls, **fields):
+    """An instance of the value class cls holding ``fields`` as given, with
+    no check: for values the package builds from validated parts."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Validated lattice: symmetric non-degenerate integer Gram matrix."""
 
     gram: IntMatrix
     label: str | None = field(default=None, compare=False)
+    _group = None  # the DiscriminantGroup, kept by discriminant_group or stated by standard
 
     def __post_init__(self):
-        if not isinstance(self.gram, IntMatrix):
-            object.__setattr__(self, "gram", IntMatrix(self.gram))
-        g = self.gram
+        g = self.gram if isinstance(self.gram, IntMatrix) else IntMatrix(self.gram)
         if g.nrows != g.ncols or not g.is_symmetric():
             raise NotSymmetric("Gram matrix must be square and symmetric")
         d, sig = _det_and_signature(g)
-        object.__setattr__(self, "det", d)
-        object.__setattr__(self, "_signature", sig)
-        object.__setattr__(self, "_group", None)  # filled by discriminant_group
+        vars(self).update(gram=g, det=d, _signature=sig)
 
     @property
     def rank(self) -> int:
@@ -131,26 +144,13 @@ def _symmetric_lattice(gram: IntMatrix) -> Lattice:
     construction, such as a congruence B·G·Bᵀ: the det/signature
     elimination and the ``Degenerate`` refusal run, the symmetry test does
     not.  ``make_lattice`` keeps every check."""
-    return _derived_lattice(gram, *_det_and_signature(gram), None)
-
-
-def _derived_lattice(gram: IntMatrix, det: int, sig: Signature, label: str | None) -> Lattice:
-    # A lattice whose symmetric Gram has det ≠ 0 and signature sig by
-    # construction from validated lattices, so no elimination is rerun.
-    L = object.__new__(Lattice)
-    object.__setattr__(L, "gram", gram)
-    object.__setattr__(L, "label", label)
-    object.__setattr__(L, "det", det)
-    object.__setattr__(L, "_signature", sig)
-    object.__setattr__(L, "_group", None)
-    return L
+    det, sig = _det_and_signature(gram)
+    return _trusted(Lattice, gram=gram, det=det, _signature=sig)
 
 
 def _relabelled(L: Lattice, label: str | None) -> Lattice:
     # L under another label; the group L holds, a function of the Gram, goes with it
-    R = _derived_lattice(L.gram, L.det, L._signature, label)
-    object.__setattr__(R, "_group", L._group)
-    return R
+    return _trusted(Lattice, **{**vars(L), "label": label})
 
 
 def _check_rank(rank: int) -> None:
@@ -195,7 +195,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     _check_rank(sum(L.rank for L in lattices))
     gram = block_diag(*(L.gram for L in lattices))
     sig = Signature(sum(L._signature.plus for L in lattices), sum(L._signature.minus for L in lattices))
-    return _derived_lattice(gram, prod(L.det for L in lattices), sig, None)
+    return _trusted(Lattice, gram=gram, det=prod(L.det for L in lattices), _signature=sig)
 
 
 # The fixed lattices, each built on first use and then shared, since a
@@ -211,7 +211,7 @@ def _atom(name: str) -> Lattice:
         if name in _ATOM_SUMS:
             e8_count, u_count = _ATOM_SUMS[name]
             S = direct_sum(*[_atom("E8(-1)")] * e8_count, *[_atom("U")] * u_count)
-            L = _derived_lattice(S.gram, S.det, S._signature, name)
+            L = _relabelled(S, name)
         else:
             gram, s = _ATOM_GRAMS[name]
             L = Lattice(IntMatrix(gram).scale(s), name)
@@ -281,14 +281,13 @@ def standard(name: str, *params: int) -> Lattice:
             raise BadParameter("gen(0) is degenerate")
         label, gram = f"gen({k})", IntMatrix([[k]])
         k = gram[0][0]
-        L = _derived_lattice(gram, k, Signature(1, 0) if k > 0 else Signature(0, 1), label)
         if abs(k) > 1:  # ℤ/|k|, generated by sign(k)/|k|
             lift = IntMatrix._trusted(((1 if k > 0 else -1,),), 1)
             group = DiscriminantGroup((abs(k),), RatMatrix._trusted(lift, abs(k)))
         else:
             group = DiscriminantGroup((), RatMatrix._trusted(IntMatrix._trusted((), 1), 1))
-        object.__setattr__(L, "_group", group)
-        return L
+        sig = Signature(1, 0) if k > 0 else Signature(0, 1)
+        return _trusted(Lattice, gram=gram, label=label, det=k, _signature=sig, _group=group)
     if name == "Lambda2d":
         if len(params) != 1:
             raise BadParameter("Lambda2d takes exactly one parameter")
@@ -301,10 +300,10 @@ def standard(name: str, *params: int) -> Lattice:
         k3 = _atom("LambdaK3").gram
         sparse = [*k3._sparse_rows()[:20], [(20, -2 * d)]]
         gram = IntMatrix._trusted((*(row[:21] for row in k3[:20]), (0,) * 20 + (-2 * d,)), 21, sparse)
-        L = _derived_lattice(gram, -2 * d, Signature(2, 19), f"Lambda2d({d})")
         lift = IntMatrix._trusted(((0,) * 20 + (-1,),), 21)
-        object.__setattr__(L, "_group", DiscriminantGroup((2 * d,), RatMatrix._trusted(lift, 2 * d)))
-        return L
+        group = DiscriminantGroup((2 * d,), RatMatrix._trusted(lift, 2 * d))
+        sig = Signature(2, 19)
+        return _trusted(Lattice, gram=gram, label=f"Lambda2d({d})", det=-2 * d, _signature=sig, _group=group)
     if name in _ATOM_SUMS:
         if params:
             raise BadParameter(f"{name} takes no parameters")
@@ -360,9 +359,9 @@ class DiscriminantForm:
     dᵢ·b(gᵢ, gⱼ) ∈ ℤ, q(gᵢ) ≡ b(gᵢ, gᵢ) mod 1 and dᵢ²·q(gᵢ) ∈ 2ℤ.  Then
     q and b are well defined on ⊕ ℤ/dᵢ and q(x) ≡ b(x, x) mod 1 for every
     x; this constructor refuses anything else with BadParameter.
-    ``discriminant_form`` builds its form through ``_trusted`` from the
-    integer pairings of the lattice's own lifts, where these conditions
-    hold by construction, so it skips the checks.
+    ``discriminant_form`` builds its form through the module's ``_trusted``
+    from the integer pairings of the lattice's own lifts, where these
+    conditions hold by construction, so it skips the checks.
     """
 
     group: DiscriminantGroup
@@ -393,13 +392,6 @@ class DiscriminantForm:
             if d * d * qs[i] % (2 * N):
                 raise BadParameter(f"{d}²·q(g{i}) must lie in 2ℤ for the generator g{i} of order {d}")
         vars(self).update(group=group, lattice=lattice, _exponent=N, _q_gen=qs, _b_gen=bs)
-
-    @classmethod
-    def _trusted(cls, group: DiscriminantGroup, N: int, q_gen: tuple, b_gen: tuple, lattice: Lattice):
-        # q·N mod 2N and b·N mod N over the exponent N of the group, a form by construction
-        F = object.__new__(cls)
-        vars(F).update(group=group, lattice=lattice, _exponent=N, _q_gen=q_gen, _b_gen=b_gen)
-        return F
 
     @property
     def q_values(self) -> tuple[Fraction, ...]:
@@ -455,7 +447,7 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
         num = tuple([tuple([x * (N // S[i][i]) for x in U[i]]) for i in rows])
         # num/N is in lowest terms: its last row is a row of the unimodular U, of gcd 1
         lifts = RatMatrix._trusted(IntMatrix._trusted(num, n), N)
-        object.__setattr__(L, "_group", DiscriminantGroup(factors, lifts))
+        vars(L)["_group"] = DiscriminantGroup(factors, lifts)
     return L._group
 
 
@@ -480,7 +472,7 @@ def discriminant_form(L: Lattice) -> DiscriminantForm:
         raise InvariantViolation("a discriminant pairing times the exponent is not an integer", lattice=L)
     q = tuple([row[i] // dd % (2 * N) for i, row in enumerate(pairings)])
     b = tuple([tuple([p // dd % N for p in row]) for row in pairings])
-    return DiscriminantForm._trusted(group, N, q, b, L)
+    return _trusted(DiscriminantForm, group=group, lattice=L, _exponent=N, _q_gen=q, _b_gen=b)
 
 
 def min_generators(A: DiscriminantGroup) -> int:

@@ -7,20 +7,18 @@ products and integrality tests run on that pair, and a ``Fraction`` is
 built only where an entry is read, or converted by the public
 constructor.  One fraction-free (Bareiss) update, ``_bareiss_step``, runs
 under two pivot rules: ``det_exact``'s row swap, whose forward pass on
-[m | b] plus a back substitution is ``solve_integral``, and
+[m | b] plus a back substitution is the solve core ``_solve_core``, and
 ``_symmetric_elimination``'s congruence (``Lattice`` det and signature,
 the norm search's square completion).  Every entry it writes is a minor
 of the input (Sylvester's identity), so a row whose lead is zero is not
 rescaled at each step: it keeps the pivot it was last written under and
 is brought up to date when it is next used.  The callers read only the
-pivot rows, from the diagonal on.  ``solve_integral`` and
-``solve_rational`` share one core, ``_solve_core``: it reads off the
-unknowns that unit rows ±e_j fix (``_unit_rows``), unscaled, and
-eliminates only the other rows.  ``solve_integral`` scales the fixed
-unknowns by the den it returns; ``solve_rational`` reduces den against
-the eliminated unknowns alone and scales the fixed ones only when some
-of den is left, so the 27 unit rows of the k3 extension system are
-neither multiplied nor divided.
+pivot rows, from the diagonal on.  The solve core reads off the unknowns
+that unit rows ±e_j fix (``_unit_rows``), unscaled, and eliminates only
+the other rows.  ``solve_rational`` reduces den against the eliminated
+unknowns alone and scales the fixed ones only when some of den is left,
+so the 27 unit rows of the k3 extension system are neither multiplied
+nor divided.
 The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
 isomorphism).  Matrices are immutable; routines are pure.  An
 ``IntMatrix`` keeps its sparse rows.  A builder that knows them passes
@@ -141,11 +139,11 @@ class IntMatrix:
         cols = tuple(zip(*self._data)) if self._data else ((),) * self._ncols
         return self._trusted(cols, self.nrows)
 
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
+    def stack(self, other: "IntMatrix | RatMatrix") -> "IntMatrix | RatMatrix":
+        if isinstance(other, RatMatrix):  # a rational stack, as @ gives through __rmatmul__
+            return self.to_rat().stack(other)
         if self._ncols != other.ncols:
             raise ValueError("shape mismatch in vertical stack")
-        if not isinstance(other, IntMatrix):  # converted to int entries
-            other = IntMatrix(other, ncols=other.ncols)
         return self._trusted(self._data + other._data, self._ncols)
 
     def scale(self, k: int) -> "IntMatrix":
@@ -869,29 +867,6 @@ def _solve_core(m: IntMatrix, b: IntMatrix) -> tuple[list[tuple], list[int], int
     return x, cols, den
 
 
-def _scale_fixed(x: list[tuple], cols: list[int], k: int) -> None:
-    # the rows of x that unit rows fixed, times k
-    eliminated = set(cols)
-    for j, row in enumerate(x):
-        if j not in eliminated:
-            x[j] = tuple([k * v for v in row])
-
-
-def solve_integral(m: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
-    """Fraction-free solve of m·x = b for square non-singular m.
-
-    Returns (X, den) with m·X = den·b, X integral and den = |det m| > 0,
-    so the solution is X/den; it is integral exactly when den divides
-    every entry of X.  It runs the solve core ``_solve_core``, which fixes
-    the unknowns of unit rows ±e_j outright and eliminates only the other
-    rows, then scales the fixed unknowns by den.
-    """
-    x, cols, den = _solve_core(m, b)
-    if den > 1:
-        _scale_fixed(x, cols, den)
-    return IntMatrix._trusted(tuple(x), b.ncols), den
-
-
 def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
     """Exact solution x of m·x = b for square non-singular m.
 
@@ -912,8 +887,9 @@ def solve_rational(m: IntMatrix, b: RatMatrix | IntMatrix) -> RatMatrix:
         for j in cols:
             x[j] = tuple([v // g for v in x[j]])
         den //= g
-    if den > 1:
-        _scale_fixed(x, cols, den)
+    if den > 1:  # the rows that unit rows fixed, times den
+        eliminated = set(cols)
+        x = [row if j in eliminated else tuple([den * v for v in row]) for j, row in enumerate(x)]
     num = IntMatrix._trusted(tuple(x), b.ncols)
     if den_b == 1:
         return RatMatrix._trusted(num, den)

@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
     WrongSignature,
 )
-from .lattice import Lattice, _json_numbers, lattice_from_json, lattice_to_json, signature
+from .lattice import Lattice, _json_numbers, _trusted, lattice_from_json, lattice_to_json, signature
 from .linalg import IntMatrix, RatMatrix, det_exact
 from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
 
@@ -64,38 +64,29 @@ class QuadScalar:
 
     def __post_init__(self):
         _check_field_discriminant(self.d)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    @staticmethod
-    def _in_field(a: Fraction, b: Fraction, d: int) -> "QuadScalar":
-        # a + b·√d in a field whose d was checked already
-        x = object.__new__(QuadScalar)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
-        object.__setattr__(x, "d", d)
-        return x
+        vars(self).update(a=Fraction(self.a), b=Fraction(self.b))
 
     def __add__(self, other: "QuadScalar") -> "QuadScalar":
         self._same_field(other)
-        return self._in_field(self.a + other.a, self.b + other.b, self.d)
+        return _trusted(QuadScalar, a=self.a + other.a, b=self.b + other.b, d=self.d)
 
     def __sub__(self, other: "QuadScalar") -> "QuadScalar":
         return self + -other
 
     def __mul__(self, other: "QuadScalar") -> "QuadScalar":
         self._same_field(other)
-        return self._in_field(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
+        return _trusted(
+            QuadScalar,
+            a=self.a * other.a + self.d * self.b * other.b,
+            b=self.a * other.b + self.b * other.a,
+            d=self.d,
         )
 
     def __neg__(self) -> "QuadScalar":
-        return self._in_field(-self.a, -self.b, self.d)
+        return _trusted(QuadScalar, a=-self.a, b=-self.b, d=self.d)
 
     def conjugate(self) -> "QuadScalar":
-        return self._in_field(self.a, -self.b, self.d)
+        return _trusted(QuadScalar, a=self.a, b=-self.b, d=self.d)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -124,16 +115,14 @@ class PeriodVector:
 
     def __post_init__(self):
         _check_field_discriminant(self.d)
-        object.__setattr__(self, "re", tuple(Fraction(x) for x in self.re))
-        object.__setattr__(self, "im", tuple(Fraction(x) for x in self.im))
+        vars(self).update(re=tuple(Fraction(x) for x in self.re), im=tuple(Fraction(x) for x in self.im))
         n = self.lattice.rank
         if len(self.re) != n or len(self.im) != n:
             raise BadParameter("coordinate length does not match lattice rank")
         if all(x == 0 for x in self.im):
             raise BadParameter("period must be genuinely non-real (im != 0)")
         rows, den = RatMatrix([self.re, self.im])._numerators()
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_den", den)
+        vars(self).update(_rows=rows, _den=den)
 
 
 def _pairings(omega: PeriodVector, rows: IntMatrix) -> IntMatrix:
@@ -160,7 +149,7 @@ def period_pairing(omega: PeriodVector, re2, im2) -> QuadScalar:
     p = _pairings(omega, rows)
     den *= omega._den
     rational, irrational = p[0][0] + omega.d * p[1][1], p[0][1] + p[1][0]
-    return QuadScalar._in_field(Fraction(rational, den), Fraction(irrational, den), omega.d)
+    return _trusted(QuadScalar, a=Fraction(rational, den), b=Fraction(irrational, den), d=omega.d)
 
 
 def validate_period(omega: PeriodVector) -> PeriodVector:

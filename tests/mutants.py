@@ -76,7 +76,7 @@ MUTANTS = [
     ),
     (
         "src/quadlat/glue.py",
-        "        object.__setattr__(G, \"_basis\", (_frozen(H[:n], n), den))\n    return G._basis\n",
+        "        vars(G)[\"_basis\"] = (_frozen(H[:n], n), den)\n    return G._basis\n",
         "        return _frozen(H[:n], n), den\n    return G._basis\n",
         "tests/test_glue.py::TestOneHermiteFormPerSubgroup::test_overlattices_request_runs_one_per_subgroup",
     ),
@@ -267,8 +267,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/lattice.py",
-        "    object.__setattr__(R, \"_group\", L._group)\n",
-        "    object.__setattr__(R, \"_group\", None)\n",
+        "    return _trusted(Lattice, **{**vars(L), \"label\": label})\n",
+        "    return _trusted(Lattice, gram=L.gram, label=label, det=L.det, _signature=L._signature)\n",
         "tests/test_lattice.py::TestConstructedLambda2dGroup::test_relabelled_copies_find_the_same_lift",
     ),
     # a rational matrix is one integer matrix over one denominator, in lowest terms
@@ -299,8 +299,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/linalg.py",
-        "    if den > 1:\n        _scale_fixed(x, cols, den)\n    num = ",
-        "    if False:\n        _scale_fixed(x, cols, den)\n    num = ",
+        "    if den > 1:  # the rows that unit rows fixed, times den\n",
+        "    if False:  # the rows that unit rows fixed, times den\n",
         f"{ORACLE}::TestSolveCore::test_fixed_rows_join_the_reduced_denominator",
     ),
     # kernel_basis splits off zero rows; Lambda2d and iota2d carry what their construction proves
@@ -318,14 +318,14 @@ MUTANTS = [
     ),
     (
         "src/quadlat/lattice.py",
-        "        L = _derived_lattice(gram, -2 * d, Signature(2, 19), f\"Lambda2d({d})\")\n",
-        "        L = _derived_lattice(gram, 2 * d, Signature(2, 19), f\"Lambda2d({d})\")\n",
+        "label=f\"Lambda2d({d})\", det=-2 * d,",
+        "label=f\"Lambda2d({d})\", det=2 * d,",
         "tests/test_lattice.py::TestConstructedLambda2dGram::test_equals_the_direct_sum",
     ),
     (
         "src/quadlat/embeddings.py",
-        "    object.__setattr__(emb, \"_index\", gcd(*v))\n",
-        "    object.__setattr__(emb, \"_index\", gcd(*v[1:]))\n",
+        "_index=gcd(*v)\n",
+        "_index=gcd(*v[1:])\n",
         "tests/test_embeddings.py::TestConstructedIotaComplement::test_carried_index_is_the_smith_product",
     ),
     (
@@ -424,8 +424,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/embeddings.py",
-        "-2 * d, Signature(0, 7)",
-        "2 * d, Signature(0, 7)",
+        "det=-2 * d, _signature=Signature(0, 7)",
+        "det=2 * d, _signature=Signature(0, 7)",
         f"{ORACLE}::TestComplementFromItsSource::test_k3_complements",
     ),
     # gen(k) carries its group
@@ -459,6 +459,38 @@ MUTANTS = [
         "                sparse.append((i, x))\n",
         "                sparse.append((i, 1))\n",
         f"{ORACLE}::TestCarriedSparseRows::test_kernel_basis_outputs",
+    ),
+    # one unchecked builder for every value type, each kept fact a class default of None
+    (
+        "src/quadlat/lattice.py",
+        "    vars(obj).update(fields)\n",
+        "    vars(obj).update(list(fields.items())[1:])\n",
+        "tests/test_trusted.py::TestTrustedBuilder::test_fields_as_given",
+    ),
+    (
+        "src/quadlat/lattice.py",
+        "**{**vars(L), \"label\": label}",
+        "**{\"label\": label, **vars(L)}",
+        "tests/test_trusted.py::TestTrustedBuilder::test_fields_as_given",
+    ),
+    (
+        "src/quadlat/embeddings.py",
+        "    _index = None  #",
+        "    _index = 1  #",
+        "tests/test_trusted.py::TestTrustedBuilder::test_sublattice_embeddings",
+    ),
+    # an error's code is its class name; IntMatrix.stack of a RatMatrix is rational
+    (
+        "src/quadlat/errors.py",
+        "        cls.code = cls.__name__\n",
+        "        cls.code = cls.__name__.lower()\n",
+        "tests/test_cli.py::test_every_error_code_is_its_class_name",
+    ),
+    (
+        "src/quadlat/linalg.py",
+        "        if isinstance(other, RatMatrix):  # a rational stack",
+        "        if False:  # a rational stack",
+        "tests/test_linalg.py::TestConstructorAndOperandChecks::test_mixed_stacks_are_rational",
     ),
 ]
 

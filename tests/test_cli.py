@@ -12,11 +12,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadlat
-from quadlat import periods
+from quadlat import errors, periods
 from quadlat.cli import _build_parser, run
+from quadlat.errors import QuadLatError
 from quadlat.expr import evaluate_expr
 from quadlat.glue import glue_order, isotropic_subgroups
 from quadlat.lattice import discriminant_form, lattice_to_json, make_lattice, standard
+
+
+def test_every_error_code_is_its_class_name():
+    # the "error" field of a JSON error line is the class name of what was raised
+    subclasses = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, QuadLatError)]
+    assert len(subclasses) == 26 and QuadLatError.code == "Error"
+    assert all(cls.code == cls.__name__ for cls in subclasses if cls is not QuadLatError)
 
 
 def invoke(capsys, *argv):

@@ -387,7 +387,7 @@ class TestIota2d:
         # the Gram self-check is an explicit check, not an assert, so it also
         # runs under python -O and reports what it compared
         wrong = IntMatrix.zero(21, 21)
-        monkeypatch.setattr(embeddings, "induced_gram", lambda E: wrong)
+        monkeypatch.setattr(embeddings, "_congruence", lambda B, G: wrong)  # B·G·Bᵀ, the induced Gram
         with pytest.raises(InvariantViolation) as info:
             build_iota2d(3)
         assert info.value.data["d"] == 3 and info.value.data["induced"] == wrong

@@ -10,7 +10,7 @@ caller reads, must return the public forms (the S-only Smith form on
 non-square unit-row matrices too), and
 ``_congruence`` must equal two products B·G·Bᵀ, also on bases of rows
 with one nonzero entry.  It also checks the kernels built on the one Bareiss step:
-``solve_integral`` (zero leading pivots, the k3 extension system, 0×0 and
+``solve_rational`` (zero leading pivots, the k3 extension system, 0×0 and
 zero right-hand sides) and the det of the symmetric elimination, with the
 work those eliminations skip: rows that wait under an older pivot (dense
 and sparse systems, swapped rows, a congruence that mixes a waiting row,
@@ -131,7 +131,6 @@ from quadlat.linalg import (  # noqa: E402
     invert_rational,
     kernel_basis,
     smith_normal_form,
-    solve_integral,
     solve_rational,
 )
 
@@ -1477,7 +1476,7 @@ class TestSquareCompletion:
 
 
 # ---------------------------------------------------------------------------
-# the one Bareiss step: solve_integral and the symmetric det against sympy
+# the one Bareiss step: solve_rational and the symmetric det against sympy
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -1499,13 +1498,23 @@ def right_hand_sides(draw, n):
 
 
 def _assert_solves(m, b):
-    # m·X = den·b and den = |det m|, both from sympy
-    x, den = solve_integral(m, b)
-    assert den == abs(int(_to_domain(m, ZZ).det()))
+    # m·X = den·b by sympy, for the stored pair X/den of the solution: with
+    # m non-singular and X/den in lowest terms, that pair is the one answer
+    x, den = solve_rational(m, b)._numerators()
     assert (x.nrows, x.ncols) == (b.nrows, b.ncols)
+    assert den > 0 and gcd(den, *itertools.chain.from_iterable(x)) == 1
     if b.ncols:
         product = _to_domain(m, ZZ).matmul(_to_domain(x, ZZ)).to_list()
         assert [[int(v) for v in row] for row in product] == [[den * v for v in row] for row in b]
+
+
+def _sympy_solve(m, b, den_b=1):
+    """The solution of m·x = b/den_b as a RatMatrix, from sympy's
+    fraction-free solve m·X = den·b."""
+    x, den = _to_domain(m, ZZ).solve_den(_to_domain(b, ZZ))
+    sign = -1 if den < 0 else 1
+    num = IntMatrix([[sign * int(v) for v in row] for row in x.to_list()], ncols=b.ncols)
+    return RatMatrix._over(num, sign * int(den) * den_b)
 
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
@@ -1523,7 +1532,7 @@ def _extension_system(d):
 class TestBareissKernel:
     @ORACLE
     @given(st.one_of(zero_leading_pivots(), dense_or_block_sparse(max_rank=12)), st.data())
-    def test_solve_integral(self, m, data):
+    def test_solve_rational(self, m, data):
         assume(_to_domain(m, ZZ).det() != 0)
         _assert_solves(m, data.draw(right_hand_sides(m.nrows)))
 
@@ -1532,16 +1541,17 @@ class TestBareissKernel:
         _assert_solves(*_extension_system(d))
 
     def test_empty_and_zero_right_hand_sides(self):
-        assert solve_integral(IntMatrix([], ncols=0), IntMatrix([], ncols=2)) == (IntMatrix([], ncols=2), 1)
+        empty = IntMatrix([], ncols=2)
+        assert solve_rational(IntMatrix([], ncols=0), empty)._numerators() == (empty, 1)
         m = IntMatrix([[0, 2, 1], [3, 0, 0], [1, 1, 0]])
-        assert solve_integral(m, IntMatrix.zero(3, 2)) == (IntMatrix.zero(3, 2), 3)
+        assert solve_rational(m, IntMatrix.zero(3, 2))._numerators() == (IntMatrix.zero(3, 2), 1)
         _assert_solves(m, IntMatrix([[0, 5], [0, -1], [0, 7]]))
 
     def test_refusals(self):
         with pytest.raises(SingularMatrix):
-            solve_integral(IntMatrix([[0, 1], [0, 2]]), IntMatrix([[1], [1]]))
+            solve_rational(IntMatrix([[0, 1], [0, 2]]), IntMatrix([[1], [1]]))
         with pytest.raises(NonSquare):
-            solve_integral(IntMatrix([[1, 2]]), IntMatrix([[1]]))
+            solve_rational(IntMatrix([[1, 2]]), IntMatrix([[1]]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(possibly_singular(), symmetric_matrices(entries=st.integers(-BIG, BIG), zero_diagonal=True)))
@@ -1739,7 +1749,7 @@ class TestDeferredRescale:
 
 
 class TestUnitRows:
-    """solve_integral fixes x_j = ±b_i for each row ±e_j and runs Bareiss on
+    """The solve core fixes x_j = ±b_i for each row ±e_j and runs Bareiss on
     the rest only."""
 
     @ORACLE
@@ -1756,7 +1766,7 @@ class TestUnitRows:
         expected = [None] * 5
         for i in range(5):  # row i of m is signs[i]·e_perm[i]
             expected[perm[i]] = [signs[i] * v for v in b[i]]
-        assert solve_integral(m, b) == (IntMatrix(expected), 1)
+        assert solve_rational(m, b)._numerators() == (IntMatrix(expected), 1)
 
     def test_mixed_with_dense_rows(self):
         m = IntMatrix([[0, -1, 0, 0], [2, 5, 3, -1], [0, 0, 0, 1], [4, -3, 7, 2]])
@@ -1773,13 +1783,13 @@ class TestUnitRows:
     )
     def test_two_unit_rows_on_one_column_are_singular(self, rows):
         with pytest.raises(SingularMatrix):
-            solve_integral(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
+            solve_rational(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
 
 
 class TestSolveCore:
-    """solve_integral and solve_rational share one core, which gives the
-    unknowns that unit rows fix unscaled; solve_rational reduces only the
-    eliminated ones, and its stored pair is the one ``_over`` would give."""
+    """solve_rational's core gives the unknowns that unit rows fix unscaled;
+    solve_rational reduces only the eliminated ones, and its stored pair is
+    the one ``_over`` gives sympy's fraction-free solve."""
 
     @ORACLE
     @given(unit_row_systems(), st.data())
@@ -1791,68 +1801,13 @@ class TestSolveCore:
             with pytest.raises(SingularMatrix):
                 solve_rational(m, rhs)
             return
-        x, den = solve_integral(m, num)
-        assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+        assert solve_rational(m, rhs)._numerators() == _sympy_solve(m, num, den_b)._numerators()
 
     @pytest.mark.parametrize("d", [1, 2, 37, 1000])
     def test_k3_extension_system(self, d):
         m, b = _extension_system(d)
-        x, den = solve_integral(m, b)
         for rhs, den_b in ((b, 1), (RatMatrix._over(b, 2 * d + 1), 2 * d + 1)):
-            assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
-
-    @pytest.mark.parametrize(
-        "rows, b, expected",
-        [
-            # x_1 = -3 fixed; den = 2 and X' = (4,) reduce by g = 2 to an integral solution
-            ([[0, -1], [2, 0]], [[3], [4]], [[2], [-3]]),
-            # den = 6 and X' = (3, 1) share no factor: the fixed x_0 = 5 is scaled by 6
-            ([[1, 0, 0], [0, 2, 0], [0, 1, 3]], [[5], [1], [1]], [[5], [Fraction(1, 2)], [Fraction(1, 6)]]),
-            # den = 4, X' = (2,): g = 2, and the fixed x_1 = -7 is scaled by den/g = 2
-            ([[4, 0], [0, -1]], [[2], [7]], [[Fraction(1, 2)], [-7]]),
-        ],
-    )
-    def test_fixed_rows_join_the_reduced_denominator(self, rows, b, expected):
-        # RatMatrix's public constructor finds the least common denominator on its own
-        assert solve_rational(IntMatrix(rows), IntMatrix(b))._numerators() == RatMatrix(expected)._numerators()
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[1, 0, 0], [0, 0, -1], [0, 0, 1]],
-            [[0, -1, 0], [3, 1, 2], [0, 1, 0]],
-            [[0, 0, 0, 1], [1, 2, 3, 4], [0, 0, 0, -1], [5, 6, 7, 9]],
-        ],
-    )
-    def test_two_unit_rows_on_one_column_are_singular(self, rows):
-        with pytest.raises(SingularMatrix):
-            solve_integral(IntMatrix(rows), IntMatrix([[1]] * len(rows)))
-
-
-class TestSolveCore:
-    """solve_integral and solve_rational share one core, which gives the
-    unknowns that unit rows fix unscaled; solve_rational reduces only the
-    eliminated ones, and its stored pair is the one ``_over`` would give."""
-
-    @ORACLE
-    @given(unit_row_systems(), st.data())
-    def test_solve_rational_is_the_reduced_integral_solve(self, m, data):
-        b = data.draw(right_hand_sides(m.nrows))
-        rhs = RatMatrix._over(b, data.draw(st.integers(2, 60))) if data.draw(st.booleans()) else b
-        num, den_b = rhs._numerators() if isinstance(rhs, RatMatrix) else (rhs, 1)
-        if _to_domain(m, ZZ).det() == 0:
-            with pytest.raises(SingularMatrix):
-                solve_rational(m, rhs)
-            return
-        x, den = solve_integral(m, num)
-        assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
-
-    @pytest.mark.parametrize("d", [1, 2, 37, 1000])
-    def test_k3_extension_system(self, d):
-        m, b = _extension_system(d)
-        x, den = solve_integral(m, b)
-        for rhs, den_b in ((b, 1), (RatMatrix._over(b, 2 * d + 1), 2 * d + 1)):
-            assert solve_rational(m, rhs)._numerators() == RatMatrix._over(x, den * den_b)._numerators()
+            assert solve_rational(m, rhs)._numerators() == _sympy_solve(m, b, den_b)._numerators()
 
     @pytest.mark.parametrize(
         "rows, b, expected",
@@ -2151,7 +2106,7 @@ class TestEliminationWork:
     @pytest.mark.parametrize("d", [1, 37, 1000])
     def test_extension_system_runs_bareiss_on_at_most_five_rows(self, d):
         m, b = _extension_system(d)
-        rows = _forward_pass_rows(lambda: solve_integral(m, b))
+        rows = _forward_pass_rows(lambda: solve_rational(m, b))
         assert len(rows) == 1 and rows[0] <= 5  # of 28
 
 

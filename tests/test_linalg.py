@@ -185,6 +185,22 @@ class TestConstructorAndOperandChecks:
             cls([])
         assert cls([], ncols=3).ncols == 3
 
+    @pytest.mark.parametrize(
+        "top, bottom",
+        [
+            ([[1, -2]], [[3, 4], [0, 5]]),  # integral rationals
+            ([[1, -2]], [[Fraction(1, 2), 4], [0, Fraction(-5, 3)]]),
+            ([[0, 0]], [[Fraction(7, 6), 1]]),
+        ],
+    )
+    def test_mixed_stacks_are_rational(self, top, bottom):
+        # IntMatrix.stack of a RatMatrix stacks rationally, as RatMatrix.stack of an IntMatrix does
+        a, r = IntMatrix(top), RatMatrix(bottom)
+        assert a.stack(r) == a.to_rat().stack(r) == RatMatrix(top + bottom)
+        assert r.stack(a) == r.stack(a.to_rat()) == RatMatrix(bottom + top)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a.stack(RatMatrix([[1]]))
+
     @pytest.mark.parametrize("product", [lambda m: m @ 3, lambda m: 3 @ m], ids=["right", "left"])
     def test_product_with_a_scalar_is_a_type_error(self, product):
         with pytest.raises(TypeError):
