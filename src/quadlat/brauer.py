@@ -210,6 +210,10 @@ def brute_force_points(
 
     group: "special_linear" (det = 1), "symplectic" (gᵀ·J·g = J, n even)
     or "orthogonal" (gᵀ·Q·g = Q for the Gram Q of ``of`` reduced mod ell).
+    Only invertible g count: the count is of {g ∈ GL_n(𝔽_ell) : gᵀ·F·g = F}.
+    When F is non-degenerate mod ell, as J is, gᵀ·F·g = F forces det g ≠ 0;
+    when ell divides det F, singular g (the zero matrix, for one) satisfy
+    it too and are not group elements.
     Deliberately naive: this is the oracle the sandwich bounds are tested
     against.
     """
@@ -245,5 +249,5 @@ def brute_force_points(
         if form is None:
             count += det_exact(g) % ell == 1
         else:
-            count += [[x % ell for x in row] for row in g.transpose() @ form @ g] == want
+            count += [[x % ell for x in row] for row in g.transpose() @ form @ g] == want and det_exact(g) % ell != 0
     return count

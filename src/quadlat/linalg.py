@@ -11,14 +11,16 @@ under two pivot rules: ``det_exact``'s row swap, whose forward pass on
 ``_symmetric_elimination``'s congruence (``Lattice`` det and signature,
 the norm search's square completion).  Every entry it writes is a minor
 of the input (Sylvester's identity), so a row whose lead is zero is not
-rescaled at each step: it keeps the pivot it was last written under and
-is brought up to date when it is next used.  The callers read only the
-pivot rows, from the diagonal on.  The solve core reads off the unknowns
-that unit rows ±e_j fix (``_unit_rows``), unscaled, and eliminates only
-the other rows.  ``solve_rational`` reduces den against the eliminated
-unknowns alone and scales the fixed ones only when some of den is left,
-so the 27 unit rows of the k3 extension system are neither multiplied
-nor divided.
+rescaled at each step: a per-row list keeps the pivot each row was last
+written under, and a row is brought up to date when it is next used.  On
+An(n) and block-diagonal Grams most rows have a zero lead at most steps;
+rescaling them all would make the elimination of An(n) cubic in n, not
+quadratic.  The callers read only the pivot rows, from the diagonal on.
+The solve core reads off the unknowns that unit rows ±e_j fix
+(``_unit_rows``), unscaled, and eliminates only the other rows.
+``solve_rational`` reduces den against the eliminated unknowns alone and
+scales the fixed ones only when some of den is left, so the 27 unit rows
+of the k3 extension system are neither multiplied nor divided.
 The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
 isomorphism).  Matrices are immutable; routines are pure.  An
 ``IntMatrix`` keeps its sparse rows.  A builder that knows them passes
@@ -54,8 +56,8 @@ and ``glue._glue_basis`` reads only H.  ``kernel_basis`` first splits off
 the zero rows of its input: each gives a unit vector of the kernel, the
 only unit vectors its transform rows can hold, and both Hermite passes run
 on the other rows (the polarization complement's 22×1 column has 2 nonzero
-rows).  ``_hnf`` itself has no such split, so ``_glue_basis`` pays nothing
-for it.
+rows).  Every kernel it returns carries its sparse rows.  ``_hnf`` itself
+has no such split, so ``_glue_basis`` pays nothing for it.
 """
 
 from __future__ import annotations
@@ -334,9 +336,7 @@ def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
     G's sparse row k and B's column lists (column l: the pairs (j, B[j][l])
     with B[j][l] ≠ 0), so entry (i, j) = a·Σ_l G[k][l]·B[j][l] touches only
     those nonzeros.  The column lists are built at the first such row,
-    from that row down, and only for a B of five rows or more: four rows
-    pair at most ten times, and on glue bases of rank ≤ 4 the lists cost
-    as much as they save, or more.  Any other row i of B·G
+    from that row down.  Any other row i of B·G
     accumulates over the nonzero entries of row i of B, each times a row of
     G's kept sparse rows, and its pairing with row j of B runs over B's
     nonzero columns in row j; a dense B does only that.  It equals
@@ -350,7 +350,7 @@ def _congruence(b: IntMatrix, g: IntMatrix) -> IntMatrix:
     cols = None
     for i, row in enumerate(b_rows):
         out_i = out[i]
-        if n > 4 and len(row) == 1:
+        if len(row) == 1:
             if cols is None:  # from row i on: no later row pairs with a row above it
                 cols = [[] for _ in range(b.ncols)]
                 for j in range(i, n):
@@ -640,32 +640,31 @@ def _rescale(row: list[int], k: int, num: int, den: int) -> None:
             row[t] = num * row[t] // den
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int, frame: dict[int, int]) -> int:
+def _bareiss_step(a: list[list[int]], k: int, prev: int, frame: list[int]) -> int:
     """The one fraction-free (Bareiss) update, at pivot k.  prev is the
-    pivot before k (or 1).  ``frame`` maps each row last written under an
-    older pivot to that pivot; every other row is up to date, under prev.
-    Row k is first brought up to date, times prev/frame[k].  Then each row
-    s > k with a nonzero lead c becomes (p·row s − c·row k) / frame[s]
-    across its full width, frame[s] being prev for a row that is up to
-    date and p = a[k][k] the pivot it returns.  Every entry is a minor of
-    the input (Sylvester's identity), so each division is exact.  A row
-    with a zero lead is not touched: it keeps its frame, and the rescale by
-    p/prev waits until the row is next used.  Column k below row k is left
-    as it was, unread."""
+    pivot before k (or 1), and ``frame[s]`` the pivot row s was last written
+    under (1 for a row not yet written).  Row k is first brought up to date,
+    times prev/frame[k], if it is behind.  Then each row s > k with a
+    nonzero lead c becomes (p·row s − c·row k) / frame[s] across its full
+    width, p = a[k][k] being the pivot it returns, and is now written under
+    p.  Every entry is a minor of the input (Sylvester's identity), so each
+    division is exact.  A row with a zero lead is not touched: its rescale
+    by p/prev waits until it is next used.  The frames serve An(n) and
+    block-diagonal Grams, whose rows have a zero lead at most steps.
+    Column k below row k is left as it was, unread."""
     row_k = a[k]
-    if k in frame:
-        _rescale(row_k, k, prev, frame.pop(k))
+    if frame[k] != prev:
+        _rescale(row_k, k, prev, frame[k])
     p = row_k[k]
     width = range(k + 1, len(row_k))
     for s in range(k + 1, len(a)):
         row_s = a[s]
         c = row_s[k]
         if c:
-            q = frame.pop(s, prev) if frame else prev
+            q = frame[s]
             for t in width:
                 row_s[t] = (p * row_s[t] - c * row_k[t]) // q
-        elif p != prev:
-            frame.setdefault(s, prev)
+            frame[s] = p
     return p
 
 
@@ -677,7 +676,7 @@ def _forward_pass(a: list[list[int]]) -> int:
     columns; the entries left of the diagonal are stale and unread."""
     n = len(a)
     sign = prev = 1
-    frame: dict[int, int] = {}
+    frame = [1] * n
     for k in range(n):
         if a[k][k] == 0:
             for swap in range(k + 1, n):
@@ -686,12 +685,7 @@ def _forward_pass(a: list[list[int]]) -> int:
             else:
                 return 0
             a[k], a[swap] = a[swap], a[k]
-            if frame:  # frames move with their rows
-                fk, fs = frame.pop(k, 0), frame.pop(swap, 0)
-                if fk:
-                    frame[swap] = fk
-                if fs:
-                    frame[k] = fs
+            frame[k], frame[swap] = frame[swap], frame[k]
             sign = -sign
         prev = _bareiss_step(a, k, prev, frame)
     return sign * prev
@@ -720,7 +714,7 @@ def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
     n = m.nrows
     a = m.tolist()
     prev = 1
-    frame: dict[int, int] = {}
+    frame = [1] * n
     for k in range(n):
         row_k = a[k]
         if not row_k[k]:
@@ -728,8 +722,9 @@ def _symmetric_elimination(m: IntMatrix) -> list[list[int]]:
             if j is None:
                 return a[:k]
             for s in (k, j):
-                if s in frame:
-                    _rescale(a[s], k, prev, frame.pop(s))
+                if frame[s] != prev:
+                    _rescale(a[s], k, prev, frame[s])
+                    frame[s] = prev
             row_j = a[j]
             c = -1 if 2 * row_k[j] + row_j[j] == 0 else 1
             for t in range(k, n):
@@ -798,17 +793,16 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     above the pivots of K'.  A lattice has one HNF, so this is HNF(K), and
     both passes run on the nonzero rows alone.  The polarization complement
     of e + d·f in LambdaK3 is the kernel of a 22×1 column with 20 zero
-    rows, so its passes run on a 2×1 column and a 1×2 row.  The result
-    then carries its sparse rows: (j, 1) for e_j, and the nonzero entries
-    of each padded row, placed as they are padded.
+    rows, so its passes run on a 2×1 column and a 1×2 row.  An m with no
+    zero row is the case Z = ∅ of the same path.  The result carries its
+    sparse rows: (j, 1) for e_j, and the nonzero entries of each padded
+    row, placed as they are padded.
     """
     n = m.nrows
     # slot j holds the kernel row whose pivot is column j, with its sparse
     # row: e_j and [(j, 1)] for a zero row j
     by_pivot = [None if any(row) else ((0,) * j + (1,) + (0,) * (n - 1 - j), [(j, 1)]) for j, row in enumerate(m)]
     rest = [i for i, slot in enumerate(by_pivot) if slot is None]
-    if len(rest) == n:
-        return _frozen(_kernel_hnf(m.tolist(), m.ncols), n)
     for h in _kernel_hnf([list(m[i]) for i in rest], m.ncols):
         row, sparse = [0] * n, []
         for i, x in zip(rest, h):

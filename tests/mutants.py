@@ -133,8 +133,8 @@ MUTANTS = [
     ),
     (
         "src/quadlat/linalg.py",
-        "        elif p != prev:\n            frame.setdefault(s, prev)\n",
-        "        elif False:\n            frame.setdefault(s, prev)\n",
+        "                row_s[t] = (p * row_s[t] - c * row_k[t]) // q\n            frame[s] = p\n",
+        "                row_s[t] = (p * row_s[t] - c * row_k[t]) // q\n        frame[s] = p\n",
         f"{ORACLE}::TestDeferredRescale::test_dense_systems",
     ),
     (
@@ -146,20 +146,20 @@ MUTANTS = [
     # deferred rescales: a row's frame, the pivot row and the zero-pivot congruence
     (
         "src/quadlat/linalg.py",
-        "            q = frame.pop(s, prev) if frame else prev\n",
-        "            q = frame.get(s, prev) if frame else prev\n",
+        "            frame[s] = p\n",
+        "            frame[s] = q\n",
         f"{ORACLE}::TestDeferredRescale::test_dense_systems",
     ),
     (
         "src/quadlat/linalg.py",
-        "    if k in frame:\n        _rescale(row_k, k, prev, frame.pop(k))\n",
-        "    if False:\n        _rescale(row_k, k, prev, frame.pop(k))\n",
+        "    if frame[k] != prev:\n        _rescale(row_k, k, prev, frame[k])\n",
+        "    if False:\n        _rescale(row_k, k, prev, frame[k])\n",
         f"{ORACLE}::TestDeferredRescale::test_dense_systems",
     ),
     (
         "src/quadlat/linalg.py",
-        "            if frame:  # frames move with their rows\n",
-        "            if False:  # frames move with their rows\n",
+        "            frame[k], frame[swap] = frame[swap], frame[k]\n",
+        "",
         f"{ORACLE}::TestDeferredRescale::test_swapped_rows_keep_their_frames",
     ),
     (
@@ -478,6 +478,13 @@ MUTANTS = [
         "    _index = None  #",
         "    _index = 1  #",
         "tests/test_trusted.py::TestTrustedBuilder::test_sublattice_embeddings",
+    ),
+    # a point count counts only invertible matrices
+    (
+        "src/quadlat/brauer.py",
+        " == want and det_exact(g) % ell != 0\n",
+        " == want\n",
+        "tests/test_brauer.py::TestBruteForcePoints::test_orthogonal_counts_only_invertible_matrices",
     ),
     # an error's code is its class name; IntMatrix.stack of a RatMatrix is rational
     (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -8,6 +9,7 @@ from quadlat.errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from quadlat.lattice import make_lattice, standard
 from quadlat.linalg import IntMatrix, smith_normal_form
 from quadlat.embeddings import SublatticeEmbedding
+from quadlat.expr import evaluate_expr
 from quadlat.brauer import (
     PRIME_TEST_BOUND,
     CohomologyPair,
@@ -26,6 +28,30 @@ H2 = make_lattice([[0, 1], [1, 0]])
 
 def span_rows(H, rows):
     return CohomologyPair(H, SublatticeEmbedding(H, IntMatrix(rows, ncols=H.rank)))
+
+
+def _invertible_isometries(gram, ell):
+    # the g in GL_n(F_ell) with gᵀ·F·g ≡ F (mod ell), by a scan of plain
+    # lists: det by the Leibniz formula, the form entry by entry
+    n = len(gram)
+
+    def det(g):
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total += (-1) ** inversions * math.prod(g[i][perm[i]] for i in range(n))
+        return total
+
+    count = 0
+    for entries in itertools.product(range(ell), repeat=n * n):
+        g = [entries[i * n : (i + 1) * n] for i in range(n)]
+        if det(g) % ell and all(
+            (sum(g[k][i] * gram[k][l] * g[l][j] for k in range(n) for l in range(n)) - gram[i][j]) % ell == 0
+            for i in range(n)
+            for j in range(n)
+        ):
+            count += 1
+    return count
 
 
 def k3_pair(rho):
@@ -236,6 +262,25 @@ class TestBruteForcePoints:
     def test_orthogonal_of_hyperbolic_plane_mod3(self):
         # hand count: diag(a, a^{-1}) and antidiag(b, b^{-1}), a,b in {1,2}
         assert brute_force_points("orthogonal", 2, 3, of=standard("U")) == 4
+
+    @pytest.mark.parametrize(
+        "expr, ell, count",
+        [
+            ("U(2)", 2, 6),  # a form that vanishes mod 2: all of GL_2(F_2)
+            ("An(2)", 3, 12),  # det 3
+            ("An(3)", 2, 24),  # det 4
+            ("An(1)", 2, 1),  # [2] is 0 mod 2, and only g = 1 is invertible
+            ("gen(2)", 2, 1),
+            ("U", 2, 6),  # non-degenerate: no singular g satisfies the form
+            ("U", 3, 4),
+            ("An(2)", 2, 6),
+        ],
+    )
+    def test_orthogonal_counts_only_invertible_matrices(self, expr, ell, count):
+        L = evaluate_expr(expr)
+        expected = _invertible_isometries(L.gram.tolist(), ell)
+        assert brute_force_points("orthogonal", L.rank, ell, of=L) == expected
+        assert expected == count
 
     def test_sl3_mod2_formula(self):
         # |SL3(F2)| = |GL3(F2)| = (8-1)(8-2)(8-4) = 168

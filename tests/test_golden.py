@@ -57,7 +57,9 @@ counts" records ``count_norm_vectors`` of E8 at norms 0..10 (the refusal
 at the odd ones) and of A1..A8 at norm 2; for E8 up to norm 6 and for
 A1..A8 it pins the nodes the search visits, ``NORM_NODES``: with
 ``NORM_SEARCH_CAP`` set to that count the search passes, and one below
-it refuses.
+it refuses.  "points corpus" records ``brute_force_points`` for SL, Sp
+and O, O over An(n), U, U(2) and gen(2), for every prime ell with
+ell^(n²) ≤ 10⁴ at n = 2 and 3 and every ell < 100 at n = 1.
 The stored digests live in ``golden_digests.json``; a change that means
 to alter one of these outputs rewrites them with
 
@@ -84,7 +86,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from quadlat import embeddings
-from quadlat.brauer import CohomologyPair, quotient_structure
+from quadlat.brauer import CohomologyPair, brute_force_points, quotient_structure
 from quadlat.cli import run
 from quadlat.embeddings import (
     SublatticeEmbedding,
@@ -141,6 +143,9 @@ NORM_NODES = {
     ("E8", 0): 9, ("E8", 2): 735, ("E8", 4): 5475, ("E8", 6): 18411,
     **{(f"An({n})", 2): nodes for n, nodes in zip(AN_RANKS, (4, 11, 24, 45, 76, 119, 176, 249))},
 }
+POINTS_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+# the lattices whose orthogonal groups the points corpus counts, by rank
+POINTS_FORMS = {1: ("An(1)", "gen(2)"), 2: ("An(2)", "U", "U(2)"), 3: ("An(3)",)}
 
 # swaps the two E8(-1) blocks of Lambda2d(d) and fixes U^2 + gen(-2d)
 _SWAP = IntMatrix([[int(j == ((i + 8) % 16 if i < 16 else i)) for j in range(21)] for i in range(21)])
@@ -514,6 +519,18 @@ def _norm_count_record(L, norm: int) -> dict:
     return record
 
 
+def _points_record() -> list:
+    records = []
+    for n, forms in POINTS_FORMS.items():
+        kinds = [("special_linear", None)] + [("symplectic", None)] * (n % 2 == 0)
+        kinds += [("orthogonal", expr) for expr in forms]
+        for ell in (p for p in POINTS_PRIMES if n == 1 or p ** (n * n) <= 10**4):
+            for group, expr in kinds:
+                count = brute_force_points(group, n, ell, of=None if expr is None else evaluate_expr(expr))
+                records.append([group, n, ell, expr, count])
+    return records
+
+
 def _isomorphism_pool_record() -> dict:
     forms = [discriminant_form(L) for L in pool_lattices()]
     pairs = [
@@ -587,6 +604,7 @@ def compute_digests(workdir: Path) -> dict[str, str]:
         [_norm_count_record(standard("E8"), norm) for norm in E8_NORMS]
         + [_norm_count_record(standard("An", n), 2) for n in AN_RANKS]
     )
+    out["points corpus"] = _digest(_points_record())
     return out
 
 
@@ -623,6 +641,7 @@ CASES = (
     "normal forms",
     "isomorphism pool",
     "E8 and An norm counts",
+    "points corpus",
 )
 
 

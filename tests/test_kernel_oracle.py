@@ -14,9 +14,11 @@ with one nonzero entry.  It also checks the kernels built on the one Bareiss ste
 zero right-hand sides) and the det of the symmetric elimination, with the
 work those eliminations skip: rows that wait under an older pivot (dense
 and sparse systems, swapped rows, a congruence that mixes a waiting row,
-permuted block-diagonal Grams), unit rows solved outright, Smith column
-steps on a clean pivot column and the echelon-only first Hermite pass of
-``kernel_basis``, whose zero rows split off before either pass (against
+permuted block-diagonal Grams; the pivot rows against a textbook Bareiss
+that rescales every row at every step), unit rows solved outright, Smith
+column steps on a clean pivot column and the echelon-only first Hermite
+pass of ``kernel_basis``, whose zero rows split off before either pass
+(against
 the unsplit passes and a sympy rank and Smith oracle);
 ``TestCarriedSparseRows`` checks the sparse rows that Lambda2d, iota2d and
 ``kernel_basis`` carry from construction against a scan of their entries,
@@ -24,8 +26,9 @@ and ``TestComplementFromItsSource`` the det and signature a complement
 reads off the sublattice it complements against the elimination of its
 Gram (degenerate ones, sources of high rank and non-unimodular ambients
 too);
-``TestEliminationWork`` counts the rescales and Bareiss rows of the k3
-eliminations, ``TestFractionsOnRead`` the ``Fraction``s that ``linalg``,
+``TestEliminationWork`` counts the rescales of An(200) and of a
+block-diagonal Gram, and the Bareiss rows of the k3 extension system,
+``TestFractionsOnRead`` the ``Fraction``s that ``linalg``,
 ``lattice`` and ``glue`` build before a value is read (none), and
 ``TestNoReferenceCycles`` the garbage the recursive searches and the k3
 complements leave (none).  The
@@ -1633,11 +1636,6 @@ def _polarization(d):
     return v
 
 
-def _polarized_gram(d):
-    # the Gram of v^⊥ in LambdaK3
-    return induced_gram(orthogonal_complement(SublatticeEmbedding(standard("LambdaK3"), IntMatrix([_polarization(d)]))))
-
-
 @st.composite
 def unit_row_systems(draw, max_rank=10):
     """A square m with no, some or all rows ±e_j on distinct columns, in
@@ -1684,6 +1682,69 @@ def _assert_det_and_inertia(g):
     assert det == int(_to_domain(g, ZZ).det())
     if det:
         assert Signature(plus, minus) == _fraction_signature(g)
+
+
+def _textbook_forward_pass(a) -> list[list[int]]:
+    """Bareiss (1968) as first published, the oracle for ``_forward_pass``:
+    every row below the pivot is rewritten at every step, a row with a zero
+    lead times p/prev, and a zero pivot is swapped for the first row below
+    with a nonzero lead.  Returns the pivot rows a[k][k:] of the steps it
+    takes; it stops at a column with no nonzero lead."""
+    a = [list(row) for row in a]
+    n, prev, pivot_rows = len(a), 1, []
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((s for s in range(k + 1, n) if a[s][k]), None)
+            if swap is None:
+                break
+            a[k], a[swap] = a[swap], a[k]
+        p = a[k][k]
+        for s in range(k + 1, n):
+            c = a[s][k]
+            a[s][k + 1 :] = [(p * x - c * y) // prev for x, y in zip(a[s][k + 1 :], a[k][k + 1 :])]
+        pivot_rows.append(a[k][k:])
+        prev = p
+    return pivot_rows
+
+
+def _textbook_symmetric_elimination(a) -> list[list[int]]:
+    """The oracle for ``_symmetric_elimination``: the same zero-pivot
+    congruence, with every row below the pivot rewritten at every step.
+    Returns the pivot rows a[k][k:]; a zero row ends it."""
+    a = [list(row) for row in a]
+    n, prev = len(a), 1
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[k][t]), None)
+            if j is None:
+                return [a[i][i:] for i in range(k)]
+            c = -1 if 2 * a[k][j] + a[j][j] == 0 else 1
+            a[k][k:] = [x + c * y for x, y in zip(a[k][k:], a[j][k:])]
+            for s in range(k, n):
+                a[s][k] += c * a[s][j]
+        p = a[k][k]
+        for s in range(k + 1, n):
+            c = a[s][k]
+            a[s][k + 1 :] = [(p * x - c * y) // prev for x, y in zip(a[s][k + 1 :], a[k][k + 1 :])]
+        prev = p
+    return [a[i][i:] for i in range(n)]
+
+
+_SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def forward_pass_inputs(draw):
+    """Rows [m | b] of a solve: m square with zero leading pivots, singular,
+    block-diagonal or sparse, so rows swap and wait; b of 0 to 2 columns."""
+    m = draw(st.one_of(
+        zero_leading_pivots(),
+        possibly_singular(),
+        dense_or_block_sparse(max_rank=8, entries=_SPARSE_ENTRIES),
+        symmetric_matrices(max_rank=8, entries=_SPARSE_ENTRIES, zero_diagonal=True),
+    ))
+    k = draw(st.integers(0, 2))
+    return [list(row) + [draw(st.integers(-9, 9)) for _ in range(k)] for row in m]
 
 
 class TestDeferredRescale:
@@ -1746,6 +1807,25 @@ class TestDeferredRescale:
     @given(symmetric_matrices(max_rank=6, entries=st.sampled_from((0, 0, 0, 1, -1, 2, -3)), zero_diagonal=True))
     def test_sparse_grams_with_zero_pivots(self, g):
         _assert_det_and_inertia(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(forward_pass_inputs())
+    def test_forward_pass_against_textbook_bareiss(self, rows):
+        a = [list(row) for row in rows]
+        det = linalg._forward_pass(a)
+        expected = _textbook_forward_pass(rows)
+        assert [a[k][k:] for k in range(len(expected))] == expected
+        assert (det == 0) == (len(expected) < len(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        possibly_singular(),
+        symmetric_matrices(max_rank=8, entries=_SPARSE_ENTRIES, zero_diagonal=True),
+        permuted_block_grams(),
+    ))
+    def test_symmetric_elimination_against_textbook_bareiss(self, g):
+        a = linalg._symmetric_elimination(g)
+        assert [row[k:] for k, row in enumerate(a)] == _textbook_symmetric_elimination(g.tolist())
 
 
 class TestUnitRows:
@@ -2008,10 +2088,8 @@ class TestCarriedSparseRows:
     @given(kernel_split_matrices())
     @example(m=IntMatrix([[0], [3], [0], [0], [-5], [0]]))
     def test_kernel_basis_outputs(self, m):
-        # carried when m has a zero row, which splits off
         K = kernel_basis(m)
-        assert (K._sparse is not None) == any(not any(row) for row in m)
-        assert K._sparse is None or K._sparse == _scanned(K)
+        assert K._sparse is not None and K._sparse == _scanned(K)
 
 
 _UNIMODULAR_AMBIENTS = ("U^3", "E8", "LambdaK3", "LambdaSharp")
@@ -2094,14 +2172,18 @@ class TestComplementFromItsSource:
 
 
 class TestEliminationWork:
-    """Work counts of the k3 eliminations, taken with hooks on the rescale
-    and the forward pass."""
+    """Work counts of the eliminations, taken with hooks on the rescale and
+    the forward pass."""
 
-    def test_polarized_gram_rescales_each_row_at_most_once(self):
-        g = _polarized_gram(37)
-        assert g.nrows == 21
-        calls = _rescale_calls(lambda: _det_and_inertia(g))
-        assert len(calls) <= 21  # each row at most once; 10 at d = 37
+    def test_sparse_grams_rescale_each_row_at_most_once(self):
+        # the inputs the deferred rescale serves: An(n), whose rows wait
+        # under pivot 1 until their one update, and block-diagonal Grams of
+        # zero-diagonal blocks, whose congruences bring waiting rows up to date
+        an = _rescale_calls(lambda: standard("An", 200))
+        assert len(an) <= 200  # 0: no row is behind when it is next used
+        g = block_diag(*[IntMatrix([[0, 2], [2, 0]])] * 100)
+        blocks = _rescale_calls(lambda: make_lattice(g))
+        assert len(blocks) <= 200  # 198
 
     @pytest.mark.parametrize("d", [1, 37, 1000])
     def test_extension_system_runs_bareiss_on_at_most_five_rows(self, d):
