@@ -6,10 +6,10 @@ matrix groups mod a prime, the universal order bound for finite groups
 of integer matrices, and the point-count sandwich for connected
 algebraic groups over a prime field.
 
-The package's one mod-p elimination, ``linalg._echelon_mod``, serves both
-the invertibility check of generators and the fixed subspace; the point
-scans run on the integer kernels of ``linalg`` (``det_exact`` and the
-matrix product).
+The package's one mod-p elimination, ``linalg._echelon_mod``, serves the
+invertibility check of generators, the fixed subspace and the linear
+conditions of the point counts.  A point count searches the columns of
+g one at a time and never forms a matrix product or a determinant.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
 from .lattice import Lattice, _check_rank
-from .linalg import IntMatrix, _echelon_mod, _smith, det_exact
+from .linalg import IntMatrix, _echelon_mod, _smith
 
-#: Exhaustive-scan guard for brute_force_points: ell**(n*n) must not exceed this.
+#: Guard for brute_force_points: ell**(n*n) must not exceed this.  Its
+#: column search tries fewer than 2·ell**(n*n) candidate columns.
 POINTS_SCAN_CAP = 10**8
 
 #: ψ₁₃, the least strong pseudoprime to every prime base up to 41
@@ -152,15 +154,22 @@ def fixed_subspace_mod_ell(S: FiniteMatrixGroupModL) -> tuple[int, IntMatrix]:
     """
     p, n = S.ell, S.dim
     cols = [[g[i][j] - (1 if i == j else 0) for i in range(n)] for g in S.generators for j in range(n)]
-    echelon, pivots = _echelon_mod(cols, p, n)
+    basis = _null_basis(*_echelon_mod(cols, p, n), n, p)
+    return len(basis), IntMatrix(basis, ncols=n)
+
+
+def _null_basis(echelon, pivots, ncols: int, p: int) -> list[list[int]]:
+    """The kernel mod p of the echelon rows: one vector for each free
+    column, 1 there and 0 at the other free columns, its pivot
+    coordinates found by back substitution."""
     basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [0] * n
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
         vec[fc] = 1
         for row, pc in zip(reversed(echelon), reversed(pivots)):
             vec[pc] = -sum(x * y for x, y in zip(row[pc + 1 :], vec[pc + 1 :])) % p
         basis.append(vec)
-    return len(basis), IntMatrix(basis, ncols=n)
+    return basis
 
 
 def minkowski_bound(n: int) -> int:
@@ -205,8 +214,8 @@ def brute_force_points(
     of: Lattice | None = None,
     cap: int = POINTS_SCAN_CAP,
 ) -> int:
-    """Exact point count of a classical group over the prime field by
-    exhaustive scan of all ell^(n²) matrices.
+    """Exact point count of a classical group over the prime field, by a
+    search over the columns of g.
 
     group: "special_linear" (det = 1), "symplectic" (gᵀ·J·g = J, n even)
     or "orthogonal" (gᵀ·Q·g = Q for the Gram Q of ``of`` reduced mod ell).
@@ -214,8 +223,18 @@ def brute_force_points(
     When F is non-degenerate mod ell, as J is, gᵀ·F·g = F forces det g ≠ 0;
     when ell divides det F, singular g (the zero matrix, for one) satisfy
     it too and are not group elements.
-    Deliberately naive: this is the oracle the sandwich bounds are tested
-    against.
+
+    The search picks the columns c_0, c_1, ... of g in order and keeps a
+    column only while the columns picked stay independent mod ell.  For
+    Sp and O, gᵀ·F·g = F is c_iᵀ·F·c_k ≡ F_ik for i ≤ k (F is symmetric or
+    alternating, so the pairs i > k follow): the conditions against the
+    columns already picked are linear in c_k, and only their affine
+    solution set is walked, each point then tested against the diagonal
+    condition c_kᵀ·F·c_k ≡ F_kk.  For SL, once c_0 ... c_{n-2} are picked,
+    det g ≡ 1 is one affine equation in the last column, whose points are
+    counted, not walked.  Candidates are generated lazily: nothing of size
+    ell^n is built.  The tests check it against the closed-form group
+    orders and against a plain scan of all ell^(n²) matrices.
     """
     if ell < 2:
         raise BadParameter(f"{ell} is not prime")
@@ -225,14 +244,12 @@ def brute_force_points(
         raise TooLarge(f"{ell}^{n*n} exceeds the scan cap {cap}")
     _check_prime(ell)
     if group == "special_linear":
-        form = None
-    elif group == "symplectic":
+        return _special_linear_count(n, ell, [])
+    if group == "symplectic":
         if n % 2:
             raise BadParameter("symplectic groups need even size")
         h = n // 2
-        form = IntMatrix(
-            [[(1 if j == i + h else 0) if i < h else (-1 if j == i - h else 0) for j in range(n)] for i in range(n)]
-        )
+        form = [[(1 if j == i + h else 0) if i < h else (-1 if j == i - h else 0) for j in range(n)] for i in range(n)]
     elif group == "orthogonal":
         if of is None:
             raise BadParameter("orthogonal counting needs a lattice")
@@ -241,13 +258,85 @@ def brute_force_points(
         form = of.gram
     else:
         raise BadParameter(f"unknown group kind {group!r}")
+    form = [[x % ell for x in row] for row in form]
+    return _isometry_count(form, list(zip(*form)), ell, [], [])
 
-    count = 0
-    want = None if form is None else [[x % ell for x in row] for row in form]
-    for entries in itertools.product(range(ell), repeat=n * n):
-        g = IntMatrix._trusted(tuple(entries[i * n : (i + 1) * n] for i in range(n)), n)
-        if form is None:
-            count += det_exact(g) % ell == 1
-        else:
-            count += [[x % ell for x in row] for row in g.transpose() @ form @ g] == want and det_exact(g) % ell != 0
-    return count
+
+def _vectors(ell: int, n: int):
+    """All of 𝔽_ell^n as tuples, lazily.  itertools.product would first
+    store range(ell) as ell ints, and for n = 1 ell may be near 10^8."""
+    if n == 0:
+        yield ()
+        return
+    for prefix in itertools.product(range(ell), repeat=n - 1):
+        for v in range(ell):
+            yield prefix + (v,)
+
+
+def _new_echelon_row(x, basis: list[tuple[int, list[int]]], ell: int) -> tuple[int, list[int]] | None:
+    """The (pivot, row) that x adds to the echelon rows of basis, each 1 at
+    its pivot and 0 at the pivots before it: x reduced against them and
+    scaled to a leading 1.  None when x lies in their span mod ell."""
+    for pc, row in basis:
+        f = x[pc]
+        if f:
+            x = [(a - f * b) % ell for a, b in zip(x, row)]
+    for lead, a in enumerate(x):
+        if a:
+            inv = pow(a, -1, ell)
+            return lead, [b * inv % ell for b in x]
+    return None
+
+
+def _special_linear_count(n: int, ell: int, basis: list) -> int:
+    # the g in SL_n whose first columns are picked, independent with echelon rows basis
+    if len(basis) == n - 1:
+        # det(c_0, ..., c_{n-2}, x) vanishes on the span S of the picked
+        # columns and is a nonzero linear form: with e a unit vector at a
+        # non-pivot of basis, x = s + t·e (s in S) has det = t·det(..., e),
+        # so det ≡ 1 fixes t and leaves s free, |S| = ell^(n-1) points
+        return ell ** len(basis)
+    total = 0
+    for x in _vectors(ell, n):
+        row = _new_echelon_row(x, basis, ell)
+        if row is not None:
+            total += _special_linear_count(n, ell, basis + [row])
+    return total
+
+
+def _affine_points(echelon, pivots, n: int, ell: int):
+    """The x in 𝔽_ell^n with row[:n]·x ≡ row[n] for every row of a
+    consistent echelon system, lazily: one solution plus each combination
+    of the kernel vectors of the free columns."""
+    if not pivots:  # no condition: all of 𝔽_ell^n, without a list per combination
+        yield from _vectors(ell, n)
+        return
+    *kernel, last = _null_basis(echelon, pivots, n + 1, ell)
+    # last is 1 at the constant column, the last free one: -last solves the system
+    base = [-a % ell for a in last[:n]]
+    for values in _vectors(ell, len(kernel)):
+        x = base
+        for v, vec in zip(values, kernel):
+            if v:
+                x = [(a + v * b) % ell for a, b in zip(x, vec)]
+        yield x
+
+
+def _isometry_count(form: list[list[int]], cols: list, ell: int, rows: list[list[int]], basis: list) -> int:
+    # the g with gᵀ·F·g = F (F = form, reduced mod ell, with columns cols)
+    # whose first k = len(rows) columns c_i are picked, independent with
+    # echelon rows basis; rows holds the c_iᵀ·F
+    n, k = len(form), len(rows)
+    # c_iᵀ·F·x ≡ F_ik, with F_ik as the last column of the system
+    echelon, pivots = _echelon_mod([row + [form[i][k]] for i, row in enumerate(rows)], ell, n + 1)
+    if pivots and pivots[-1] == n:
+        return 0  # 0 ≡ 1: no column extends the ones picked
+    total = 0
+    for x in _affine_points(echelon, pivots, n, ell):
+        row = [sum(map(mul, x, col)) % ell for col in cols]
+        if sum(map(mul, row, x)) % ell != form[k][k]:
+            continue
+        pivot_row = _new_echelon_row(x, basis, ell)
+        if pivot_row is not None:
+            total += 1 if k == n - 1 else _isometry_count(form, cols, ell, rows + [row], basis + [pivot_row])
+    return total

@@ -479,12 +479,26 @@ MUTANTS = [
         "    _index = 1  #",
         "tests/test_trusted.py::TestTrustedBuilder::test_sublattice_embeddings",
     ),
-    # a point count counts only invertible matrices
+    # a point count counts only invertible matrices: the column search drops
+    # a column in the span of the ones picked; it tests the diagonal
+    # condition c_kᵀ·F·c_k ≡ F_kk; an SL count has ell^(n-1) last columns
     (
         "src/quadlat/brauer.py",
-        " == want and det_exact(g) % ell != 0\n",
-        " == want\n",
+        "            return lead, [b * inv % ell for b in x]\n    return None\n",
+        "            return lead, [b * inv % ell for b in x]\n    return 0, x\n",
         "tests/test_brauer.py::TestBruteForcePoints::test_orthogonal_counts_only_invertible_matrices",
+    ),
+    (
+        "src/quadlat/brauer.py",
+        "        if sum(map(mul, row, x)) % ell != form[k][k]:\n",
+        "        if False:\n",
+        "tests/test_brauer.py::TestBruteForcePoints::test_orthogonal_of_hyperbolic_plane_mod3",
+    ),
+    (
+        "src/quadlat/brauer.py",
+        "        return ell ** len(basis)\n",
+        "        return ell ** (len(basis) - 1)\n",
+        "tests/test_brauer.py::TestBruteForcePoints::test_sl2_mod3",
     ),
     # an error's code is its class name; IntMatrix.stack of a RatMatrix is rational
     (

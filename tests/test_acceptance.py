@@ -195,7 +195,7 @@ def test_criterion_10_nori_sandwich():
             count = brute_force_points(kind, 2, ell)
             assert count == ell**3 - ell
             assert nori_sandwich_check(count, 3, ell)
-    _report(10, "brute-force SL2/Sp2 counts hit ell^3 - ell inside the sandwich", t0, budget=30.0)
+    _report(10, "column-search SL2/Sp2 counts hit ell^3 - ell inside the sandwich", t0, budget=30.0)
 
 
 def test_criterion_11_e8_root_count():

@@ -2,8 +2,11 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlat.errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from quadlat.lattice import make_lattice, standard
@@ -30,28 +33,72 @@ def span_rows(H, rows):
     return CohomologyPair(H, SublatticeEmbedding(H, IntMatrix(rows, ncols=H.rank)))
 
 
+def _leibniz_det(g):
+    n = len(g)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(g[i][perm[i]] for i in range(n))
+    return total
+
+
+def _matrices(n, ell):
+    for entries in itertools.product(range(ell), repeat=n * n):
+        yield [entries[i * n : (i + 1) * n] for i in range(n)]
+
+
 def _invertible_isometries(gram, ell):
     # the g in GL_n(F_ell) with gᵀ·F·g ≡ F (mod ell), by a scan of plain
     # lists: det by the Leibniz formula, the form entry by entry
     n = len(gram)
-
-    def det(g):
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-            total += (-1) ** inversions * math.prod(g[i][perm[i]] for i in range(n))
-        return total
-
     count = 0
-    for entries in itertools.product(range(ell), repeat=n * n):
-        g = [entries[i * n : (i + 1) * n] for i in range(n)]
-        if det(g) % ell and all(
+    for g in _matrices(n, ell):
+        if _leibniz_det(g) % ell and all(
             (sum(g[k][i] * gram[k][l] * g[l][j] for k in range(n) for l in range(n)) - gram[i][j]) % ell == 0
             for i in range(n)
             for j in range(n)
         ):
             count += 1
     return count
+
+
+def _special_linear_scan(n, ell):
+    return sum(_leibniz_det(g) % ell == 1 for g in _matrices(n, ell))
+
+
+def _symplectic_gram(n):
+    h = n // 2
+    return [[(j == i + h) - (i == j + h) for j in range(n)] for i in range(n)]
+
+
+# every (n, ell) with ell^(n²) <= 10^4: n = 1 at the primes below 10^4,
+# n = 2 at ell <= 7 and n = 3 at ell = 2
+ORACLE_PRIMES = {
+    n: [ell for ell in range(2, 10**4) if ell ** (n * n) <= 10**4 and all(ell % q for q in range(2, math.isqrt(ell) + 1))]
+    for n in (1, 2, 3)
+}
+oracle_sizes = st.sampled_from((1, 2, 3)).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(ORACLE_PRIMES[n])))
+
+
+@st.composite
+def grams_mod_ell(draw):
+    """(gram, ell): a symmetric integer Gram of rank 1–3 and a prime with
+    ell^(n²) <= 10^4.  Mod ell it is arbitrary, zero, or of rank at most
+    one; ell·m on the diagonal makes it non-degenerate over ℤ without
+    changing it mod ell."""
+    n, ell = draw(oracle_sizes)
+    entries = st.integers(-3 * ell, 3 * ell)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    a = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(("any", "zero", "rank one")))
+    if kind == "zero":
+        a = [[ell * x for x in row] for row in a]
+    elif kind == "rank one":
+        v = draw(st.lists(st.integers(-ell, ell), min_size=n, max_size=n))
+        c = draw(entries)
+        a = [[c * v[i] * v[j] + ell * a[i][j] for j in range(n)] for i in range(n)]
+    m = 1 + max(sum(abs(x) for x in row) for row in a)
+    return [[a[i][j] + ell * m * (i == j) for j in range(n)] for i in range(n)], ell
 
 
 def k3_pair(rho):
@@ -281,6 +328,39 @@ class TestBruteForcePoints:
         expected = _invertible_isometries(L.gram.tolist(), ell)
         assert brute_force_points("orthogonal", L.rank, ell, of=L) == expected
         assert expected == count
+
+    @settings(max_examples=80, deadline=None)
+    @given(grams_mod_ell())
+    def test_orthogonal_against_scan(self, gram_and_ell):
+        gram, ell = gram_and_ell
+        L = make_lattice(gram)
+        assert brute_force_points("orthogonal", L.rank, ell, of=L) == _invertible_isometries(gram, ell)
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_sizes)
+    def test_special_linear_and_symplectic_against_scan(self, size):
+        n, ell = size
+        assert brute_force_points("special_linear", n, ell) == _special_linear_scan(n, ell)
+        if n % 2 == 0:
+            assert brute_force_points("symplectic", n, ell) == _invertible_isometries(_symplectic_gram(n), ell)
+
+    def test_special_linear_of_size_one_is_immediate(self):
+        start = time.perf_counter()
+        assert brute_force_points("special_linear", 1, 99999989) == 1
+        assert time.perf_counter() - start < 0.1
+
+    def test_no_table_of_size_ell(self):
+        # O_1 at ell = 10007 walks all of F_ell: a table of its ell values
+        # would hold ell ints, over 280 kB
+        L = make_lattice([[2]])
+        tracemalloc.start()
+        try:
+            count = brute_force_points("orthogonal", 1, 10007, of=L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2
+        assert peak < 20_000
 
     def test_sl3_mod2_formula(self):
         # |SL3(F2)| = |GL3(F2)| = (8-1)(8-2)(8-4) = 168

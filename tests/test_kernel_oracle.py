@@ -1208,8 +1208,9 @@ class TestFractionsOnRead:
 class TestNoReferenceCycles:
     """The recursive searches (``search`` of form isomorphism, ``descend``
     of the norm search, ``grow`` of the glue search) unbind themselves when
-    they return, and a complement keeps its source's basis, not its
-    source, so their ops leave nothing for the cyclic collector."""
+    they return, the column search of a point count is no closure, and a
+    complement keeps its source's basis, not its source, so their ops leave
+    nothing for the cyclic collector."""
 
     @staticmethod
     def _garbage(op) -> int:
@@ -1240,6 +1241,7 @@ class TestNoReferenceCycles:
         assert self._garbage(lambda: isotropic_subgroups(F)) == 0
         assert self._garbage(lambda: disc_form_isomorphic(F, F, negate=True)) == 0
         assert self._garbage(lambda: count_norm_vectors(standard("E8", -1), -4)) == 0
+        assert self._garbage(lambda: brute_force_points("orthogonal", 2, 3, of=standard("U"))) == 0
 
 
 _U2_U2_U3 = direct_sum(standard("U", 2), standard("U", 2), standard("U", 3))
@@ -2249,10 +2251,9 @@ class TestBrauerModEll:
         else:
             assert not singular
 
-    # every (n, ell) with ell^(n²) <= 10^5, except that n = 1 stops below
-    # 100: all primes below 10^5 would scan 4.5·10^8 matrices of size one
+    # every (n, ell) with ell^(n²) <= 2·10^6, except that n = 1 stops below 100
     SCANS = [(1, ell) for ell in _PRIMES_TO_101 if ell < 100] + [
-        (n, ell) for n in (2, 3, 4) for ell in _PRIMES_TO_101 if ell ** (n * n) <= 10**5
+        (n, ell) for n in (2, 3, 4) for ell in _PRIMES_TO_101 if ell ** (n * n) <= 2 * 10**6
     ]
 
     @pytest.mark.parametrize("n, ell", SCANS)
