@@ -6,10 +6,11 @@ matrix groups mod a prime, the universal order bound for finite groups
 of integer matrices, and the point-count sandwich for connected
 algebraic groups over a prime field.
 
-The package's one mod-p elimination, ``linalg._echelon_mod``, serves the
-invertibility check of generators, the fixed subspace and the linear
-conditions of the point counts.  A point count searches the columns of
-g one at a time and never forms a matrix product or a determinant.
+The package's one mod-p elimination, ``linalg._reduce_mod``, adds a row
+to an echelon basis: a point count reduces each candidate column with it,
+and its fold ``_echelon_mod`` serves the invertibility check of
+generators, the fixed subspace and the linear conditions of the point
+counts.  A point count never forms a matrix product or a determinant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import mul
 from .errors import BadParameter, NotInvertible, NotSaturated, TooLarge
 from .embeddings import SublatticeEmbedding, is_primitive
 from .lattice import Lattice, _check_rank
-from .linalg import IntMatrix, _echelon_mod, _smith
+from .linalg import IntMatrix, _echelon_mod, _reduce_mod, _smith
 
 #: Guard for brute_force_points: ell**(n*n) must not exceed this.  Its
 #: column search tries fewer than 2·ell**(n*n) candidate columns.
@@ -139,7 +140,7 @@ class FiniteMatrixGroupModL:
             if g.nrows != self.dim or g.ncols != self.dim:
                 raise BadParameter("generator size does not match dim")
             rows = tuple(tuple(x % self.ell for x in row) for row in g)
-            if len(_echelon_mod(rows, self.ell, self.dim)[1]) < self.dim:
+            if len(_echelon_mod(rows, self.ell)) < self.dim:
                 raise NotInvertible("generator is singular mod ell")
             reduced.append(IntMatrix._trusted(rows, self.dim))
         vars(self)["generators"] = tuple(reduced)
@@ -154,19 +155,20 @@ def fixed_subspace_mod_ell(S: FiniteMatrixGroupModL) -> tuple[int, IntMatrix]:
     """
     p, n = S.ell, S.dim
     cols = [[g[i][j] - (1 if i == j else 0) for i in range(n)] for g in S.generators for j in range(n)]
-    basis = _null_basis(*_echelon_mod(cols, p, n), n, p)
+    basis = _null_basis(_echelon_mod(cols, p), n, p)
     return len(basis), IntMatrix(basis, ncols=n)
 
 
-def _null_basis(echelon, pivots, ncols: int, p: int) -> list[list[int]]:
-    """The kernel mod p of the echelon rows: one vector for each free
-    column, 1 there and 0 at the other free columns, its pivot
-    coordinates found by back substitution."""
+def _null_basis(echelon, ncols: int, p: int) -> list[list[int]]:
+    """The kernel mod p of the (pivot, row) pairs of ``_echelon_mod``: one
+    vector for each free column, 1 there and 0 at the other free columns,
+    its pivot coordinates found by back substitution."""
+    pivots = {pc for pc, _ in echelon}
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for row, pc in zip(reversed(echelon), reversed(pivots)):
+        for pc, row in reversed(echelon):
             vec[pc] = -sum(x * y for x, y in zip(row[pc + 1 :], vec[pc + 1 :])) % p
         basis.append(vec)
     return basis
@@ -273,21 +275,6 @@ def _vectors(ell: int, n: int):
             yield prefix + (v,)
 
 
-def _new_echelon_row(x, basis: list[tuple[int, list[int]]], ell: int) -> tuple[int, list[int]] | None:
-    """The (pivot, row) that x adds to the echelon rows of basis, each 1 at
-    its pivot and 0 at the pivots before it: x reduced against them and
-    scaled to a leading 1.  None when x lies in their span mod ell."""
-    for pc, row in basis:
-        f = x[pc]
-        if f:
-            x = [(a - f * b) % ell for a, b in zip(x, row)]
-    for lead, a in enumerate(x):
-        if a:
-            inv = pow(a, -1, ell)
-            return lead, [b * inv % ell for b in x]
-    return None
-
-
 def _special_linear_count(n: int, ell: int, basis: list) -> int:
     # the g in SL_n whose first columns are picked, independent with echelon rows basis
     if len(basis) == n - 1:
@@ -298,20 +285,20 @@ def _special_linear_count(n: int, ell: int, basis: list) -> int:
         return ell ** len(basis)
     total = 0
     for x in _vectors(ell, n):
-        row = _new_echelon_row(x, basis, ell)
+        row = _reduce_mod(x, basis, ell)
         if row is not None:
             total += _special_linear_count(n, ell, basis + [row])
     return total
 
 
-def _affine_points(echelon, pivots, n: int, ell: int):
+def _affine_points(echelon, n: int, ell: int):
     """The x in 𝔽_ell^n with row[:n]·x ≡ row[n] for every row of a
     consistent echelon system, lazily: one solution plus each combination
     of the kernel vectors of the free columns."""
-    if not pivots:  # no condition: all of 𝔽_ell^n, without a list per combination
+    if not echelon:  # no condition: all of 𝔽_ell^n, without a list per combination
         yield from _vectors(ell, n)
         return
-    *kernel, last = _null_basis(echelon, pivots, n + 1, ell)
+    *kernel, last = _null_basis(echelon, n + 1, ell)
     # last is 1 at the constant column, the last free one: -last solves the system
     base = [-a % ell for a in last[:n]]
     for values in _vectors(ell, len(kernel)):
@@ -328,15 +315,15 @@ def _isometry_count(form: list[list[int]], cols: list, ell: int, rows: list[list
     # echelon rows basis; rows holds the c_iᵀ·F
     n, k = len(form), len(rows)
     # c_iᵀ·F·x ≡ F_ik, with F_ik as the last column of the system
-    echelon, pivots = _echelon_mod([row + [form[i][k]] for i, row in enumerate(rows)], ell, n + 1)
-    if pivots and pivots[-1] == n:
+    echelon = _echelon_mod([row + [form[i][k]] for i, row in enumerate(rows)], ell)
+    if echelon and echelon[-1][0] == n:
         return 0  # 0 ≡ 1: no column extends the ones picked
     total = 0
-    for x in _affine_points(echelon, pivots, n, ell):
+    for x in _affine_points(echelon, n, ell):
         row = [sum(map(mul, x, col)) % ell for col in cols]
         if sum(map(mul, row, x)) % ell != form[k][k]:
             continue
-        pivot_row = _new_echelon_row(x, basis, ell)
+        pivot_row = _reduce_mod(x, basis, ell)
         if pivot_row is not None:
             total += 1 if k == n - 1 else _isometry_count(form, cols, ell, rows + [row], basis + [pivot_row])
     return total

@@ -58,8 +58,9 @@ class SublatticeEmbedding:
     det(B·Bᵀ) ≠ 0.  The embeddings the package builds itself skip the
     check through ``lattice._trusted``: ``orthogonal_complement`` and
     ``saturate``, whose ``kernel_basis`` rows are independent by
-    construction, and ``build_iota2d``, whose exact induced Gram is the
-    non-degenerate Lambda2d Gram.  The induced form may be degenerate
+    construction, ``build_iota2d``, whose exact induced Gram is the
+    non-degenerate Lambda2d Gram, and the plane (re, im) of a validated
+    period (``periods``).  The induced form may be degenerate
     (quotient computations need that); operations requiring a
     non-degenerate restriction check it themselves.  An embedding keeps
     its orthogonal complement, its induced lattice (``as_lattice``,

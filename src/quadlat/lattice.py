@@ -50,7 +50,7 @@ from .linalg import (
     RatMatrix,
     _congruence,
     _det_and_inertia,
-    _echelon_mod,
+    _reduce_mod,
     _smith,
     block_diag,
     invert_rational,
@@ -528,10 +528,6 @@ class _ElementTable:
             orders = [lcm(o, d // gcd(d, c)) for o in orders for c in range(d)]
         return orders
 
-    def independent(self, elements: Sequence[int], p: int) -> bool:
-        """Whether the coefficient tuples of ``elements`` are independent mod p."""
-        return len(_echelon_mod(list(map(self.coefficients, elements)), p, len(self.factors))[1]) == len(elements)
-
 
 def _primary_part(F: DiscriminantForm, p: int) -> tuple:
     """The p-primary part of F as the arguments of its _ElementTable: the
@@ -590,7 +586,9 @@ def _search_isomorphism(T1: _ElementTable, T2: _ElementTable, sign: int) -> bool
     An isometry keeps the count of elements per (order, q), so a part whose
     counts differ is refused at once.  Images generate A_p exactly when
     they span A_p/pA_p, its Frattini quotient (Burnside's basis theorem), so
-    an image is kept only while the chosen images stay independent mod p."""
+    an image is kept only while the chosen images stay independent mod p:
+    each candidate is reduced once against the echelon rows of the chosen
+    images' coefficients mod p, which go down the recursion."""
     gens, M = T1.generators, T1.modulus
     (p,) = _prime_divisors(M)
     # the (order, q) of each element as one int, order·2M + q(x)·M
@@ -600,21 +598,19 @@ def _search_isomorphism(T1: _ElementTable, T2: _ElementTable, sign: int) -> bool
         return False
     candidates = [[y for y, key in enumerate(keys2) if key == keys1[g]] for g in gens]
     want_b = [[sign * T1.b(g, h) % M for h in gens[:i]] for i, g in enumerate(gens)]
-    chosen: list[int] = []
 
-    def search(i: int) -> bool:
+    def search(i: int, chosen: list[int], echelon: list) -> bool:
         if i == len(gens):
             return True
         for y in candidates[i]:
             if all(T2.b(y, z) == want for z, want in zip(chosen, want_b[i])):
-                chosen.append(y)
-                if T2.independent(chosen, p) and search(i + 1):
+                row = _reduce_mod(T2.coefficients(y), echelon, p)  # None: y is in the span mod p
+                if row is not None and search(i + 1, chosen + [y], echelon + [row]):
                     return True
-                chosen.pop()
         return False
 
     try:
-        return search(0)
+        return search(0, [], [])
     finally:
         del search  # the closure holds itself: unbound, it leaves no reference cycle
 

@@ -21,8 +21,9 @@ The solve core reads off the unknowns that unit rows ±e_j fix
 ``solve_rational`` reduces den against the eliminated unknowns alone and
 scales the fixed ones only when some of den is left, so the 27 unit rows
 of the k3 extension system are neither multiplied nor divided.
-The one elimination mod a prime is ``_echelon_mod`` (``brauer``, form
-isomorphism).  Matrices are immutable; routines are pure.  An
+The one elimination mod a prime is ``_reduce_mod``, one row against an
+echelon basis; ``_echelon_mod`` folds it over a list of rows (``brauer``,
+form isomorphism).  Matrices are immutable; routines are pure.  An
 ``IntMatrix`` keeps its sparse rows.  A builder that knows them passes
 them to ``IntMatrix._trusted``: the Lambda2d Gram, the iota2d basis and
 the complement it carries, and the rows ``kernel_basis`` splits off and
@@ -744,26 +745,31 @@ def _det_and_inertia(m: IntMatrix) -> tuple[int, int, int]:
     return (pivots[-1] if len(pivots) > m.nrows else 0), len(pivots) - 1 - minus, minus
 
 
-def _echelon_mod(rows, p: int, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form mod a prime p by forward elimination, each pivot
-    scaled to 1: the nonzero echelon rows and their pivot columns."""
-    a = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        tail = a[r][col:]  # rows below r are zero left of col
-        for i in range(r + 1, len(a)):
-            f = a[i][col]
-            if f:
-                a[i][col:] = [(x - f * y) % p for x, y in zip(a[i][col:], tail)]
-        pivots.append(col)
-    return a[: len(pivots)], pivots
+def _reduce_mod(x, basis: list[tuple[int, list[int]]], p: int) -> tuple[int, list[int]] | None:
+    """The (pivot, row) that x adds to the echelon rows of basis mod a
+    prime p, each 1 at its pivot and 0 at the pivots of the rows before it:
+    x reduced mod p and against them, and scaled to a leading 1.  None
+    when x lies in their span mod p."""
+    x = [a % p for a in x]
+    for pc, row in basis:
+        f = x[pc]
+        if f:
+            x = [(a - f * b) % p for a, b in zip(x, row)]
+    for lead, a in enumerate(x):
+        if a:
+            inv = pow(a, -1, p)
+            return lead, [b * inv % p for b in x]
+    return None
+
+
+def _echelon_mod(rows, p: int) -> list[tuple[int, list[int]]]:
+    """Row echelon form mod a prime p, as the (pivot, row) pairs that
+    ``_reduce_mod`` adds for the rows in turn, sorted by pivot."""
+    basis: list[tuple[int, list[int]]] = []
+    for x in rows:
+        if (new := _reduce_mod(x, basis, p)) is not None:
+            basis.append(new)
+    return sorted(basis)
 
 
 def _kernel_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:

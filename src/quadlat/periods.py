@@ -177,7 +177,13 @@ def neron_severi(omega: PeriodVector) -> SublatticeEmbedding:
     Saturated by construction, hence primitive.
     """
     validate_period(omega)
-    return orthogonal_complement(SublatticeEmbedding(omega.lattice, omega._rows))
+    return orthogonal_complement(_plane(omega))
+
+
+def _plane(omega: PeriodVector) -> SublatticeEmbedding:
+    # the plane (re, im) of a validated ω: dependent, ω = λ·v (v real) would
+    # have ψ(v, v) = 0 from ψ(ω, ω) = 0, so ψ(ω, ω̄) = λλ̄·ψ(v, v) = 0
+    return _trusted(SublatticeEmbedding, ambient=omega.lattice, basis=omega._rows)
 
 
 def transcendental(omega: PeriodVector) -> HodgeSplit:
@@ -218,7 +224,7 @@ def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
 
 def _minimal_hodge(omega: PeriodVector, split: HodgeSplit | None) -> SublatticeEmbedding:
     # span closure of a validated ω, checked against its split (None if degenerate)
-    span_closure = saturate(SublatticeEmbedding(omega.lattice, omega._rows))
+    span_closure = saturate(_plane(omega))
     if span_closure.rank != 2:
         raise InvariantViolation(
             "span closure of a quadratic period is not a plane", span_closure=span_closure

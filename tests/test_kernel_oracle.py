@@ -45,11 +45,14 @@ evaluates q and b on its own.  The integer paths for dual
 vectors (numerators over one denominator, the one pair a ``RatMatrix``
 stores) are checked against the ``Fraction``
 products they replaced, and the glue path's trusted forms,
-subgroups and overlattices against the public constructors that check.  The mod-ell elimination behind
-``brauer`` (``linalg._echelon_mod``) is checked against sympy over GF(p):
-fixed spaces against the nullspace, invertibility against the
-determinant; the point scans against the closed-form orders of SL_n,
-Sp_2m and O(U) over a prime field.
+subgroups and overlattices against the public constructors that check.
+The one elimination mod a prime, ``linalg._reduce_mod``, which
+``_echelon_mod`` folds over ``brauer``'s rows and the form isomorphism
+search runs on its generator images, is checked against sympy over
+GF(p): the echelon format against the rref, fixed spaces against the
+nullspace, invertibility against the determinant; the point scans
+against the closed-form orders of SL_n, Sp_2m and O(U) over a prime
+field.
 """
 
 import gc
@@ -128,6 +131,7 @@ from quadlat.linalg import (  # noqa: E402
     IntMatrix,
     RatMatrix,
     _det_and_inertia,
+    _echelon_mod,
     block_diag,
     det_exact,
     hermite_normal_form,
@@ -2236,6 +2240,17 @@ class TestBrauerModEll:
         assert d == basis.nrows == expected.shape[0]
         assert all(0 <= x < p for row in basis for x in row)
         assert _gf(basis.tolist(), dim, p).rref()[0] == expected.rref()[0]
+        # the echelon form of the stacked columns as given, with entries -1
+        # and ≥ p: (pivot, row) pairs sorted by pivot, each row reduced mod p,
+        # 1 at its pivot and 0 left of it, spanning the rows of the rref
+        echelon = _echelon_mod(stacked, p)
+        pivots = [pc for pc, _ in echelon]
+        assert pivots == sorted(set(pivots))
+        for pc, row in echelon:
+            assert row[pc] == 1 and not any(row[:pc]) and all(0 <= x < p for x in row)
+        rref, rref_pivots = _gf(stacked, dim, p).rref()
+        assert tuple(pivots) == rref_pivots
+        assert _gf([row for _, row in echelon], dim, p).rref()[0].to_Matrix() == rref.to_Matrix()[: len(pivots), :]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

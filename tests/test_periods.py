@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadlat import periods
+from quadlat.cli import run
 from quadlat.errors import (
     BadParameter,
     NotIsotropic,
@@ -322,6 +323,32 @@ class TestMinimalHodgeSublattice:
         for _ in range(10):
             om = transformed_period(rng, OMEGA)
             assert minimal_hodge_sublattice(om).basis == transcendental(om).trans.basis
+
+    def test_plane_skips_the_checked_constructor(self, monkeypatch, capsys, tmp_path):
+        # validation proves re and im independent, so neither the algebraic
+        # part nor the span closure runs the det(B·Bᵀ) check on the plane
+        checked = []
+        post_init = SublatticeEmbedding.__post_init__
+        monkeypatch.setattr(SublatticeEmbedding, "__post_init__", lambda E: checked.append(E) or post_init(E))
+        assert minimal_hodge_sublattice(OMEGA).basis == transcendental(OMEGA).trans.basis
+        f = tmp_path / "period.json"
+        f.write_text(json.dumps(period_to_json(OMEGA)))
+        assert run(["--json", "period-split", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["minimal_hodge_equals_trans"] is True
+        assert checked == []
+
+    @pytest.mark.parametrize("omega, error", [
+        (PeriodVector(UU, -1, (1, 0, 0, 0), (0, 1, 0, 0)), NotIsotropic),
+        (PeriodVector(standard("E8", -1), -1, (1,) * 8, (1,) * 8), WrongSignature),
+        (PeriodVector(UU, -1, (1, -1, 0, 0), (0, 0, 1, -1)), NotPositive),
+        (PeriodVector(UU, -1, (1, 0, 0, 0), (0, 0, 1, 0)), NotPositive),
+        # re = im: a dependent plane is isotropic, so it is refused as not positive
+        (PeriodVector(UU, -1, (1, 0, 0, 0), (1, 0, 0, 0)), NotPositive),
+    ])
+    def test_invalid_periods_raise_before_the_plane(self, omega, error):
+        for split in (neron_severi, transcendental, minimal_hodge_sublattice):
+            with pytest.raises(error):
+                split(omega)
 
 
 class TestSignRelationOnGeneratedSplits:

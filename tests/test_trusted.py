@@ -38,7 +38,7 @@ from quadlat.lattice import (
     standard,
 )
 from quadlat.linalg import IntMatrix, smith_normal_form
-from quadlat.periods import PeriodVector, QuadScalar, period_pairing
+from quadlat.periods import PeriodVector, QuadScalar, _plane, period_pairing, validate_period
 
 from sample_lattices import pool_lattices, random_even_lattice
 
@@ -78,6 +78,9 @@ def _embeddings():
     trusted = [build_iota2d(d) for d in (1, 7, 37)]
     trusted += [orthogonal_complement(E) for E in (build_iota2d(7), SublatticeEmbedding(k3, [polarization]))]
     trusted += [saturate(imprimitive), _trusted(SublatticeEmbedding, ambient=k3, basis=imprimitive.basis)]
+    uu = direct_sum(standard("U"), standard("U"))
+    half = Fraction(1, 2)
+    trusted.append(_plane(validate_period(PeriodVector(uu, -2, (half, 1, 0, 0), (0, 0, half, half)))))
     return [(E, SublatticeEmbedding(E.ambient, E.basis)) for E in trusted]
 
 
