@@ -265,11 +265,12 @@ def brute_force_points(
 
 
 def _vectors(ell: int, n: int):
-    """All of 𝔽_ell^n as tuples, lazily.  itertools.product would first
-    store range(ell) as ell ints, and for n = 1 ell may be near 10^8."""
-    if n == 0:
-        yield ()
-        return
+    """All of 𝔽_ell^n as tuples, lazily, for n ≥ 1.  itertools.product
+    would first store range(ell) as ell ints, and for n = 1 ell may be
+    near 10^8.  No caller asks for n = 0: ``brute_force_points`` refuses
+    sizes below 1, and in ``_affine_points`` the system has k ≤ n − 1
+    rows over n + 1 columns, so at least two columns are free, one of
+    them the constant column, and at least one kernel vector is left."""
     for prefix in itertools.product(range(ell), repeat=n - 1):
         for v in range(ell):
             yield prefix + (v,)

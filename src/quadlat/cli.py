@@ -205,7 +205,7 @@ def _cmd_binary_enum(args) -> tuple[dict, list[str]]:
 def _cmd_period_split(args) -> tuple[dict, list[str]]:
     omega = _decode_input(args.file, periods.period_from_json)
     split = periods.transcendental(omega)
-    minimal = periods._minimal_hodge(omega, split)
+    minimal = periods.minimal_hodge_sublattice(omega)
     out = {
         "psi_omega_conj": str(periods.pairing_with_conjugate(omega)),
         "ns": {

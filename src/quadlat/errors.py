@@ -97,24 +97,6 @@ class WrongSignature(QuadLatError):
     pass
 
 
-class DegenerateRestriction(QuadLatError):
-    pass
-
-
-class HodgeClosureMismatch(QuadLatError):
-    """Span-closure and complement-closure disagree.
-
-    Should be unreachable for validated quadratic periods; carries both
-    computed sublattices so the caller can inspect the disputed case
-    instead of silently accepting either answer.
-    """
-
-    def __init__(self, message, span_closure, complement_closure):
-        super().__init__(message)
-        self.span_closure = span_closure
-        self.complement_closure = complement_closure
-
-
 class InvariantViolation(QuadLatError):
     """A computed result contradicts what is proved about it.
 

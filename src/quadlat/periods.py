@@ -3,10 +3,18 @@
 A period ω = re + √D·im (D squarefree, negative) spans the line that a
 weight-zero K3-type Hodge structure puts in bidegree (-1, 1).  Membership
 in the period domain means ψ(ω, ω) = 0 and ψ(ω, ω̄) > 0; the algebraic
-part of the lattice is everything orthogonal to ω and the transcendental
-part is its complement.  Restricting coefficients to a quadratic field
-keeps the whole computation exact: every value of ψ is read off one
-integer product, rows·G·rowsᵀ, of the two arguments' (re, im) numerators.
+part NS of the lattice L is everything orthogonal to ω and the
+transcendental part T is its complement.  Restricting coefficients to a
+quadratic field keeps the whole computation exact: every value of ψ is
+read off one integer product, rows·G·rowsᵀ, of the two arguments' (re, im)
+numerators.
+
+For a valid period the plane P = ℚ·re + ℚ·im is positive definite:
+ψ(ω, ω) = 0 gives ψ(re, im) = 0 and ψ(re, re) = −D·ψ(im, im), and then
+ψ(ω, ω̄) = 2·ψ(re, re) > 0, with −D > 0.  So L ⊗ ℚ = P ⊕ P^⊥, the form
+restricted to NS = P^⊥ ∩ L is non-degenerate, and T = NS^⊥ is P ∩ L, the
+saturation of the plane: the complement closure and the span closure are
+one lattice, and each function below computes it one way.
 """
 
 from __future__ import annotations
@@ -16,19 +24,10 @@ from fractions import Fraction
 from math import isqrt
 from operator import index
 
-from .errors import (
-    BadParameter,
-    DegenerateRestriction,
-    HodgeClosureMismatch,
-    InvariantViolation,
-    NotIsotropic,
-    NotPositive,
-    TooLarge,
-    WrongSignature,
-)
+from .errors import BadParameter, NotIsotropic, NotPositive, TooLarge, WrongSignature
 from .lattice import Lattice, _json_numbers, _trusted, lattice_from_json, lattice_to_json, signature
-from .linalg import IntMatrix, RatMatrix, det_exact
-from .embeddings import SublatticeEmbedding, induced_gram, orthogonal_complement, saturate
+from .linalg import IntMatrix, RatMatrix
+from .embeddings import SublatticeEmbedding, orthogonal_complement, saturate
 
 
 #: Largest |D| accepted for a field discriminant (about 10⁵ trial divisions).
@@ -187,53 +186,25 @@ def _plane(omega: PeriodVector) -> SublatticeEmbedding:
 
 
 def transcendental(omega: PeriodVector) -> HodgeSplit:
-    """Split the lattice into its algebraic part and the orthogonal complement.
+    """Split the lattice into its algebraic part NS and T = NS^⊥.
 
-    Requires the restriction of the form to the algebraic part to be
-    non-degenerate (always true for validated periods).
+    The plane of a valid period is positive definite (module docstring),
+    so the form restricted to NS is non-degenerate, NS ⊕ T has finite
+    index in the lattice and ω lies in the rational span of T = P ∩ L.
     """
     ns = neron_severi(omega)
-    if det_exact(induced_gram(ns)) == 0:
-        raise DegenerateRestriction("form restricted to the algebraic part is degenerate")
-    trans = orthogonal_complement(ns)
-    # ω lies in the rational span of the complement: the form is
-    # non-degenerate, so exactly when ω pairs to zero with its complement
-    perp = orthogonal_complement(trans)
-    if any(x for row in _pairings(omega, perp.basis) for x in row):
-        raise InvariantViolation(
-            "period is outside the span of the transcendental part", basis=trans.basis, period=omega
-        )
-    return HodgeSplit(ns, trans)
+    return HodgeSplit(ns, orthogonal_complement(ns))
 
 
 def minimal_hodge_sublattice(omega: PeriodVector) -> SublatticeEmbedding:
     """Smallest primitive sublattice whose rational span contains ω.
 
-    Computed as the saturation of the span of re and im (rank 2 for
-    quadratic periods).  When the algebraic restriction is
-    non-degenerate this must coincide with the transcendental part; a
-    disagreement raises a structured report rather than being silently
-    accepted.
+    The saturation of the plane P spanned by re and im, which is P ∩ L.
+    P is positive definite for a valid period (module docstring), so this
+    is also the transcendental part ``transcendental(omega).trans``.
     """
-    try:
-        split = transcendental(omega)
-    except DegenerateRestriction:
-        split = None
-    return _minimal_hodge(omega, split)
-
-
-def _minimal_hodge(omega: PeriodVector, split: HodgeSplit | None) -> SublatticeEmbedding:
-    # span closure of a validated ω, checked against its split (None if degenerate)
-    span_closure = saturate(_plane(omega))
-    if span_closure.rank != 2:
-        raise InvariantViolation(
-            "span closure of a quadratic period is not a plane", span_closure=span_closure
-        )
-    if split is not None and span_closure.basis != split.trans.basis:
-        raise HodgeClosureMismatch(
-            "span-closure and complement-closure disagree", span_closure, split.trans
-        )
-    return span_closure
+    validate_period(omega)
+    return saturate(_plane(omega))
 
 
 def period_to_json(omega: PeriodVector) -> dict:

@@ -341,6 +341,19 @@ MUTANTS = [
         "    if conj < 0:\n",
         "tests/test_periods.py::TestValidatePeriod::test_totally_isotropic_plane_is_not_positive",
     ),
+    # the minimal Hodge sublattice is the validated plane, saturated
+    (
+        "src/quadlat/periods.py",
+        "    return saturate(_plane(omega))\n",
+        "    return _plane(omega)\n",
+        "tests/test_periods.py::TestMinimalHodgeSublattice::test_scaling_invariance",
+    ),
+    (
+        "src/quadlat/periods.py",
+        "    validate_period(omega)\n    return saturate(_plane(omega))\n",
+        "    return saturate(_plane(omega))\n",
+        "tests/test_periods.py::TestMinimalHodgeSublattice::test_invalid_periods_raise_before_the_plane",
+    ),
     (
         "src/quadlat/lattice.py",
         "    if F1.order > cap:\n",

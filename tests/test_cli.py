@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadlat
-from quadlat import errors, periods
+from quadlat import embeddings, errors, periods
 from quadlat.cli import _build_parser, run
 from quadlat.errors import QuadLatError
 from quadlat.expr import evaluate_expr
@@ -23,7 +23,7 @@ from quadlat.lattice import discriminant_form, lattice_to_json, make_lattice, st
 def test_every_error_code_is_its_class_name():
     # the "error" field of a JSON error line is the class name of what was raised
     subclasses = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, QuadLatError)]
-    assert len(subclasses) == 26 and QuadLatError.code == "Error"
+    assert len(subclasses) == 24 and QuadLatError.code == "Error"
     assert all(cls.code == cls.__name__ for cls in subclasses if cls is not QuadLatError)
 
 
@@ -217,13 +217,15 @@ class TestPeriodSplit:
         assert code == 2 and data["error"] == "NotIsotropic"
 
     def test_one_hodge_split_per_request(self, capsys, tmp_path, monkeypatch):
+        # two kernels for the split (NS, then T) and two for the span
+        # closure it is compared with
         calls = Counter()
-        for name in ("neron_severi", "transcendental"):
-            def counted(omega, _original=getattr(periods, name), _name=name):
+        for module, name in ((periods, "neron_severi"), (periods, "transcendental"), (embeddings, "kernel_basis")):
+            def counted(m, _original=getattr(module, name), _name=name):
                 calls[_name] += 1
-                return _original(omega)
+                return _original(m)
 
-            monkeypatch.setattr(periods, name, counted)
+            monkeypatch.setattr(module, name, counted)
         f = tmp_path / "period.json"
         f.write_text(json.dumps(UU_PERIOD))
         assert invoke(capsys, "--json", "period-split", str(f)) == (
@@ -232,14 +234,14 @@ class TestPeriodSplit:
             '"gram": [[-2, 0], [0, -2]]}, "trans": {"basis": [[1, 1, 0, 0], [0, 0, 1, 1]], '
             '"gram": [[2, 0], [0, 2]]}, "minimal_hodge_equals_trans": true}\n',
         )
-        assert calls == {"neron_severi": 1, "transcendental": 1}
+        assert calls == {"neron_severi": 1, "transcendental": 1, "kernel_basis": 4}
         calls.clear()
         assert invoke(capsys, "period-split", str(f)) == (
             0,
             "psi(omega, conj) = 4\nNS rank 2, gram [[-2, 0], [0, -2]]\n"
             "T  rank 2, gram [[2, 0], [0, 2]]\nminimal Hodge sublattice equals T: True\n",
         )
-        assert calls == {"neron_severi": 1, "transcendental": 1}
+        assert calls == {"neron_severi": 1, "transcendental": 1, "kernel_basis": 4}
 
     def test_discriminant_above_bound_refused_quickly(self, capsys, tmp_path):
         f = tmp_path / "period.json"

@@ -1,11 +1,13 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from quadlat import periods
+from quadlat import embeddings, periods
 from quadlat.cli import run
 from quadlat.errors import (
     BadParameter,
@@ -319,10 +321,58 @@ class TestMinimalHodgeSublattice:
         assert minimal_hodge_sublattice(om).basis == minimal_hodge_sublattice(OMEGA).basis
 
     def test_agreement_under_base_change(self):
+        # the theorem both splits rest on: the plane P of a valid period is
+        # positive definite, so the form on NS = P^⊥ ∩ L is non-degenerate,
+        # the complement of NS is P ∩ L, the saturated plane, and ω lies in
+        # the rational span of T
         rng = random.Random(55)
-        for _ in range(10):
-            om = transformed_period(rng, OMEGA)
-            assert minimal_hodge_sublattice(om).basis == transcendental(om).trans.basis
+        e8u = direct_sum(UU, standard("E8", -1))
+        mixed = direct_sum(standard("gen", 2), standard("gen", 6), standard("An", 3, -1))
+        bases = [
+            OMEGA,
+            PeriodVector(UU, -2, (1, 2, 0, 0), (0, 0, 1, 1)),
+            PeriodVector(e8u, -1, (1, 1) + (0,) * 10, (0, 0, 1, 1) + (0,) * 8),
+            PeriodVector(e8u, -7, (1, 7) + (0,) * 10, (0, 0, 1, 1) + (0,) * 8),
+            PeriodVector(mixed, -3, (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)),
+        ]
+        checked = 0
+        for base in bases:
+            for step in range(12):
+                om = base if step == 0 else transformed_period(rng, base)
+                if step % 3 == 2:
+                    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                    om = PeriodVector(om.lattice, om.d, tuple(c * x for x in om.re), tuple(c * x for x in om.im))
+                split = transcendental(om)
+                if split.ns.rank:
+                    assert det_exact(induced_gram(split.ns)) != 0
+                den = lcm(*(x.denominator for x in om.re + om.im))
+                plane = SublatticeEmbedding(om.lattice, [[int(x * den) for x in row] for row in (om.re, om.im)])
+                minimal = minimal_hodge_sublattice(om)
+                assert orthogonal_complement(split.ns).basis == saturate(plane).basis == minimal.basis
+                zero = (0,) * om.lattice.rank
+                assert all(period_pairing(om, v, zero).is_zero() for v in orthogonal_complement(split.trans).basis)
+                checked += 1
+        assert checked == 60
+
+    def test_one_route_per_split(self, monkeypatch):
+        # each split takes two kernels and no determinant: the algebraic
+        # part and its complement, or the plane's saturation
+        calls = Counter()
+        for module, name in ((embeddings, "kernel_basis"), (embeddings, "det_exact"), (periods, "det_exact")):
+            if hasattr(module, name):
+                def counted(m, _original=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _original(m)
+
+                monkeypatch.setattr(module, name, counted)
+        e8u = direct_sum(UU, standard("E8", -1))
+        for om in (OMEGA, PeriodVector(e8u, -1, (1, 1) + (0,) * 10, (0, 0, 1, 1) + (0,) * 8)):
+            calls.clear()
+            transcendental(om)
+            assert calls == {"kernel_basis": 2}
+            calls.clear()
+            minimal_hodge_sublattice(om)
+            assert calls == {"kernel_basis": 2}
 
     def test_plane_skips_the_checked_constructor(self, monkeypatch, capsys, tmp_path):
         # validation proves re and im independent, so neither the algebraic
